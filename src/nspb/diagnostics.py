@@ -79,10 +79,8 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     Re = params.Re
     dx = grid.dx
 
-    u_f, v_f = biot_savart(state.omega)
-    u_vals = u_f.values + state.mean_u[:, None]
-    u = Field2D(grid, values=u_vals)
-    v = v_f
+    u, v = _velocity(state)
+    u_vals = u.values
 
     ke = 0.5 * grid.integrate(u_vals**2 + v.values**2)
 

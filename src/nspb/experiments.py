@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -192,14 +192,12 @@ def _in_window(x: float, lo: float, hi: float) -> bool:
 
 
 def _forced_config(base: SolverConfig, F: float, t_end: float) -> SolverConfig:
-    return SolverConfig(
-        dt=base.dt,
+    return replace(
+        base,
         t_end=t_end,
+        mode="navier_stokes",
         forcing="steady_pressure_gradient",
         forcing_amplitude=F,
-        cfl_max=base.cfl_max,
-        checkpoint_every=base.checkpoint_every,
-        record_every=base.record_every,
     )
 
 
@@ -278,16 +276,7 @@ def _drive_restart(
     cfg = plan.solver
     if abs(dt - cfg.dt) > 1e-15 * max(dt, cfg.dt):
         summary.notes.append(f"dt={dt!r} taken from the checkpoint (config said {cfg.dt!r})")
-        cfg = SolverConfig(
-            dt=dt,
-            t_end=cfg.t_end,
-            mode=cfg.mode,
-            forcing=cfg.forcing,
-            forcing_amplitude=cfg.forcing_amplitude,
-            cfl_max=cfg.cfl_max,
-            checkpoint_every=cfg.checkpoint_every,
-            record_every=cfg.record_every,
-        )
+        cfg = replace(cfg, dt=dt)
     summary.notes.append(f"restarted from {ckpt} at t={state.t!r}")
     solver = ChannelFlowSolver(grid, plan.sim, cfg)
     _advance_with_outputs(plan, solver, state, outdir, summary)

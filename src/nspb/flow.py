@@ -8,6 +8,10 @@ imposed wall vorticity g + beta*u_tau consistent with the slip the new
 field itself induces; this keeps the scheme stable for arbitrarily stiff
 wall friction.  In "euler" mode diffusion and the wall law are switched
 off and the same advection terms are advanced explicitly (Heun).
+
+Every per-mode map of a step is linear and fixed for given (dt, Re, grid),
+so the solver builds each one once as an operator stack (see
+``elliptic.apply_modes``) and applies it as one matmul per stage.
 """
 
 from __future__ import annotations
@@ -16,9 +20,18 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from .elliptic import SolverError, TauSolver, _bc_row, _diff_matrices, biot_savart
+from .elliptic import (
+    SolverError,
+    _bc_row,
+    _diff_matrices,
+    _wall_rows,
+    apply_modes,
+    biot_savart,
+    streamfunction_operator,
+    tau_matrices,
+    velocity_spectral,
+)
 from .grid import (
     ChannelGrid,
     Field2D,
@@ -36,6 +49,16 @@ _FORCINGS = ("zero", "steady_pressure_gradient")
 
 class CFLError(RuntimeError):
     """Advective CFL number exceeded the configured bound."""
+
+
+class SolverDivergedError(RuntimeError):
+    """A field of the solver state stopped being finite."""
+
+    def __init__(self, step: int, t: float, field: str):
+        super().__init__(f"non-finite {field} at step {step} (t={t:.6g})")
+        self.step = step
+        self.t = t
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -159,55 +182,6 @@ def steady_channel_state(grid: ChannelGrid, params: SimParams, F: float) -> Flow
     return initial_state(grid, params, u=u)
 
 
-class _Tau1D:
-    """Single-profile (lam - d^2/dy^2) solve with boundary rows."""
-
-    def __init__(self, ny: int, lam: float, bc_top, bc_bottom):
-        _, D2 = _diff_matrices(ny)
-        A = lam * np.eye(ny) - D2
-        A[-2, :] = _bc_row(ny, "top", *bc_top)
-        A[-1, :] = _bc_row(ny, "bottom", *bc_bottom)
-        self._lu = scipy.linalg.lu_factor(A)
-
-    def solve(self, rhs_coeffs: np.ndarray, c_top: float, c_bottom: float) -> np.ndarray:
-        b = np.array(rhs_coeffs, dtype=float)
-        b[-2] = c_top
-        b[-1] = c_bottom
-        return scipy.linalg.lu_solve(self._lu, b)
-
-
-class _StageWorkspace:
-    """Influence-matrix data for one implicit coefficient lam."""
-
-    def __init__(self, solver: "ChannelFlowSolver", lam: float):
-        grid = solver.grid
-        self.lam = lam
-        self.dirichlet = TauSolver(grid, lam, (1.0, 0.0), (1.0, 0.0))
-        ny = grid.ny
-        zeros = np.zeros(ny)
-        self.unit_top = np.zeros((ny, solver.jmax + 1))
-        self.unit_bot = np.zeros((ny, solver.jmax + 1))
-        self.kinv = np.zeros((solver.jmax + 1, 2, 2))
-        c2 = solver.c2
-        for j in range(1, solver.jmax + 1):
-            ut_prof = self.dirichlet.solve_mode(j, zeros, 1.0, 0.0).real
-            ub_prof = self.dirichlet.solve_mode(j, zeros, 0.0, 1.0).real
-            self.unit_top[:, j] = ut_prof
-            self.unit_bot[:, j] = ub_prof
-            a_tt, a_bt = solver._wall_u_traces_mode(j, ut_prof)
-            a_tb, a_bb = solver._wall_u_traces_mode(j, ub_prof)
-            K = np.array(
-                [
-                    [1.0 + c2 * a_tt.real, c2 * a_tb.real],
-                    [-c2 * a_bt.real, 1.0 - c2 * a_bb.real],
-                ]
-            )
-            try:
-                self.kinv[j] = np.linalg.inv(K)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SolverError(f"singular wall influence matrix at mode {j}") from exc
-
-
 class ChannelFlowSolver:
     """Time stepper for the channel with the dynamic wall law."""
 
@@ -216,10 +190,9 @@ class ChannelFlowSolver:
         self.params = params
         self.config = config
         self.jmax = grid.dealias_kx
+        self._modes = slice(1, self.jmax + 1)
         ny = grid.ny
         self._D, self._D2 = _diff_matrices(ny)
-        self._signs = np.where(np.arange(ny) % 2 == 0, 1.0, -1.0)
-        self._poisson = TauSolver(grid, 0.0, (1.0, 0.0), (1.0, 0.0))
 
         dt = config.dt
         Re = params.Re
@@ -227,30 +200,45 @@ class ChannelFlowSolver:
         self._slip_coef = params.alpha * Re / params.tau
         self.c2 = params.beta - self._slip_coef * self._w1
 
+        # (J, 2, ny): u at the (top, bottom) wall induced by each vorticity mode
+        self._traces = -(_wall_rows(ny) @ self._D) @ streamfunction_operator(grid)[self._modes]
+
         if config.mode == "navier_stokes":
-            self._stage_p = _StageWorkspace(self, Re / dt)
-            self._stage_c = _StageWorkspace(self, 2.0 * Re / dt)
-            self._mean_p = _Tau1D(ny, Re / dt, (self.c2, -1.0), (self.c2, 1.0))
-            self._mean_c = _Tau1D(ny, 2.0 * Re / dt, (self.c2, -1.0), (self.c2, 1.0))
+            self._stage_p = self._stage_operators(Re / dt)
+            self._stage_c = self._stage_operators(2.0 * Re / dt)
 
-    # ---- per-mode helpers ----
+    def _stage_operators(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Maps of one implicit stage (lam - Laplacian) with the wall law closed.
 
-    def _wall_u_traces_mode(self, j: int, omega_col: np.ndarray):
-        """u traces at (top, bottom) induced by one vorticity mode."""
-        psi = self._poisson.solve_mode(j, -np.asarray(omega_col, dtype=complex))
-        ucol = -cheb_derivative_coeffs(psi)
-        return ucol.sum(), self._signs @ ucol
+        Both read the wall data (q_top, q_bottom) from the two tau rows of
+        their right-hand side.  The mean profile's rows are the Robin form
+        c2*u - u' = q_top, -c2*u - u' = q_bottom.  Each fluctuation mode is
+        a Dirichlet tau solve A^-1 P plus the two unit-boundary profiles
+        A^-1 E, weighted by the 2x2 influence matrix K (Kleiser & Schumann
+        1980) so that the wall vorticity equals g + beta*u_tau for the slip
+        the new field induces:
 
-    def _velocity_spectral(self, omega_spec: np.ndarray):
-        """(u, v) spectral arrays of the fluctuation field."""
-        ny, nk = omega_spec.shape
-        u = np.zeros((ny, nk), dtype=complex)
-        v = np.zeros((ny, nk), dtype=complex)
-        for j in range(1, self.jmax + 1):
-            psi = self._poisson.solve_mode(j, -omega_spec[:, j])
-            u[:, j] = -cheb_derivative_coeffs(psi)
-            v[:, j] = 1j * self.grid.kx[j] * psi
-        return u, v
+            out = A^-1 P b + A^-1 E K^-1 (E^T b + S T A^-1 P b),
+            K = I - S T A^-1 E,  S = diag(-c2, c2),  T = wall u-traces.
+
+        Returns the (ny, ny) mean map and the (J, ny, ny) mode stack.
+        """
+        ny, c2 = self.grid.ny, self.c2
+        robin = np.stack([_bc_row(ny, "top", c2, -1.0), _bc_row(ny, "bottom", -c2, -1.0)])
+        mean = np.linalg.inv(tau_matrices(ny, [lam], robin))[0]
+        ksq = self.grid.kx[self._modes] ** 2
+        A_inv = np.linalg.inv(tau_matrices(ny, lam + ksq, _wall_rows(ny)))
+        unit = A_inv[:, :, ny - 2 :].copy()
+        A_inv[:, :, ny - 2 :] = 0.0
+        S = np.diag([-c2, c2])
+        K = np.eye(2) - S @ self._traces @ unit
+        weights = S @ self._traces @ A_inv
+        weights[:, :, ny - 2 :] = np.eye(2)
+        try:
+            closure = np.linalg.solve(K, weights)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise SolverError("singular wall influence matrix") from exc
+        return mean, A_inv + unit @ closure
 
     # ---- nonlinear terms ----
 
@@ -262,16 +250,16 @@ class ChannelFlowSolver:
         and aux carrying physical velocities and wall slip traces.
         """
         grid = self.grid
-        u_spec, v_spec = self._velocity_spectral(omega_spec)
-        mean_phys = cheb_inverse(mean_coeffs)
-        mean_om_coeffs = -cheb_derivative_coeffs(mean_coeffs)
-        mean_om_grad = cheb_inverse(cheb_derivative_coeffs(mean_om_coeffs))
+        u_spec, v_spec = velocity_spectral(grid, omega_spec)
+        u_spec[:, 0] = mean_coeffs
+        om_y_spec = self._D @ omega_spec
+        om_y_spec[:, 0] = -(self._D2 @ mean_coeffs)
 
-        u_tot = grid.spec_to_phys(u_spec) + mean_phys[:, None]
+        u_tot = grid.spec_to_phys(u_spec)
         v_phys = grid.spec_to_phys(v_spec)
         om_phys = grid.spec_to_phys(omega_spec)
         om_x = grid.spec_to_phys(omega_spec * (1j * grid.kx))
-        om_y = grid.spec_to_phys(cheb_derivative_coeffs(omega_spec)) + mean_om_grad[:, None]
+        om_y = grid.spec_to_phys(om_y_spec)
 
         adv = grid.phys_to_spec(u_tot * om_x + v_phys * om_y)
         adv[:, self.jmax + 1 :] = 0.0
@@ -291,33 +279,55 @@ class ChannelFlowSolver:
         }
         return N, R, aux
 
-    def _check_cfl(self, aux, t: float):
+    def _check_cfl(self, aux, state: FlowState):
         speed = max(float(np.max(np.abs(aux["u_tot"]))), float(np.max(np.abs(aux["v"]))))
+        if not math.isfinite(speed):
+            raise SolverDivergedError(state.step_index, state.t, "velocity")
         dx_min = min(self.grid.dx, self.grid.dy_min)
         cfl = self.config.dt * speed / dx_min
         if cfl > self.config.cfl_max:
             raise CFLError(
-                f"CFL {cfl:.3f} > {self.config.cfl_max} at t={t:.6g} "
+                f"CFL {cfl:.3f} > {self.config.cfl_max} at t={state.t:.6g} "
                 f"(max speed {speed:.4g}, min spacing {dx_min:.4g})"
             )
 
+    @staticmethod
+    def _check_finite(state: FlowState) -> FlowState:
+        for name, arr in (
+            ("omega", state.omega.spectral),
+            ("mean_u", state.mean_u),
+            ("g_top", state.bc_top.g),
+            ("g_bottom", state.bc_bottom.g),
+        ):
+            if not np.isfinite(arr).all():
+                raise SolverDivergedError(state.step_index, state.t, name)
+        return state
+
     # ---- implicit stage ----
 
-    def _implicit_stage(self, ws: _StageWorkspace, rhs_spec, qhat_top, qhat_bot):
-        """Solve (lam + k^2 - D^2) with the wall law closed per mode."""
-        ny, nk = rhs_spec.shape
-        out = np.zeros((ny, nk), dtype=complex)
-        c2 = self.c2
-        for j in range(1, self.jmax + 1):
-            part = ws.dirichlet.solve_mode(j, rhs_spec[:, j], 0.0, 0.0)
-            ut_p, ub_p = self._wall_u_traces_mode(j, part)
-            b0 = qhat_top[j] - c2 * ut_p
-            b1 = qhat_bot[j] + c2 * ub_p
-            ki = ws.kinv[j]
-            d_t = ki[0, 0] * b0 + ki[0, 1] * b1
-            d_b = ki[1, 0] * b0 + ki[1, 1] * b1
-            out[:, j] = part + d_t * ws.unit_top[:, j] + d_b * ws.unit_bot[:, j]
-        return out
+    def _implicit_stage(self, stage, rhs_spec, mean_rhs, qhat):
+        """Solve (lam + k^2 - D^2) with the wall law closed, mean and modes.
+
+        qhat holds the rfft modes of the (top, bottom) wall data; it is
+        written into the tau rows of both right-hand sides, in place.
+        """
+        mean_op, mode_ops = stage
+        mean_rhs[-2:] = qhat[:, 0].real
+        b = rhs_spec[:, self._modes]
+        b[-2:] = qhat[:, self._modes]
+        out = np.zeros_like(rhs_spec)
+        out[:, self._modes] = apply_modes(mode_ops, b)
+        return out, mean_op @ mean_rhs
+
+    def _wall_slip(self, omega_spec: np.ndarray, mean_u: np.ndarray) -> np.ndarray:
+        """Slip u_tau along the (top, bottom) walls as a (2, nx) array."""
+        grid = self.grid
+        u_hat = np.zeros((2, grid.nkx), dtype=complex)
+        u_hat[:, self._modes] = apply_modes(self._traces, omega_spec[:, self._modes])
+        u_hat[:, 0] = mean_u[[0, -1]]
+        u = np.fft.irfft(u_hat * grid.nx, n=grid.nx, axis=1)
+        u[0] *= -1.0
+        return u
 
     # ---- stepping ----
 
@@ -329,72 +339,66 @@ class ChannelFlowSolver:
     def _step_ns(self, state: FlowState) -> FlowState:
         grid, params, cfg = self.grid, self.params, self.config
         dt, Re = cfg.dt, params.Re
-        F = cfg.mean_force
         mean_coeffs = cheb_forward(state.mean_u.copy())
         om = state.omega.spectral
+        force = np.zeros(grid.ny)
+        force[0] = cfg.mean_force
 
         N_n, R_n, aux_n = self._nonlinear(om, mean_coeffs)
-        self._check_cfl(aux_n, state.t)
+        self._check_cfl(aux_n, state)
 
-        # wall data pieces that depend only on the step start
-        q_top = self._E * state.bc_top.g - self._slip_coef * self._w0 * aux_n["u_tau_top"]
-        q_bot = self._E * state.bc_bottom.g - self._slip_coef * self._w0 * aux_n["u_tau_bot"]
-        qhat_top = np.fft.rfft(q_top) / grid.nx
-        qhat_bot = np.fft.rfft(q_bot) / grid.nx
-        qbar_top = float(np.mean(q_top))
-        qbar_bot = float(np.mean(q_bot))
+        # wall data pieces that depend only on the step start, (top, bottom)
+        slip_n = np.stack([aux_n["u_tau_top"], aux_n["u_tau_bot"]])
+        g_n = np.stack([state.bc_top.g, state.bc_bottom.g])
+        q = self._E * g_n - self._slip_coef * self._w0 * slip_n
+        qhat = np.fft.rfft(q, axis=1) / grid.nx
 
         lam_p = Re / dt
-        rhs_p = lam_p * om + Re * N_n
-        om_star = self._implicit_stage(self._stage_p, rhs_p, qhat_top, qhat_bot)
-        force = np.zeros(grid.ny)
-        force[0] = F
-        mean_rhs_p = lam_p * mean_coeffs + Re * (R_n + force)
-        mean_star = self._mean_p.solve(mean_rhs_p, qbar_top, -qbar_bot)
+        om_star, mean_star = self._implicit_stage(
+            self._stage_p,
+            lam_p * om + Re * N_n,
+            lam_p * mean_coeffs + Re * (R_n + force),
+            qhat,
+        )
 
         N_s, R_s, _ = self._nonlinear(om_star, mean_star)
 
         lam_c = 2.0 * Re / dt
-        ksq = self.grid.kx**2
-        rhs_c = lam_c * om - ksq * om + self._D2 @ om + Re * (N_n + N_s)
-        om_new = self._implicit_stage(self._stage_c, rhs_c, qhat_top, qhat_bot)
-        mean_rhs_c = lam_c * mean_coeffs + self._D2 @ mean_coeffs + Re * (R_n + R_s + 2.0 * force)
-        mean_new = self._mean_c.solve(mean_rhs_c, qbar_top, -qbar_bot)
+        ksq = grid.kx**2
+        om_new, mean_new = self._implicit_stage(
+            self._stage_c,
+            lam_c * om - ksq * om + self._D2 @ om + Re * (N_n + N_s),
+            lam_c * mean_coeffs + self._D2 @ mean_coeffs + Re * (R_n + R_s + 2.0 * force),
+            qhat,
+        )
 
         # final slip traces close the boundary-stress update
-        u_new, _ = self._velocity_spectral(om_new)
-        mean_new_phys = cheb_inverse(mean_new.copy())
-        u_top = self.grid.spec_to_phys(u_new)[0] + mean_new_phys[0]
-        u_bot = self.grid.spec_to_phys(u_new)[-1] + mean_new_phys[-1]
-        u_tau_top_new = -u_top
-        u_tau_bot_new = u_bot
-        bc_top = step_boundary_ode(
-            state.bc_top, aux_n["u_tau_top"], params, dt, u_tau_end=u_tau_top_new
-        )
-        bc_bot = step_boundary_ode(
-            state.bc_bottom, aux_n["u_tau_bot"], params, dt, u_tau_end=u_tau_bot_new
-        )
+        mean_new_phys = cheb_inverse(mean_new)
+        slip_new = self._wall_slip(om_new, mean_new_phys)
+        bc_top = step_boundary_ode(state.bc_top, slip_n[0], params, dt, u_tau_end=slip_new[0])
+        bc_bot = step_boundary_ode(state.bc_bottom, slip_n[1], params, dt, u_tau_end=slip_new[1])
 
-        return FlowState(
-            omega=Field2D(grid, spectral=om_new),
-            mean_u=mean_new_phys,
-            bc_top=bc_top,
-            bc_bottom=bc_bot,
-            t=state.t + dt,
-            step_index=state.step_index + 1,
+        return self._check_finite(
+            FlowState(
+                omega=Field2D(grid, spectral=om_new),
+                mean_u=mean_new_phys,
+                bc_top=bc_top,
+                bc_bottom=bc_bot,
+                t=state.t + dt,
+                step_index=state.step_index + 1,
+            )
         )
 
     def _step_euler(self, state: FlowState) -> FlowState:
         cfg = self.config
         dt = cfg.dt
-        F = cfg.mean_force
         mean_coeffs = cheb_forward(state.mean_u.copy())
         om = state.omega.spectral
         force = np.zeros(self.grid.ny)
-        force[0] = F
+        force[0] = cfg.mean_force
 
         N_n, R_n, aux_n = self._nonlinear(om, mean_coeffs)
-        self._check_cfl(aux_n, state.t)
+        self._check_cfl(aux_n, state)
         om_star = om + dt * N_n
         mean_star = mean_coeffs + dt * (R_n + force)
 
@@ -402,13 +406,15 @@ class ChannelFlowSolver:
         om_new = om + 0.5 * dt * (N_n + N_s)
         mean_new = mean_coeffs + 0.5 * dt * (R_n + R_s + 2.0 * force)
 
-        return FlowState(
-            omega=Field2D(self.grid, spectral=om_new),
-            mean_u=cheb_inverse(mean_new.copy()),
-            bc_top=state.bc_top,
-            bc_bottom=state.bc_bottom,
-            t=state.t + dt,
-            step_index=state.step_index + 1,
+        return self._check_finite(
+            FlowState(
+                omega=Field2D(self.grid, spectral=om_new),
+                mean_u=cheb_inverse(mean_new),
+                bc_top=state.bc_top,
+                bc_bottom=state.bc_bottom,
+                t=state.t + dt,
+                step_index=state.step_index + 1,
+            )
         )
 
     def run(self, state: FlowState, t_end: float | None = None, callback=None) -> FlowState:
@@ -431,26 +437,11 @@ class ChannelFlowSolver:
 
     # ---- reconstruction ----
 
-    def velocity(self, state: FlowState) -> tuple[Field2D, Field2D]:
-        u_spec, v_spec = self._velocity_spectral(state.omega.spectral)
-        u = self.grid.spec_to_phys(u_spec) + state.mean_u[:, None]
-        return Field2D(self.grid, values=u), Field2D(self.grid, spectral=v_spec)
-
     def total_vorticity(self, state: FlowState) -> Field2D:
         mean_coeffs = cheb_forward(state.mean_u.copy())
         om_bar = cheb_inverse(-cheb_derivative_coeffs(mean_coeffs))
         return Field2D(self.grid, values=state.omega.values + om_bar[:, None])
 
     def slip_traces(self, state: FlowState) -> WallTrace:
-        u, _ = self.velocity(state)
-        v = u.values
-        return WallTrace(top=-v[0], bottom=v[-1].copy())
-
-
-def velocity_of_state(grid: ChannelGrid, state: FlowState) -> tuple[Field2D, Field2D]:
-    """Velocity reconstruction without a solver instance (diagnostics path)."""
-    from .elliptic import biot_savart
-
-    u_f, v_f = biot_savart(state.omega)
-    u = u_f.values + state.mean_u[:, None]
-    return Field2D(grid, values=u), v_f
+        top, bottom = self._wall_slip(state.omega.spectral, state.mean_u)
+        return WallTrace(top=top, bottom=bottom)

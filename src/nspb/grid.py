@@ -76,15 +76,6 @@ def cheb_derivative_coeffs(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def cheb_eval_ends(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values at y=+1 and y=-1 from coefficients (T_m(1)=1, T_m(-1)=(-1)^m)."""
-    N = coeffs.shape[0] - 1
-    signs = np.where(np.arange(N + 1) % 2 == 0, 1.0, -1.0)
-    top = coeffs.sum(axis=0)
-    bot = np.tensordot(signs, coeffs, axes=(0, 0))
-    return top, bot
-
-
 @dataclass(frozen=True)
 class ChannelGrid:
     """Tensor grid for the channel [0, lx) x [-1, 1]."""
@@ -218,14 +209,6 @@ class Field2D:
         self.grid = grid
         self._values = values
         self._spectral = spectral
-
-    @classmethod
-    def from_values(cls, grid: ChannelGrid, values) -> "Field2D":
-        return cls(grid, values=values)
-
-    @classmethod
-    def from_spectral(cls, grid: ChannelGrid, spectral) -> "Field2D":
-        return cls(grid, spectral=spectral)
 
     @classmethod
     def zeros(cls, grid: ChannelGrid) -> "Field2D":

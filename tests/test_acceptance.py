@@ -23,6 +23,8 @@ from nspb.params import SimParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+pytestmark = pytest.mark.slow
+
 
 def checks_of(summary):
     return {c.name: c for c in summary.checks}

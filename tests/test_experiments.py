@@ -10,6 +10,7 @@ import pytest
 from nspb import experiments
 from nspb.config import parse_config
 from nspb.experiments import execute
+from nspb.grid import Field2D
 
 TINY_SWEEP = (
     "kind = sweep_re\n"
@@ -95,20 +96,47 @@ def test_sweep_point_failure_is_contained(tmp_path, monkeypatch):
     assert summary.checks == []
 
 
-def test_sweep_alpha_tiny(tmp_path):
-    text = (
-        "kind = sweep_alpha\n"
-        "re = 50\n"
-        "wi = 1\n"
-        "tau = 20\n"
-        "nx = 16\n"
-        "ny = 17\n"
-        "dt = 2e-3\n"
-        "t_end = 0.1\n"
-        "record_every = 5\n"
-        "sweep_values = 10,100,1000\n"
-    )
+SWEEP_ALPHA_TINY = (
+    "kind = sweep_alpha\n"
+    "re = 50\n"
+    "wi = 1\n"
+    "tau = 20\n"
+    "nx = 16\n"
+    "ny = 17\n"
+    "dt = 2e-3\n"
+    "t_end = 0.1\n"
+    "record_every = 5\n"
+    "sweep_values = 10,100,1000\n"
+)
+
+
+def _poisoned(make):
+    """A state factory whose states carry one NaN vorticity coefficient."""
+
+    def build(grid, params, *args):
+        state = make(grid, params, *args)
+        spec = state.omega.spectral.copy()
+        spec[2, 1] = np.nan
+        return state.with_(omega=Field2D(grid, spectral=spec))
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "text, factory",
+    [(TINY_SWEEP, "shear_decay_state"), (SWEEP_ALPHA_TINY, "steady_channel_state")],
+)
+def test_sweep_records_divergence_as_named_failure(tmp_path, monkeypatch, text, factory):
+    monkeypatch.setattr(experiments, factory, _poisoned(getattr(experiments, factory)))
     summary = execute(parse_config(text).with_output(tmp_path))
+    assert summary.runtime_failures == 3
+    assert summary.exit_code == 3
+    for point in summary.points:
+        assert point["error"] == "SolverDivergedError: non-finite velocity at step 0 (t=0)"
+
+
+def test_sweep_alpha_tiny(tmp_path):
+    summary = execute(parse_config(SWEEP_ALPHA_TINY).with_output(tmp_path))
     checks = check_map(summary)
     # the steady forced profile is polynomial, so even a tiny grid holds it
     assert checks["slip_strictly_decreasing_in_alpha"].passed

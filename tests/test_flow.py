@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nspb.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from nspb.diagnostics import (
@@ -11,17 +13,20 @@ from nspb.diagnostics import (
     momentum_audit,
     total_energy,
 )
+from nspb.elliptic import TauSolver, biot_savart
 from nspb.flow import (
     CFLError,
     ChannelFlowSolver,
     FlowState,
     SolverConfig,
+    SolverDivergedError,
     initial_state,
     slip_poiseuille_profile,
     steady_channel_state,
 )
-from nspb.grid import ChannelGrid
+from nspb.grid import ChannelGrid, Field2D, cheb_derivative_coeffs
 from nspb.params import SimParams
+from nspb.wallbc import BoundaryStressState, exp_weights
 
 
 @pytest.fixture(scope="module")
@@ -309,3 +314,150 @@ def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
     header_only.write_bytes(raw[:10])
     with pytest.raises(CheckpointError, match="truncated"):
         read_checkpoint(header_only)
+
+
+class PerModeReference:
+    """The per-mode loops the batched operator stacks replaced.
+
+    Every mode is one ``TauSolver.solve_mode`` (an LU solve) and every
+    y-derivative one ``cheb_derivative_coeffs`` recurrence.  The wall law
+    closes through the 2x2 influence matrix built from the two
+    unit-boundary profiles of each mode, and the mean profile is the k = 0
+    tau solve with Robin rows.
+    """
+
+    def __init__(self, grid, params, dt):
+        self.grid = grid
+        self.jmax = grid.dealias_kx
+        _, w0, w1 = exp_weights(dt, params.Wi)
+        self.c2 = params.beta - params.alpha * params.Re / params.tau * w1
+        self.poisson = TauSolver(grid, 0.0, (1.0, 0.0), (1.0, 0.0))
+        self.signs = np.where(np.arange(grid.ny) % 2 == 0, 1.0, -1.0)
+
+    def velocity(self, omega_spec, modes):
+        u = np.zeros_like(omega_spec)
+        v = np.zeros_like(omega_spec)
+        for j in modes:
+            psi = self.poisson.solve_mode(j, -omega_spec[:, j])
+            u[:, j] = -cheb_derivative_coeffs(psi)
+            v[:, j] = 1j * self.grid.kx[j] * psi
+        return u, v
+
+    def wall_u_traces(self, j, col):
+        ucol = -cheb_derivative_coeffs(self.poisson.solve_mode(j, -np.asarray(col, dtype=complex)))
+        return ucol.sum(), self.signs @ ucol
+
+    def slip_traces(self, state):
+        u, _ = self.velocity(state.omega.spectral, range(1, self.jmax + 1))
+        u_phys = self.grid.spec_to_phys(u) + state.mean_u[:, None]
+        return -u_phys[0], u_phys[-1]
+
+    def stage(self, lam, rhs_spec, mean_rhs, qhat):
+        grid, c2 = self.grid, self.c2
+        dirichlet = TauSolver(grid, lam, (1.0, 0.0), (1.0, 0.0))
+        zeros = np.zeros(grid.ny)
+        out = np.zeros_like(rhs_spec)
+        for j in range(1, self.jmax + 1):
+            unit_top = dirichlet.solve_mode(j, zeros, 1.0, 0.0).real
+            unit_bot = dirichlet.solve_mode(j, zeros, 0.0, 1.0).real
+            a_tt, a_bt = self.wall_u_traces(j, unit_top)
+            a_tb, a_bb = self.wall_u_traces(j, unit_bot)
+            K = np.array(
+                [
+                    [1.0 + c2 * a_tt.real, c2 * a_tb.real],
+                    [-c2 * a_bt.real, 1.0 - c2 * a_bb.real],
+                ]
+            )
+            part = dirichlet.solve_mode(j, rhs_spec[:, j], 0.0, 0.0)
+            ut_p, ub_p = self.wall_u_traces(j, part)
+            d_t, d_b = np.linalg.solve(K, [qhat[0, j] - c2 * ut_p, qhat[1, j] + c2 * ub_p])
+            out[:, j] = part + d_t * unit_top + d_b * unit_bot
+        mean = TauSolver(grid, lam, (c2, -1.0), (c2, 1.0))
+        mean_out = mean.solve_mode(0, mean_rhs, qhat[0, 0].real, -qhat[1, 0].real).real
+        return out, mean_out
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from([16, 24, 32, 48, 64]),
+    Re=st.floats(10.0, 1000.0),
+    Wi=st.floats(0.1, 10.0),
+    tau=st.floats(0.1, 100.0),
+    alpha=st.floats(0.1, 1000.0),
+    kappa_frac=st.floats(0.0, 0.24),
+    dt=st.floats(1e-4, 1e-2),
+    seed=st.integers(0, 2**31),
+)
+def test_batched_operators_match_per_mode_reference(
+    n, Re, Wi, tau, alpha, kappa_frac, dt, seed
+):
+    grid = ChannelGrid(nx=n, ny=n + 1)
+    params = SimParams(Re=Re, Wi=Wi, tau=tau, alpha=alpha, kappa=kappa_frac * alpha)
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=1.0))
+    ref = PerModeReference(grid, params, dt)
+    rng = np.random.default_rng(seed)
+
+    def field():
+        shape = (grid.ny, grid.nkx)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # velocity over every rfft mode, as biot_savart promises
+    omega = field()
+    u, v = biot_savart(Field2D(grid, spectral=omega))
+    u_ref, v_ref = ref.velocity(omega, range(grid.nkx))
+    assert _rel(u.spectral, u_ref) <= 1e-12
+    assert _rel(v.spectral, v_ref) <= 1e-12
+
+    # wall slip traces of a solver state (dealiased, no k = 0 fluctuation)
+    omega[:, 0] = 0.0
+    omega[:, grid.dealias_kx + 1 :] = 0.0
+    g = BoundaryStressState.from_g(np.zeros(grid.nx))
+    mean_u = rng.standard_normal(grid.ny)
+    state = FlowState(omega=Field2D(grid, spectral=omega), mean_u=mean_u, bc_top=g, bc_bottom=g)
+    traces = sol.slip_traces(state)
+    top_ref, bottom_ref = ref.slip_traces(state)
+    assert _rel(traces.top, top_ref) <= 1e-12
+    assert _rel(traces.bottom, bottom_ref) <= 1e-12
+
+    # both implicit stages, wall law closed
+    for lam, stage in ((Re / dt, sol._stage_p), (2.0 * Re / dt, sol._stage_c)):
+        rhs = field()
+        mean_rhs = rng.standard_normal(grid.ny)
+        qhat = rng.standard_normal((2, grid.nkx)) + 1j * rng.standard_normal((2, grid.nkx))
+        qhat[:, 0] = qhat[:, 0].real
+        out_ref, mean_ref = ref.stage(lam, rhs, mean_rhs, qhat)
+        out, mean = sol._implicit_stage(stage, rhs.copy(), mean_rhs.copy(), qhat)
+        assert _rel(out, out_ref) <= 1e-12
+        assert _rel(mean, mean_ref) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "mode, field, detected",
+    [
+        ("navier_stokes", "omega", ("velocity", 5)),
+        ("euler", "omega", ("velocity", 5)),
+        ("navier_stokes", "g_top", ("omega", 6)),
+    ],
+)
+def test_nan_stops_the_run_with_a_named_error(grid, params, mode, field, detected):
+    u, v = perturbed_shear(grid)
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=0.01, mode=mode))
+    mid = sol.run(initial_state(grid, params, u=u, v=v), t_end=0.005)
+    if field == "omega":
+        spec = mid.omega.spectral.copy()
+        spec[3, 2] = np.nan
+        bad = mid.with_(omega=Field2D(grid, spectral=spec))
+    else:
+        g = mid.bc_top.g.copy()
+        g[1] = np.nan
+        bad = mid.with_(bc_top=BoundaryStressState.from_g(g))
+    name, step = detected
+    with pytest.raises(SolverDivergedError, match=f"non-finite {name} at step {step}") as info:
+        sol.run(bad)
+    assert not isinstance(info.value, ValueError)
+    assert (info.value.field, info.value.step) == (name, step)
+    assert info.value.t == pytest.approx(step * 1e-3)
