@@ -15,12 +15,8 @@ from .params import (
     classify_scaling,
     stokes_einstein_zeta,
 )
-from .grid import ChannelGrid, Field2D, WallTrace, GridError
+from .grid import ChannelGrid, Field2D, GridError
 from .wallbc import (
-    BoundaryStressState,
-    WallOrientation,
-    ORIENT_TOP,
-    ORIENT_BOTTOM,
     step_boundary_ode,
     duhamel_boundary,
     wall_vorticity,
@@ -59,12 +55,7 @@ __all__ = [
     "stokes_einstein_zeta",
     "ChannelGrid",
     "Field2D",
-    "WallTrace",
     "GridError",
-    "BoundaryStressState",
-    "WallOrientation",
-    "ORIENT_TOP",
-    "ORIENT_BOTTOM",
     "step_boundary_ode",
     "duhamel_boundary",
     "wall_vorticity",

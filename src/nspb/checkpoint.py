@@ -1,86 +1,121 @@
 """Binary checkpoint format for restartable runs.
 
-Layout (little endian): magic b"NSPB", version u32, nx u32, ny u32,
-t f64, dt f64, then row-major f64 arrays in order: physical total
-vorticity (ny*nx), mean profile (ny), g_top (nx), g_bottom (nx),
-slip accumulator top (nx), slip accumulator bottom (nx).
+Layout of version 2 (little endian).  Header: magic b"NSPB", version u32,
+nx u32, ny u32, t f64, dt f64, then the physics the run was made with:
+lx, Re, Wi, tau, alpha, kappa (f64 each), mode and forcing (32-byte ASCII,
+NUL padded), forcing_amplitude f64, and last a CRC32 u32 of every other
+byte of the file.  Payload, row-major f64 arrays: fluctuation vorticity at
+the grid nodes (ny*nx; its x-mean lives in the mean profile and is dropped
+on reading), mean profile (ny), wall stress g (2*nx, top wall then bottom).
+
+Version 1 files still load.  Their header ends after dt and holds no
+physics; their payload has two slip accumulators (nx each, top then
+bottom) after g, which are skipped.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .flow import FlowState
+from .flow import FlowState, SolverConfig
 from .grid import ChannelGrid, Field2D
-from .wallbc import BoundaryStressState
+from .params import SimParams
 
 MAGIC = b"NSPB"
-VERSION = 1
-_HEADER = struct.Struct("<4sIIIdd")
+VERSION = 2
+_PREFIX = struct.Struct("<4sI")
+_HEADER_V1 = struct.Struct("<4sIIIdd")
+_HEADER = struct.Struct("<4sIIIdd6d32s32sd")  # v2, without its closing CRC32
+_CRC = struct.Struct("<I")
+# config keys of the physics a v2 header stores, in header order
+PHYSICS_KEYS = ("lx", "re", "wi", "tau", "alpha", "kappa", "mode", "forcing", "forcing_amplitude")
 
 
 class CheckpointError(RuntimeError):
     """Malformed or incompatible checkpoint file."""
 
 
-def write_checkpoint(path, state: FlowState, dt: float, total_omega=None) -> None:
-    """Serialize a state; pass the reconstructed total vorticity when the
-    state's omega field holds only the fluctuation part."""
+class Checkpoint(NamedTuple):
+    """What read_checkpoint returns."""
+
+    grid: ChannelGrid
+    state: FlowState
+    dt: float
+    physics: dict | None  # PHYSICS_KEYS -> stored value; None for a v1 file
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace path by data so that readers see the old file or the whole new one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def write_checkpoint(path, state: FlowState, params: SimParams, config: SolverConfig) -> None:
+    """Serialize a state with the physics and time step it was advanced under."""
     grid = state.omega.grid
-    omega_vals = state.omega.values if total_omega is None else np.asarray(total_omega)
-    parts = [_HEADER.pack(MAGIC, VERSION, grid.nx, grid.ny, state.t, dt)]
-    for arr in (
-        omega_vals,
-        state.mean_u,
-        state.bc_top.g,
-        state.bc_bottom.g,
-        state.bc_top.accum,
-        state.bc_bottom.accum,
-    ):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    header = _HEADER.pack(
+        MAGIC, VERSION, grid.nx, grid.ny, state.t, config.dt,
+        grid.lx, params.Re, params.Wi, params.tau, params.alpha, params.kappa,
+        config.mode.encode("ascii"), config.forcing.encode("ascii"), config.forcing_amplitude,
+    )
+    payload = b"".join(
+        np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        for arr in (state.omega.values, state.mean_u, state.g)
+    )
+    crc = _CRC.pack(zlib.crc32(payload, zlib.crc32(header)))
+    write_atomic(path, header + crc + payload)
 
 
-def read_checkpoint(path, lx: float = 2.0 * np.pi):
-    """Load (grid, state, dt); the channel length is not stored and must
-    match the original run's configuration."""
+def read_checkpoint(path, lx: float = 2.0 * np.pi) -> Checkpoint:
+    """Load a checkpoint; ``lx`` is used only for v1 files, which do not store it."""
     raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
+    if len(raw) < _PREFIX.size:
         raise CheckpointError(f"{path}: truncated header")
-    magic, version, nx, ny, t, dt = _HEADER.unpack_from(raw, 0)
+    magic, version = _PREFIX.unpack_from(raw, 0)
     if magic != MAGIC:
         raise CheckpointError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unsupported version {version}")
-    sizes = [ny * nx, ny, nx, nx, nx, nx]
-    need = _HEADER.size + 8 * sum(sizes)
+    header = _HEADER if version == VERSION else _HEADER_V1
+    body = header.size + (_CRC.size if version == VERSION else 0)
+    if len(raw) < body:
+        raise CheckpointError(f"{path}: truncated header")
+    fields = header.unpack_from(raw, 0)
+    nx, ny, t, dt = fields[2:6]
+    walls = 2 * nx if version == VERSION else 4 * nx  # v1 adds two slip accumulators
+    need = body + 8 * (ny * nx + ny + walls)
     if len(raw) != need:
         raise CheckpointError(f"{path}: expected {need} bytes, found {len(raw)}")
-    offset = _HEADER.size
-    arrays = []
-    for n in sizes:
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=offset).copy())
-        offset += 8 * n
-    omega_vals = arrays[0].reshape(ny, nx)
+    physics = None
+    if version == VERSION:
+        (crc,) = _CRC.unpack_from(raw, header.size)
+        if crc != zlib.crc32(raw[body:], zlib.crc32(raw[: header.size])):
+            raise CheckpointError(f"{path}: CRC32 mismatch, the file is corrupt")
+        stored = list(fields[6:])
+        stored[6:8] = [s.rstrip(b"\0").decode("ascii") for s in stored[6:8]]
+        physics = dict(zip(PHYSICS_KEYS, stored))
+        lx = physics["lx"]
+    arr = np.frombuffer(raw, dtype="<f8", offset=body)
+    omega_vals, mean_u, g, _ = np.split(arr, np.cumsum([ny * nx, ny, 2 * nx]))
     grid = ChannelGrid(nx=nx, ny=ny, lx=lx)
-    state = _state_from_arrays(grid, omega_vals, arrays[1], arrays[2], arrays[3], arrays[4], arrays[5], t, dt)
-    return grid, state, dt
-
-
-def _state_from_arrays(grid, omega_vals, mean_u, g_top, g_bot, acc_top, acc_bot, t, dt):
-    spec = grid.phys_to_spec(omega_vals)
-    spec[:, 0] = 0.0  # the stored field is total vorticity; k=0 lives in mean_u
-    # a restarted segment re-anchors the Duhamel identity at the load point
-    bc_top = BoundaryStressState(g=g_top.copy(), g0=g_top.copy(), accum=acc_top, t=0.0)
-    bc_bot = BoundaryStressState(g=g_bot.copy(), g0=g_bot.copy(), accum=acc_bot, t=0.0)
-    return FlowState(
+    spec = grid.phys_to_spec(omega_vals.reshape(ny, nx))
+    spec[:, 0] = 0.0
+    state = FlowState(
         omega=Field2D(grid, spectral=spec),
-        mean_u=mean_u,
-        bc_top=bc_top,
-        bc_bottom=bc_bot,
+        mean_u=mean_u.copy(),
+        g=g.reshape(2, nx).copy(),
         t=t,
         step_index=int(round(t / dt)),
     )
+    return Checkpoint(grid, state, dt, physics)

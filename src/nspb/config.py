@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .flow import SolverConfig
 from .grid import ChannelGrid, GridError
-from .params import ParameterError, ScalingScenario, SimParams
+from .params import ParameterError, SimParams
 
 
 class ConfigError(ValueError):
@@ -52,16 +52,13 @@ def _parse_values(s: str):
 
 
 _SCHEMA = {
-    # dimensionless groups and scaling scenario
+    # dimensionless groups
     "re": (float, 250.0),
     "wi": (float, 1.0),
     "tau": (float, 1.0),
     "alpha": (float, 10.0),
     "kappa": (float, 0.0),
     "stokes_einstein": (_parse_bool, True),
-    "scaling_mode": (str, "vary_nu"),
-    "gamma": (float, 0.0),
-    "beta_exp": (float, 1.0),
     # discretization
     "nx": (int, 64),
     "ny": (int, 65),
@@ -96,7 +93,6 @@ class ExperimentPlan:
 
     kind: str
     sim: SimParams
-    scenario: ScalingScenario
     stokes_einstein: bool
     nx: int
     ny: int
@@ -185,11 +181,6 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
             alpha=resolved["alpha"],
             kappa=resolved["kappa"],
         )
-        scenario = ScalingScenario(
-            mode=resolved["scaling_mode"],
-            gamma=resolved["gamma"],
-            beta_exp=resolved["beta_exp"],
-        )
         solver = SolverConfig(
             dt=resolved["dt"],
             t_end=resolved["t_end"],
@@ -207,7 +198,6 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
     return ExperimentPlan(
         kind=kind,
         sim=sim,
-        scenario=scenario,
         stokes_einstein=resolved["stokes_einstein"],
         nx=resolved["nx"],
         ny=resolved["ny"],

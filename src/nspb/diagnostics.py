@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .elliptic import biot_savart
-from .flow import FlowState
-from .grid import Field2D, cheb_derivative_coeffs, cheb_forward, cheb_inverse, resample_field
+from .flow import FlowState, mean_vorticity
+from .grid import Field2D, resample_field
 from .params import SimParams
 
 CSV_VERSION = "nspb-records-v1"
@@ -90,8 +90,7 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     vy = v.ddy().values
     dissipation = (1.0 / Re) * grid.integrate(ux**2 + uy**2 + vx**2 + vy**2)
 
-    g_top = state.bc_top.g
-    g_bot = state.bc_bottom.g
+    g_top, g_bot = state.g
     wall_g_sq = (np.sum(g_top**2) + np.sum(g_bot**2)) * dx
     u_tau_top = -u_vals[0]
     u_tau_bot = u_vals[-1]
@@ -116,9 +115,7 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     om_bot = g_bot + params.beta * u_tau_bot
     f_tang = (1.0 / (Re * two_lx)) * (np.sum(om_top) - np.sum(om_bot)) * dx
 
-    mean_coeffs = cheb_forward(state.mean_u.copy())
-    om_bar = cheb_inverse(-cheb_derivative_coeffs(mean_coeffs))
-    om_vals = state.omega.values + om_bar[:, None]
+    om_vals = state.omega.values + mean_vorticity(state.mean_u)[:, None]
     omega_inf = float(np.max(np.abs(om_vals)))
     omega_wall_inf = float(max(np.max(np.abs(om_vals[0])), np.max(np.abs(om_vals[-1]))))
 

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_checkpoint
-from .config import ExperimentPlan
+from .checkpoint import PHYSICS_KEYS, read_checkpoint, write_atomic, write_checkpoint
+from .config import ConfigError, ExperimentPlan
 from .diagnostics import (
     compute_record,
     dissipation_average,
@@ -244,9 +244,8 @@ def execute(plan: ExperimentPlan, checkpoint: str | Path | None = None) -> RunSu
 def _write_summary(outdir: Path, summary: RunSummary) -> None:
     if "summary.json" not in summary.outputs:
         summary.outputs.append("summary.json")
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    text = json.dumps(summary.to_json_dict(), indent=2) + "\n"
+    write_atomic(outdir / "summary.json", text.encode("ascii"))
 
 
 def _emit_records(outdir: Path, name: str, records, summary: RunSummary) -> None:
@@ -267,7 +266,19 @@ def _drive_single_run(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -
 def _drive_restart(
     plan: ExperimentPlan, ckpt: Path, outdir: Path, summary: RunSummary
 ) -> None:
-    grid, state, dt = read_checkpoint(ckpt, lx=plan.lx)
+    grid, state, dt, physics = read_checkpoint(ckpt, lx=plan.lx)
+    if physics is None:
+        summary.notes.append(
+            f"{ckpt} is a version 1 checkpoint, which stores no physics: "
+            f"{', '.join(PHYSICS_KEYS)} taken from the config unverified"
+        )
+    else:
+        for key, value in physics.items():
+            if plan.raw[key] != value:
+                raise ConfigError(
+                    f"checkpoint {ckpt} was written with {key}={value!r}, "
+                    f"but the config sets {key}={plan.raw[key]!r}"
+                )
     if (grid.nx, grid.ny) != (plan.nx, plan.ny):
         summary.notes.append(
             f"grid {grid.nx}x{grid.ny} taken from the checkpoint (config said "
@@ -294,12 +305,12 @@ def _advance_with_outputs(plan, solver, state, outdir, summary) -> None:
         if s.step_index % cfg.record_every == 0:
             records.append(compute_record(s, params, cfg.mean_force))
         if s.step_index % cfg.checkpoint_every == 0:
-            write_checkpoint(ckdir / f"step{s.step_index:08d}.ckpt", s, cfg.dt)
+            write_checkpoint(ckdir / f"step{s.step_index:08d}.ckpt", s, params, cfg)
 
     final = solver.run(state, callback=cb)
     if records[-1].t < final.t - 1e-12:
         records.append(compute_record(final, params, cfg.mean_force))
-    write_checkpoint(ckdir / "final.ckpt", final, cfg.dt)
+    write_checkpoint(ckdir / "final.ckpt", final, params, cfg)
     summary.outputs.append("checkpoints/final.ckpt")
     _emit_records(outdir, "records.csv", records, summary)
     summary.total_steps += final.step_index - state.step_index
@@ -428,11 +439,7 @@ def _drive_sweep_alpha(plan: ExperimentPlan, outdir: Path, summary: RunSummary) 
             final, recs = _run_recording(solver, state, params, F, plan.solver.record_every)
             _emit_records(outdir, f"records_alpha{_label(alpha)}.csv", recs, summary)
             summary.total_steps += final.step_index
-            traces = solver.slip_traces(final)
-            slip_sup = max(
-                float(np.max(np.abs(traces.top))), float(np.max(np.abs(traces.bottom)))
-            )
-            point["slip_sup"] = slip_sup
+            point["slip_sup"] = float(np.abs(solver.slip_traces(final)).max())
             point["slip_mean_top"] = recs[-1].wall_u_top_mean
         except Exception as exc:
             point["error"] = f"{type(exc).__name__}: {exc}"

@@ -32,16 +32,9 @@ from .elliptic import (
     tau_matrices,
     velocity_spectral,
 )
-from .grid import (
-    ChannelGrid,
-    Field2D,
-    WallTrace,
-    cheb_derivative_coeffs,
-    cheb_forward,
-    cheb_inverse,
-)
+from .grid import ChannelGrid, Field2D, cheb_derivative_coeffs, cheb_forward, cheb_inverse
 from .params import SimParams
-from .wallbc import BoundaryStressState, exp_weights, step_boundary_ode
+from .wallbc import exp_weights, step_boundary_ode
 
 _MODES = ("navier_stokes", "euler")
 _FORCINGS = ("zero", "steady_pressure_gradient")
@@ -93,17 +86,25 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Solver state: fluctuation vorticity, mean profile, wall stresses."""
+    """Solver state: fluctuation vorticity, mean profile, wall stresses.
+
+    ``g`` is the (2, nx) wall stress, row 0 the top wall and row 1 the
+    bottom, in the order of the physical grid rows.
+    """
 
     omega: Field2D
     mean_u: np.ndarray
-    bc_top: BoundaryStressState
-    bc_bottom: BoundaryStressState
+    g: np.ndarray
     t: float = 0.0
     step_index: int = 0
 
     def with_(self, **kw) -> "FlowState":
         return replace(self, **kw)
+
+
+def mean_vorticity(mean_u: np.ndarray) -> np.ndarray:
+    """Vorticity -dU0/dy of the mean profile at the Gauss-Lobatto nodes."""
+    return cheb_inverse(-cheb_derivative_coeffs(cheb_forward(mean_u)))
 
 
 def _zero_mean_column(spec: np.ndarray) -> np.ndarray:
@@ -112,25 +113,18 @@ def _zero_mean_column(spec: np.ndarray) -> np.ndarray:
     return out
 
 
-def initial_state(
-    grid: ChannelGrid,
-    params: SimParams,
-    u=None,
-    v=None,
-    g_top=None,
-    g_bottom=None,
-) -> FlowState:
+def initial_state(grid: ChannelGrid, params: SimParams, u=None, v=None) -> FlowState:
     """Build a state from velocity samples (physical arrays or Field2D).
 
-    The wall stress is initialized compatibly, g = omega_wall - beta*u_tau,
-    unless explicit traces are given.  Inputs are dealiased in x.
+    The wall stress is initialized compatibly, g = omega_wall - beta*u_tau.
+    Inputs are dealiased in x.
 
-    The default g uses the slip traces of the velocity *reconstructed* from
-    the vorticity, not the raw input traces.  The two differ by the
-    solenoidal projection and the tau truncation, and the solver's wall law
-    closes on the reconstructed trace; seeding g from the raw input leaves
-    the state off the discrete constraint manifold, which costs a full
-    order of time accuracy in a wall layer.
+    g uses the slip traces of the velocity *reconstructed* from the
+    vorticity, not the raw input traces.  The two differ by the solenoidal
+    projection and the tau truncation, and the solver's wall law closes on
+    the reconstructed trace; seeding g from the raw input leaves the state
+    off the discrete constraint manifold, which costs a full order of time
+    accuracy in a wall layer.
     """
     if u is None:
         u = np.zeros((grid.ny, grid.nx))
@@ -144,25 +138,11 @@ def initial_state(
     mean_u = cheb_inverse(uf.spectral[:, 0].real.copy())
     omega_f = Field2D(grid, spectral=_zero_mean_column(omega_full.spectral))
 
-    if g_top is None or g_bottom is None:
-        u_rec, _ = biot_savart(omega_f)
-        u_rec_top = u_rec.values[0] + mean_u[0]
-        u_rec_bot = u_rec.values[-1] + mean_u[-1]
-        mean_coeffs = cheb_forward(mean_u.copy())
-        mean_om = -cheb_inverse(cheb_derivative_coeffs(mean_coeffs))
-        om_vals = omega_f.values
-        if g_top is None:
-            g_top = (om_vals[0] + mean_om[0]) - params.beta * (-u_rec_top)
-        if g_bottom is None:
-            g_bottom = (om_vals[-1] + mean_om[-1]) - params.beta * u_rec_bot
-    return FlowState(
-        omega=omega_f,
-        mean_u=mean_u,
-        bc_top=BoundaryStressState.from_g(np.broadcast_to(np.asarray(g_top, float), (grid.nx,))),
-        bc_bottom=BoundaryStressState.from_g(np.broadcast_to(np.asarray(g_bottom, float), (grid.nx,))),
-        t=0.0,
-        step_index=0,
-    )
+    u_rec, _ = biot_savart(omega_f)
+    slip = u_rec.values[[0, -1]] + mean_u[[0, -1], None]
+    slip[0] *= -1.0
+    om_wall = omega_f.values[[0, -1]] + mean_vorticity(mean_u)[[0, -1], None]
+    return FlowState(omega=omega_f, mean_u=mean_u, g=om_wall - params.beta * slip)
 
 
 def slip_poiseuille_profile(params: SimParams, F: float, y: np.ndarray) -> np.ndarray:
@@ -247,7 +227,7 @@ class ChannelFlowSolver:
 
         Returns (N_spec, R_coeffs, aux) with N = -(u.grad omega) restricted
         to k != 0, R(y) the x-mean of v*omega (the mean-momentum source),
-        and aux carrying physical velocities and wall slip traces.
+        and aux carrying physical velocities and the (2, nx) wall slip.
         """
         grid = self.grid
         u_spec, v_spec = velocity_spectral(grid, omega_spec)
@@ -271,13 +251,9 @@ class ChannelFlowSolver:
         R = prod[:, 0].real.copy()
         R[grid.dealias_cheb + 1 :] = 0.0
 
-        aux = {
-            "u_tot": u_tot,
-            "v": v_phys,
-            "u_tau_top": -u_tot[0],
-            "u_tau_bot": u_tot[-1].copy(),
-        }
-        return N, R, aux
+        slip = u_tot[[0, -1]]
+        slip[0] *= -1.0
+        return N, R, {"u_tot": u_tot, "v": v_phys, "slip": slip}
 
     def _check_cfl(self, aux, state: FlowState):
         speed = max(float(np.max(np.abs(aux["u_tot"]))), float(np.max(np.abs(aux["v"]))))
@@ -296,8 +272,7 @@ class ChannelFlowSolver:
         for name, arr in (
             ("omega", state.omega.spectral),
             ("mean_u", state.mean_u),
-            ("g_top", state.bc_top.g),
-            ("g_bottom", state.bc_bottom.g),
+            ("g", state.g),
         ):
             if not np.isfinite(arr).all():
                 raise SolverDivergedError(state.step_index, state.t, name)
@@ -348,9 +323,8 @@ class ChannelFlowSolver:
         self._check_cfl(aux_n, state)
 
         # wall data pieces that depend only on the step start, (top, bottom)
-        slip_n = np.stack([aux_n["u_tau_top"], aux_n["u_tau_bot"]])
-        g_n = np.stack([state.bc_top.g, state.bc_bottom.g])
-        q = self._E * g_n - self._slip_coef * self._w0 * slip_n
+        slip_n = aux_n["slip"]
+        q = self._E * state.g - self._slip_coef * self._w0 * slip_n
         qhat = np.fft.rfft(q, axis=1) / grid.nx
 
         lam_p = Re / dt
@@ -375,15 +349,12 @@ class ChannelFlowSolver:
         # final slip traces close the boundary-stress update
         mean_new_phys = cheb_inverse(mean_new)
         slip_new = self._wall_slip(om_new, mean_new_phys)
-        bc_top = step_boundary_ode(state.bc_top, slip_n[0], params, dt, u_tau_end=slip_new[0])
-        bc_bot = step_boundary_ode(state.bc_bottom, slip_n[1], params, dt, u_tau_end=slip_new[1])
 
         return self._check_finite(
             FlowState(
                 omega=Field2D(grid, spectral=om_new),
                 mean_u=mean_new_phys,
-                bc_top=bc_top,
-                bc_bottom=bc_bot,
+                g=step_boundary_ode(state.g, slip_n, params, dt, u_tau_end=slip_new),
                 t=state.t + dt,
                 step_index=state.step_index + 1,
             )
@@ -410,8 +381,7 @@ class ChannelFlowSolver:
             FlowState(
                 omega=Field2D(self.grid, spectral=om_new),
                 mean_u=cheb_inverse(mean_new),
-                bc_top=state.bc_top,
-                bc_bottom=state.bc_bottom,
+                g=state.g,
                 t=state.t + dt,
                 step_index=state.step_index + 1,
             )
@@ -438,10 +408,8 @@ class ChannelFlowSolver:
     # ---- reconstruction ----
 
     def total_vorticity(self, state: FlowState) -> Field2D:
-        mean_coeffs = cheb_forward(state.mean_u.copy())
-        om_bar = cheb_inverse(-cheb_derivative_coeffs(mean_coeffs))
-        return Field2D(self.grid, values=state.omega.values + om_bar[:, None])
+        return Field2D(self.grid, values=state.omega.values + mean_vorticity(state.mean_u)[:, None])
 
-    def slip_traces(self, state: FlowState) -> WallTrace:
-        top, bottom = self._wall_slip(state.omega.spectral, state.mean_u)
-        return WallTrace(top=top, bottom=bottom)
+    def slip_traces(self, state: FlowState) -> np.ndarray:
+        """Slip u_tau along the (top, bottom) walls as a (2, nx) array."""
+        return self._wall_slip(state.omega.spectral, state.mean_u)

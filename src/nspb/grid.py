@@ -164,25 +164,6 @@ class ChannelGrid:
         return float(self._wy @ profile)
 
 
-@dataclass(frozen=True)
-class WallTrace:
-    """Paired boundary samples along the two walls."""
-
-    top: np.ndarray
-    bottom: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.top, dtype=float)
-        b = np.asarray(self.bottom, dtype=float)
-        if t.shape != b.shape or t.ndim != 1:
-            raise GridError(f"wall traces must be matching 1D arrays, got {t.shape} and {b.shape}")
-        object.__setattr__(self, "top", t)
-        object.__setattr__(self, "bottom", b)
-
-    def __neg__(self) -> "WallTrace":
-        return WallTrace(-self.top, -self.bottom)
-
-
 class Field2D:
     """A scalar field carrying physical values, spectral coefficients, or both.
 
@@ -239,10 +220,6 @@ class Field2D:
         if in_y:
             c[self.grid.dealias_cheb + 1 :, :] = 0.0
         return Field2D(self.grid, spectral=c)
-
-    def wall_values(self) -> WallTrace:
-        v = self.values
-        return WallTrace(top=v[0].copy(), bottom=v[-1].copy())
 
     def integrate(self) -> float:
         return self.grid.integrate(self.values)

@@ -13,72 +13,10 @@ beta = 2*kappa - alpha/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import WallTrace
 from .params import SimParams
-
-
-@dataclass(frozen=True)
-class WallOrientation:
-    """Outward normal and counterclockwise tangent of one wall."""
-
-    name: str
-    normal: tuple[float, float]
-    tangent: tuple[float, float]
-
-    @property
-    def tangent_sign(self) -> float:
-        """Sign relating u*tau to the x-velocity component at this wall."""
-        return self.tangent[0]
-
-
-ORIENT_TOP = WallOrientation("top", normal=(0.0, 1.0), tangent=(-1.0, 0.0))
-ORIENT_BOTTOM = WallOrientation("bottom", normal=(0.0, -1.0), tangent=(1.0, 0.0))
-
-
-def orientation(name: str) -> WallOrientation:
-    if name == "top":
-        return ORIENT_TOP
-    if name == "bottom":
-        return ORIENT_BOTTOM
-    raise ValueError(f"unknown wall {name!r}")
-
-
-@dataclass(frozen=True)
-class BoundaryStressState:
-    """Per-wall boundary stress trace with its Duhamel bookkeeping.
-
-    The identity g = exp(-t/Wi) g0 - (alpha*Re/tau) accum holds exactly
-    under the stepping recursion; t is time since g0 was snapshotted.
-    """
-
-    g: np.ndarray
-    g0: np.ndarray
-    accum: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.g, dtype=float))
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "g0", np.atleast_1d(np.asarray(self.g0, dtype=float)))
-        object.__setattr__(self, "accum", np.atleast_1d(np.asarray(self.accum, dtype=float)))
-        if self.g0.shape != g.shape or self.accum.shape != g.shape:
-            raise ValueError("g, g0 and accum must share a shape")
-
-    @classmethod
-    def from_g(cls, g) -> "BoundaryStressState":
-        g = np.atleast_1d(np.asarray(g, dtype=float))
-        return cls(g=g.copy(), g0=g.copy(), accum=np.zeros_like(g), t=0.0)
-
-    def identity_residual(self, params: SimParams) -> float:
-        """Max deviation from the Duhamel identity (diagnostic)."""
-        pred = math.exp(-self.t / params.Wi) * self.g0 - (
-            params.alpha * params.Re / params.tau
-        ) * self.accum
-        return float(np.max(np.abs(self.g - pred)))
 
 
 def exp_weights(dt: float, Wi: float) -> tuple[float, float, float]:
@@ -98,17 +36,14 @@ def exp_weights(dt: float, Wi: float) -> tuple[float, float, float]:
     return E, I0 - w1, w1
 
 
-def step_boundary_ode(
-    state: BoundaryStressState,
-    u_tau,
-    params: SimParams,
-    dt: float,
-    u_tau_end=None,
-) -> BoundaryStressState:
+def step_boundary_ode(g, u_tau, params: SimParams, dt: float, u_tau_end=None) -> np.ndarray:
     """Advance g over one step by the exact exponential integrator.
 
-    With only ``u_tau`` the slip is held constant over the step; passing
-    ``u_tau_end`` as well uses the exponential trapezoid (second order).
+    g and the slips are plain arrays of one shape; the solver passes both
+    walls at once as (2, nx) arrays, row 0 the top wall and row 1 the
+    bottom.  With only ``u_tau`` the slip is held constant over the step;
+    passing ``u_tau_end`` as well uses the exponential trapezoid (second
+    order).
     """
     E, w0, w1 = exp_weights(dt, params.Wi)
     u0 = np.asarray(u_tau, dtype=float)
@@ -117,12 +52,7 @@ def step_boundary_ode(
     else:
         quad = w0 * u0 + w1 * np.asarray(u_tau_end, dtype=float)
     coef = params.alpha * params.Re / params.tau
-    return BoundaryStressState(
-        g=E * state.g - coef * quad,
-        g0=state.g0,
-        accum=E * state.accum + quad,
-        t=state.t + dt,
-    )
+    return E * np.asarray(g, dtype=float) - coef * quad
 
 
 def duhamel_boundary(g0, times, u_tau_series, params: SimParams, t: float):
@@ -162,11 +92,6 @@ def duhamel_boundary(g0, times, u_tau_series, params: SimParams, t: float):
 
 def wall_vorticity(g, u_tau, params: SimParams):
     """omega at the wall from the stress trace: g + (2*kappa - alpha/2)*u_tau."""
-    if isinstance(g, WallTrace) or isinstance(u_tau, WallTrace):
-        return WallTrace(
-            top=wall_vorticity(g.top, u_tau.top, params),
-            bottom=wall_vorticity(g.bottom, u_tau.bottom, params),
-        )
     return np.asarray(g, dtype=float) + params.beta * np.asarray(u_tau, dtype=float)
 
 

@@ -176,12 +176,12 @@ def test_bitwise_determinism_and_restart(tmp_path, micro):
     resumed = tmp_path / "resumed"
     mid = tmp_path / "a" / "checkpoints" / "step00000010.ckpt"
     execute(parse_config(text).with_output(resumed, seed=7), checkpoint=mid)
-    _, full, _ = read_checkpoint(tmp_path / "a" / "checkpoints" / "final.ckpt")
-    _, rerun, _ = read_checkpoint(resumed / "checkpoints" / "final.ckpt")
+    full = read_checkpoint(tmp_path / "a" / "checkpoints" / "final.ckpt").state
+    rerun = read_checkpoint(resumed / "checkpoints" / "final.ckpt").state
     assert np.max(np.abs(full.omega.values - rerun.omega.values)) < 1e-12
     assert np.max(np.abs(full.mean_u - rerun.mean_u)) < 1e-12
-    assert np.max(np.abs(full.bc_top.g - rerun.bc_top.g)) < 1e-12
-    assert np.max(np.abs(full.bc_bottom.g - rerun.bc_bottom.g)) < 1e-12
+    assert np.max(np.abs(full.g[0] - rerun.g[0])) < 1e-12
+    assert np.max(np.abs(full.g[1] - rerun.g[1])) < 1e-12
 
     # the stochastic side: same seed walks the same ensemble, bit for bit
     assert checks_of(micro)["micro_seed_bitwise"].passed

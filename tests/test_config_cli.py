@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +34,10 @@ def test_empty_config_is_default_single_run():
     assert plan.solver.mode == "navier_stokes"
     echo = plan.echo()
     # every schema key is echoed with its resolved value
-    for key in ("re", "wi", "tau", "alpha", "kappa", "stokes_einstein",
-                "scaling_mode", "gamma", "beta_exp", "nx", "ny", "lx", "dt",
-                "t_end", "mode", "forcing", "forcing_amplitude", "cfl_max",
-                "checkpoint_every", "record_every", "kind", "sweep_values"):
-        assert key in echo, key
+    keys = ("re", "wi", "tau", "alpha", "kappa", "stokes_einstein", "nx", "ny", "lx",
+            "dt", "t_end", "mode", "forcing", "forcing_amplitude", "cfl_max",
+            "checkpoint_every", "record_every", "kind", "sweep_values")
+    assert set(echo) == set(keys) | {"output_dir", "seed"}
     assert echo["kind"] == "single_run"
 
 
@@ -73,6 +73,7 @@ def test_kind_defaults_and_overrides():
     "text, message",
     [
         ("bogus_key = 1\n", r"line 1: unknown key"),
+        ("re = 100\nscaling_mode = vary_V\n", r"line 2: unknown key 'scaling_mode'"),
         ("re = 100\nre = 200\n", r"line 2: duplicate key"),
         ("just words\n", r"line 1: expected key=value"),
         ("re = fast\n", r"line 1: bad value for 're'"),
@@ -172,12 +173,46 @@ def test_cli_restart_matches_uninterrupted(tmp_path):
 
     from nspb.checkpoint import read_checkpoint
 
-    _, a, _ = read_checkpoint(full / "checkpoints" / "final.ckpt")
-    _, b, _ = read_checkpoint(resumed / "checkpoints" / "final.ckpt")
+    a = read_checkpoint(full / "checkpoints" / "final.ckpt").state
+    b = read_checkpoint(resumed / "checkpoints" / "final.ckpt").state
     assert a.t == pytest.approx(b.t, abs=1e-15)
     assert np.max(np.abs(a.omega.values - b.omega.values)) < 1e-12
     assert np.max(np.abs(a.mean_u - b.mean_u)) < 1e-12
-    assert np.max(np.abs(a.bc_top.g - b.bc_top.g)) < 1e-12
+    assert np.max(np.abs(a.g[0] - b.g[0])) < 1e-12
+    assert np.max(np.abs(a.g[1] - b.g[1])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [("alpha", TINY.replace("alpha = 1\n", "alpha = 2\n")), ("lx", TINY + "lx = 6.0\n")],
+)
+def test_cli_restart_under_other_physics_exits_2(tmp_path, capsys, key, text):
+    full = tmp_path / "full"
+    assert main(["run", "--config", write_cfg(tmp_path, TINY), "--out", str(full)]) == 0
+    ckpt = str(full / "checkpoints" / "step00000005.ckpt")
+    other = write_cfg(tmp_path, text, name="other.cfg")
+    capsys.readouterr()
+    assert main(["restart", ckpt, "--config", other, "--out", str(tmp_path / "r")]) == 2
+    assert f"written with {key}=" in capsys.readouterr().err
+
+
+def test_cli_restart_from_version_1_notes_unverified_physics(tmp_path):
+    cfg = write_cfg(tmp_path, TINY)
+    full = tmp_path / "full"
+    assert main(["run", "--config", cfg, "--out", str(full)]) == 0
+    raw = (full / "checkpoints" / "step00000005.ckpt").read_bytes()
+    # v1 keeps the first 32 header bytes (version aside), has no physics or
+    # CRC32 and appends two slip accumulators, which the reader skips
+    nx, ny = struct.unpack_from("<II", raw, 8)
+    body = 156
+    v1 = raw[:4] + struct.pack("<I", 1) + raw[8:32] + raw[body:] + bytes(16 * nx)
+    assert len(raw) == body + 8 * (ny * nx + ny + 2 * nx)
+    ckpt = tmp_path / "v1.ckpt"
+    ckpt.write_bytes(v1)
+    resumed = tmp_path / "resumed"
+    assert main(["restart", str(ckpt), "--config", cfg, "--out", str(resumed)]) == 0
+    notes = json.loads((resumed / "summary.json").read_text())["notes"]
+    assert any("version 1" in n and "unverified" in n for n in notes), notes
 
 
 def test_cli_same_plan_same_bytes(tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,12 +23,13 @@ from nspb.flow import (
     SolverConfig,
     SolverDivergedError,
     initial_state,
+    mean_vorticity,
     slip_poiseuille_profile,
     steady_channel_state,
 )
 from nspb.grid import ChannelGrid, Field2D, cheb_derivative_coeffs
 from nspb.params import SimParams
-from nspb.wallbc import BoundaryStressState, exp_weights
+from nspb.wallbc import exp_weights
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +72,8 @@ def test_zero_state_stays_zero(grid, params):
     end = sol.run(initial_state(grid, params))
     assert np.all(end.omega.values == 0.0)
     assert np.all(end.mean_u == 0.0)
-    assert np.all(end.bc_top.g == 0.0)
-    assert np.all(end.bc_bottom.g == 0.0)
+    assert np.all(end.g[0] == 0.0)
+    assert np.all(end.g[1] == 0.0)
     rec = compute_record(end, params)
     assert total_energy(rec) == 0.0
     assert rec.dissipation_rate == 0.0
@@ -83,11 +86,15 @@ def test_initial_state_seeds_g_on_the_trace_identity(grid, params):
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0))
     traces = sol.slip_traces(st)
     om = sol.total_vorticity(st).values
+    assert st.g.shape == traces.shape == (2, grid.nx)
+    np.testing.assert_allclose(st.g[0], om[0] - params.beta * traces[0], rtol=0, atol=1e-11)
+    np.testing.assert_allclose(st.g[1], om[-1] - params.beta * traces[1], rtol=0, atol=1e-11)
+
+
+def test_mean_vorticity_of_a_cubic_profile(grid):
+    y = grid.y
     np.testing.assert_allclose(
-        st.bc_top.g, om[0] - params.beta * traces.top, rtol=0, atol=1e-11
-    )
-    np.testing.assert_allclose(
-        st.bc_bottom.g, om[-1] - params.beta * traces.bottom, rtol=0, atol=1e-11
+        mean_vorticity(1.0 - y**2 + y**3), 2.0 * y - 3.0 * y**2, rtol=0, atol=1e-12
     )
 
 
@@ -102,7 +109,8 @@ def test_slip_poiseuille_is_a_discrete_fixed_point(grid, kappa):
     end = ChannelFlowSolver(grid, params, cfg).run(st)
     assert np.max(np.abs(end.mean_u - st.mean_u)) < 1e-12
     assert np.max(np.abs(end.omega.values - st.omega.values)) < 1e-12
-    assert np.max(np.abs(end.bc_top.g - st.bc_top.g)) < 1e-12
+    assert np.max(np.abs(end.g[0] - st.g[0])) < 1e-12
+    assert np.max(np.abs(end.g[1] - st.g[1])) < 1e-12
     prof = slip_poiseuille_profile(params, F, grid.y)
     np.testing.assert_allclose(end.mean_u, prof, rtol=0, atol=1e-12)
 
@@ -276,28 +284,59 @@ def test_run_time_span_validation(grid, params):
 def test_checkpoint_restart_matches_uninterrupted(grid, params, tmp_path):
     u, v = perturbed_shear(grid)
     st = initial_state(grid, params, u=u, v=v)
-    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=0.04))
+    cfg = SolverConfig(dt=1e-3, t_end=0.04)
+    sol = ChannelFlowSolver(grid, params, cfg)
     s40 = sol.run(st, t_end=0.04)
     s20 = sol.run(st, t_end=0.02)
 
     path = tmp_path / "mid.ckpt"
-    write_checkpoint(path, s20, 1e-3, total_omega=sol.total_vorticity(s20).values)
-    grid2, restored, dt = read_checkpoint(path)
+    write_checkpoint(path, s20, params, cfg)
+    grid2, restored, dt, physics = read_checkpoint(path)
     assert dt == 1e-3
     assert restored.t == pytest.approx(0.02)
+    assert physics == {
+        "lx": grid.lx, "re": params.Re, "wi": params.Wi, "tau": params.tau,
+        "alpha": params.alpha, "kappa": params.kappa, "mode": "navier_stokes",
+        "forcing": "zero", "forcing_amplitude": 0.0,
+    }
     sol2 = ChannelFlowSolver(grid2, params, SolverConfig(dt=dt, t_end=0.04))
     s40b = sol2.run(restored, t_end=0.04)
 
     assert np.max(np.abs(s40.omega.values - s40b.omega.values)) < 1e-12
     assert np.max(np.abs(s40.mean_u - s40b.mean_u)) < 1e-12
-    assert np.max(np.abs(s40.bc_top.g - s40b.bc_top.g)) < 1e-12
-    assert np.max(np.abs(s40.bc_bottom.g - s40b.bc_bottom.g)) < 1e-12
+    assert np.max(np.abs(s40.g[0] - s40b.g[0])) < 1e-12
+    assert np.max(np.abs(s40.g[1] - s40b.g[1])) < 1e-12
+
+
+def test_version_1_checkpoint_loads_like_its_version_2_twin(grid, params, tmp_path):
+    u, v = perturbed_shear(grid)
+    cfg = SolverConfig(dt=1e-3, t_end=0.01)
+    st = ChannelFlowSolver(grid, params, cfg).run(initial_state(grid, params, u=u, v=v))
+    write_checkpoint(tmp_path / "v2.ckpt", st, params, cfg)
+    # v1: a 32-byte header ending after dt, then two slip accumulators after g
+    accumulators = np.random.default_rng(0).standard_normal((2, grid.nx))
+    v1 = struct.pack("<4sIIIdd", b"NSPB", 1, grid.nx, grid.ny, st.t, cfg.dt) + b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes()
+        for a in (st.omega.values, st.mean_u, st.g, accumulators)
+    )
+    (tmp_path / "v1.ckpt").write_bytes(v1)
+
+    old = read_checkpoint(tmp_path / "v1.ckpt", lx=grid.lx)
+    new = read_checkpoint(tmp_path / "v2.ckpt")
+    assert old.physics is None
+    assert new.physics["alpha"] == params.alpha
+    assert old.grid == new.grid
+    assert old.dt == new.dt
+    assert (old.state.t, old.state.step_index) == (new.state.t, new.state.step_index)
+    assert np.array_equal(old.state.omega.spectral, new.state.omega.spectral)
+    assert np.array_equal(old.state.mean_u, new.state.mean_u)
+    assert np.array_equal(old.state.g, new.state.g)
 
 
 def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
     st = initial_state(grid, params)
     path = tmp_path / "ok.ckpt"
-    write_checkpoint(path, st, 1e-3)
+    write_checkpoint(path, st, params, SolverConfig(dt=1e-3, t_end=1.0))
     raw = path.read_bytes()
 
     bad_magic = tmp_path / "magic.ckpt"
@@ -314,6 +353,13 @@ def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
     header_only.write_bytes(raw[:10])
     with pytest.raises(CheckpointError, match="truncated"):
         read_checkpoint(header_only)
+
+    flipped = bytearray(raw)
+    flipped[-5] ^= 0x01
+    corrupt = tmp_path / "flipped.ckpt"
+    corrupt.write_bytes(bytes(flipped))
+    with pytest.raises(CheckpointError, match="CRC32"):
+        read_checkpoint(corrupt)
 
 
 class PerModeReference:
@@ -415,13 +461,12 @@ def test_batched_operators_match_per_mode_reference(
     # wall slip traces of a solver state (dealiased, no k = 0 fluctuation)
     omega[:, 0] = 0.0
     omega[:, grid.dealias_kx + 1 :] = 0.0
-    g = BoundaryStressState.from_g(np.zeros(grid.nx))
     mean_u = rng.standard_normal(grid.ny)
-    state = FlowState(omega=Field2D(grid, spectral=omega), mean_u=mean_u, bc_top=g, bc_bottom=g)
+    state = FlowState(omega=Field2D(grid, spectral=omega), mean_u=mean_u, g=np.zeros((2, grid.nx)))
     traces = sol.slip_traces(state)
     top_ref, bottom_ref = ref.slip_traces(state)
-    assert _rel(traces.top, top_ref) <= 1e-12
-    assert _rel(traces.bottom, bottom_ref) <= 1e-12
+    assert _rel(traces[0], top_ref) <= 1e-12
+    assert _rel(traces[1], bottom_ref) <= 1e-12
 
     # both implicit stages, wall law closed
     for lam, stage in ((Re / dt, sol._stage_p), (2.0 * Re / dt, sol._stage_c)):
@@ -441,6 +486,7 @@ def test_batched_operators_match_per_mode_reference(
         ("navier_stokes", "omega", ("velocity", 5)),
         ("euler", "omega", ("velocity", 5)),
         ("navier_stokes", "g_top", ("omega", 6)),
+        ("navier_stokes", "g_bottom", ("omega", 6)),
     ],
 )
 def test_nan_stops_the_run_with_a_named_error(grid, params, mode, field, detected):
@@ -452,9 +498,9 @@ def test_nan_stops_the_run_with_a_named_error(grid, params, mode, field, detecte
         spec[3, 2] = np.nan
         bad = mid.with_(omega=Field2D(grid, spectral=spec))
     else:
-        g = mid.bc_top.g.copy()
-        g[1] = np.nan
-        bad = mid.with_(bc_top=BoundaryStressState.from_g(g))
+        g = mid.g.copy()
+        g[0 if field == "g_top" else 1, 1] = np.nan
+        bad = mid.with_(g=g)
     name, step = detected
     with pytest.raises(SolverDivergedError, match=f"non-finite {name} at step {step}") as info:
         sol.run(bad)

@@ -9,7 +9,6 @@ from nspb.grid import (
     ChannelGrid,
     Field2D,
     GridError,
-    WallTrace,
     multiply_dealiased,
     resample_field,
 )
@@ -96,10 +95,10 @@ def test_ddx_cosine(grid):
 
 def test_wall_values_orientation(grid):
     _, Y = grid.meshgrid()
-    f = Field2D(grid, values=Y.copy())
-    tr = f.wall_values()
-    assert np.allclose(tr.top, 1.0)
-    assert np.allclose(tr.bottom, -1.0)
+    # row 0 of a physical array is the top wall, also after the transforms
+    f = Field2D(grid, spectral=Field2D(grid, values=Y.copy()).spectral)
+    assert np.allclose(f.values[0], 1.0)
+    assert np.allclose(f.values[-1], -1.0)
 
 
 def test_dealias_masks_high_modes(grid):
@@ -117,11 +116,6 @@ def test_multiply_dealiased_matches_product_for_low_modes(grid):
     b = Field2D(grid, values=Y)
     p = multiply_dealiased(a, b)
     assert np.max(np.abs(p.values - np.cos(X) * Y)) < 1e-12
-
-
-def test_wall_trace_validation():
-    with pytest.raises(GridError):
-        WallTrace(top=np.zeros(4), bottom=np.zeros(5))
 
 
 def test_field_shape_validation(grid):

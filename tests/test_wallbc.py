@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nspb.grid import WallTrace
 from nspb.params import SimParams
 from nspb.wallbc import (
-    ORIENT_BOTTOM,
-    ORIENT_TOP,
-    BoundaryStressState,
     duhamel_boundary,
     exp_weights,
-    orientation,
     step_boundary_ode,
     steady_slip_velocity,
     wall_vorticity,
@@ -24,20 +19,6 @@ def params():
     return SimParams(Re=10.0, Wi=1.0, tau=10.0, alpha=10.0, kappa=0.0)
 
 
-def _rot90(vec):
-    return (-vec[1], vec[0])
-
-
-def test_orientations_are_right_handed():
-    for o in (ORIENT_TOP, ORIENT_BOTTOM):
-        assert _rot90(o.normal) == o.tangent
-    assert ORIENT_TOP.tangent_sign == -1.0
-    assert ORIENT_BOTTOM.tangent_sign == 1.0
-    assert orientation("top") is ORIENT_TOP
-    with pytest.raises(ValueError):
-        orientation("sideways")
-
-
 def test_exp_weights_limits():
     E, w0, w1 = exp_weights(1e-7, 2.0)
     assert E == pytest.approx(math.exp(-5e-8), rel=1e-12)
@@ -48,21 +29,19 @@ def test_exp_weights_limits():
 
 
 def test_free_decay_half_step(params):
-    st = BoundaryStressState.from_g(np.array([1.0]))
-    out = step_boundary_ode(st, np.array([0.0]), params, 0.5)
-    assert out.g[0] == pytest.approx(0.6065306597126334, abs=1e-12)
-    assert out.accum[0] == 0.0
+    out = step_boundary_ode(np.array([1.0]), np.array([0.0]), params, 0.5)
+    assert out[0] == pytest.approx(0.6065306597126334, abs=1e-12)
 
 
 def test_constant_slip_reaches_friction_fixed_point(params):
     c = 0.3
-    st = BoundaryStressState.from_g(np.array([0.0]))
+    g = np.array([0.0])
     E = math.exp(-0.5 / params.Wi)
     for n in range(1, 41):
-        st = step_boundary_ode(st, np.array([c]), params, 0.5)
+        g = step_boundary_ode(g, np.array([c]), params, 0.5)
         expected = -params.friction_ratio * c * (1.0 - E**n)
-        assert st.g[0] == pytest.approx(expected, rel=1e-12)
-    assert st.g[0] == pytest.approx(-params.friction_ratio * c, rel=1e-7)
+        assert g[0] == pytest.approx(expected, rel=1e-12)
+    assert g[0] == pytest.approx(-params.friction_ratio * c, rel=1e-7)
 
 
 def _exact_sine_response(params, T):
@@ -75,12 +54,12 @@ def _exact_sine_response(params, T):
 
 def _stepped_sine_response(params, T, n):
     dt = T / n
-    st = BoundaryStressState.from_g(np.array([0.0]))
+    g = np.array([0.0])
     for i in range(n):
         u0 = math.sin(i * dt)
         u1 = math.sin((i + 1) * dt)
-        st = step_boundary_ode(st, np.array([u0]), params, dt, u_tau_end=np.array([u1]))
-    return st.g[0]
+        g = step_boundary_ode(g, np.array([u0]), params, dt, u_tau_end=np.array([u1]))
+    return g[0]
 
 
 def test_trapezoid_update_is_second_order(params):
@@ -100,16 +79,18 @@ def test_duhamel_at_zero_returns_g0(params):
 
 
 def test_duhamel_matches_step_recursion(params):
+    # both walls at once, in the solver's (2, nx) layout
     n = 50
     dt = 0.04
     times = np.arange(n + 1) * dt
-    u = np.sin(times)[:, None] * np.ones((1, 3))
-    st = BoundaryStressState.from_g(np.array([0.7, 0.7, 0.7]))
+    u = np.sin(times)[:, None, None] * np.array([[1.0, 0.5, -0.2], [-1.0, 0.3, 0.8]])
+    g0 = np.array([[0.7, 0.7, 0.7], [-0.4, 0.1, 0.0]])
+    g = g0
     for i in range(n):
-        st = step_boundary_ode(st, u[i], params, dt, u_tau_end=u[i + 1])
-    via_duhamel = duhamel_boundary(np.array([0.7] * 3), times, u, params, times[-1])
-    assert np.max(np.abs(st.g - via_duhamel)) < 1e-12
-    assert st.identity_residual(params) < 1e-12
+        g = step_boundary_ode(g, u[i], params, dt, u_tau_end=u[i + 1])
+    via_duhamel = duhamel_boundary(g0, times, u, params, times[-1])
+    assert g.shape == (2, 3)
+    assert np.max(np.abs(g - via_duhamel)) < 1e-12
 
 
 def test_duhamel_partial_segment(params):
@@ -125,11 +106,11 @@ def test_wall_vorticity_values(params):
     assert wall_vorticity(0.0, 1.0, params) == pytest.approx(-5.0)
     p2 = SimParams(Re=10.0, Wi=1.0, tau=10.0, alpha=10.0, kappa=1.0)
     assert wall_vorticity(0.0, 1.0, p2) == pytest.approx(-3.0)
-    g = WallTrace(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    ut = WallTrace(np.array([0.5, 0.5]), np.array([-0.5, 0.5]))
+    g = np.array([[1.0, 2.0], [3.0, 4.0]])
+    ut = np.array([[0.5, 0.5], [-0.5, 0.5]])
     w = wall_vorticity(g, ut, params)
-    assert np.allclose(w.top, [1.0 - 2.5, 2.0 - 2.5])
-    assert np.allclose(w.bottom, [3.0 + 2.5, 4.0 - 2.5])
+    assert np.allclose(w[0], [1.0 - 2.5, 2.0 - 2.5])
+    assert np.allclose(w[1], [3.0 + 2.5, 4.0 - 2.5])
 
 
 def test_wall_vorticity_sign_symmetry(params):
