@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import biot_savart
-from .flow import FlowState, mean_vorticity
-from .grid import Field2D, resample_field
+from .flow import FlowState, mean_vorticity, total_velocity_spectral, wall_slip
+from .grid import Field2D, cheb_diff_matrices, cheb_forward, resample_field
 from .params import SimParams
 
 CSV_VERSION = "nspb-records-v1"
@@ -79,21 +78,22 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     Re = params.Re
     dx = grid.dx
 
-    u, v = _velocity(state)
-    u_vals = u.values
+    u, v = total_velocity_spectral(grid, state.omega.spectral, cheb_forward(state.mean_u))
+    D, _ = cheb_diff_matrices(grid.ny)
+    ikx = 1j * grid.kx
+    u_vals = grid.spec_to_phys(u)
 
-    ke = 0.5 * grid.integrate(u_vals**2 + v.values**2)
+    ke = 0.5 * grid.integrate(u_vals**2 + grid.spec_to_phys(v) ** 2)
 
-    ux = u.ddx().values
-    uy = u.ddy().values
-    vx = v.ddx().values
-    vy = v.ddy().values
+    ux = grid.spec_to_phys(u * ikx)
+    uy = grid.spec_to_phys(D @ u)
+    vx = grid.spec_to_phys(v * ikx)
+    vy = grid.spec_to_phys(D @ v)
     dissipation = (1.0 / Re) * grid.integrate(ux**2 + uy**2 + vx**2 + vy**2)
 
     g_top, g_bot = state.g
     wall_g_sq = (np.sum(g_top**2) + np.sum(g_bot**2)) * dx
-    u_tau_top = -u_vals[0]
-    u_tau_bot = u_vals[-1]
+    u_tau_top, u_tau_bot = wall_slip(u_vals[[0, -1]])
     wall_slip_sq = (np.sum(u_tau_top**2) + np.sum(u_tau_bot**2)) * dx
 
     e_g = params.tau / (2.0 * params.alpha * Re**2) * wall_g_sq
@@ -246,22 +246,16 @@ def euler_error(ns_states, euler_states) -> np.ndarray:
     for i, (a, b) in enumerate(zip(ns_states, euler_states)):
         if abs(a.t - b.t) > 1e-9:
             raise ValueError(f"time mismatch at index {i}: {a.t} vs {b.t}")
-        grid = a.omega.grid
-        ua, va = _velocity(a)
-        ub, vb = _velocity(b)
-        if b.omega.grid.nx != grid.nx or b.omega.grid.ny != grid.ny:
-            ub = resample_field(ub, grid)
-            vb = resample_field(vb, grid)
-        du = ua.values - ub.values
-        dv = va.values - vb.values
+        grid, grid_b = a.omega.grid, b.omega.grid
+        ua, va = total_velocity_spectral(grid, a.omega.spectral, cheb_forward(a.mean_u))
+        ub, vb = total_velocity_spectral(grid_b, b.omega.spectral, cheb_forward(b.mean_u))
+        if grid_b.nx != grid.nx or grid_b.ny != grid.ny:
+            ub = resample_field(Field2D(grid_b, spectral=ub), grid).spectral
+            vb = resample_field(Field2D(grid_b, spectral=vb), grid).spectral
+        du = grid.spec_to_phys(ua - ub)
+        dv = grid.spec_to_phys(va - vb)
         out[i] = math.sqrt(max(grid.integrate(du**2 + dv**2), 0.0))
     return out
-
-
-def _velocity(state: FlowState):
-    u_f, v_f = biot_savart(state.omega)
-    grid = state.omega.grid
-    return Field2D(grid, values=u_f.values + state.mean_u[:, None]), v_f
 
 
 def momentum_audit(records, lx: float, mean_force: float = 0.0) -> dict:

@@ -17,22 +17,11 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .grid import ChannelGrid, Field2D, cheb_derivative_coeffs
+from .grid import ChannelGrid, Field2D, cheb_diff_matrices
 
 
 class SolverError(RuntimeError):
     """Singular or ill-posed boundary-value solve."""
-
-
-@lru_cache(maxsize=None)
-def _diff_matrices(ny: int) -> tuple[np.ndarray, np.ndarray]:
-    D = np.zeros((ny, ny))
-    e = np.zeros(ny)
-    for k in range(ny):
-        e[:] = 0.0
-        e[k] = 1.0
-        D[:, k] = cheb_derivative_coeffs(e)
-    return D, D @ D
 
 
 def _bc_row(ny: int, wall: str, a: float, b: float) -> np.ndarray:
@@ -55,7 +44,7 @@ def tau_matrices(ny: int, shifts, rows: np.ndarray) -> np.ndarray:
     The last two coefficient equations are replaced by the (top, bottom)
     boundary rows.
     """
-    _, D2 = _diff_matrices(ny)
+    _, D2 = cheb_diff_matrices(ny)
     A = np.asarray(shifts, dtype=float)[:, None, None] * np.eye(ny) - D2
     A[:, ny - 2 :, :] = rows
     return A
@@ -162,7 +151,7 @@ def streamfunction_operator(grid: ChannelGrid) -> np.ndarray:
 def velocity_spectral(grid: ChannelGrid, omega_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) coefficient arrays induced by vorticity coefficients, all rfft modes."""
     psi = apply_modes(streamfunction_operator(grid), omega_spec)
-    D, _ = _diff_matrices(grid.ny)
+    D, _ = cheb_diff_matrices(grid.ny)
     return -(D @ psi), psi * (1j * grid.kx)
 
 
@@ -187,7 +176,7 @@ def residual_helmholtz(
     grid: ChannelGrid, lam: float, u: Field2D, rhs: Field2D
 ) -> float:
     """Max-norm interior residual of (lam - Laplacian) u - rhs."""
-    lap = u.ddx().ddx().spectral + cheb_derivative_coeffs(cheb_derivative_coeffs(u.spectral))
+    lap = u.ddx().ddx().spectral + cheb_diff_matrices(grid.ny)[1] @ u.spectral
     res = lam * u.spectral - lap - rhs.spectral
     # the last two tau rows hold boundary data, not the PDE
     return float(np.max(np.abs(res[:-2, :])))

@@ -345,7 +345,7 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
         point = {"re": Re, "tau": params.tau}
         try:
             # phase A: unforced decay from smooth shear data
-            solver = ChannelFlowSolver(grid, params, plan.solver)
+            solver = ChannelFlowSolver(grid, params, replace(plan.solver, forcing="zero"))
             state = shear_decay_state(grid, params)
             final, recs = _run_recording(solver, state, params, 0.0, plan.solver.record_every)
             _emit_records(outdir, f"records_re{_label(Re)}_decay.csv", recs, summary)

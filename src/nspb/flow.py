@@ -24,20 +24,19 @@ import numpy as np
 from .elliptic import (
     SolverError,
     _bc_row,
-    _diff_matrices,
     _wall_rows,
     apply_modes,
-    biot_savart,
     streamfunction_operator,
     tau_matrices,
     velocity_spectral,
 )
-from .grid import ChannelGrid, Field2D, cheb_derivative_coeffs, cheb_forward, cheb_inverse
+from .grid import ChannelGrid, Field2D, cheb_diff_matrices, cheb_forward, cheb_inverse
 from .params import SimParams
 from .wallbc import exp_weights, step_boundary_ode
 
 _MODES = ("navier_stokes", "euler")
 _FORCINGS = ("zero", "steady_pressure_gradient")
+_SLIP_SIGN = np.array([[-1.0], [1.0]])
 
 
 class CFLError(RuntimeError):
@@ -104,7 +103,29 @@ class FlowState:
 
 def mean_vorticity(mean_u: np.ndarray) -> np.ndarray:
     """Vorticity -dU0/dy of the mean profile at the Gauss-Lobatto nodes."""
-    return cheb_inverse(-cheb_derivative_coeffs(cheb_forward(mean_u)))
+    D, _ = cheb_diff_matrices(len(mean_u))
+    return cheb_inverse(-(D @ cheb_forward(mean_u)))
+
+
+def total_velocity_spectral(
+    grid: ChannelGrid, omega_spec: np.ndarray, mean_coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) coefficients of the total velocity, all rfft modes.
+
+    The fluctuation's velocity, with the mean profile's Chebyshev
+    coefficients written into u's k = 0 column.
+    """
+    u, v = velocity_spectral(grid, omega_spec)
+    u[:, 0] = mean_coeffs
+    return u, v
+
+
+def wall_slip(u_wall: np.ndarray) -> np.ndarray:
+    """Slip u_tau from u on the (top, bottom) walls, both (2, nx) arrays.
+
+    The top wall's tangent points in -x, so its slip is -u.
+    """
+    return u_wall * _SLIP_SIGN
 
 
 def _zero_mean_column(spec: np.ndarray) -> np.ndarray:
@@ -135,12 +156,12 @@ def initial_state(grid: ChannelGrid, params: SimParams, u=None, v=None) -> FlowS
     uf = uf.dealias()
     vf = vf.dealias()
     omega_full = vf.ddx() - uf.ddy()
-    mean_u = cheb_inverse(uf.spectral[:, 0].real.copy())
+    mean_coeffs = uf.spectral[:, 0].real.copy()
+    mean_u = cheb_inverse(mean_coeffs)
     omega_f = Field2D(grid, spectral=_zero_mean_column(omega_full.spectral))
 
-    u_rec, _ = biot_savart(omega_f)
-    slip = u_rec.values[[0, -1]] + mean_u[[0, -1], None]
-    slip[0] *= -1.0
+    u_rec, _ = total_velocity_spectral(grid, omega_f.spectral, mean_coeffs)
+    slip = wall_slip(grid.spec_to_phys(u_rec)[[0, -1]])
     om_wall = omega_f.values[[0, -1]] + mean_vorticity(mean_u)[[0, -1], None]
     return FlowState(omega=omega_f, mean_u=mean_u, g=om_wall - params.beta * slip)
 
@@ -172,7 +193,7 @@ class ChannelFlowSolver:
         self.jmax = grid.dealias_kx
         self._modes = slice(1, self.jmax + 1)
         ny = grid.ny
-        self._D, self._D2 = _diff_matrices(ny)
+        self._D, self._D2 = cheb_diff_matrices(ny)
 
         dt = config.dt
         Re = params.Re
@@ -230,8 +251,7 @@ class ChannelFlowSolver:
         and aux carrying physical velocities and the (2, nx) wall slip.
         """
         grid = self.grid
-        u_spec, v_spec = velocity_spectral(grid, omega_spec)
-        u_spec[:, 0] = mean_coeffs
+        u_spec, v_spec = total_velocity_spectral(grid, omega_spec, mean_coeffs)
         om_y_spec = self._D @ omega_spec
         om_y_spec[:, 0] = -(self._D2 @ mean_coeffs)
 
@@ -251,9 +271,7 @@ class ChannelFlowSolver:
         R = prod[:, 0].real.copy()
         R[grid.dealias_cheb + 1 :] = 0.0
 
-        slip = u_tot[[0, -1]]
-        slip[0] *= -1.0
-        return N, R, {"u_tot": u_tot, "v": v_phys, "slip": slip}
+        return N, R, {"u_tot": u_tot, "v": v_phys, "slip": wall_slip(u_tot[[0, -1]])}
 
     def _check_cfl(self, aux, state: FlowState):
         speed = max(float(np.max(np.abs(aux["u_tot"]))), float(np.max(np.abs(aux["v"]))))
@@ -300,9 +318,7 @@ class ChannelFlowSolver:
         u_hat = np.zeros((2, grid.nkx), dtype=complex)
         u_hat[:, self._modes] = apply_modes(self._traces, omega_spec[:, self._modes])
         u_hat[:, 0] = mean_u[[0, -1]]
-        u = np.fft.irfft(u_hat * grid.nx, n=grid.nx, axis=1)
-        u[0] *= -1.0
-        return u
+        return wall_slip(np.fft.irfft(u_hat * grid.nx, n=grid.nx, axis=1))
 
     # ---- stepping ----
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -40,17 +41,10 @@ def _clencurt_weights(n_nodes: int) -> np.ndarray:
     return w
 
 
-def _dct1(a: np.ndarray) -> np.ndarray:
-    # scipy's dct is real-only in spirit; split complex explicitly
-    if np.iscomplexobj(a):
-        return _dct1(a.real) + 1j * _dct1(a.imag)
-    return scipy.fft.dct(a, type=1, axis=0)
-
-
 def cheb_forward(values: np.ndarray) -> np.ndarray:
     """Gauss-Lobatto samples (axis 0) to Chebyshev coefficients."""
     N = values.shape[0] - 1
-    a = _dct1(values) / N
+    a = scipy.fft.dct(values, type=1, axis=0) / N
     a[0] *= 0.5
     a[N] *= 0.5
     return a
@@ -60,7 +54,7 @@ def cheb_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients (axis 0) back to Gauss-Lobatto samples."""
     b = coeffs.copy()
     b[1:-1] *= 0.5
-    return _dct1(b)
+    return scipy.fft.dct(b, type=1, axis=0)
 
 
 def cheb_derivative_coeffs(a: np.ndarray) -> np.ndarray:
@@ -74,6 +68,20 @@ def cheb_derivative_coeffs(a: np.ndarray) -> np.ndarray:
         b[k - 1] = b[k + 1] + 2.0 * k * a[k]
     b[0] *= 0.5
     return b
+
+
+@lru_cache(maxsize=None)
+def cheb_diff_matrices(ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (D, D @ D): d/dy and d2/dy2 on ny Chebyshev coefficients.
+
+    Every y-derivative of the package is ``D @ coeffs``; column k of D is
+    the ``cheb_derivative_coeffs`` recurrence applied to T_k.
+    """
+    D = cheb_derivative_coeffs(np.eye(ny))
+    D2 = D @ D
+    D.flags.writeable = False
+    D2.flags.writeable = False
+    return D, D2
 
 
 @dataclass(frozen=True)
@@ -160,9 +168,6 @@ class ChannelGrid:
         """Integral over the channel by Clenshaw-Curtis x trapezoid."""
         return float(self._wy @ values.sum(axis=1)) * self.dx
 
-    def integrate_y(self, profile: np.ndarray) -> float:
-        return float(self._wy @ profile)
-
 
 class Field2D:
     """A scalar field carrying physical values, spectral coefficients, or both.
@@ -211,7 +216,7 @@ class Field2D:
         return Field2D(self.grid, spectral=self.spectral * (1j * self.grid.kx))
 
     def ddy(self) -> "Field2D":
-        return Field2D(self.grid, spectral=cheb_derivative_coeffs(self.spectral))
+        return Field2D(self.grid, spectral=cheb_diff_matrices(self.grid.ny)[0] @ self.spectral)
 
     def dealias(self, in_y: bool = False) -> "Field2D":
         """Apply the 2/3 truncation in x (and optionally y, for products)."""
@@ -223,9 +228,6 @@ class Field2D:
 
     def integrate(self) -> float:
         return self.grid.integrate(self.values)
-
-    def l2_norm(self) -> float:
-        return math.sqrt(max(self.grid.integrate(self.values**2), 0.0))
 
     def inf_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -20,9 +20,11 @@ from nspb.diagnostics import (
     total_energy,
     write_records,
 )
+from nspb.elliptic import biot_savart
 from nspb.flow import initial_state
-from nspb.grid import ChannelGrid
+from nspb.grid import ChannelGrid, Field2D, cheb_derivative_coeffs, cheb_forward, cheb_inverse
 from nspb.params import SimParams
+from test_flow import grids, random_solver_state, seeds, sim_params
 
 
 def make_record(t, **overrides):
@@ -195,3 +197,61 @@ def test_compute_record_of_rest_state_is_zero():
             assert math.isnan(rec.budget_residual)
             continue
         assert getattr(rec, col) == pytest.approx(0.0, abs=1e-15), col
+
+
+# ---- records oracle ----
+
+
+def reference_record(state, params, mean_force):
+    """compute_record's earlier arithmetic: biot_savart, the mean profile
+    added in physical space, Field2D.ddx and the d/dy recurrence."""
+    grid = state.omega.grid
+    Re, dx, two_lx = params.Re, grid.dx, 2.0 * grid.lx
+
+    def ddy(f):
+        return Field2D(grid, spectral=cheb_derivative_coeffs(f.spectral))
+
+    u_f, v = biot_savart(state.omega)
+    u = Field2D(grid, values=u_f.values + state.mean_u[:, None])
+    ux, uy, vx, vy = u.ddx().values, ddy(u).values, v.ddx().values, ddy(v).values
+    g_top, g_bot = state.g
+    wall_g_sq = (np.sum(g_top**2) + np.sum(g_bot**2)) * dx
+    u_tau_top, u_tau_bot = -u.values[0], u.values[-1]
+    wall_slip_sq = (np.sum(u_tau_top**2) + np.sum(u_tau_bot**2)) * dx
+    momentum_x = grid.integrate(u.values)
+    mean_om = cheb_inverse(-cheb_derivative_coeffs(cheb_forward(state.mean_u)))
+    om = state.omega.values + mean_om[:, None]
+    om_top = g_top + params.beta * u_tau_top
+    om_bot = g_bot + params.beta * u_tau_bot
+    return DiagnosticsRecord(
+        t=state.t,
+        kinetic_energy=0.5 * grid.integrate(u.values**2 + v.values**2),
+        boundary_stress_energy=params.tau / (2.0 * params.alpha * Re**2) * wall_g_sq,
+        dissipation_rate=(1.0 / Re) * grid.integrate(ux**2 + uy**2 + vx**2 + vy**2),
+        wall_slip_dissipation=params.alpha / (2.0 * Re) * wall_slip_sq,
+        boundary_relaxation_dissipation=params.tau / (params.alpha * Re**2 * params.Wi) * wall_g_sq,
+        forcing_power=mean_force * momentum_x,
+        curvature_term=-(2.0 * params.kappa / Re) * wall_slip_sq,
+        budget_residual=float("nan"),
+        omega_inf_norm=np.max(np.abs(om)),
+        omega_wall_inf_norm=max(np.max(np.abs(om[0])), np.max(np.abs(om[-1]))),
+        friction_trace=-(1.0 / (Re * two_lx)) * (np.sum(uy[0]) - np.sum(uy[-1])) * dx,
+        friction_tangential=(1.0 / (Re * two_lx)) * (np.sum(om_top) - np.sum(om_bot)) * dx,
+        momentum_x=momentum_x,
+        wall_u_top_mean=np.mean(u.values[0]),
+        wall_u_bottom_mean=np.mean(u.values[-1]),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=grids, params=sim_params, seed=seeds, mean_force=st.floats(-1.0, 1.0))
+def test_compute_record_matches_reference(grid, params, seed, mean_force):
+    state = random_solver_state(grid, np.random.default_rng(seed))
+    rec = compute_record(state, params, mean_force)
+    ref = reference_record(state, params, mean_force)
+    assert math.isnan(rec.budget_residual)
+    for col in _COLUMNS:
+        if col == "budget_residual":
+            continue
+        got, want = getattr(rec, col), getattr(ref, col)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), col

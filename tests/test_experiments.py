@@ -73,6 +73,17 @@ def test_summary_json_matches_in_memory(tiny_sweep):
     assert "summary.json" in on_disk["outputs"]
 
 
+def test_sweep_re_decay_phase_is_unforced(tmp_path):
+    # a forcing line in a sweep_re config drives the forced phase only
+    text = TINY_SWEEP.replace("t_end = 0.05", "t_end = 0.02") + "forcing_amplitude = 0.02\n"
+    forced_text = text + "forcing = steady_pressure_gradient\n"
+    execute(parse_config(text).with_output(tmp_path / "plain"))
+    execute(parse_config(forced_text).with_output(tmp_path / "forced"))
+    for label in ("50", "100", "200"):
+        name = f"records_re{label}_decay.csv"
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "forced" / name).read_bytes()
+
+
 def test_sweep_point_failure_is_contained(tmp_path, monkeypatch):
     real = experiments.shear_decay_state
 

@@ -427,42 +427,55 @@ def _rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    n=st.sampled_from([16, 24, 32, 48, 64]),
-    Re=st.floats(10.0, 1000.0),
-    Wi=st.floats(0.1, 10.0),
-    tau=st.floats(0.1, 100.0),
-    alpha=st.floats(0.1, 1000.0),
-    kappa_frac=st.floats(0.0, 0.24),
-    dt=st.floats(1e-4, 1e-2),
-    seed=st.integers(0, 2**31),
+# hypothesis draws of the oracle tests, here and in test_diagnostics.py
+grids = st.sampled_from([16, 24, 32, 48, 64]).map(lambda n: ChannelGrid(nx=n, ny=n + 1))
+sim_params = st.builds(
+    lambda Re, Wi, tau, alpha, kappa_frac: SimParams(
+        Re=Re, Wi=Wi, tau=tau, alpha=alpha, kappa=kappa_frac * alpha
+    ),
+    st.floats(10.0, 1000.0),
+    st.floats(0.1, 10.0),
+    st.floats(0.1, 100.0),
+    st.floats(0.1, 1000.0),
+    st.floats(0.0, 0.24),
 )
-def test_batched_operators_match_per_mode_reference(
-    n, Re, Wi, tau, alpha, kappa_frac, dt, seed
-):
-    grid = ChannelGrid(nx=n, ny=n + 1)
-    params = SimParams(Re=Re, Wi=Wi, tau=tau, alpha=alpha, kappa=kappa_frac * alpha)
+seeds = st.integers(0, 2**31)
+
+
+def random_spectrum(grid, rng):
+    shape = (grid.ny, grid.nkx)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_solver_state(grid, rng):
+    """White-noise state with no k = 0 fluctuation and no modes above the 2/3 cut."""
+    omega = random_spectrum(grid, rng)
+    omega[:, 0] = 0.0
+    omega[:, grid.dealias_kx + 1 :] = 0.0
+    return FlowState(
+        omega=Field2D(grid, spectral=omega),
+        mean_u=rng.standard_normal(grid.ny),
+        g=rng.standard_normal((2, grid.nx)),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=grids, params=sim_params, dt=st.floats(1e-4, 1e-2), seed=seeds)
+def test_batched_operators_match_per_mode_reference(grid, params, dt, seed):
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=1.0))
     ref = PerModeReference(grid, params, dt)
     rng = np.random.default_rng(seed)
-
-    def field():
-        shape = (grid.ny, grid.nkx)
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    Re = params.Re
 
     # velocity over every rfft mode, as biot_savart promises
-    omega = field()
+    omega = random_spectrum(grid, rng)
     u, v = biot_savart(Field2D(grid, spectral=omega))
     u_ref, v_ref = ref.velocity(omega, range(grid.nkx))
     assert _rel(u.spectral, u_ref) <= 1e-12
     assert _rel(v.spectral, v_ref) <= 1e-12
 
-    # wall slip traces of a solver state (dealiased, no k = 0 fluctuation)
-    omega[:, 0] = 0.0
-    omega[:, grid.dealias_kx + 1 :] = 0.0
-    mean_u = rng.standard_normal(grid.ny)
-    state = FlowState(omega=Field2D(grid, spectral=omega), mean_u=mean_u, g=np.zeros((2, grid.nx)))
+    # wall slip traces of a solver state
+    state = random_solver_state(grid, rng)
     traces = sol.slip_traces(state)
     top_ref, bottom_ref = ref.slip_traces(state)
     assert _rel(traces[0], top_ref) <= 1e-12
@@ -470,7 +483,7 @@ def test_batched_operators_match_per_mode_reference(
 
     # both implicit stages, wall law closed
     for lam, stage in ((Re / dt, sol._stage_p), (2.0 * Re / dt, sol._stage_c)):
-        rhs = field()
+        rhs = random_spectrum(grid, rng)
         mean_rhs = rng.standard_normal(grid.ny)
         qhat = rng.standard_normal((2, grid.nkx)) + 1j * rng.standard_normal((2, grid.nkx))
         qhat[:, 0] = qhat[:, 0].real
