@@ -10,6 +10,7 @@ user does not set them explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,8 +171,9 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
 
     if kind in _SWEEP_KINDS and not resolved["sweep_values"]:
         raise ConfigError(f"kind={kind} needs a nonempty sweep_values list")
-    if any(v <= 0 for v in resolved["sweep_values"]):
-        raise ConfigError("sweep_values must be positive")
+    sweep = resolved["sweep_values"]
+    if not all(math.isfinite(v) and v > 0 for v in sweep):
+        raise ConfigError(f"sweep_values must be positive and finite, got {sweep}")
 
     try:
         sim = SimParams(

@@ -15,13 +15,12 @@ are written to CSV in a frozen, versioned column order.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import FlowState, mean_vorticity, total_velocity_spectral, wall_slip
+from .flow import FlowState, total_velocity_spectral, total_vorticity, wall_slip
 from .grid import Field2D, cheb_diff_matrices, cheb_forward, resample_field
 from .params import SimParams
 
@@ -115,7 +114,7 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     om_bot = g_bot + params.beta * u_tau_bot
     f_tang = (1.0 / (Re * two_lx)) * (np.sum(om_top) - np.sum(om_bot)) * dx
 
-    om_vals = state.omega.values + mean_vorticity(state.mean_u)[:, None]
+    om_vals = total_vorticity(state)
     omega_inf = float(np.max(np.abs(om_vals)))
     omega_wall_inf = float(max(np.max(np.abs(om_vals[0])), np.max(np.abs(om_vals[-1]))))
 
@@ -311,9 +310,6 @@ class ScalingFit:
             "re_values": list(self.re_values),
             "values": list(self.values),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def fit_scaling(re_values, values) -> ScalingFit:

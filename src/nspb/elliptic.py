@@ -99,39 +99,6 @@ class TauSolver:
         x = scipy.linalg.lu_solve(lu, b.real) + 1j * scipy.linalg.lu_solve(lu, b.imag)
         return x
 
-    def solve(self, rhs_spectral: np.ndarray, c_top=None, c_bottom=None) -> np.ndarray:
-        """Solve every mode; c_top/c_bottom are per-mode data (default 0)."""
-        ny, nk = rhs_spectral.shape
-        out = np.empty((ny, nk), dtype=complex)
-        zt = np.zeros(nk, dtype=complex) if c_top is None else np.asarray(c_top, dtype=complex)
-        zb = np.zeros(nk, dtype=complex) if c_bottom is None else np.asarray(c_bottom, dtype=complex)
-        for j in range(nk):
-            out[:, j] = self.solve_mode(j, rhs_spectral[:, j], zt[j], zb[j])
-        return out
-
-
-def solve_helmholtz_robin(
-    grid: ChannelGrid,
-    lam: float,
-    rhs: Field2D,
-    robin_top: tuple[float, float, float | np.ndarray],
-    robin_bottom: tuple[float, float, float | np.ndarray],
-) -> Field2D:
-    """Solve (lam - Laplacian) u = rhs with a*u + b*u' = c on each wall.
-
-    c may be a scalar or an x-profile of length nx.
-    """
-    at, bt, ct = robin_top
-    ab, bb, cb = robin_bottom
-    solver = TauSolver(grid, lam, (at, bt), (ab, bb))
-
-    def mode_data(c):
-        prof = np.broadcast_to(np.asarray(c, dtype=float), (grid.nx,))
-        return np.fft.rfft(prof) / grid.nx
-
-    u = solver.solve(rhs.spectral, mode_data(ct), mode_data(cb))
-    return Field2D(grid, spectral=u)
-
 
 @lru_cache(maxsize=8)
 def streamfunction_operator(grid: ChannelGrid) -> np.ndarray:
@@ -155,28 +122,8 @@ def velocity_spectral(grid: ChannelGrid, omega_spec: np.ndarray) -> tuple[np.nda
     return -(D @ psi), psi * (1j * grid.kx)
 
 
-def poisson_streamfunction(omega: Field2D) -> Field2D:
-    """psi with Laplacian(psi) = omega and psi = 0 on both walls."""
-    return Field2D(
-        omega.grid, spectral=apply_modes(streamfunction_operator(omega.grid), omega.spectral)
-    )
-
-
 def biot_savart(omega: Field2D) -> tuple[Field2D, Field2D]:
     """Velocity (u, v) induced by vorticity under the channel gauge."""
     u, v = velocity_spectral(omega.grid, omega.spectral)
     return Field2D(omega.grid, spectral=u), Field2D(omega.grid, spectral=v)
 
-
-def divergence(u: Field2D, v: Field2D) -> Field2D:
-    return u.ddx() + v.ddy()
-
-
-def residual_helmholtz(
-    grid: ChannelGrid, lam: float, u: Field2D, rhs: Field2D
-) -> float:
-    """Max-norm interior residual of (lam - Laplacian) u - rhs."""
-    lap = u.ddx().ddx().spectral + cheb_diff_matrices(grid.ny)[1] @ u.spectral
-    res = lam * u.spectral - lap - rhs.spectral
-    # the last two tau rows hold boundary data, not the PDE
-    return float(np.max(np.abs(res[:-2, :])))

@@ -31,7 +31,7 @@ from .diagnostics import (
     write_records,
 )
 from .flow import ChannelFlowSolver, FlowState, SolverConfig, initial_state, steady_channel_state
-from .fplanck import FPGrid, density_mass, fokker_planck_solve, gibbs_density
+from .fplanck import FPGrid, fokker_planck_solve, gibbs_density
 from .grid import ChannelGrid
 from .micro import (
     SpringPotential,

@@ -73,6 +73,8 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.forcing not in _FORCINGS:
             raise ValueError(f"forcing must be one of {_FORCINGS}, got {self.forcing!r}")
+        if not math.isfinite(self.forcing_amplitude):
+            raise ValueError(f"forcing_amplitude must be finite, got {self.forcing_amplitude!r}")
         if not (0.0 < self.cfl_max < 1.0):
             raise ValueError(f"cfl_max must lie in (0, 1), got {self.cfl_max!r}")
         if self.checkpoint_every < 1 or self.record_every < 1:
@@ -105,6 +107,11 @@ def mean_vorticity(mean_u: np.ndarray) -> np.ndarray:
     """Vorticity -dU0/dy of the mean profile at the Gauss-Lobatto nodes."""
     D, _ = cheb_diff_matrices(len(mean_u))
     return cheb_inverse(-(D @ cheb_forward(mean_u)))
+
+
+def total_vorticity(state: FlowState) -> np.ndarray:
+    """Total vorticity of a state at the grid nodes: fluctuation plus mean."""
+    return state.omega.values + mean_vorticity(state.mean_u)[:, None]
 
 
 def total_velocity_spectral(
@@ -169,8 +176,8 @@ def initial_state(grid: ChannelGrid, params: SimParams, u=None, v=None) -> FlowS
 def slip_poiseuille_profile(params: SimParams, F: float, y: np.ndarray) -> np.ndarray:
     """Analytic steady profile under a mean force F: parabola plus slip.
 
-    friction_ratio - beta = alpha/2 + alpha*Re*Wi/tau - 2*kappa; the
-    kappa=0 case is the Navier-friction slip of steady_slip_velocity.
+    friction_ratio - beta = alpha/2 + alpha*Re*Wi/tau - 2*kappa; for
+    kappa=0 the wall slip is the Navier-friction slip Re*F/(alpha/2 + friction_ratio).
     """
     s = params.Re * F / (params.friction_ratio - params.beta)
     return params.Re * F / 2.0 * (1.0 - y**2) + s
@@ -422,9 +429,6 @@ class ChannelFlowSolver:
         return state
 
     # ---- reconstruction ----
-
-    def total_vorticity(self, state: FlowState) -> Field2D:
-        return Field2D(self.grid, values=state.omega.values + mean_vorticity(state.mean_u)[:, None])
 
     def slip_traces(self, state: FlowState) -> np.ndarray:
         """Slip u_tau along the (top, bottom) walls as a (2, nx) array."""

@@ -218,12 +218,10 @@ class Field2D:
     def ddy(self) -> "Field2D":
         return Field2D(self.grid, spectral=cheb_diff_matrices(self.grid.ny)[0] @ self.spectral)
 
-    def dealias(self, in_y: bool = False) -> "Field2D":
-        """Apply the 2/3 truncation in x (and optionally y, for products)."""
+    def dealias(self) -> "Field2D":
+        """Apply the 2/3 truncation in x."""
         c = self.spectral.copy()
         c[:, ~self.grid.fourier_dealias_mask()] = 0.0
-        if in_y:
-            c[self.grid.dealias_cheb + 1 :, :] = 0.0
         return Field2D(self.grid, spectral=c)
 
     def integrate(self) -> float:
@@ -252,12 +250,6 @@ class Field2D:
             or other.grid.lx != self.grid.lx
         ):
             raise GridError("fields live on different grids")
-
-
-def multiply_dealiased(f: Field2D, g: Field2D) -> Field2D:
-    """Pointwise product with the 2/3 mask in x and y applied to the result."""
-    prod = Field2D(f.grid, values=f.values * g.values)
-    return prod.dealias(in_y=True)
 
 
 def resample_field(f: Field2D, new_grid: ChannelGrid) -> Field2D:

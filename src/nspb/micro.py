@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,11 +75,11 @@ class SpringPotential:
             return np.where(x < 1.0, -self.H * np.log1p(-np.minimum(x, 1.0)), np.inf)
 
     def grad(self, m: np.ndarray) -> np.ndarray:
+        if self.is_hookean_linear():
+            return (2.0 * self.H / self.R**2) * m
         r2 = np.sum(np.square(m), axis=-1, keepdims=True)
         if self.kind == "hookean":
             k = self.k_exponent
-            if k == 1:
-                return (2.0 * self.H / self.R**2) * m
             return (2.0 * k * self.H / self.R ** (2 * k)) * r2 ** (k - 1) * m
         return (2.0 * self.H / self.R**2) * m / np.maximum(1.0 - r2 / self.R**2, 1e-300)
 
@@ -288,42 +288,3 @@ def ensemble_to_csv(ens: PolymerEnsemble, path) -> None:
         w.writerow(["member_id", "m_tangential", "m_normal"])
         for i, (mt, mn) in enumerate(ens.members):
             w.writerow([i, repr(float(mt)), repr(float(mn))])
-
-
-def ensemble_from_csv(path, seed: int = 0) -> PolymerEnsemble:
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != ["member_id", "m_tangential", "m_normal"]:
-            raise ValueError(f"unexpected ensemble CSV header: {header}")
-        rows = [(float(r[1]), float(r[2])) for r in rd]
-    return PolymerEnsemble(members=np.array(rows), seed=seed)
-
-
-def free_energy_ensemble(
-    ens: PolymerEnsemble,
-    potential: SpringPotential,
-    bins: int = 60,
-    extent: float | None = None,
-) -> float:
-    """Histogram estimate of the relative entropy against Gibbs.
-
-    Bandwidth: ``bins`` equal cells per axis over [-extent, extent] x
-    [0, extent], extent defaulting to 4 standard spring lengths.  Empty
-    cells contribute zero (0 log 0 = 0).
-    """
-    if extent is None:
-        scale = potential.R / math.sqrt(max(2.0 * potential.H, 1e-12))
-        extent = min(4.0 * scale, potential.R) if potential.finite_extent else 4.0 * scale
-    m = ens.members
-    hist, xe, ye = np.histogram2d(
-        m[:, 0], m[:, 1], bins=bins, range=[[-extent, extent], [0.0, extent]]
-    )
-    p = hist / hist.sum()
-    xc = 0.5 * (xe[:-1] + xe[1:])
-    yc = 0.5 * (ye[:-1] + ye[1:])
-    X, Y = np.meshgrid(xc, yc, indexing="ij")
-    w = np.exp(-potential.energy(np.stack([X, Y], axis=-1)))
-    q = w / w.sum()
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], 1e-300))))

@@ -1,18 +1,13 @@
-"""Dimensional inputs, dimensionless groups, and scaling scenarios."""
+"""Dimensional inputs and the dimensionless groups derived from them."""
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace, fields
 
 
 class ParameterError(ValueError):
     """Invalid or inconsistent physical / dimensionless parameters."""
-
-
-class CriticalScalingWarning(UserWarning):
-    """Emitted when a scaling scenario sits exactly on the critical exponent."""
 
 
 def stokes_einstein_zeta(rho: float, nu: float, a: float) -> float:
@@ -133,64 +128,3 @@ def derive_sim_params(p: PhysicalParams) -> SimParams:
         )
     return s
 
-
-_SCALING_MODES = ("vary_V", "vary_nu", "vary_R_with_nu")
-
-
-@dataclass(frozen=True)
-class ScalingScenario:
-    """How the dimensional inputs march toward large Re."""
-
-    mode: str
-    gamma: float = 0.0
-    beta_exp: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in _SCALING_MODES:
-            raise ParameterError(
-                f"unknown scaling mode {self.mode!r}; expected one of {_SCALING_MODES}"
-            )
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ParameterError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.beta_exp < 1.0:
-            raise ParameterError(f"beta_exp must be >= 1, got {self.beta_exp}")
-
-
-def classify_scaling(
-    scenario: ScalingScenario,
-    re_values,
-    base: PhysicalParams | None = None,
-) -> list[tuple[float, PhysicalParams, SimParams]]:
-    """Build the (Re, physical, dimensionless) ladder for a scaling scenario.
-
-    vary_V scales the driving velocity at fixed fluid; vary_nu thins the
-    solvent with the bead drag following Stokes-Einstein; vary_R_with_nu
-    additionally shrinks the coil as Re^-gamma with bead radius a ~ R^beta_exp.
-    gamma = 1 sits on the critical balance and gets a warning.
-    """
-    if base is None:
-        base = PhysicalParams()
-    if scenario.mode == "vary_R_with_nu" and scenario.gamma == 1.0:
-        warnings.warn(
-            "gamma = 1 is the critical coil-shrink rate: the friction ratio "
-            "neither grows nor vanishes and the inviscid limit is borderline",
-            CriticalScalingWarning,
-            stacklevel=2,
-        )
-    out = []
-    for Re in re_values:
-        Re = float(Re)
-        if not (math.isfinite(Re) and Re > 0):
-            raise ParameterError(f"Re values must be positive, got {Re!r}")
-        if scenario.mode == "vary_V":
-            p = base.with_(V=Re * base.nu / base.L)
-        elif scenario.mode == "vary_nu":
-            nu = base.V * base.L / Re
-            p = base.with_(nu=nu, zeta=None, stokes_einstein_enforced=True)
-        else:  # vary_R_with_nu
-            nu = base.V * base.L / Re
-            R = base.R * Re ** (-scenario.gamma)
-            a = base.a * (R / base.R) ** scenario.beta_exp
-            p = base.with_(nu=nu, R=R, a=a, zeta=None, stokes_einstein_enforced=True)
-        out.append((Re, p, derive_sim_params(p)))
-    return out

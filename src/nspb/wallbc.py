@@ -88,19 +88,3 @@ def duhamel_boundary(g0, times, u_tau_series, params: SimParams, t: float):
         reached = t1
     E_tail = math.exp(-(t - reached) / params.Wi) if t > reached else 1.0
     return math.exp(-t / params.Wi) * g0 - coef * E_tail * acc
-
-
-def wall_vorticity(g, u_tau, params: SimParams):
-    """omega at the wall from the stress trace: g + (2*kappa - alpha/2)*u_tau."""
-    return np.asarray(g, dtype=float) + params.beta * np.asarray(u_tau, dtype=float)
-
-
-def steady_slip_velocity(params: SimParams, wall_shear) -> float:
-    """Equilibrium slip for a held wall shear (parabolic-profile scale).
-
-    Balances the steady wall law: the shear that a no-polymer profile would
-    exert at the wall is divided by alpha/2 + alpha*Re*Wi/tau.
-    """
-    return np.asarray(wall_shear, dtype=float) / (
-        params.alpha / 2.0 + params.friction_ratio
-    )

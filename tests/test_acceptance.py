@@ -8,7 +8,6 @@ reflected ensemble, so its shear stress sits well outside the advertised
 band.  The defect itself is pinned quantitatively by a passing test.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np

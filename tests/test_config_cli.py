@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import struct
 from pathlib import Path
@@ -81,6 +80,9 @@ def test_kind_defaults_and_overrides():
         ("kind = warp_drive\n", r"kind must be one of"),
         ("kind = sweep_re\nsweep_values =\n", r"bad value for 'sweep_values'"),
         ("kind = sweep_re\nsweep_values = 100,-5\n", r"sweep_values must be positive"),
+        ("kind = sweep_re\nsweep_values = 10, nan, 1000\n", r"sweep_values must be .* finite"),
+        ("forcing_amplitude = nan\n", r"forcing_amplitude must be finite"),
+        ("forcing_amplitude = inf\n", r"forcing_amplitude must be finite"),
         ("dt = -1\n", r"dt must be positive"),
         ("cfl_max = 1.5\n", r"cfl_max"),
         ("mode = magic\n", r"mode"),

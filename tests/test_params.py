@@ -5,12 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nspb.params import (
-    CriticalScalingWarning,
     ParameterError,
     PhysicalParams,
-    ScalingScenario,
     SimParams,
-    classify_scaling,
     derive_sim_params,
     stokes_einstein_zeta,
 )
@@ -63,40 +60,21 @@ def test_halving_nu_doubles_re_and_halves_wi():
     assert s1.friction_ratio == pytest.approx(s0.friction_ratio, rel=1e-14)
 
 
+def _ladder_point(mode: str, re: float) -> SimParams:
+    """Groups at Re by raising V (fixed fluid) or thinning nu (Stokes-Einstein drag)."""
+    base = PhysicalParams()
+    if mode == "vary_V":
+        return derive_sim_params(base.with_(V=re * base.nu / base.L))
+    return derive_sim_params(base.with_(nu=base.V * base.L / re, zeta=None))
+
+
 @pytest.mark.parametrize("mode", ["vary_V", "vary_nu"])
 def test_fixed_geometry_ladders_preserve_alpha_and_friction(mode):
-    ladder = classify_scaling(ScalingScenario(mode=mode), [10.0, 100.0, 1000.0])
-    alphas = [s.alpha for _, _, s in ladder]
-    frs = [s.friction_ratio for _, _, s in ladder]
-    for a in alphas[1:]:
-        assert a == pytest.approx(alphas[0], rel=1e-14)
-    for f in frs[1:]:
-        assert f == pytest.approx(frs[0], rel=1e-14)
-    res = [s.Re for _, _, s in ladder]
-    assert res == pytest.approx([10.0, 100.0, 1000.0], rel=1e-12)
-
-
-def test_coil_shrink_ladder_grows_alpha():
-    sc = ScalingScenario(mode="vary_R_with_nu", gamma=0.5, beta_exp=1.0)
-    ladder = classify_scaling(sc, [100.0, 400.0])
-    (_, _, s0), (_, _, s1) = ladder
-    assert s1.alpha / s0.alpha == pytest.approx((400.0 / 100.0) ** 0.5, rel=1e-12)
-    assert s1.friction_ratio < s0.friction_ratio
-
-
-def test_critical_gamma_warns():
-    sc = ScalingScenario(mode="vary_R_with_nu", gamma=1.0)
-    with pytest.warns(CriticalScalingWarning):
-        classify_scaling(sc, [10.0])
-
-
-def test_scenario_validation():
-    with pytest.raises(ParameterError):
-        ScalingScenario(mode="vary_T")
-    with pytest.raises(ParameterError):
-        ScalingScenario(mode="vary_R_with_nu", gamma=1.5)
-    with pytest.raises(ParameterError):
-        ScalingScenario(mode="vary_R_with_nu", gamma=0.5, beta_exp=0.5)
+    ladder = [_ladder_point(mode, re) for re in (10.0, 100.0, 1000.0)]
+    for s in ladder[1:]:
+        assert s.alpha == pytest.approx(ladder[0].alpha, rel=1e-14)
+        assert s.friction_ratio == pytest.approx(ladder[0].friction_ratio, rel=1e-14)
+    assert [s.Re for s in ladder] == pytest.approx([10.0, 100.0, 1000.0], rel=1e-12)
 
 
 def test_simparams_validation():
@@ -119,8 +97,8 @@ def test_beta_and_friction_ratio():
 @settings(max_examples=50, deadline=None)
 @given(re=st.floats(min_value=1.0, max_value=1e6), mode=st.sampled_from(["vary_V", "vary_nu"]))
 def test_friction_ratio_invariance_property(re, mode):
-    base = classify_scaling(ScalingScenario(mode=mode), [1.0])[0][2]
-    scaled = classify_scaling(ScalingScenario(mode=mode), [re])[0][2]
+    base = _ladder_point(mode, 1.0)
+    scaled = _ladder_point(mode, re)
     assert scaled.friction_ratio == pytest.approx(base.friction_ratio, rel=1e-12)
     assert scaled.alpha == pytest.approx(base.alpha, rel=1e-12)
     assert math.isclose(scaled.Re, re, rel_tol=1e-12)

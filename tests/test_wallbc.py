@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from nspb.flow import slip_poiseuille_profile
 from nspb.params import SimParams
-from nspb.wallbc import (
-    duhamel_boundary,
-    exp_weights,
-    step_boundary_ode,
-    steady_slip_velocity,
-    wall_vorticity,
-)
+from nspb.wallbc import duhamel_boundary, exp_weights, step_boundary_ode
 
 
 @pytest.fixture()
@@ -102,29 +97,13 @@ def test_duhamel_partial_segment(params):
     assert out[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_wall_vorticity_values(params):
-    assert wall_vorticity(0.0, 1.0, params) == pytest.approx(-5.0)
-    p2 = SimParams(Re=10.0, Wi=1.0, tau=10.0, alpha=10.0, kappa=1.0)
-    assert wall_vorticity(0.0, 1.0, p2) == pytest.approx(-3.0)
-    g = np.array([[1.0, 2.0], [3.0, 4.0]])
-    ut = np.array([[0.5, 0.5], [-0.5, 0.5]])
-    w = wall_vorticity(g, ut, params)
-    assert np.allclose(w[0], [1.0 - 2.5, 2.0 - 2.5])
-    assert np.allclose(w[1], [3.0 + 2.5, 4.0 - 2.5])
-
-
-def test_wall_vorticity_sign_symmetry(params):
-    g = np.array([0.3, -1.2])
-    ut = np.array([0.7, 0.1])
-    assert np.allclose(
-        wall_vorticity(-g, -ut, params), -wall_vorticity(g, ut, params)
-    )
-
-
 def test_steady_slip_value_and_monotonicity(params):
-    assert steady_slip_velocity(params, 15.0) == pytest.approx(1.0, rel=1e-14)
+    # the forced channel's wall slip: wall shear Re*F = 15 over alpha/2 + friction_ratio
+    walls = np.array([1.0, -1.0])
+    F = 15.0 / params.Re
+    np.testing.assert_allclose(slip_poiseuille_profile(params, F, walls), 1.0, rtol=1e-14)
     slips = []
     for alpha in [5.0, 10.0, 20.0, 40.0, 80.0]:
         p = SimParams(Re=10.0, Wi=1.0, tau=10.0, alpha=alpha, kappa=0.0)
-        slips.append(float(steady_slip_velocity(p, 15.0)))
+        slips.append(float(slip_poiseuille_profile(p, F, walls)[0]))
     assert all(a > b for a, b in zip(slips, slips[1:]))
