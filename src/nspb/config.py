@@ -174,6 +174,16 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
     sweep = resolved["sweep_values"]
     if not all(math.isfinite(v) and v > 0 for v in sweep):
         raise ConfigError(f"sweep_values must be positive and finite, got {sweep}")
+    if kind in ("sweep_re", "sweep_alpha") and resolved["forcing_amplitude"] < 0:
+        raise ConfigError(
+            f"kind={kind} drives Re*F = forcing_amplitude*re, so forcing_amplitude must "
+            f"be >= 0 (0 selects Re*F = 1), got {resolved['forcing_amplitude']}"
+        )
+    if kind == "energy_audit" and resolved["t_end"] <= 0:
+        raise ConfigError(
+            f"kind=energy_audit needs at least one step to audit: t_end must be "
+            f"positive, got {resolved['t_end']}"
+        )
 
     try:
         sim = SimParams(

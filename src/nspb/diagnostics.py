@@ -1,4 +1,4 @@
-"""Energy and momentum bookkeeping, friction factors, and scaling fits.
+"""Energy and momentum bookkeeping, time averages, and scaling fits.
 
 The discrete energy identity audited here is
 
@@ -153,19 +153,16 @@ def budget_rhs(rec: DiagnosticsRecord) -> float:
 
 
 def energy_audit(
-    before: FlowState,
-    after: FlowState,
-    params: SimParams,
-    mean_force: float = 0.0,
-    rec_before: DiagnosticsRecord | None = None,
+    rec_before: DiagnosticsRecord, rec_after: DiagnosticsRecord
 ) -> DiagnosticsRecord:
-    """Trapezoid-consistent budget residual between two adjacent states."""
-    if rec_before is None:
-        rec_before = compute_record(before, params, mean_force)
-    rec_after = compute_record(after, params, mean_force)
-    dt = after.t - before.t
+    """rec_after with the trapezoid budget residual over [rec_before.t, rec_after.t].
+
+    Both records must come from adjacent states of one run, computed with the
+    run's mean force so that forcing_power enters the budget.
+    """
+    dt = rec_after.t - rec_before.t
     if dt <= 0:
-        raise ValueError("states must be in increasing time order")
+        raise ValueError("records must be in increasing time order")
     lhs = (total_energy(rec_after) - total_energy(rec_before)) / dt
     rhs = 0.5 * (budget_rhs(rec_before) + budget_rhs(rec_after))
     return replace(rec_after, budget_residual=abs(lhs - rhs))
@@ -203,34 +200,6 @@ def time_average(records, field: str, t_start: float = 0.0) -> float:
     t = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
     return float(_trapz(v, t) / (t[-1] - t[0]))
-
-
-def friction_factor(records, form: str = "trace", t_start: float = 0.0, cross_tol: float | None = 1e-8) -> float:
-    """Time-averaged wall friction per unit area (positive = drag).
-
-    The trace form integrates n.grad(u) at the walls; the tangential form
-    uses the wall stress identity g + beta*u_tau.  Along solver
-    trajectories both agree to roundoff and are cross-checked pointwise;
-    pass cross_tol=None for records where the identity is not enforced
-    (inviscid mode, hand-built states).
-    """
-    if form not in ("trace", "tangential"):
-        raise ValueError("form must be 'trace' or 'tangential'")
-    if cross_tol is not None:
-        for r in records:
-            if r.t < t_start - 1e-12:
-                continue
-            gap = abs(r.friction_trace - r.friction_tangential)
-            if gap > cross_tol:
-                raise ValueError(
-                    f"friction forms disagree by {gap:.3e} at t={r.t} "
-                    f"(tolerance {cross_tol:.1e})"
-                )
-    return time_average(records, f"friction_{form}", t_start)
-
-
-def dissipation_average(records, t_start: float = 0.0) -> float:
-    return time_average(records, "dissipation_rate", t_start)
 
 
 def euler_error(ns_states, euler_states) -> np.ndarray:

@@ -22,11 +22,10 @@ from .checkpoint import PHYSICS_KEYS, read_checkpoint, write_atomic, write_check
 from .config import ConfigError, ExperimentPlan
 from .diagnostics import (
     compute_record,
-    dissipation_average,
     energy_audit,
     euler_error,
     fit_scaling,
-    friction_factor,
+    time_average,
     total_energy,
     write_records,
 )
@@ -187,8 +186,11 @@ def _point_params(base: SimParams, Re: float) -> SimParams:
     )
 
 
-def _in_window(x: float, lo: float, hi: float) -> bool:
-    return lo <= x <= hi
+def _bulk_drive(plan: ExperimentPlan) -> float:
+    """Re*F of the forced sweep runs: the config's amplitude at its own Re,
+    or FORCED_BULK_REF when the amplitude is left at zero."""
+    F0 = plan.solver.forcing_amplitude
+    return F0 * plan.sim.Re if F0 > 0 else FORCED_BULK_REF
 
 
 def _forced_config(base: SolverConfig, F: float, t_end: float) -> SolverConfig:
@@ -201,17 +203,66 @@ def _forced_config(base: SolverConfig, F: float, t_end: float) -> SolverConfig:
     )
 
 
-def _run_recording(solver, state, params, mean_force, record_every):
-    records = [compute_record(state, params, mean_force)]
+def _trajectory(solver, state, every, take, on_step=None):
+    """Run solver from state to its t_end; return the final state and samples.
+
+    ``take`` maps to a sample the start state, every state whose step_index is
+    a multiple of ``every`` and the final state if no sample landed on it.
+    ``on_step``, if given, sees every stepped state.
+    """
+    samples = [take(state)]
 
     def cb(s):
-        if s.step_index % record_every == 0:
-            records.append(compute_record(s, params, mean_force))
+        if s.step_index % every == 0:
+            samples.append(take(s))
+        if on_step is not None:
+            on_step(s)
 
     final = solver.run(state, callback=cb)
-    if records[-1].t < final.t - 1e-12:
-        records.append(compute_record(final, params, mean_force))
-    return final, records
+    if final is not state and final.step_index % every != 0:
+        samples.append(take(final))
+    return final, samples
+
+
+def _recorder(solver):
+    """Sample a state as its diagnostics record under the solver's physics."""
+    return lambda s: compute_record(s, solver.params, solver.config.mean_force)
+
+
+def _sweep_points(summary: RunSummary, key: str, values, run_point) -> list:
+    """Fill in point = {key: value} by run_point(value, point) for each value.
+
+    A point that raises keeps its error and counts as a runtime failure.
+    Every point lands in summary.points; the successful ones are returned.
+    """
+    done = []
+    for value in values:
+        point = {key: value}
+        try:
+            run_point(value, point)
+        except Exception as exc:  # per-point aborts keep the sweep going
+            point["error"] = f"{type(exc).__name__}: {exc}"
+            summary.runtime_failures += 1
+        else:
+            done.append(point)
+        summary.points.append(point)
+    return done
+
+
+def _slope_check(summary: RunSummary, name: str, fit, window, what: str) -> None:
+    lo, hi = window
+    summary.add_check(
+        name, lo <= fit.slope <= hi, fit.slope, f"log-log slope of {what} in [{lo}, {hi}]"
+    )
+
+
+def _write_table(outdir: Path, name: str, version: str, header: str, rows, summary) -> None:
+    """Versioned CSV of float rows, each value written with repr."""
+    with open(outdir / name, "w", newline="") as fh:
+        fh.write(f"# {version}\n{header}\n")
+        for r in rows:
+            fh.write(",".join(repr(float(v)) for v in r) + "\n")
+    summary.outputs.append(name)
 
 
 def execute(plan: ExperimentPlan, checkpoint: str | Path | None = None) -> RunSummary:
@@ -248,19 +299,13 @@ def _write_summary(outdir: Path, summary: RunSummary) -> None:
     write_atomic(outdir / "summary.json", text.encode("ascii"))
 
 
-def _emit_records(outdir: Path, name: str, records, summary: RunSummary) -> None:
-    write_records(outdir / name, records)
-    summary.outputs.append(name)
-
-
 # ---- single run and restart ----
 
 
 def _drive_single_run(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> None:
     grid = plan.grid()
     solver = ChannelFlowSolver(grid, plan.sim, plan.solver)
-    state = initial_state(grid, plan.sim)
-    _advance_with_outputs(plan, solver, state, outdir, summary)
+    _advance_with_outputs(solver, initial_state(grid, plan.sim), outdir, summary)
 
 
 def _drive_restart(
@@ -289,30 +334,25 @@ def _drive_restart(
         summary.notes.append(f"dt={dt!r} taken from the checkpoint (config said {cfg.dt!r})")
         cfg = replace(cfg, dt=dt)
     summary.notes.append(f"restarted from {ckpt} at t={state.t!r}")
-    solver = ChannelFlowSolver(grid, plan.sim, cfg)
-    _advance_with_outputs(plan, solver, state, outdir, summary)
+    _advance_with_outputs(ChannelFlowSolver(grid, plan.sim, cfg), state, outdir, summary)
 
 
-def _advance_with_outputs(plan, solver, state, outdir, summary) -> None:
+def _advance_with_outputs(solver, state, outdir: Path, summary: RunSummary) -> None:
     """Shared trajectory driver: records, periodic checkpoints, final state."""
     ckdir = outdir / "checkpoints"
     ckdir.mkdir(exist_ok=True)
     cfg = solver.config
     params = solver.params
-    records = [compute_record(state, params, cfg.mean_force)]
 
-    def cb(s):
-        if s.step_index % cfg.record_every == 0:
-            records.append(compute_record(s, params, cfg.mean_force))
+    def checkpoint(s):
         if s.step_index % cfg.checkpoint_every == 0:
             write_checkpoint(ckdir / f"step{s.step_index:08d}.ckpt", s, params, cfg)
 
-    final = solver.run(state, callback=cb)
-    if records[-1].t < final.t - 1e-12:
-        records.append(compute_record(final, params, cfg.mean_force))
+    final, records = _trajectory(solver, state, cfg.record_every, _recorder(solver), checkpoint)
     write_checkpoint(ckdir / "final.ckpt", final, params, cfg)
     summary.outputs.append("checkpoints/final.ckpt")
-    _emit_records(outdir, "records.csv", records, summary)
+    write_records(outdir / "records.csv", records)
+    summary.outputs.append("records.csv")
     summary.total_steps += final.step_index - state.step_index
     last = records[-1]
     summary.points.append(
@@ -336,57 +376,50 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
         f"friction_ratio held fixed at {base.friction_ratio:g} across the sweep "
         f"by scaling tau proportionally to Re"
     )
-    F0 = plan.solver.forcing_amplitude
-    bulk = F0 * base.Re if F0 > 0 else FORCED_BULK_REF
+    bulk = _bulk_drive(plan)
     summary.notes.append(f"forced phase drives Re*F = {bulk:g} at every point")
-    eps, om_sup, fric, re_done = [], [], [], []
-    for Re in plan.sweep_values:
+    every = plan.solver.record_every
+
+    def run_point(Re, point):
         params = _point_params(base, Re)
-        point = {"re": Re, "tau": params.tau}
-        try:
-            # phase A: unforced decay from smooth shear data
-            solver = ChannelFlowSolver(grid, params, replace(plan.solver, forcing="zero"))
-            state = shear_decay_state(grid, params)
-            final, recs = _run_recording(solver, state, params, 0.0, plan.solver.record_every)
-            _emit_records(outdir, f"records_re{_label(Re)}_decay.csv", recs, summary)
-            summary.total_steps += final.step_index
-            point["dissipation_average"] = dissipation_average(recs)
-            point["omega_sup"] = max(r.omega_inf_norm for r in recs)
+        point["tau"] = params.tau
+        # phase A: unforced decay from smooth shear data
+        solver = ChannelFlowSolver(grid, params, replace(plan.solver, forcing="zero"))
+        state = shear_decay_state(grid, params)
+        final, recs = _trajectory(solver, state, every, _recorder(solver))
+        name = f"records_re{_label(Re)}_decay.csv"
+        write_records(outdir / name, recs)
+        summary.outputs.append(name)
+        summary.total_steps += final.step_index
+        point["dissipation_average"] = time_average(recs, "dissipation_rate")
+        point["omega_sup"] = max(r.omega_inf_norm for r in recs)
 
-            # phase B: steady pressure gradient from the analytic steady state
-            F = bulk / Re
-            fcfg = _forced_config(plan.solver, F, FORCED_PHASE_SPAN)
-            fsolver = ChannelFlowSolver(grid, params, fcfg)
-            fstate = steady_channel_state(grid, params, F)
-            ffinal, frecs = _run_recording(fsolver, fstate, params, F, fcfg.record_every)
-            _emit_records(outdir, f"records_re{_label(Re)}_forced.csv", frecs, summary)
-            summary.total_steps += ffinal.step_index
-            gap = max(abs(r.friction_trace - r.friction_tangential) for r in frecs)
-            point["friction_trace_mean"] = friction_factor(frecs, "trace", cross_tol=None)
-            point["friction_form_gap"] = gap
-            point["forcing_amplitude"] = F
-        except Exception as exc:  # per-point aborts keep the sweep going
-            point["error"] = f"{type(exc).__name__}: {exc}"
-            summary.runtime_failures += 1
-            summary.points.append(point)
-            continue
-        eps.append(point["dissipation_average"])
-        om_sup.append(point["omega_sup"])
-        fric.append(point["friction_trace_mean"])
-        re_done.append(Re)
-        summary.points.append(point)
+        # phase B: steady pressure gradient from the analytic steady state
+        F = bulk / Re
+        fcfg = _forced_config(plan.solver, F, FORCED_PHASE_SPAN)
+        fsolver = ChannelFlowSolver(grid, params, fcfg)
+        fstate = steady_channel_state(grid, params, F)
+        ffinal, frecs = _trajectory(fsolver, fstate, every, _recorder(fsolver))
+        name = f"records_re{_label(Re)}_forced.csv"
+        write_records(outdir / name, frecs)
+        summary.outputs.append(name)
+        summary.total_steps += ffinal.step_index
+        point["friction_trace_mean"] = time_average(frecs, "friction_trace")
+        point["friction_form_gap"] = max(
+            abs(r.friction_trace - r.friction_tangential) for r in frecs
+        )
+        point["forcing_amplitude"] = F
 
-    if len(re_done) >= 3:
-        fit_eps = fit_scaling(re_done, eps)
-        fit_f = fit_scaling(re_done, fric)
+    done = _sweep_points(summary, "re", plan.sweep_values, run_point)
+    if len(done) >= 3:
+        re_done = [p["re"] for p in done]
+        fit_eps = fit_scaling(re_done, [p["dissipation_average"] for p in done])
+        fit_f = fit_scaling(re_done, [p["friction_trace_mean"] for p in done])
         summary.fits["dissipation_vs_re"] = fit_eps.to_json_dict()
         summary.fits["friction_vs_re"] = fit_f.to_json_dict()
-        lo, hi = DISSIPATION_SLOPE_WINDOW
-        summary.add_check(
-            "dissipation_re_slope",
-            _in_window(fit_eps.slope, lo, hi),
-            fit_eps.slope,
-            f"log-log slope of mean dissipation vs Re in [{lo}, {hi}]",
+        _slope_check(
+            summary, "dissipation_re_slope", fit_eps, DISSIPATION_SLOPE_WINDOW,
+            "mean dissipation vs Re",
         )
         summary.add_check(
             "dissipation_re_fit_r2",
@@ -394,19 +427,18 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
             fit_eps.r_squared,
             f"dissipation fit r^2 >= {DISSIPATION_R2_MIN}",
         )
-        summary.add_check(
-            "friction_re_slope",
-            _in_window(fit_f.slope, lo, hi),
-            fit_f.slope,
-            f"log-log slope of mean wall friction vs Re in [{lo}, {hi}]",
+        _slope_check(
+            summary, "friction_re_slope", fit_f, DISSIPATION_SLOPE_WINDOW,
+            "mean wall friction vs Re",
         )
-        gap_sup = max(p["friction_form_gap"] for p in summary.points if "friction_form_gap" in p)
+        gap_sup = max(p["friction_form_gap"] for p in done)
         summary.add_check(
             "friction_forms_pointwise_agree",
             gap_sup <= FRICTION_FORM_TOL,
             gap_sup,
             f"trace vs tangential friction forms within {FRICTION_FORM_TOL:g} on every record",
         )
+        om_sup = [p["omega_sup"] for p in done]
         ratio = max(om_sup) / min(om_sup)
         summary.add_check(
             "vorticity_sup_re_uniform",
@@ -422,34 +454,28 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
 def _drive_sweep_alpha(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> None:
     grid = plan.grid()
     base = plan.sim
-    F0 = plan.solver.forcing_amplitude
-    bulk = F0 * base.Re if F0 > 0 else FORCED_BULK_REF
+    bulk = _bulk_drive(plan)
     F = bulk / base.Re
     summary.notes.append(
         f"alpha sweep at Re={base.Re:g}, steady pressure gradient with Re*F = {bulk:g}"
     )
-    slips, alphas = [], []
-    for alpha in plan.sweep_values:
-        params = SimParams(Re=base.Re, Wi=base.Wi, tau=base.tau, alpha=alpha, kappa=base.kappa)
-        point = {"alpha": alpha}
-        try:
-            cfg = _forced_config(plan.solver, F, plan.solver.t_end)
-            solver = ChannelFlowSolver(grid, params, cfg)
-            state = steady_channel_state(grid, params, F)
-            final, recs = _run_recording(solver, state, params, F, plan.solver.record_every)
-            _emit_records(outdir, f"records_alpha{_label(alpha)}.csv", recs, summary)
-            summary.total_steps += final.step_index
-            point["slip_sup"] = float(np.abs(solver.slip_traces(final)).max())
-            point["slip_mean_top"] = recs[-1].wall_u_top_mean
-        except Exception as exc:
-            point["error"] = f"{type(exc).__name__}: {exc}"
-            summary.runtime_failures += 1
-            summary.points.append(point)
-            continue
-        slips.append(point["slip_sup"])
-        alphas.append(alpha)
-        summary.points.append(point)
+    cfg = _forced_config(plan.solver, F, plan.solver.t_end)
 
+    def run_point(alpha, point):
+        params = SimParams(Re=base.Re, Wi=base.Wi, tau=base.tau, alpha=alpha, kappa=base.kappa)
+        solver = ChannelFlowSolver(grid, params, cfg)
+        state = steady_channel_state(grid, params, F)
+        final, recs = _trajectory(solver, state, cfg.record_every, _recorder(solver))
+        name = f"records_alpha{_label(alpha)}.csv"
+        write_records(outdir / name, recs)
+        summary.outputs.append(name)
+        summary.total_steps += final.step_index
+        point["slip_sup"] = float(np.abs(solver.slip_traces(final)).max())
+        point["slip_mean_top"] = recs[-1].wall_u_top_mean
+
+    done = _sweep_points(summary, "alpha", plan.sweep_values, run_point)
+    slips = [p["slip_sup"] for p in done]
+    alphas = [p["alpha"] for p in done]
     if len(alphas) >= 2:
         decreasing = all(b < a for a, b in zip(slips, slips[1:]))
         summary.add_check(
@@ -519,13 +545,9 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
                 rows.append(
                     (ens.t, mom.sigma_tn, mom.se_tn, ode.sigma_tn, mom.sigma_nn, mom.se_nn, ode.sigma_nn)
                 )
+        header = "t,sigma_tn_mc,se_tn,sigma_tn_ode,sigma_nn_mc,se_nn,sigma_nn_ode"
         name = f"micro_moments_{scen}.csv"
-        with open(outdir / name, "w", newline="") as fh:
-            fh.write("# nspb-micro-moments-v1\n")
-            fh.write("t,sigma_tn_mc,se_tn,sigma_tn_ode,sigma_nn_mc,se_nn,sigma_nn_ode\n")
-            for r in rows:
-                fh.write(",".join(repr(float(v)) for v in r) + "\n")
-        summary.outputs.append(name)
+        _write_table(outdir, name, "nspb-micro-moments-v1", header, rows, summary)
         summary.total_steps += n_steps
         summary.points.append(
             {
@@ -614,38 +636,28 @@ def _drive_energy_audit(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     params = plan.sim
     dts = [plan.solver.dt, plan.solver.dt / 2.0, plan.solver.dt / 4.0]
     residuals = []
-    for k, dt in enumerate(dts):
+    for dt in dts:
         cfg = SolverConfig(dt=dt, t_end=plan.solver.t_end, cfl_max=plan.solver.cfl_max)
         solver = ChannelFlowSolver(grid, params, cfg)
-        state = shear_decay_state(grid, params)
-        prev = state
-        prev_rec = compute_record(prev, params)
-        records = [prev_rec]
-        last_residual = None
+        final, recs = _trajectory(solver, shear_decay_state(grid, params), 1, _recorder(solver))
+        records = recs[:1] + [energy_audit(a, b) for a, b in zip(recs, recs[1:])]
+        residuals.append(records[-1].budget_residual)
+        summary.total_steps += final.step_index
+        name = f"records_dt{_label(dt)}.csv"
+        write_records(outdir / name, records)
+        summary.outputs.append(name)
+        summary.points.append({"dt": dt, "final_step_residual": residuals[-1]})
 
-        def cb(s):
-            nonlocal prev, prev_rec, last_residual
-            audited = energy_audit(prev, s, params, 0.0, rec_before=prev_rec)
-            last_residual = audited.budget_residual
-            records.append(audited)
-            prev, prev_rec = s, audited
-
-        solver.run(state, callback=cb)
-        residuals.append(last_residual)
-        summary.total_steps += int(round(plan.solver.t_end / dt))
-        _emit_records(outdir, f"records_dt{_label(dt)}.csv", records, summary)
-        summary.points.append({"dt": dt, "final_step_residual": last_residual})
-        if k == len(dts) - 1:
-            energies = [total_energy(r) for r in records]
-            rises = [b - a for a, b in zip(energies, energies[1:])]
-            max_rise = max(rises) if rises else 0.0
-            if params.kappa == 0.0:
-                summary.add_check(
-                    "energy_monotone_decay",
-                    max_rise <= ENERGY_RISE_TOL * energies[0],
-                    max_rise,
-                    "total energy non-increasing on the unforced run",
-                )
+    # monotone decay is judged on the finest run
+    energies = [total_energy(r) for r in records]
+    max_rise = max(b - a for a, b in zip(energies, energies[1:]))
+    if params.kappa == 0.0:
+        summary.add_check(
+            "energy_monotone_decay",
+            max_rise <= ENERGY_RISE_TOL * energies[0],
+            max_rise,
+            "total energy non-increasing on the unforced run",
+        )
 
     orders = [
         float(np.log2(residuals[i] / residuals[i + 1])) for i in range(len(residuals) - 1)
@@ -670,59 +682,36 @@ def _drive_inviscid_limit(plan: ExperimentPlan, outdir: Path, summary: RunSummar
         f"friction_ratio held fixed at {base.friction_ratio:g} across the sweep "
         f"by scaling tau proportionally to Re"
     )
-    dt = plan.solver.dt
-    every = max(1, int(round(INVISCID_SAMPLE_SPACING / dt)))
+    cfg = SolverConfig(dt=plan.solver.dt, t_end=plan.solver.t_end, cfl_max=plan.solver.cfl_max)
+    every = max(1, int(round(INVISCID_SAMPLE_SPACING / cfg.dt)))
 
     def states_of(params, mode):
-        cfg = SolverConfig(dt=dt, t_end=plan.solver.t_end, mode=mode, cfl_max=plan.solver.cfl_max)
-        solver = ChannelFlowSolver(grid, params, cfg)
-        st = couette_perturbed_state(grid, params)
-        out = [st]
-
-        def cb(s):
-            if s.step_index % every == 0:
-                out.append(s)
-
-        final = solver.run(st, callback=cb)
+        solver = ChannelFlowSolver(grid, params, replace(cfg, mode=mode))
+        state = couette_perturbed_state(grid, params)
+        final, states = _trajectory(solver, state, every, lambda s: s)
         summary.total_steps += final.step_index
-        return out
+        return states
 
     reference = states_of(base, "euler")
-    sups, re_done = [], []
     rows = []
-    for Re in plan.sweep_values:
+
+    def run_point(Re, point):
         params = _point_params(base, Re)
-        point = {"re": Re, "tau": params.tau}
-        try:
-            ns = states_of(params, "navier_stokes")
-            errs = euler_error(ns, reference)
-        except Exception as exc:
-            point["error"] = f"{type(exc).__name__}: {exc}"
-            summary.runtime_failures += 1
-            summary.points.append(point)
-            continue
-        for st, e in zip(ns, errs):
-            rows.append((Re, st.t, float(e)))
+        point["tau"] = params.tau
+        ns = states_of(params, "navier_stokes")
+        errs = euler_error(ns, reference)
+        rows.extend((Re, st.t, float(e)) for st, e in zip(ns, errs))
         point["sup_l2_error"] = float(np.max(errs))
-        sups.append(point["sup_l2_error"])
-        re_done.append(Re)
-        summary.points.append(point)
 
-    name = "inviscid_errors.csv"
-    with open(outdir / name, "w", newline="") as fh:
-        fh.write("# nspb-inviscid-errors-v1\n")
-        fh.write("re,t,l2_error\n")
-        for r in rows:
-            fh.write(",".join(repr(float(v)) for v in r) + "\n")
-    summary.outputs.append(name)
+    done = _sweep_points(summary, "re", plan.sweep_values, run_point)
+    _write_table(
+        outdir, "inviscid_errors.csv", "nspb-inviscid-errors-v1", "re,t,l2_error", rows, summary
+    )
 
-    if len(re_done) >= 3:
-        fit = fit_scaling(re_done, sups)
+    if len(done) >= 3:
+        fit = fit_scaling([p["re"] for p in done], [p["sup_l2_error"] for p in done])
         summary.fits["euler_gap_vs_re"] = fit.to_json_dict()
-        lo, hi = INVISCID_SLOPE_WINDOW
-        summary.add_check(
-            "inviscid_error_slope",
-            _in_window(fit.slope, lo, hi),
-            fit.slope,
-            f"log-log slope of sup-in-time L2 distance to the ideal-fluid run in [{lo}, {hi}]",
+        _slope_check(
+            summary, "inviscid_error_slope", fit, INVISCID_SLOPE_WINDOW,
+            "sup-in-time L2 distance to the ideal-fluid run",
         )

@@ -6,6 +6,7 @@ renames or deletes one of them breaks the benchmark.  These tests read
 ``perfbench/`` and fail at tier 1 instead of only under ``--trace 1``.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -34,3 +35,31 @@ def test_traced_target_resolves(module, cls, attr):
 
 def test_workloads_import():
     importlib.import_module("workloads")
+
+
+def test_workload_experiments_names_exist():
+    # workloads.scale_micro setattr()s the MICRO_* keys on nspb.experiments,
+    # so a renamed constant would silently become a dead attribute there
+    import workloads
+
+    names = set(workloads.MICRO_FULL) | set(workloads.MICRO_SMOKE)
+    for node in ast.walk(ast.parse((BENCH_DIR / "workloads.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "nspb.experiments":
+            names.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "experiments"
+        ):
+            names.add(node.attr)
+    assert names >= {
+        "MC_T_END",
+        "MC_MEMBERS",
+        "_micro_phys",
+        "MC_SLIP_AMPLITUDE",
+        "MC_SIN_PERIOD",
+        "FORCED_BULK_REF",
+        "shear_decay_state",
+    }
+    experiments = importlib.import_module("nspb.experiments")
+    assert sorted(n for n in names if not hasattr(experiments, n)) == []

@@ -83,6 +83,9 @@ def test_kind_defaults_and_overrides():
         ("kind = sweep_re\nsweep_values = 10, nan, 1000\n", r"sweep_values must be .* finite"),
         ("forcing_amplitude = nan\n", r"forcing_amplitude must be finite"),
         ("forcing_amplitude = inf\n", r"forcing_amplitude must be finite"),
+        ("kind = sweep_re\nforcing_amplitude = -0.004\n", r"forcing_amplitude must be >= 0"),
+        ("kind = sweep_alpha\nforcing_amplitude = -0.004\n", r"forcing_amplitude must be >= 0"),
+        ("kind = energy_audit\nt_end = 0\n", r"t_end must be positive"),
         ("dt = -1\n", r"dt must be positive"),
         ("cfl_max = 1.5\n", r"cfl_max"),
         ("mode = magic\n", r"mode"),

@@ -11,7 +11,6 @@ from nspb.diagnostics import (
     _COLUMNS,
     budget_rhs,
     compute_record,
-    dissipation_average,
     euler_error,
     fit_scaling,
     read_records,
@@ -135,7 +134,6 @@ def test_time_average_trapezoid_and_window():
     # trapezoid of a linear ramp is exact
     assert time_average(recs, "dissipation_rate") == pytest.approx(2.0)
     assert time_average(recs, "dissipation_rate", t_start=1.0) == pytest.approx(3.0)
-    assert dissipation_average(recs) == pytest.approx(2.0)
     with pytest.raises(ValueError, match="two records"):
         time_average(recs, "dissipation_rate", t_start=1.5)
 

@@ -84,29 +84,6 @@ def test_sweep_re_decay_phase_is_unforced(tmp_path):
         assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "forced" / name).read_bytes()
 
 
-def test_sweep_point_failure_is_contained(tmp_path, monkeypatch):
-    real = experiments.shear_decay_state
-
-    def sabotaged(grid, params):
-        if params.Re == 100.0:
-            raise RuntimeError("injected failure")
-        return real(grid, params)
-
-    monkeypatch.setattr(experiments, "shear_decay_state", sabotaged)
-    plan = parse_config(TINY_SWEEP).with_output(tmp_path)
-    summary = execute(plan)
-    assert summary.runtime_failures == 1
-    assert summary.exit_code == 3
-    bad = next(p for p in summary.points if p["re"] == 100.0)
-    assert "injected failure" in bad["error"]
-    # the remaining points still ran to completion
-    for Re in (50.0, 200.0):
-        point = next(p for p in summary.points if p["re"] == Re)
-        assert "dissipation_average" in point
-    # two surviving points are too few for a scaling verdict
-    assert summary.checks == []
-
-
 SWEEP_ALPHA_TINY = (
     "kind = sweep_alpha\n"
     "re = 50\n"
@@ -119,6 +96,58 @@ SWEEP_ALPHA_TINY = (
     "record_every = 5\n"
     "sweep_values = 10,100,1000\n"
 )
+
+
+INVISCID_TINY = (
+    "kind = inviscid_limit\n"
+    "re = 50\n"
+    "wi = 1\n"
+    "tau = 1\n"
+    "alpha = 1\n"
+    "nx = 16\n"
+    "ny = 17\n"
+    "dt = 2e-3\n"
+    "t_end = 0.1\n"
+    "sweep_values = 50,100,200\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, factory, key, done_field, n_checks",
+    [
+        (TINY_SWEEP, "shear_decay_state", "re", "dissipation_average", 0),
+        (SWEEP_ALPHA_TINY, "steady_channel_state", "alpha", "slip_sup", 2),
+        (INVISCID_TINY, "couette_perturbed_state", "re", "sup_l2_error", 0),
+    ],
+    ids=["sweep_re", "sweep_alpha", "inviscid_limit"],
+)
+def test_sweep_point_failure_is_contained(
+    tmp_path, monkeypatch, text, factory, key, done_field, n_checks
+):
+    real = getattr(experiments, factory)
+    attr = {"re": "Re", "alpha": "alpha"}[key]
+
+    def sabotaged(grid, params, *args):
+        if getattr(params, attr) == 100.0:
+            raise RuntimeError("injected failure")
+        return real(grid, params, *args)
+
+    monkeypatch.setattr(experiments, factory, sabotaged)
+    summary = execute(parse_config(text).with_output(tmp_path))
+    assert summary.runtime_failures == 1
+    assert summary.exit_code == 3
+    bad = next(p for p in summary.points if p[key] == 100.0)
+    assert "injected failure" in bad["error"]
+    assert done_field not in bad
+    # the remaining points still ran to completion
+    others = [p for p in summary.points if p[key] != 100.0]
+    assert len(others) == 2
+    for point in others:
+        assert done_field in point and "error" not in point
+    # two surviving points are too few for a scaling fit, enough for the
+    # alpha sweep's pairwise slip checks
+    assert summary.fits == {}
+    assert len(summary.checks) == n_checks
 
 
 def _poisoned(make):
@@ -171,19 +200,7 @@ def test_energy_audit_tiny(tmp_path):
 
 
 def test_inviscid_tiny(tmp_path):
-    text = (
-        "kind = inviscid_limit\n"
-        "re = 50\n"
-        "wi = 1\n"
-        "tau = 1\n"
-        "alpha = 1\n"
-        "nx = 16\n"
-        "ny = 17\n"
-        "dt = 2e-3\n"
-        "t_end = 0.1\n"
-        "sweep_values = 50,100,200\n"
-    )
-    summary = execute(parse_config(text).with_output(tmp_path))
+    summary = execute(parse_config(INVISCID_TINY).with_output(tmp_path))
     assert "inviscid_error_slope" in check_map(summary)
     assert "euler_gap_vs_re" in summary.fits
     lines = (tmp_path / "inviscid_errors.csv").read_text().splitlines()
