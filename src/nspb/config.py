@@ -206,6 +206,14 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
         ChannelGrid(nx=resolved["nx"], ny=resolved["ny"], lx=resolved["lx"])
     except (ParameterError, GridError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    # the flow solver steps by dt (ChannelFlowSolver.run, same tolerance);
+    # micro_verify runs on its own fixed time step
+    if kind != "micro_verify":
+        n_steps = round(solver.t_end / solver.dt)
+        if abs(n_steps * solver.dt - solver.t_end) > 1e-9 * max(1.0, solver.t_end):
+            raise ConfigError(
+                f"t_end = {solver.t_end} is not a whole number of steps of dt = {solver.dt}"
+            )
 
     return ExperimentPlan(
         kind=kind,

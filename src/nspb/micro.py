@@ -75,6 +75,7 @@ class SpringPotential:
             return np.where(x < 1.0, -self.H * np.log1p(-np.minimum(x, 1.0)), np.inf)
 
     def grad(self, m: np.ndarray) -> np.ndarray:
+        """grad U at each member, as a fresh array the caller may overwrite."""
         if self.is_hookean_linear():
             return (2.0 * self.H / self.R**2) * m
         r2 = np.sum(np.square(m), axis=-1, keepdims=True)
@@ -110,15 +111,16 @@ class PolymerEnsemble:
 
 
 _EQ_LABEL = 1 << 40  # keeps equilibrium-draw streams clear of step streams
+_RETRY_STREAMS = 65536  # streams per label: a key is label * _RETRY_STREAMS + retry
 
 
 def _philox_normals(seed: int, label: int, retry: int, shape) -> np.ndarray:
-    key = [np.uint64(seed), np.uint64(label) * np.uint64(65536) + np.uint64(retry)]
+    key = [np.uint64(seed), np.uint64(label) * np.uint64(_RETRY_STREAMS) + np.uint64(retry)]
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
 def _philox_uniform(seed: int, label: int, retry: int, shape) -> np.ndarray:
-    key = [np.uint64(seed), np.uint64(label) * np.uint64(65536) + np.uint64(retry)]
+    key = [np.uint64(seed), np.uint64(label) * np.uint64(_RETRY_STREAMS) + np.uint64(retry)]
     return np.random.Generator(np.random.Philox(key=key)).random(shape)
 
 
@@ -173,15 +175,26 @@ def sde_step(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not 0 <= max_retries < _RETRY_STREAMS:
+        # a retry index >= _RETRY_STREAMS would reuse the next step's stream
+        raise ValueError(
+            f"max_retries must lie in [0, {_RETRY_STREAMS - 1}], got {max_retries}"
+        )
     D = phys.kB_T / phys.zeta
     scale = math.sqrt(2.0 * D * dt) if noise else 0.0
     m = ens.members
 
     def propose(points: np.ndarray, z: np.ndarray) -> np.ndarray:
-        drift = -D * potential.grad(points)
-        drift[:, 0] += (u_slip / potential.R) * points[:, 1]
-        new = points + dt * drift + scale * z
-        new[:, 1] = np.abs(new[:, 1])  # mirror reflection
+        # points + dt * drift + scale * z, evaluated in place in the same
+        # order (so bitwise equal) in the fresh gradient; z is overwritten
+        new = potential.grad(points)
+        new *= -D
+        new[:, 0] += (u_slip / potential.R) * points[:, 1]
+        new *= dt
+        new += points
+        z *= scale
+        new += z
+        np.abs(new[:, 1], out=new[:, 1])  # mirror reflection
         return new
 
     z = _philox_normals(ens.seed, ens.step_count, 0, m.shape) if noise else np.zeros_like(m)

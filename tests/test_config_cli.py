@@ -86,6 +86,10 @@ def test_kind_defaults_and_overrides():
         ("kind = sweep_re\nforcing_amplitude = -0.004\n", r"forcing_amplitude must be >= 0"),
         ("kind = sweep_alpha\nforcing_amplitude = -0.004\n", r"forcing_amplitude must be >= 0"),
         ("kind = energy_audit\nt_end = 0\n", r"t_end must be positive"),
+        ("kind = energy_audit\nnx = 16\nny = 17\nt_end = 0.003\n", r"not a whole number"),
+        ("dt = 1e-3\nt_end = 0.0015\n", r"t_end = 0.0015 is not a whole number"),
+        ("kind = sweep_alpha\nt_end = 0.50025\n", r"not a whole number of steps"),
+        ("kind = inviscid_limit\ndt = 0.3\n", r"dt = 0.3"),
         ("dt = -1\n", r"dt must be positive"),
         ("cfl_max = 1.5\n", r"cfl_max"),
         ("mode = magic\n", r"mode"),
@@ -94,6 +98,12 @@ def test_kind_defaults_and_overrides():
 def test_config_errors_carry_context(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+def test_t_end_whole_steps_allows_roundoff_and_spares_micro_verify():
+    assert parse_config("dt = 0.1\nt_end = 0.3\n").solver.t_end == 0.3  # 0.3/0.1 = 2.99...
+    # micro_verify steps its ensemble on its own dt, not the flow's
+    assert parse_config("kind = micro_verify\ndt = 0.3\n").solver.dt == 0.3
 
 
 def test_force_kind_inherits_and_conflicts():

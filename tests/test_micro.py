@@ -140,6 +140,93 @@ def test_fene_coarse_step_fails_loudly(phys):
         sde_step(near_edge, 1e-2, pot, phys, max_retries=20)
 
 
+def _reference_sde_step(ens, dt, potential, phys, u_slip=0.0, noise=True, max_retries=200):
+    """The out-of-place Euler-Maruyama step with the Philox key spelled out.
+
+    sde_step must reproduce it bit for bit.  Returns the stepped ensemble
+    and the number of retry draws taken.
+    """
+
+    def normals(retry):
+        key = [np.uint64(ens.seed), np.uint64(ens.step_count) * np.uint64(65536) + np.uint64(retry)]
+        return np.random.Generator(np.random.Philox(key=key)).standard_normal(m.shape)
+
+    D = phys.kB_T / phys.zeta
+    scale = math.sqrt(2.0 * D * dt) if noise else 0.0
+    m = ens.members
+
+    def propose(points, z):
+        drift = -D * potential.grad(points)
+        drift[:, 0] += (u_slip / potential.R) * points[:, 1]
+        new = points + dt * drift + scale * z
+        new[:, 1] = np.abs(new[:, 1])
+        return new
+
+    new = propose(m, normals(0) if noise else np.zeros_like(m))
+    retry = 0
+    if potential.finite_extent:
+        bad = np.sum(np.square(new), axis=1) >= potential.R**2
+        while np.any(bad):
+            retry += 1
+            assert noise and retry <= max_retries
+            idx = np.nonzero(bad)[0]
+            new[idx] = propose(m[idx], normals(retry)[idx])
+            bad[idx] = np.sum(np.square(new[idx]), axis=1) >= potential.R**2
+    out = PolymerEnsemble(members=new, seed=ens.seed, step_count=ens.step_count + 1, t=ens.t + dt)
+    return out, retry
+
+
+# (potential, members, seed, dt, u_slip, noise); FENE at dt = 5e-5 retries
+_ORACLE_CASES = {
+    "hookean_slip0": (SpringPotential.hookean(H=0.25), 2000, 5, 1e-3, 0.0, True),
+    "hookean_slip0.37": (SpringPotential.hookean(H=0.25), 2000, 5, 1e-3, 0.37, True),
+    "hookean_slip-2": (SpringPotential.hookean(H=0.25), 2000, 5, 1e-3, -2.0, True),
+    "hookean_k2": (SpringPotential.hookean(H=0.25, k=2), 2000, 6, 1e-3, 0.37, True),
+    "fene": (SpringPotential.fene(H=1.0, R=1.0), 5000, 4, 5e-5, 0.3, True),
+    "no_noise": (SpringPotential.hookean(H=0.25), 2000, 5, 1e-3, 0.37, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_sde_step_matches_out_of_place_reference_bitwise(case, phys):
+    pot, n, seed, dt, u_slip, noise = _ORACLE_CASES[case]
+    ens = ref = equilibrium_ensemble(n, pot, seed=seed)
+    retries = 0
+    for _ in range(40):
+        ens = sde_step(ens, dt, pot, phys, u_slip=u_slip, noise=noise)
+        ref, r = _reference_sde_step(ref, dt, pot, phys, u_slip=u_slip, noise=noise)
+        retries += r
+        assert np.array_equal(ens.members, ref.members)
+        assert (ens.t, ens.step_count) == (ref.t, ref.step_count)
+    if pot.finite_extent:
+        assert retries > 0  # the retry path was exercised
+
+
+@pytest.mark.parametrize("case", ["hookean_slip0.37", "fene"])
+def test_sde_step_leaves_input_untouched(case, phys):
+    pot, n, seed, dt, u_slip, noise = _ORACLE_CASES[case]
+    ens = equilibrium_ensemble(n, pot, seed=seed)
+    retried = False
+    for _ in range(40):
+        before = ens.members.copy()
+        new = sde_step(ens, dt, pot, phys, u_slip=u_slip, noise=noise)
+        assert np.array_equal(ens.members, before)
+        assert not np.shares_memory(new.members, ens.members)
+        retried |= _reference_sde_step(ens, dt, pot, phys, u_slip=u_slip, noise=noise)[1] > 0
+        ens = new
+    assert retried or not pot.finite_extent
+
+
+def test_sde_step_max_retries_range(pot, phys):
+    ens = equilibrium_ensemble(10, pot, seed=1)
+    for ok in (0, 65535):
+        sde_step(ens, 1e-3, pot, phys, max_retries=ok)
+    # retry 65536 of step s would draw step s+1's primary stream
+    for bad in (-1, 65536):
+        with pytest.raises(ValueError, match="max_retries"):
+            sde_step(ens, 1e-3, pot, phys, max_retries=bad)
+
+
 def test_kramers_stress_hand_sum(pot, phys):
     members = np.array([[0.5, 1.0], [-0.3, 0.2], [1.0, 2.0]])
     ens = PolymerEnsemble(members=members, seed=0)
