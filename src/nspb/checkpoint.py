@@ -5,8 +5,9 @@ nx u32, ny u32, t f64, dt f64, then the physics the run was made with:
 lx, Re, Wi, tau, alpha, kappa (f64 each), mode and forcing (32-byte ASCII,
 NUL padded), forcing_amplitude f64, and last a CRC32 u32 of every other
 byte of the file.  Payload, row-major f64 arrays: fluctuation vorticity at
-the grid nodes (ny*nx; its x-mean lives in the mean profile and is dropped
-on reading), mean profile (ny), wall stress g (2*nx, top wall then bottom).
+the grid nodes (ny*nx; its x-mean lives in the mean profile, and it and
+the modes above the 2/3 cut are dropped on reading), mean profile (ny),
+wall stress g (2*nx, top wall then bottom).
 
 Version 1 files still load.  Their header ends after dt and holds no
 physics; their payload has two slip accumulators (nx each, top then
@@ -110,7 +111,9 @@ def read_checkpoint(path, lx: float = 2.0 * np.pi) -> Checkpoint:
     omega_vals, mean_u, g, _ = np.split(arr, np.cumsum([ny * nx, ny, 2 * nx]))
     grid = ChannelGrid(nx=nx, ny=ny, lx=lx)
     spec = grid.phys_to_spec(omega_vals.reshape(ny, nx))
+    # the round trip leaves roundoff where a FlowState holds exact zeros
     spec[:, 0] = 0.0
+    spec[:, grid.dealias_kx + 1 :] = 0.0
     state = FlowState(
         omega=Field2D(grid, spectral=spec),
         mean_u=mean_u.copy(),

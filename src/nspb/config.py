@@ -34,6 +34,9 @@ KINDS = (
 
 _SWEEP_KINDS = ("sweep_re", "sweep_alpha", "inviscid_limit")
 
+# sweep_re's forced phase runs over this span whatever t_end is
+FORCED_PHASE_SPAN = 0.5
+
 # key -> (parser, default)
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -123,6 +126,13 @@ class ExperimentPlan:
         return ChannelGrid(nx=self.nx, ny=self.ny, lx=self.lx)
 
 
+def _check_whole_steps(what: str, span: float, dt: float) -> None:
+    """The flow solver steps by dt (ChannelFlowSolver.run, same tolerance)."""
+    n_steps = round(span / dt)
+    if abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+        raise ConfigError(f"{what} = {span} is not a whole number of steps of dt = {dt}")
+
+
 def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
     """Parse and validate a key=value config into an ExperimentPlan.
 
@@ -206,14 +216,11 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
         ChannelGrid(nx=resolved["nx"], ny=resolved["ny"], lx=resolved["lx"])
     except (ParameterError, GridError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    # the flow solver steps by dt (ChannelFlowSolver.run, same tolerance);
     # micro_verify runs on its own fixed time step
     if kind != "micro_verify":
-        n_steps = round(solver.t_end / solver.dt)
-        if abs(n_steps * solver.dt - solver.t_end) > 1e-9 * max(1.0, solver.t_end):
-            raise ConfigError(
-                f"t_end = {solver.t_end} is not a whole number of steps of dt = {solver.dt}"
-            )
+        _check_whole_steps("t_end", solver.t_end, solver.dt)
+    if kind == "sweep_re":
+        _check_whole_steps("the forced phase span", FORCED_PHASE_SPAN, solver.dt)
 
     return ExperimentPlan(
         kind=kind,

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .flow import FlowState, total_velocity_spectral, total_vorticity, wall_slip
-from .grid import Field2D, cheb_diff_matrices, cheb_forward, resample_field
+from .flow import FlowState, total_velocity_spectral, wall_slip
+from .grid import Field2D, cheb_diff_matrices, cheb_forward, real_matmul, resample_field
 from .params import SimParams
 
 CSV_VERSION = "nspb-records-v1"
@@ -77,17 +77,18 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     Re = params.Re
     dx = grid.dx
 
-    u, v = total_velocity_spectral(grid, state.omega.spectral, cheb_forward(state.mean_u))
+    mean_coeffs = cheb_forward(state.mean_u)
+    u, v = total_velocity_spectral(grid, state.omega.spectral, mean_coeffs)
     D, _ = cheb_diff_matrices(grid.ny)
     ikx = 1j * grid.kx
-    u_vals = grid.spec_to_phys(u)
+    om = state.omega.spectral.copy()
+    om[:, 0] = -(D @ mean_coeffs)  # total vorticity: the mean's -U0' at k = 0
+    u_y, v_y = real_matmul(D, np.stack([u, v]))
+    u_vals, v_vals, ux, uy, vx, vy, om_vals = grid.spec_to_phys(
+        np.stack([u, v, u * ikx, u_y, v * ikx, v_y, om])
+    )
 
-    ke = 0.5 * grid.integrate(u_vals**2 + grid.spec_to_phys(v) ** 2)
-
-    ux = grid.spec_to_phys(u * ikx)
-    uy = grid.spec_to_phys(D @ u)
-    vx = grid.spec_to_phys(v * ikx)
-    vy = grid.spec_to_phys(D @ v)
+    ke = 0.5 * grid.integrate(u_vals**2 + v_vals**2)
     dissipation = (1.0 / Re) * grid.integrate(ux**2 + uy**2 + vx**2 + vy**2)
 
     g_top, g_bot = state.g
@@ -114,7 +115,6 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     om_bot = g_bot + params.beta * u_tau_bot
     f_tang = (1.0 / (Re * two_lx)) * (np.sum(om_top) - np.sum(om_bot)) * dx
 
-    om_vals = total_vorticity(state)
     omega_inf = float(np.max(np.abs(om_vals)))
     omega_wall_inf = float(max(np.max(np.abs(om_vals[0])), np.max(np.abs(om_vals[-1]))))
 

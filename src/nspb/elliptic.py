@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .grid import ChannelGrid, Field2D, cheb_diff_matrices
+from .grid import ChannelGrid, Field2D, cheb_diff_matrices, real_matmul
 
 
 class SolverError(RuntimeError):
@@ -119,7 +119,7 @@ def velocity_spectral(grid: ChannelGrid, omega_spec: np.ndarray) -> tuple[np.nda
     """(u, v) coefficient arrays induced by vorticity coefficients, all rfft modes."""
     psi = apply_modes(streamfunction_operator(grid), omega_spec)
     D, _ = cheb_diff_matrices(grid.ny)
-    return -(D @ psi), psi * (1j * grid.kx)
+    return -real_matmul(D, psi), psi * (1j * grid.kx)
 
 
 def biot_savart(omega: Field2D) -> tuple[Field2D, Field2D]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import PHYSICS_KEYS, read_checkpoint, write_atomic, write_checkpoint
-from .config import ConfigError, ExperimentPlan
+from .config import FORCED_PHASE_SPAN, ConfigError, ExperimentPlan
 from .diagnostics import (
     compute_record,
     energy_audit,
@@ -56,7 +56,6 @@ FP_L1_TOL = 1e-3
 
 # canned experiment shapes
 PERTURBATION_AMPLITUDE = 0.05
-FORCED_PHASE_SPAN = 0.5
 FORCED_BULK_REF = 1.0  # Re*F held at this value across forced sweeps
 INVISCID_SAMPLE_SPACING = 0.05
 

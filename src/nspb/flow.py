@@ -30,7 +30,14 @@ from .elliptic import (
     tau_matrices,
     velocity_spectral,
 )
-from .grid import ChannelGrid, Field2D, cheb_diff_matrices, cheb_forward, cheb_inverse
+from .grid import (
+    ChannelGrid,
+    Field2D,
+    cheb_diff_matrices,
+    cheb_forward,
+    cheb_inverse,
+    real_matmul,
+)
 from .params import SimParams
 from .wallbc import exp_weights, step_boundary_ode
 
@@ -89,8 +96,10 @@ class SolverConfig:
 class FlowState:
     """Solver state: fluctuation vorticity, mean profile, wall stresses.
 
-    ``g`` is the (2, nx) wall stress, row 0 the top wall and row 1 the
-    bottom, in the order of the physical grid rows.
+    ``omega`` holds exactly 0 in its k = 0 column (the x-mean lives in
+    ``mean_u``) and in its modes above ``grid.dealias_kx``; the solver
+    reads only modes 1..J.  ``g`` is the (2, nx) wall stress, row 0 the
+    top wall and row 1 the bottom, in the order of the physical grid rows.
     """
 
     omega: Field2D
@@ -107,11 +116,6 @@ def mean_vorticity(mean_u: np.ndarray) -> np.ndarray:
     """Vorticity -dU0/dy of the mean profile at the Gauss-Lobatto nodes."""
     D, _ = cheb_diff_matrices(len(mean_u))
     return cheb_inverse(-(D @ cheb_forward(mean_u)))
-
-
-def total_vorticity(state: FlowState) -> np.ndarray:
-    """Total vorticity of a state at the grid nodes: fluctuation plus mean."""
-    return state.omega.values + mean_vorticity(state.mean_u)[:, None]
 
 
 def total_velocity_spectral(
@@ -208,8 +212,15 @@ class ChannelFlowSolver:
         self._slip_coef = params.alpha * Re / params.tau
         self.c2 = params.beta - self._slip_coef * self._w1
 
+        # (J, ny, ny): vorticity modes 1..J to streamfunction coefficients
+        self._psi_ops = streamfunction_operator(grid)[self._modes]
         # (J, 2, ny): u at the (top, bottom) wall induced by each vorticity mode
-        self._traces = -(_wall_rows(ny) @ self._D) @ streamfunction_operator(grid)[self._modes]
+        self._traces = -(_wall_rows(ny) @ self._D) @ self._psi_ops
+        # (2 ny, ny): Chebyshev coefficients to node values, then to d/dy node values
+        c_inv = cheb_inverse(np.eye(ny))
+        self._synth = np.vstack([c_inv, c_inv @ self._D])
+        # node values to the Chebyshev coefficients a dealiased product keeps
+        self._fwd = cheb_forward(np.eye(ny))[: grid.dealias_cheb + 1]
 
         if config.mode == "navier_stokes":
             self._stage_p = self._stage_operators(Re / dt)
@@ -256,29 +267,46 @@ class ChannelFlowSolver:
         Returns (N_spec, R_coeffs, aux) with N = -(u.grad omega) restricted
         to k != 0, R(y) the x-mean of v*omega (the mean-momentum source),
         and aux carrying physical velocities and the (2, nx) wall slip.
+
+        Only modes 1..J of omega_spec are read: like every ``FlowState``
+        vorticity, its k = 0 column and its modes above ``dealias_kx`` must
+        be exactly 0.  One real matmul takes [mean | psi | mean vorticity |
+        omega] coefficients to node values and d/dy node values; the five
+        fields u, v, omega, omega_x, omega_y then share one irfft, and the
+        two products one rfft and one matmul onto the dealiased rows.
         """
-        grid = self.grid
-        u_spec, v_spec = total_velocity_spectral(grid, omega_spec, mean_coeffs)
-        om_y_spec = self._D @ omega_spec
-        om_y_spec[:, 0] = -(self._D2 @ mean_coeffs)
+        grid, ny, J = self.grid, self.grid.ny, self.jmax
+        modes = self._modes
+        ikx = 1j * grid.kx[modes]
+        cols = np.empty((ny, 2 * (J + 1)), dtype=complex)
+        cols[:, 0] = mean_coeffs
+        cols[:, modes] = apply_modes(self._psi_ops, omega_spec[:, modes])
+        cols[:, J + 1] = -(self._D @ mean_coeffs)
+        cols[:, J + 2 :] = omega_spec[:, modes]
+        vals = real_matmul(self._synth, cols)
+        f, df = vals[:ny], vals[ny:]
 
-        u_tot = grid.spec_to_phys(u_spec)
-        v_phys = grid.spec_to_phys(v_spec)
-        om_phys = grid.spec_to_phys(omega_spec)
-        om_x = grid.spec_to_phys(omega_spec * (1j * grid.kx))
-        om_y = grid.spec_to_phys(om_y_spec)
+        spec = np.zeros((5, ny, grid.nkx), dtype=complex)
+        spec[0, :, 0] = f[:, 0]  # the mean profile
+        spec[0, :, modes] = -df[:, modes]  # u = -psi_y
+        spec[1, :, modes] = f[:, modes] * ikx  # v = ik psi
+        spec[2, :, modes] = f[:, J + 2 :]  # omega
+        spec[3, :, modes] = spec[2, :, modes] * ikx  # omega_x
+        spec[4, :, : J + 1] = df[:, J + 1 :]  # omega_y, the mean's -U0'' at k = 0
+        u, v, om, om_x, om_y = np.fft.irfft(spec, n=grid.nx, axis=-1, norm="forward")
 
-        adv = grid.phys_to_spec(u_tot * om_x + v_phys * om_y)
-        adv[:, self.jmax + 1 :] = 0.0
-        adv[grid.dealias_cheb + 1 :, :] = 0.0
-        N = -adv
-        N[:, 0] = 0.0
+        prod = np.empty((2, ny, grid.nx))
+        np.multiply(u, om_x, out=prod[0])
+        prod[0] += v * om_y
+        np.multiply(v, om, out=prod[1])
+        prod_hat = np.fft.rfft(prod, axis=-1, norm="forward")[..., : J + 1]
+        adv, exchange = real_matmul(self._fwd, prod_hat)
 
-        prod = grid.phys_to_spec(v_phys * om_phys)
-        R = prod[:, 0].real.copy()
-        R[grid.dealias_cheb + 1 :] = 0.0
-
-        return N, R, {"u_tot": u_tot, "v": v_phys, "slip": wall_slip(u_tot[[0, -1]])}
+        N = np.zeros((ny, grid.nkx), dtype=complex)
+        N[: len(self._fwd), modes] = -adv[:, 1:]
+        R = np.zeros(ny)
+        R[: len(self._fwd)] = exchange[:, 0].real
+        return N, R, {"u_tot": u, "v": v, "slip": wall_slip(u[[0, -1]])}
 
     def _check_cfl(self, aux, state: FlowState):
         speed = max(float(np.max(np.abs(aux["u_tot"]))), float(np.max(np.abs(aux["v"]))))
@@ -364,7 +392,7 @@ class ChannelFlowSolver:
         ksq = grid.kx**2
         om_new, mean_new = self._implicit_stage(
             self._stage_c,
-            lam_c * om - ksq * om + self._D2 @ om + Re * (N_n + N_s),
+            lam_c * om - ksq * om + real_matmul(self._D2, om) + Re * (N_n + N_s),
             lam_c * mean_coeffs + self._D2 @ mean_coeffs + Re * (R_n + R_s + 2.0 * force),
             qhat,
         )

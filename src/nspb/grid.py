@@ -84,6 +84,16 @@ def cheb_diff_matrices(ny: int) -> tuple[np.ndarray, np.ndarray]:
     return D, D2
 
 
+def real_matmul(M: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """M @ a for a real matrix M and complex a (..., ny, n), as one real matmul.
+
+    The real and imaginary parts of each row of a ride side by side in its
+    float64 view, so numpy never casts M to complex.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return (M @ a.view(np.float64)).view(np.complex128)
+
+
 @dataclass(frozen=True)
 class ChannelGrid:
     """Tensor grid for the channel [0, lx) x [-1, 1]."""
@@ -161,8 +171,12 @@ class ChannelGrid:
         return cheb_forward(f)
 
     def spec_to_phys(self, coeffs: np.ndarray) -> np.ndarray:
-        f = cheb_inverse(coeffs)
-        return np.fft.irfft(f * self.nx, n=self.nx, axis=1)
+        """(..., ny, nkx) coefficients to (..., ny, nx) values.
+
+        Leading axes stack independent fields, synthesized in one call.
+        """
+        f = np.moveaxis(cheb_inverse(np.moveaxis(coeffs, -2, 0)), 0, -2)
+        return np.fft.irfft(f * self.nx, n=self.nx, axis=-1)
 
     def integrate(self, values: np.ndarray) -> float:
         """Integral over the channel by Clenshaw-Curtis x trapezoid."""
@@ -216,7 +230,8 @@ class Field2D:
         return Field2D(self.grid, spectral=self.spectral * (1j * self.grid.kx))
 
     def ddy(self) -> "Field2D":
-        return Field2D(self.grid, spectral=cheb_diff_matrices(self.grid.ny)[0] @ self.spectral)
+        D, _ = cheb_diff_matrices(self.grid.ny)
+        return Field2D(self.grid, spectral=real_matmul(D, self.spectral))
 
     def dealias(self) -> "Field2D":
         """Apply the 2/3 truncation in x."""

@@ -33,6 +33,13 @@ def test_traced_target_resolves(module, cls, attr):
         assert callable(getattr(mod, attr, None))
 
 
+def test_next_traced_layer_resolves():
+    # the next benchmark change traces the nonlinear terms as their own layer
+    from nspb.flow import ChannelFlowSolver
+
+    assert callable(ChannelFlowSolver.__dict__.get("_nonlinear"))
+
+
 def test_workloads_import():
     importlib.import_module("workloads")
 

@@ -90,6 +90,10 @@ def test_kind_defaults_and_overrides():
         ("dt = 1e-3\nt_end = 0.0015\n", r"t_end = 0.0015 is not a whole number"),
         ("kind = sweep_alpha\nt_end = 0.50025\n", r"not a whole number of steps"),
         ("kind = inviscid_limit\ndt = 0.3\n", r"dt = 0.3"),
+        (
+            "kind = sweep_re\nnx = 16\nny = 17\ndt = 3e-4\nt_end = 0.0006\n",
+            r"forced phase span = 0.5 is not a whole number of steps of dt = 0.0003",
+        ),
         ("dt = -1\n", r"dt must be positive"),
         ("cfl_max = 1.5\n", r"cfl_max"),
         ("mode = magic\n", r"mode"),

@@ -25,9 +25,16 @@ from nspb.flow import (
     mean_vorticity,
     slip_poiseuille_profile,
     steady_channel_state,
-    total_vorticity,
+    total_velocity_spectral,
+    wall_slip,
 )
-from nspb.grid import ChannelGrid, Field2D, cheb_derivative_coeffs
+from nspb.grid import (
+    ChannelGrid,
+    Field2D,
+    cheb_derivative_coeffs,
+    cheb_diff_matrices,
+    cheb_forward,
+)
 from nspb.params import SimParams
 from nspb.wallbc import exp_weights
 
@@ -48,6 +55,11 @@ def perturbed_shear(grid):
     u = np.sin(np.pi * Y / 2.0) + 0.05 * (1.0 - Y**2) ** 2 * np.cos(X)
     v = 0.05 * (1.0 - Y**2) ** 2 * np.sin(2.0 * X)
     return u, v
+
+
+def total_vorticity(state):
+    """Total vorticity of a state at the grid nodes: fluctuation plus mean."""
+    return state.omega.values + mean_vorticity(state.mean_u)[:, None]
 
 
 def test_solver_config_validation():
@@ -288,6 +300,21 @@ def test_checkpoint_restart_matches_uninterrupted(grid, params, tmp_path):
     assert np.max(np.abs(s40.g[1] - s40b.g[1])) < 1e-12
 
 
+def test_read_checkpoint_restores_the_state_invariant(params, tmp_path):
+    # the physical-values round trip leaves roundoff in the k = 0 column and
+    # above the 2/3 cut; the solver reads neither, so both must be exact 0
+    grid = ChannelGrid(nx=64, ny=65)
+    u, v = perturbed_shear(grid)
+    cfg = SolverConfig(dt=2e-4, t_end=4e-4)
+    st = ChannelFlowSolver(grid, params, cfg).run(initial_state(grid, params, u=u, v=v))
+    write_checkpoint(tmp_path / "s.ckpt", st, params, cfg)
+    spec = read_checkpoint(tmp_path / "s.ckpt").state.omega.spectral
+    assert np.all(spec[:, 0] == 0.0)
+    assert np.all(spec[:, grid.dealias_kx + 1 :] == 0.0)
+    kept = slice(1, grid.dealias_kx + 1)
+    assert _rel(spec[:, kept], st.omega.spectral[:, kept]) <= 1e-13
+
+
 def test_version_1_checkpoint_loads_like_its_version_2_twin(grid, params, tmp_path):
     u, v = perturbed_shear(grid)
     cfg = SolverConfig(dt=1e-3, t_end=0.01)
@@ -471,6 +498,44 @@ def test_batched_operators_match_per_mode_reference(grid, params, dt, seed):
         out, mean = sol._implicit_stage(stage, rhs.copy(), mean_rhs.copy(), qhat)
         assert _rel(out, out_ref) <= 1e-12
         assert _rel(mean, mean_ref) <= 1e-12
+
+
+def reference_nonlinear(grid, omega_spec, mean_coeffs):
+    """_nonlinear's earlier arithmetic: five single-field spec_to_phys and
+    two full phys_to_spec calls, truncated to the dealiased rows and modes."""
+    D, D2 = cheb_diff_matrices(grid.ny)
+    u_spec, v_spec = total_velocity_spectral(grid, omega_spec, mean_coeffs)
+    om_y_spec = D @ omega_spec
+    om_y_spec[:, 0] = -(D2 @ mean_coeffs)
+
+    u_tot = grid.spec_to_phys(u_spec)
+    v_phys = grid.spec_to_phys(v_spec)
+    om_phys = grid.spec_to_phys(omega_spec)
+    om_x = grid.spec_to_phys(omega_spec * (1j * grid.kx))
+    om_y = grid.spec_to_phys(om_y_spec)
+
+    N = -grid.phys_to_spec(u_tot * om_x + v_phys * om_y)
+    N[:, grid.dealias_kx + 1 :] = 0.0
+    N[grid.dealias_cheb + 1 :, :] = 0.0
+    N[:, 0] = 0.0
+    R = grid.phys_to_spec(v_phys * om_phys)[:, 0].real.copy()
+    R[grid.dealias_cheb + 1 :] = 0.0
+    return N, R, {"u_tot": u_tot, "v": v_phys, "slip": wall_slip(u_tot[[0, -1]])}
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=grids, params=sim_params, seed=seeds)
+def test_nonlinear_matches_reference(grid, params, seed):
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0))
+    state = random_solver_state(grid, np.random.default_rng(seed))
+    omega = state.omega.spectral
+    mean_coeffs = cheb_forward(state.mean_u)
+    N, R, aux = sol._nonlinear(omega.copy(), mean_coeffs.copy())
+    N_ref, R_ref, aux_ref = reference_nonlinear(grid, omega, mean_coeffs)
+    assert _rel(N, N_ref) <= 1e-12
+    assert _rel(R, R_ref) <= 1e-12
+    for key in ("u_tot", "v", "slip"):
+        assert _rel(aux[key], aux_ref[key]) <= 1e-12, key
 
 
 @pytest.mark.parametrize(

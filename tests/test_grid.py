@@ -9,6 +9,8 @@ from nspb.grid import (
     ChannelGrid,
     Field2D,
     GridError,
+    cheb_diff_matrices,
+    real_matmul,
     resample_field,
 )
 
@@ -76,6 +78,29 @@ def test_round_trip(grid):
     f = Field2D(grid, values=vals).dealias()
     back = Field2D(grid, spectral=f.spectral.copy()).values
     assert np.max(np.abs(back - f.values)) < 1e-12
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 9), (24, 17), (64, 65)])
+def test_stacked_spec_to_phys_matches_per_field(nx, ny):
+    grid = ChannelGrid(nx=nx, ny=ny)
+    rng = np.random.default_rng(nx)
+    shape = (3, 2, grid.ny, grid.nkx)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = grid.spec_to_phys(stack)
+    assert out.shape == (3, 2, grid.ny, grid.nx)
+    for idx in np.ndindex(3, 2):
+        single = grid.spec_to_phys(stack[idx].copy())
+        assert np.max(np.abs(out[idx] - single)) <= 1e-15 * np.max(np.abs(single))
+
+
+def test_real_matmul_matches_complex_matmul():
+    D, _ = cheb_diff_matrices(17)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((2, 17, 9)) + 1j * rng.standard_normal((2, 17, 9))
+    want = D @ a
+    for got, ref in ((real_matmul(D, a), want), (real_matmul(D, a[1, :, 2:7]), want[1, :, 2:7])):
+        assert got.dtype == np.complex128 and got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_ddy_cubic(grid):
