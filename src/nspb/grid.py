@@ -84,6 +84,21 @@ def cheb_diff_matrices(ny: int) -> tuple[np.ndarray, np.ndarray]:
     return D, D2
 
 
+@lru_cache(maxsize=None)
+def cheb_synthesis_matrix(ny: int) -> np.ndarray:
+    """Read-only (2 ny, ny) [C^-1; C^-1 D] on ny Chebyshev coefficients.
+
+    One matmul takes coefficient columns to their Gauss-Lobatto node values
+    (rows :ny) and to the node values of their d/dy (rows ny:); it does not
+    depend on the Fourier mode, so any set of columns can share it.
+    """
+    D, _ = cheb_diff_matrices(ny)
+    c_inv = cheb_inverse(np.eye(ny))
+    S = np.vstack([c_inv, c_inv @ D])
+    S.flags.writeable = False
+    return S
+
+
 def real_matmul(M: np.ndarray, a: np.ndarray) -> np.ndarray:
     """M @ a for a real matrix M and complex a (..., ny, n), as one real matmul.
 

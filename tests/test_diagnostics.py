@@ -18,8 +18,10 @@ from nspb.diagnostics import (
     total_energy,
     write_records,
 )
+import nspb.elliptic
+import nspb.flow
 from nspb.elliptic import biot_savart
-from nspb.flow import initial_state
+from nspb.flow import FlowState, initial_state
 from nspb.grid import ChannelGrid, Field2D, cheb_derivative_coeffs, cheb_forward, cheb_inverse
 from nspb.params import SimParams
 from test_flow import grids, random_solver_state, seeds, sim_params
@@ -251,3 +253,86 @@ def test_compute_record_matches_reference(grid, params, seed, mean_force):
             continue
         got, want = getattr(rec, col), getattr(ref, col)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), col
+
+
+# ---- closed-form record ----
+
+
+@pytest.mark.parametrize("nx, ny, lx, m", [(16, 17, 2 * np.pi, 2), (24, 33, 3.0, 3)])
+def test_compute_record_matches_closed_form(nx, ny, lx, m):
+    """psi = (1-y^2)^2 cos(k x) over the slip-Poiseuille mean A(1-y^2) + s.
+
+    Every column checked is an exact polynomial integral, so this pins the
+    x-weights (lx at k = 0, lx/2 for cos^2 and sin^2) and the k^2 of the
+    x-derivatives independently of any transform the record uses.
+    """
+    P = np.polynomial.Polynomial
+    grid = ChannelGrid(nx=nx, ny=ny, lx=lx)
+    params = SimParams(Re=7.0, Wi=1.0, tau=1.0, alpha=1.0)
+    k = 2.0 * np.pi * m / lx
+    A, s = 0.8, 0.3
+    psi_y = P([1.0, 0.0, -1.0]) ** 2  # psi's y-profile, zero on both walls
+    U = P([A + s, 0.0, -A])
+
+    # omega = Laplacian(psi): (psi_y'' - k^2 psi_y) cos(k x), coefficient 1/2 at mode m
+    omega = np.zeros((grid.ny, grid.nkx), dtype=complex)
+    om_y = np.polynomial.chebyshev.poly2cheb((psi_y.deriv(2) - k**2 * psi_y).coef)
+    omega[: len(om_y), m] = 0.5 * om_y
+    state = FlowState(
+        omega=Field2D(grid, spectral=omega), mean_u=U(grid.y), g=np.zeros((2, grid.nx))
+    )
+    rec = compute_record(state, params, mean_force=0.0)
+
+    def integral(p):
+        q = p.integ()
+        return q(1.0) - q(-1.0)
+
+    # u = U + u1 cos, u_y = U' + u1' cos, u_x = -k u1 sin; v = -k psi_y sin
+    u1 = -psi_y.deriv()
+    half = 0.5 * lx
+    ke = 0.5 * (lx * integral(U**2) + half * integral(u1**2) + half * k**2 * integral(psi_y**2))
+    grad_sq = (
+        lx * integral(U.deriv() ** 2)
+        + half * integral(u1.deriv() ** 2)  # u_y
+        + half * k**2 * integral(u1**2)  # u_x
+        + half * k**4 * integral(psi_y**2)  # v_x
+        + half * k**2 * integral(psi_y.deriv() ** 2)  # v_y
+    )
+    want = {
+        "kinetic_energy": ke,
+        "dissipation_rate": grad_sq / params.Re,
+        "momentum_x": lx * integral(U),
+        "friction_trace": -(U.deriv()(1.0) - U.deriv()(-1.0)) / (2.0 * params.Re),
+        "wall_u_top_mean": U(1.0),
+        "wall_u_bottom_mean": U(-1.0),
+    }
+    for col, value in want.items():
+        assert abs(getattr(rec, col) - value) <= 1e-13 * max(1.0, abs(value)), col
+
+
+# ---- what compute_record reads ----
+
+
+def test_compute_record_reads_only_modes_up_to_the_cut(monkeypatch):
+    grid = ChannelGrid(nx=32, ny=33, lx=2 * np.pi)
+    params = SimParams(Re=50.0, Wi=0.5, tau=2.0, alpha=3.0)
+    state = random_solver_state(grid, np.random.default_rng(3))
+    rec = compute_record(state, params, 0.2)
+
+    # no physical field synthesis and no all-mode velocity reconstruction
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute_record must not call this")
+
+    monkeypatch.setattr(ChannelGrid, "spec_to_phys", refuse)
+    for mod in (nspb.elliptic, nspb.flow):
+        monkeypatch.setattr(mod, "velocity_spectral", refuse)
+    assert compute_record(state, params, 0.2).row() == rec.row()
+    monkeypatch.undo()
+
+    # junk in the modes a FlowState keeps at zero leaves the record bitwise equal
+    junk = state.omega.spectral.copy()
+    junk[:, grid.dealias_kx + 1 :] = np.random.default_rng(4).standard_normal(
+        (grid.ny, grid.nkx - grid.dealias_kx - 1)
+    )
+    junk_state = state.with_(omega=Field2D(grid, spectral=junk))
+    assert compute_record(junk_state, params, 0.2).row() == rec.row()

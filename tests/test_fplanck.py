@@ -195,3 +195,19 @@ def test_fp_moments_of_gibbs_match_kramers_anchor(fpgrid, pot, phys):
     mom = fp_moments(fpgrid, gibbs_density(fpgrid, pot), pot, phys)
     assert mom.sigma_nn == pytest.approx(phys.kB_T * phys.N_P / phys.rho, rel=0.01)
     assert abs(mom.sigma_tn) < 1e-12
+
+
+def test_callable_slip_checked_at_every_step_time(fpgrid, pot, phys):
+    """A slip whose zeros fall on the 64 sampling points would pass the
+    sampled bound; the step times see its peaks and the solve must refuse
+    instead of returning a blown-up density."""
+    t_end = 1.0
+    with pytest.raises(FPError, match=r"t=.*slip"):
+        fokker_planck_solve(
+            fpgrid,
+            pot,
+            phys,
+            t_end=t_end,
+            u_slip=lambda t: 40.0 * math.sin(2.0 * math.pi * t / (t_end / 63)),
+            f0=gibbs_density(fpgrid, pot),
+        )

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nspb.flow import ChannelFlowSolver, SolverConfig
 from nspb.grid import (
     ChannelGrid,
     Field2D,
     GridError,
     cheb_diff_matrices,
+    cheb_inverse,
+    cheb_synthesis_matrix,
     real_matmul,
     resample_field,
 )
+from nspb.params import SimParams
 
 
 @pytest.fixture()
@@ -101,6 +105,20 @@ def test_real_matmul_matches_complex_matmul():
     for got, ref in ((real_matmul(D, a), want), (real_matmul(D, a[1, :, 2:7]), want[1, :, 2:7])):
         assert got.dtype == np.complex128 and got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_synthesis_matrix_gives_node_values_and_their_derivative():
+    ny = 17
+    S = cheb_synthesis_matrix(ny)
+    D, _ = cheb_diff_matrices(ny)
+    a = np.random.default_rng(5).standard_normal((ny, 4))
+    assert S.shape == (2 * ny, ny) and not S.flags.writeable
+    assert np.max(np.abs(S[:ny] @ a - cheb_inverse(a))) <= 1e-13
+    assert np.max(np.abs(S[ny:] @ a - cheb_inverse(D @ a))) <= 1e-12
+    # one shared matrix per ny: the solver's nonlinear terms use this object
+    config = SolverConfig(dt=1e-3, t_end=1.0)
+    sol = ChannelFlowSolver(ChannelGrid(nx=16, ny=ny), SimParams(Re=10.0), config)
+    assert sol._synth is S
 
 
 def test_ddy_cubic(grid):
