@@ -38,8 +38,10 @@ from .micro import (
     closure_ode_step,
     ensemble_to_csv,
     equilibrium_ensemble,
+    hookean_exact_step,
     kramers_stress,
-    sde_step,
+    memory_closure_equilibrium,
+    memory_closure_step,
 )
 from .params import PhysicalParams, SimParams
 
@@ -59,13 +61,15 @@ PERTURBATION_AMPLITUDE = 0.05
 FORCED_BULK_REF = 1.0  # Re*F held at this value across forced sweeps
 INVISCID_SAMPLE_SPACING = 0.05
 
-# micro verification scale (ensemble size and step pinned by the advertised
-# tolerances: 3 standard errors plus a first-order-in-dt bias allowance)
+# micro verification scale (ensemble size pinned by the advertised tolerance:
+# 3 standard errors plus an absolute bias allowance).  The exact-in-law step's
+# mean sigma_tn is within 1e-6 of the exact memory closure at MC_DT, far below
+# a third of the allowance; MC_DT must divide the horizon and the spacing.
 MC_MEMBERS = 100_000
-MC_DT = 1e-3
+MC_DT = 5e-3
 MC_T_END = 5.0
 MC_COMPARE_SPACING = 0.5
-MC_BIAS_COEFF = 5.0
+MC_BIAS_ALLOWANCE = 5e-3
 MC_SLIP_AMPLITUDE = 1.0
 MC_SIN_PERIOD = 2.5
 TN_DEFECT_BAND = (1.35, 1.65)
@@ -510,35 +514,54 @@ def _mc_slip(name: str):
     return lambda t: MC_SLIP_AMPLITUDE * np.sin(2.0 * np.pi * t / MC_SIN_PERIOD)
 
 
+def _micro_schedule() -> tuple[int, int]:
+    """Steps to MC_T_END and steps between comparisons, each a whole number >= 1."""
+    n_steps = round(MC_T_END / MC_DT)
+    every = round(MC_COMPARE_SPACING / MC_DT)
+    whole = all(
+        n >= 1 and abs(n * MC_DT - span) <= 1e-9 * max(1.0, span)
+        for n, span in ((n_steps, MC_T_END), (every, MC_COMPARE_SPACING))
+    )
+    if not whole:
+        raise ValueError(
+            f"micro horizon MC_T_END = {MC_T_END} and comparison spacing "
+            f"MC_COMPARE_SPACING = {MC_COMPARE_SPACING} must both be whole, nonzero "
+            f"multiples of the step MC_DT = {MC_DT}"
+        )
+    return n_steps, every
+
+
 def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> None:
     phys = _micro_phys(plan)
     pot = SpringPotential.hookean(H=phys.H, R=phys.R)
     lam = phys.relaxation_time
+    n_steps, every = _micro_schedule()
     summary.notes.append(
-        f"ensemble of {MC_MEMBERS} dumbbells, dt={MC_DT:g}, horizon {MC_T_END:g} "
-        f"({MC_T_END / lam:.2f} relaxation times)"
+        f"ensemble of {MC_MEMBERS} dumbbells, exact-in-law step dt={MC_DT:g}, horizon "
+        f"{MC_T_END:g} ({MC_T_END / lam:.2f} relaxation times)"
     )
-    n_steps = int(round(MC_T_END / MC_DT))
-    every = int(round(MC_COMPARE_SPACING / MC_DT))
     eq_sigma = phys.kB_T * phys.N_P / phys.rho
 
     for idx, scen in enumerate(("constant", "sinusoidal")):
         slip = _mc_slip(scen)
         ens = equilibrium_ensemble(MC_MEMBERS, pot, seed=plan.seed + idx)
         ode = closure_equilibrium(phys)
+        mem = memory_closure_equilibrium(phys)
         rows = []
-        worst_nn = worst_tn = 0.0
+        worst_nn = worst_tn = worst_mem = 0.0
         final_ratio = None
         for k in range(n_steps):
-            u = float(slip(k * MC_DT))  # held over the step for both systems
-            ens = sde_step(ens, MC_DT, pot, phys, u_slip=u)
+            u = float(slip(k * MC_DT))  # held over the step for every system
+            ens = hookean_exact_step(ens, MC_DT, pot, phys, u_slip=u)
             ode = closure_ode_step(ode, u, phys, MC_DT)
+            mem = memory_closure_step(mem, u, phys, MC_DT)
             if (k + 1) % every == 0:
                 mom = kramers_stress(ens, pot, phys)
-                tol_nn = 3.0 * mom.se_nn + MC_BIAS_COEFF * MC_DT
-                tol_tn = 3.0 * mom.se_tn + MC_BIAS_COEFF * MC_DT
+                tol_nn = 3.0 * mom.se_nn + MC_BIAS_ALLOWANCE
+                tol_tn = 3.0 * mom.se_tn + MC_BIAS_ALLOWANCE
                 worst_nn = max(worst_nn, abs(mom.sigma_nn - ode.sigma_nn) / tol_nn)
                 worst_tn = max(worst_tn, abs(mom.sigma_tn - ode.sigma_tn) / tol_tn)
+                worst_mem = max(worst_mem, abs(mom.sigma_tn - mem.sigma_tn) / tol_tn)
                 if abs(ode.sigma_tn) > 1e-12:
                     final_ratio = mom.sigma_tn / ode.sigma_tn
                 rows.append(
@@ -553,6 +576,7 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
                 "scenario": scen,
                 "worst_nn_over_tol": worst_nn,
                 "worst_tn_over_tol": worst_tn,
+                "worst_memory_tn_over_tol": worst_mem,
                 "final_tn_ratio": final_ratio,
             }
         )
@@ -571,6 +595,13 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
                 "the reflected half-space dynamics carries a wall flux the closed "
                 "system drops; see the tn_defect_band check"
             ),
+        )
+        summary.add_check(
+            f"memory_closure_tracks_sigma_tn_{scen}",
+            worst_mem <= 1.0,
+            worst_mem,
+            "shear stress within 3 SE + bias of the exact memory closure",
+            detail="the memory closure keeps the wall flux the closed system drops",
         )
         if scen == "constant":
             lo, hi = TN_DEFECT_BAND
@@ -611,8 +642,8 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     ens_a = equilibrium_ensemble(1000, pot, seed=plan.seed)
     ens_b = equilibrium_ensemble(1000, pot, seed=plan.seed)
     for _ in range(50):
-        ens_a = sde_step(ens_a, MC_DT, pot, phys, u_slip=1.0)
-        ens_b = sde_step(ens_b, MC_DT, pot, phys, u_slip=1.0)
+        ens_a = hookean_exact_step(ens_a, MC_DT, pot, phys, u_slip=1.0)
+        ens_b = hookean_exact_step(ens_b, MC_DT, pot, phys, u_slip=1.0)
     pa, pb = outdir / "ensemble_a.csv", outdir / "ensemble_b.csv"
     ensemble_to_csv(ens_a, pa)
     ensemble_to_csv(ens_b, pb)

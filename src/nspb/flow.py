@@ -364,7 +364,7 @@ class ChannelFlowSolver:
     def _step_ns(self, state: FlowState) -> FlowState:
         grid, params, cfg = self.grid, self.params, self.config
         dt, Re = cfg.dt, params.Re
-        mean_coeffs = cheb_forward(state.mean_u.copy())
+        mean_coeffs = cheb_forward(state.mean_u)
         om = state.omega.spectral
         force = np.zeros(grid.ny)
         force[0] = cfg.mean_force
@@ -413,7 +413,7 @@ class ChannelFlowSolver:
     def _step_euler(self, state: FlowState) -> FlowState:
         cfg = self.config
         dt = cfg.dt
-        mean_coeffs = cheb_forward(state.mean_u.copy())
+        mean_coeffs = cheb_forward(state.mean_u)
         om = state.omega.spectral
         force = np.zeros(self.grid.ny)
         force[0] = cfg.mean_force

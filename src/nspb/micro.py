@@ -12,9 +12,15 @@ Typical use::
 
     pot = SpringPotential.hookean(H=0.25)
     ens = equilibrium_ensemble(100_000, pot, seed=7)
-    for k in range(5000):
-        ens = sde_step(ens, 1e-3, pot, phys, u_slip=1.0)
-    mom = kramers_stress(ens, pot, phys)
+    mem = memory_closure_equilibrium(phys)
+    for k in range(1000):
+        ens = hookean_exact_step(ens, 5e-3, pot, phys, u_slip=1.0)
+        mem = memory_closure_step(mem, 1.0, phys, 5e-3)
+    mom = kramers_stress(ens, pot, phys)  # mom.sigma_tn tracks mem.sigma_tn
+
+The Hookean k=1 spring has the exact-in-law step ``hookean_exact_step``
+and the exact shear-stress memory ``memory_closure_step``; every other
+spring takes the Euler-Maruyama ``sde_step``.
 
 All randomness is counter-based (Philox keyed by seed, step and retry
 index), so trajectories are bitwise reproducible for a given seed.
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ParameterError, PhysicalParams
+from .wallbc import exp_weights
 
 
 class ClosureError(ValueError):
@@ -222,6 +229,58 @@ def sde_step(
     )
 
 
+def hookean_exact_step(
+    ens: PolymerEnsemble,
+    dt: float,
+    potential: SpringPotential,
+    phys: PhysicalParams,
+    u_slip: float = 0.0,
+) -> PolymerEnsemble:
+    """One exact-in-law step of the reflected Hookean k=1 dumbbell.
+
+    m_n is the modulus of an Ornstein-Uhlenbeck process that the slip does
+    not reach, so for any dt it has the exact transition (Gillespie, Phys.
+    Rev. E 54, 2084, 1996)
+
+        m_n' = |E m_n + s z_n|,  E = exp(-dt/(2 lambda)),  s^2 = 2 lambda D (1 - E^2)
+
+    with D = kB_T/zeta.  Given the path of m_n, m_t is Gaussian:
+
+        m_t' = E m_t + (u_slip/R)(w0 m_n + w1 m_n') + s z_t
+
+    where (E, w0, w1) are the exponential-trapezoid weights of
+    ``wallbc.exp_weights``.  The trapezoid is the only time-step bias, and
+    only sigma_tn sees it.  The normals come from the same Philox stream as
+    ``sde_step`` (seed, step_count, retry 0); the input is not modified.
+    Euler-Maruyama (``sde_step``) remains the step for every other spring.
+    """
+    if not potential.is_hookean_linear():
+        raise ClosureError(
+            f"the exact step requires the Hookean k=1 spring, got {potential.kind} "
+            f"k={potential.k_exponent}"
+        )
+    if potential.H == 0:
+        raise ValueError("the exact step needs a restoring spring, got H = 0")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    D = phys.kB_T / phys.zeta
+    two_lam = potential.R**2 / (2.0 * potential.H * D)  # 2 lambda, the OU time
+    E, w0, w1 = exp_weights(dt, two_lam)
+    s = math.sqrt(two_lam * D * (1.0 - E * E))
+    m = ens.members
+    new = _philox_normals(ens.seed, ens.step_count, 0, m.shape)
+    new *= s
+    new += E * m
+    np.abs(new[:, 1], out=new[:, 1])  # m_n' from the OU transition
+    shear = w0 * m[:, 1]
+    shear += w1 * new[:, 1]
+    shear *= u_slip / potential.R
+    new[:, 0] += shear
+    return PolymerEnsemble(
+        members=new, seed=ens.seed, step_count=ens.step_count + 1, t=ens.t + dt
+    )
+
+
 @dataclass(frozen=True)
 class StressMoments:
     """Polymer stress components in the wall frame.
@@ -293,6 +352,75 @@ def closure_ode_step(
     # exact integral of exp(-(dt-s)/lam) * (eq + delta exp(-s/lam))
     tn = E * moments.sigma_tn + (u_slip / R) * (eq * lam * (1.0 - E) + delta * dt * E)
     return StressMoments(sigma_tn=tn, sigma_nn=nn)
+
+
+def _memory_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights c_k and rates 2k+1 (in units of 1/(2 lambda)) of the shear kernel.
+
+    C(rho) = (2/pi)(sqrt(1 - rho^2) + rho arcsin rho) = (2/pi) sum_k c_k rho^2k
+    with c_0 = 1 and c_k = q_{k-1}/(2k(2k-1)), q_k = binom(2k, k)/4^k.  Modes
+    0..n-1 are kept; one lumped tail mode carries the remaining weight
+    pi/2 - sum c_k (so C(1) = 1 holds) at the rate that also keeps the steady
+    integral sum c_k/(2k+1) = 3 pi/8 exact.
+    """
+    k = np.arange(1, n)
+    q = np.cumprod(np.concatenate(([1.0], (2 * k - 1) / (2 * k))))  # q_0..q_{n-1}
+    c = np.concatenate(([1.0], q[:-1] / (2 * k * (2 * k - 1))))
+    rates = 2.0 * np.arange(n) + 1.0
+    tail_weight = math.pi / 2 - c.sum()
+    tail_integral = 3 * math.pi / 8 - np.sum(c / rates)
+    weights = np.append(c, tail_weight) * (2.0 / math.pi)
+    return weights, np.append(rates, tail_weight / tail_integral)
+
+
+_MEMORY_WEIGHTS, _MEMORY_RATES = _memory_modes(32)
+
+
+@dataclass(frozen=True)
+class MemoryClosureState:
+    """Slip history of the exact shear kernel, one discounted integral per mode.
+
+    ``history[k]`` is integral_0^t exp(-r_k s) u(t - s) ds for the k-th rate of
+    ``_memory_modes``; sigma_nn stays at its equilibrium value.
+    """
+
+    history: np.ndarray
+    sigma_tn: float
+    sigma_nn: float
+
+
+def memory_closure_equilibrium(phys: PhysicalParams) -> MemoryClosureState:
+    """The memory closure at rest: no slip history, equilibrium stresses."""
+    eq = closure_equilibrium(phys)
+    return MemoryClosureState(
+        history=np.zeros_like(_MEMORY_RATES), sigma_tn=eq.sigma_tn, sigma_nn=eq.sigma_nn
+    )
+
+
+def memory_closure_step(
+    state: MemoryClosureState, u_slip: float, phys: PhysicalParams, dt: float
+) -> MemoryClosureState:
+    """Advance the exact shear-stress memory of the reflected Hookean dumbbell.
+
+    Started from equilibrium, m_n is a stationary reflected OU process that
+    the slip does not reach and m_t is linear in the slip history, so
+
+        sigma_tn(t) = (sigma_eq/R) integral_0^t exp(-s/(2 lambda)) C(s) u(t - s) ds
+
+    with C = (2/pi)(sqrt(1 - rho^2) + rho arcsin rho), rho = exp(-s/(2 lambda)),
+    by the bivariate-normal identity for E|X||Y|.  The kernel is a positive sum
+    of Maxwell modes with rates (2k+1)/(2 lambda); each mode takes the exact
+    update for a slip held over the step, as ``closure_ode_step`` does.
+    """
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    lam = phys.relaxation_time
+    eq = phys.kB_T * phys.N_P / phys.rho
+    rates = _MEMORY_RATES / (2.0 * lam)
+    em = -np.expm1(-rates * dt)  # 1 - E per mode
+    history = (1.0 - em) * state.history + u_slip * em / rates
+    tn = (eq / phys.R) * float(_MEMORY_WEIGHTS @ history)
+    return MemoryClosureState(history=history, sigma_tn=tn, sigma_nn=state.sigma_nn)
 
 
 def ensemble_to_csv(ens: PolymerEnsemble, path) -> None:

@@ -139,6 +139,15 @@ def test_closure_matches_ensemble_shear_stress(micro):
         assert check.passed, f"{scen}: {check.value} x tolerance"
 
 
+def test_memory_closure_matches_ensemble_shear_stress(micro):
+    # the exact memory closure keeps the wall flux, so it meets the band the
+    # closed moment system misses
+    checks = checks_of(micro)
+    for scen in ("constant", "sinusoidal"):
+        check = checks[f"memory_closure_tracks_sigma_tn_{scen}"]
+        assert check.passed, f"{scen}: {check.value} x tolerance"
+
+
 def test_shear_stress_defect_is_the_omitted_wall_flux(micro):
     check = checks_of(micro)["tn_defect_band_constant"]
     assert check.passed, f"developed ensemble/closure ratio {check.value}"

@@ -40,6 +40,28 @@ def test_next_traced_layer_resolves():
     assert callable(ChannelFlowSolver.__dict__.get("_nonlinear"))
 
 
+def test_next_traced_micro_step_resolves():
+    # micro_verify steps its Hookean ensembles with the exact-in-law step, so
+    # the next benchmark change traces it in place of sde_step
+    from nspb import micro
+
+    assert callable(getattr(micro, "hookean_exact_step", None))
+
+
+def test_micro_workload_horizons_are_whole_steps(monkeypatch):
+    # the driver rejects a horizon or spacing off its step grid, so both
+    # benchmark scalings must sit on the grid of the shipped MC_DT
+    import workloads
+
+    experiments = importlib.import_module("nspb.experiments")
+    for scaled in (workloads.MICRO_FULL, workloads.MICRO_SMOKE):
+        with monkeypatch.context() as m:
+            for name, value in scaled.items():
+                m.setattr(experiments, name, value)
+            n_steps, every = experiments._micro_schedule()
+            assert 1 <= every <= n_steps
+
+
 def test_workloads_import():
     importlib.import_module("workloads")
 

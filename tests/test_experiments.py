@@ -234,6 +234,29 @@ def test_micro_verify_tiny(tmp_path, monkeypatch):
     assert not (tmp_path / "ensemble_b.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("MC_COMPARE_SPACING", 0.002),  # below MC_DT / 2: zero steps apart
+        ("MC_COMPARE_SPACING", 0.0075),  # 1.5 steps: compares at shifted times
+        ("MC_T_END", 0.9975),  # ends between two steps
+    ],
+)
+def test_micro_verify_rejects_horizons_off_the_step_grid(tmp_path, monkeypatch, name, value):
+    monkeypatch.setattr(experiments, "MC_DT", 5e-3)
+    monkeypatch.setattr(experiments, name, value)
+    plan = parse_config("kind = micro_verify\nstokes_einstein = false\n").with_output(tmp_path)
+    with pytest.raises(ValueError) as err:
+        execute(plan)
+    for shown in (
+        f"MC_T_END = {experiments.MC_T_END}",
+        f"MC_COMPARE_SPACING = {experiments.MC_COMPARE_SPACING}",
+        "MC_DT = 0.005",
+    ):
+        assert shown in str(err.value)
+    assert not (tmp_path / "micro_moments_constant.csv").exists()
+
+
 def test_restart_takes_grid_and_dt_from_checkpoint(tmp_path):
     base = (
         "re = 50\nwi = 1\ntau = 20\nalpha = 1\n"

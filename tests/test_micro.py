@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from nspb.micro import (
     ClosureError,
@@ -12,7 +13,10 @@ from nspb.micro import (
     closure_ode_step,
     ensemble_to_csv,
     equilibrium_ensemble,
+    hookean_exact_step,
     kramers_stress,
+    memory_closure_equilibrium,
+    memory_closure_step,
     sde_step,
 )
 from nspb.params import ParameterError, PhysicalParams
@@ -312,3 +316,125 @@ def test_ensemble_csv_round_trip(pot, tmp_path):
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], np.arange(50))
     assert np.array_equal(back[:, 1:], ens.members)
+
+
+def _point_mass(n, m_t, m_n, seed):
+    return PolymerEnsemble(members=np.tile([m_t, m_n], (n, 1)), seed=seed)
+
+
+def _within_4se(samples, target):
+    se = np.std(samples, ddof=1) / math.sqrt(samples.size)
+    assert abs(np.mean(samples) - target) <= 4 * se, (np.mean(samples), target, se)
+
+
+def test_exact_step_normal_is_the_folded_normal(pot, phys):
+    # lambda = 1 and D = 1: from m_n = 1, one step of h = 1 is the normal of
+    # mean E = exp(-1/2) and variance 2 (1 - E^2), folded at the wall
+    n, h = 100_000, 1.0
+    ens = hookean_exact_step(_point_mass(n, 0.0, 1.0, seed=41), h, pot, phys)
+    mu, s = math.exp(-0.5), math.sqrt(2.0 * (1.0 - math.exp(-1.0)))
+    folded_mean = s * math.sqrt(2 / math.pi) * math.exp(-mu**2 / (2 * s**2)) + mu * math.erf(
+        mu / (s * math.sqrt(2))
+    )
+    mn = ens.members[:, 1]
+    assert np.all(mn >= 0)
+    _within_4se(mn, folded_mean)
+    _within_4se(mn**2, mu**2 + s**2)
+    assert (ens.t, ens.step_count) == (h, 1)
+
+
+def test_exact_step_shear_drive_is_the_conditional_mean(pot, phys):
+    # far from the wall E[m_n(s)] = m_n exp(-s/2), so the exact mean drive is
+    # (u/R) m_n h exp(-h/2); the exponential trapezoid is within 3e-4 of it here
+    n, h, u, m_n = 100_000, 0.05, 10.0, 10.0
+    ens = hookean_exact_step(_point_mass(n, 0.0, m_n, seed=43), h, pot, phys, u_slip=u)
+    _within_4se(ens.members[:, 0], u * m_n * h * math.exp(-h / 2))
+    _within_4se(ens.members[:, 1], m_n * math.exp(-h / 2))
+
+
+def test_exact_step_is_exact_for_any_step_without_slip(pot, phys):
+    n = 100_000
+    one = hookean_exact_step(_point_mass(n, 2.0, 1.0, seed=45), 0.5, pot, phys)
+    many = _point_mass(n, 2.0, 1.0, seed=46)
+    for _ in range(100):
+        many = hookean_exact_step(many, 5e-3, pot, phys)
+    assert many.t == pytest.approx(0.5, rel=1e-12)
+    a, b = one.members[:, 0] ** 2, many.members[:, 0] ** 2
+    se = math.sqrt(np.var(a, ddof=1) / n + np.var(b, ddof=1) / n)
+    assert abs(np.mean(a) - np.mean(b)) <= 4 * se
+    # both agree with the OU second moment 4 E^2 + 2 (1 - E^2), E = exp(-1/4)
+    E2 = math.exp(-0.5)
+    _within_4se(b, 4.0 * E2 + 2.0 * (1.0 - E2))
+
+
+def test_exact_step_deterministic_and_leaves_input_untouched(pot, phys):
+    a = b = equilibrium_ensemble(500, pot, seed=21)
+    for _ in range(10):
+        before = a.members.copy()
+        new = hookean_exact_step(a, 5e-3, pot, phys, u_slip=0.37)
+        assert np.array_equal(a.members, before)
+        assert not np.shares_memory(new.members, a.members)
+        a = new
+        b = hookean_exact_step(b, 5e-3, pot, phys, u_slip=0.37)
+    assert np.array_equal(a.members, b.members)
+    assert (a.t, a.step_count) == (b.t, b.step_count)
+
+
+def test_exact_step_rejects_other_springs_and_bad_steps(pot, phys):
+    ens = equilibrium_ensemble(10, pot, seed=1)
+    for spring in (SpringPotential.fene(H=1.0), SpringPotential.hookean(H=0.25, k=2)):
+        with pytest.raises(ClosureError):
+            hookean_exact_step(ens, 5e-3, spring, phys)
+    with pytest.raises(ValueError, match="H = 0"):
+        hookean_exact_step(ens, 5e-3, SpringPotential.hookean(H=0.0), phys)
+    for dt in (0.0, -5e-3):
+        with pytest.raises(ValueError, match="dt"):
+            hookean_exact_step(ens, dt, pot, phys)
+
+
+def _kernel(s):
+    # the exact shear kernel exp(-s/2) C(s) at lambda = 1
+    rho = math.exp(-s / 2)
+    return rho * (2 / math.pi) * (math.sqrt(max(1.0 - rho * rho, 0.0)) + rho * math.asin(rho))
+
+
+@pytest.mark.parametrize("scenario", ["constant", "sinusoidal"])
+def test_memory_closure_matches_quadrature_of_the_kernel(scenario, phys):
+    dt, n = 0.05, 100  # t in [0, 5]; the slip is held over each step
+    if scenario == "constant":
+        slips = np.ones(n)
+    else:
+        slips = np.sin(2 * math.pi * dt * np.arange(n) / 2.5)
+    state = memory_closure_equilibrium(phys)
+    got, want = [], []
+    for k in range(n):
+        state = memory_closure_step(state, float(slips[k]), phys, dt)
+        # sigma_tn(t) = sum_j u_j integral over the lags of step j
+        t = (k + 1) * dt
+        want.append(
+            sum(
+                slips[j] * quad(_kernel, t - (j + 1) * dt, t - j * dt, epsabs=1e-14)[0]
+                for j in range(k + 1)
+            )
+        )
+        got.append(state.sigma_tn)
+    got, want = np.array(got), np.array(want)
+    assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
+    if scenario == "constant":
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-4
+    assert state.sigma_nn == closure_equilibrium(phys).sigma_nn
+
+
+def test_memory_closure_ratio_to_closed_system(phys):
+    from nspb.experiments import TN_DEFECT_BAND
+
+    mem, ode = memory_closure_equilibrium(phys), closure_equilibrium(phys)
+    ratio = {}
+    for k in range(400):
+        mem = memory_closure_step(mem, 1.0, phys, 0.1)
+        ode = closure_ode_step(ode, 1.0, phys, 0.1)
+        ratio[k + 1] = mem.sigma_tn / ode.sigma_tn
+    lo, hi = TN_DEFECT_BAND
+    assert lo <= ratio[50] <= hi  # t = 5, the shipped horizon
+    assert ratio[400] == pytest.approx(1.5, abs=1e-8)  # steady: (3 pi/8)(2/pi) * 2
+    assert ratio[100] < ratio[200] < ratio[400]
