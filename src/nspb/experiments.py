@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import PHYSICS_KEYS, read_checkpoint, write_atomic, write_checkpoint
-from .config import FORCED_PHASE_SPAN, ConfigError, ExperimentPlan
+from .config import FORCED_PHASE_SPAN, INVISCID_SAMPLE_SPACING, ConfigError, ExperimentPlan
 from .diagnostics import (
     compute_record,
     energy_audit,
@@ -59,7 +59,6 @@ FP_L1_TOL = 1e-3
 # canned experiment shapes
 PERTURBATION_AMPLITUDE = 0.05
 FORCED_BULK_REF = 1.0  # Re*F held at this value across forced sweeps
-INVISCID_SAMPLE_SPACING = 0.05
 
 # micro verification scale (ensemble size pinned by the advertised tolerance:
 # 3 standard errors plus an absolute bias allowance).  The exact-in-law step's
@@ -227,6 +226,16 @@ def _trajectory(solver, state, every, take, on_step=None):
     return final, samples
 
 
+def _cfl_peak(solver, run: str) -> dict:
+    """The largest directional CFL number the solver's guard saw, its t and run."""
+    value, t = solver.cfl_peak
+    return {"value": value, "t": t, "run": run}
+
+
+def _higher_cfl(*peaks: dict) -> dict:
+    return max(peaks, key=lambda p: p["value"])
+
+
 def _recorder(solver):
     """Sample a state as its diagnostics record under the solver's physics."""
     return lambda s: compute_record(s, solver.params, solver.config.mean_force)
@@ -365,6 +374,7 @@ def _advance_with_outputs(solver, state, outdir: Path, summary: RunSummary) -> N
             "kinetic_energy": last.kinetic_energy,
             "omega_inf_norm": last.omega_inf_norm,
             "momentum_x": last.momentum_x,
+            "cfl_peak": _cfl_peak(solver, cfg.mode),
         }
     )
 
@@ -412,6 +422,7 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
             abs(r.friction_trace - r.friction_tangential) for r in frecs
         )
         point["forcing_amplitude"] = F
+        point["cfl_peak"] = _higher_cfl(_cfl_peak(solver, "decay"), _cfl_peak(fsolver, "forced"))
 
     done = _sweep_points(summary, "re", plan.sweep_values, run_point)
     if len(done) >= 3:
@@ -475,6 +486,7 @@ def _drive_sweep_alpha(plan: ExperimentPlan, outdir: Path, summary: RunSummary) 
         summary.total_steps += final.step_index
         point["slip_sup"] = float(np.abs(solver.slip_traces(final)).max())
         point["slip_mean_top"] = recs[-1].wall_u_top_mean
+        point["cfl_peak"] = _cfl_peak(solver, "forced")
 
     done = _sweep_points(summary, "alpha", plan.sweep_values, run_point)
     slips = [p["slip_sup"] for p in done]
@@ -676,7 +688,9 @@ def _drive_energy_audit(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
         name = f"records_dt{_label(dt)}.csv"
         write_records(outdir / name, records)
         summary.outputs.append(name)
-        summary.points.append({"dt": dt, "final_step_residual": residuals[-1]})
+        summary.points.append(
+            {"dt": dt, "final_step_residual": residuals[-1], "cfl_peak": _cfl_peak(solver, "decay")}
+        )
 
     # monotone decay is judged on the finest run
     energies = [total_energy(r) for r in records]
@@ -713,25 +727,26 @@ def _drive_inviscid_limit(plan: ExperimentPlan, outdir: Path, summary: RunSummar
         f"by scaling tau proportionally to Re"
     )
     cfg = SolverConfig(dt=plan.solver.dt, t_end=plan.solver.t_end, cfl_max=plan.solver.cfl_max)
-    every = max(1, int(round(INVISCID_SAMPLE_SPACING / cfg.dt)))
+    every = round(INVISCID_SAMPLE_SPACING / cfg.dt)  # whole and >= 1: parse_config checks
 
     def states_of(params, mode):
         solver = ChannelFlowSolver(grid, params, replace(cfg, mode=mode))
         state = couette_perturbed_state(grid, params)
         final, states = _trajectory(solver, state, every, lambda s: s)
         summary.total_steps += final.step_index
-        return states
+        return states, _cfl_peak(solver, mode)
 
-    reference = states_of(base, "euler")
+    reference, reference_cfl = states_of(base, "euler")
     rows = []
 
     def run_point(Re, point):
         params = _point_params(base, Re)
         point["tau"] = params.tau
-        ns = states_of(params, "navier_stokes")
+        ns, cfl = states_of(params, "navier_stokes")
         errs = euler_error(ns, reference)
         rows.extend((Re, st.t, float(e)) for st, e in zip(ns, errs))
         point["sup_l2_error"] = float(np.max(errs))
+        point["cfl_peak"] = _higher_cfl(cfl, reference_cfl)
 
     done = _sweep_points(summary, "re", plan.sweep_values, run_point)
     _write_table(

@@ -48,7 +48,17 @@ _SLIP_SIGN = np.array([[-1.0], [1.0]])
 
 
 class CFLError(RuntimeError):
-    """Advective CFL number exceeded the configured bound."""
+    """The directional CFL number exceeded the configured bound."""
+
+    def __init__(self, cfl: float, cfl_max: float, t: float, node: tuple[int, int]):
+        super().__init__(
+            f"directional CFL number dt*max(|u|/dx + |v|/dy_local) = {cfl:.4g} "
+            f"> cfl_max = {cfl_max:g} at t={t:.6g}, peaked at node (row, column) = {node}"
+        )
+        self.cfl = cfl
+        self.cfl_max = cfl_max
+        self.t = t
+        self.node = node
 
 
 class SolverDivergedError(RuntimeError):
@@ -196,7 +206,11 @@ def steady_channel_state(grid: ChannelGrid, params: SimParams, F: float) -> Flow
 
 
 class ChannelFlowSolver:
-    """Time stepper for the channel with the dynamic wall law."""
+    """Time stepper for the channel with the dynamic wall law.
+
+    ``cfl_peak`` is the largest directional CFL number the solver has checked
+    and the t of the step start where it occurred; (0.0, None) before a step.
+    """
 
     def __init__(self, grid: ChannelGrid, params: SimParams, config: SolverConfig):
         self.grid = grid
@@ -220,6 +234,10 @@ class ChannelFlowSolver:
         self._synth = cheb_synthesis_matrix(ny)
         # node values to the Chebyshev coefficients a dealiased product keeps
         self._fwd = cheb_forward(np.eye(ny))[: grid.dealias_cheb + 1]
+        # dt over the node spacings of the directional CFL number
+        self._dt_dx = dt / grid.dx
+        self._dt_dy = (dt / grid.dy_local)[:, None]
+        self.cfl_peak = (0.0, None)
 
         if config.mode == "navier_stokes":
             self._stage_p = self._stage_operators(Re / dt)
@@ -308,16 +326,21 @@ class ChannelFlowSolver:
         return N, R, {"u_tot": u, "v": v, "slip": wall_slip(u[[0, -1]])}
 
     def _check_cfl(self, aux, state: FlowState):
-        speed = max(float(np.max(np.abs(aux["u_tot"]))), float(np.max(np.abs(aux["v"]))))
-        if not math.isfinite(speed):
+        """Directional CFL number of the step start, dt*max(|u|/dx + |v|/dy_local).
+
+        Raises SolverDivergedError on a non-finite velocity and CFLError above
+        cfl_max; keeps the largest number so far, with its t, in cfl_peak.
+        """
+        number = np.abs(aux["u_tot"]) * self._dt_dx
+        number += np.abs(aux["v"]) * self._dt_dy
+        cfl = float(number.max())
+        if not math.isfinite(cfl):
             raise SolverDivergedError(state.step_index, state.t, "velocity")
-        dx_min = min(self.grid.dx, self.grid.dy_min)
-        cfl = self.config.dt * speed / dx_min
+        if cfl > self.cfl_peak[0]:
+            self.cfl_peak = (cfl, state.t)
         if cfl > self.config.cfl_max:
-            raise CFLError(
-                f"CFL {cfl:.3f} > {self.config.cfl_max} at t={state.t:.6g} "
-                f"(max speed {speed:.4g}, min spacing {dx_min:.4g})"
-            )
+            node = tuple(int(i) for i in np.unravel_index(number.argmax(), number.shape))
+            raise CFLError(cfl, self.config.cfl_max, state.t, node)
 
     @staticmethod
     def _check_finite(state: FlowState) -> FlowState:

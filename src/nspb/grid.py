@@ -171,9 +171,10 @@ class ChannelGrid:
         return self.lx / self.nx
 
     @property
-    def dy_min(self) -> float:
-        """Smallest wall-normal spacing (at the walls)."""
-        return float(self._y[0] - self._y[1])
+    def dy_local(self) -> np.ndarray:
+        """Each node row's smaller wall-normal neighbour gap (its only one at a wall)."""
+        gaps = self._y[:-1] - self._y[1:]
+        return np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self._x, self._y)

@@ -1,21 +1,33 @@
 """End-to-end acceptance runs at the shipped experiment configurations.
 
 Each heavy configuration under configs/ is executed exactly once as a
-module fixture (the whole module takes a few minutes); the tests then
-assert the named verdicts at their advertised tolerances.  One test is
+module fixture (the whole module takes under a minute); the tests then
+assert the named verdicts at their advertised tolerances, and pin the
+sweep kinds' default steps by running them once more at half the step.
+One test is
 an expected failure: the closed moment system drops the wall flux of the
 reflected ensemble, so its shear stress sits well outside the advertised
 band.  The defect itself is pinned quantitatively by a passing test.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nspb import execute, load_config
+from nspb import execute, experiments, load_config
 from nspb.checkpoint import read_checkpoint
 from nspb.config import parse_config
+from nspb.experiments import (
+    DISSIPATION_R2_MIN,
+    DISSIPATION_SLOPE_WINDOW,
+    FRICTION_FORM_TOL,
+    INVISCID_SLOPE_WINDOW,
+    SLIP_TREND_TOL,
+    VORTICITY_SUP_RATIO_MAX,
+    perturbation_velocity,
+)
 from nspb.flow import ChannelFlowSolver, SolverConfig, initial_state
 from nspb.grid import ChannelGrid
 from nspb.params import SimParams
@@ -29,9 +41,11 @@ def checks_of(summary):
     return {c.name: c for c in summary.checks}
 
 
-def run_config(name, tmp_path_factory, slug):
-    plan = load_config(CONFIGS / name).with_output(tmp_path_factory.mktemp(slug))
-    return execute(plan)
+def run_config(name, tmp_path_factory, slug, dt_scale=1.0):
+    """A shipped config run as it stands, or with its dt scaled."""
+    plan = load_config(CONFIGS / name)
+    plan = replace(plan, solver=replace(plan.solver, dt=plan.solver.dt * dt_scale))
+    return execute(plan.with_output(tmp_path_factory.mktemp(slug)))
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +207,69 @@ def test_bitwise_determinism_and_restart(tmp_path, micro):
 
     # the stochastic side: same seed walks the same ensemble, bit for bit
     assert checks_of(micro)["micro_seed_bitwise"].passed
+
+
+# ---- the default steps of the sweep kinds ----
+
+# every verdict of the sweep kinds against its window (lo, hi)
+WINDOWS = {
+    "dissipation_re_slope": DISSIPATION_SLOPE_WINDOW,
+    "dissipation_re_fit_r2": (DISSIPATION_R2_MIN, np.inf),
+    "friction_re_slope": DISSIPATION_SLOPE_WINDOW,
+    "friction_forms_pointwise_agree": (-np.inf, FRICTION_FORM_TOL),
+    "vorticity_sup_re_uniform": (-np.inf, VORTICITY_SUP_RATIO_MAX),
+    "inviscid_error_slope": INVISCID_SLOPE_WINDOW,
+    "slip_strictly_decreasing_in_alpha": (1.0, np.inf),  # the smallest slip ratio
+    "slip_inverse_alpha_trend": (-np.inf, SLIP_TREND_TOL),
+}
+# Euler-mode blow-up boundary of the directional CFL number over 200 steps
+# (tests/test_flow.py::test_euler_mode_blow_up_boundary); no default step
+# may take a shipped sweep past half of it
+CFL_BOUNDARY = 0.5
+SELF_CONVERGENCE_BUDGET = 0.01
+
+
+def assert_self_converged(at_dt, at_half):
+    """Each verdict at dt and dt/2 within 1% of its margin to its window."""
+    coarse, fine = checks_of(at_dt), checks_of(at_half)
+    assert coarse and set(coarse) == set(fine)
+    for name, check in coarse.items():
+        lo, hi = WINDOWS[name]
+        margin = min(abs(check.value - lo), abs(hi - check.value))
+        gap = abs(check.value - fine[name].value)
+        assert fine[name].passed == check.passed, name
+        assert gap <= SELF_CONVERGENCE_BUDGET * margin, (
+            f"{name}: {check.value!r} at dt, {fine[name].value!r} at dt/2, margin {margin:.3g}"
+        )
+
+
+@pytest.mark.parametrize(
+    "fixture, name",
+    [("sweep_re", "sweep_re.cfg"), ("inviscid", "inviscid_limit.cfg"),
+     ("alpha_sweep", "sweep_alpha.cfg")],
+)
+def test_default_step_is_self_converged(request, tmp_path_factory, fixture, name):
+    at_dt = request.getfixturevalue(fixture)
+    assert at_dt.runtime_failures == 0
+    peak = max(p["cfl_peak"]["value"] for p in at_dt.points)
+    assert peak <= CFL_BOUNDARY / 2, f"peak directional CFL {peak}"
+    assert_self_converged(at_dt, run_config(name, tmp_path_factory, f"{fixture}half", 0.5))
+
+
+def test_sweep_alpha_step_is_self_converged_off_the_fixed_point(tmp_path_factory, monkeypatch):
+    # the shipped sweep starts on an exact fixed point of the solver, where
+    # any step reproduces the verdicts; the perturbed start makes the slip move
+    steady = experiments.steady_channel_state
+
+    def perturbed(grid, params, F):
+        up, vp = perturbation_velocity(grid)
+        u = steady(grid, params, F).mean_u[:, None] + up
+        return initial_state(grid, params, u=u, v=vp)
+
+    monkeypatch.setattr(experiments, "steady_channel_state", perturbed)
+    at_dt, at_half = (
+        run_config("sweep_alpha.cfg", tmp_path_factory, "alphapert", scale) for scale in (1.0, 0.5)
+    )
+    assert checks_of(at_dt)["slip_inverse_alpha_trend"].value > 1e-3  # off the fixed point
+    assert max(p["cfl_peak"]["value"] for p in at_dt.points) <= CFL_BOUNDARY / 2
+    assert_self_converged(at_dt, at_half)

@@ -60,7 +60,7 @@ def test_three_point_sweep_plan():
 def test_kind_defaults_and_overrides():
     plan = parse_config("kind = sweep_re\n")
     assert plan.solver.t_end == 2.0
-    assert plan.solver.dt == 5e-4
+    assert plan.solver.dt == 2e-2
     assert plan.sweep_values == (250.0, 500.0, 1000.0, 2000.0, 4000.0)
     plan = parse_config("kind = sweep_re\nt_end = 0.5\n")
     assert plan.solver.t_end == 0.5  # explicit keys beat kind defaults
@@ -102,6 +102,28 @@ def test_kind_defaults_and_overrides():
 def test_config_errors_carry_context(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "dt, error",
+    [
+        ("2e-2", "the inviscid sample spacing = 0.05 is not a whole number of steps of dt = 0.02"),
+        ("0.1", "the inviscid sample spacing = 0.05 is not a whole number of steps of dt = 0.1"),
+        ("1e-2", None),
+    ],
+)
+def test_inviscid_dt_must_divide_the_sample_spacing(tmp_path, dt, error):
+    # both failing steps divide t_end = 0.5, so only the sample spacing catches
+    # them: 2e-2 would sample every 0.04 and 0.1 every step, against 0.05
+    text = f"kind = inviscid_limit\nnx = 16\nny = 17\ndt = {dt}\n"
+    if error is None:
+        assert parse_config(text).solver.dt == float(dt)
+        return
+    with pytest.raises(ConfigError, match=error):
+        parse_config(text)
+    out = tmp_path / "o"
+    assert main(["inviscid-limit", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert not (out / "inviscid_errors.csv").exists()
 
 
 def test_t_end_whole_steps_allows_roundoff_and_spares_micro_verify():

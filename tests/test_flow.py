@@ -15,6 +15,7 @@ from nspb.diagnostics import (
     total_energy,
 )
 from nspb.elliptic import TauSolver, biot_savart
+from nspb.experiments import couette_perturbed_state
 from nspb.flow import (
     CFLError,
     ChannelFlowSolver,
@@ -262,6 +263,115 @@ def test_cfl_guard_raises(grid, params):
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=5e-2, t_end=0.5, cfl_max=0.1))
     with pytest.raises(CFLError, match="CFL"):
         sol.run(st)
+
+
+def _guard_number(sol, state, u, v):
+    """What the guard computes for physical velocities (u, v) at state."""
+    sol._check_cfl({"u_tot": u, "v": v}, state)
+    return sol.cfl_peak
+
+
+def test_cfl_number_is_directional(grid, params):
+    dt = 1e-2
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=1.0))
+    st = initial_state(grid, params).with_(t=0.25)
+    X, Y = np.meshgrid(grid.x, grid.y)
+    zero = np.zeros_like(X)
+    assert sol.cfl_peak == (0.0, None)
+
+    # u alone: the x spacing is uniform, so the number is dt*max|u|/dx
+    u = 3.0 * np.cos(X) * (1.0 + Y)
+    value, t = _guard_number(sol, st, u, zero)
+    assert value == pytest.approx(dt * np.max(np.abs(u)) / grid.dx, rel=1e-14)
+    assert t == 0.25
+
+    # v alone: each row is judged on its own smaller neighbour gap
+    y, dy_local = grid.y, grid.dy_local
+    wall_gap = y[0] - y[1]
+    assert dy_local[[0, 1, -2, -1]] == pytest.approx([wall_gap] * 4, rel=1e-12)
+    for j in range(1, grid.ny - 1):
+        assert dy_local[j] == min(y[j - 1] - y[j], y[j] - y[j + 1])
+    assert dy_local[grid.ny // 2] == pytest.approx(np.sin(np.pi / (grid.ny - 1)))
+    v = 4.0 * np.sin(X) * (1.0 - Y**2)  # peaks mid-channel, where dy is largest
+    sol2 = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=1.0))
+    value, _ = _guard_number(sol2, st, zero, v)
+    assert value == pytest.approx(dt * np.max(np.abs(v) / dy_local[:, None]), rel=1e-14)
+    assert value < dt * np.max(np.abs(v)) / wall_gap / 10.0
+
+    # the peak only moves up, and keeps the t it was seen at
+    _guard_number(sol2, st.with_(t=0.5), zero, 0.5 * v)
+    assert sol2.cfl_peak == (value, 0.25)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cfl_guard_non_finite_velocity_is_divergence(grid, params, bad):
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0))
+    st = initial_state(grid, params).with_(t=0.5, step_index=500)
+    v = np.zeros((grid.ny, grid.nx))
+    v[7, 3] = bad
+    with pytest.raises(SolverDivergedError, match=r"non-finite velocity at step 500 \(t=0.5\)"):
+        sol._check_cfl({"u_tot": np.zeros_like(v), "v": v}, st)
+
+
+def test_wall_parallel_shear_passes_the_directional_guard(grid, params):
+    # u = y is 1 in size at the walls, where the wall-normal gap is smallest:
+    # wall speed over that gap gives 4.2, far above cfl_max, but the flow
+    # there only crosses x cells, at dt/dx = 0.1
+    dt = 2e-2
+    assert dt / min(grid.dx, grid.y[0] - grid.y[1]) > 4.0
+    Y = np.meshgrid(grid.x, grid.y)[1]
+    st = initial_state(grid, params, u=Y)
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=0.1, cfl_max=0.5))
+    final = sol.run(st)
+    assert final.step_index == 5
+    value, t = sol.cfl_peak
+    assert value == pytest.approx(dt / grid.dx, rel=1e-3)
+    assert value < 0.5 and t is not None
+
+
+def test_cfl_error_names_number_bound_time_and_node(grid, params):
+    X, Y = np.meshgrid(grid.x, grid.y)
+    v = 50.0 * np.sin(X) * (1.0 - Y**2)
+    st = initial_state(grid, params, v=v).with_(t=0.3)
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=5e-2, t_end=0.5, cfl_max=0.1))
+    with pytest.raises(CFLError) as err:
+        sol.step(st)
+    e = err.value
+    assert e.cfl > 0.1 and e.cfl_max == 0.1 and e.t == 0.3
+    assert e.cfl == sol.cfl_peak[0]
+    row, col = e.node
+    assert 0 <= row < grid.ny and 0 <= col < grid.nx
+    msg = str(e)
+    for shown in ("directional CFL number", f"{e.cfl:.4g}", "cfl_max = 0.1", "t=0.3",
+                  f"(row, column) = ({row}, {col})"):
+        assert shown in msg
+
+
+@pytest.mark.parametrize("dt, blows_up", [(0.09, False), (0.12, True)])
+def test_euler_mode_blow_up_boundary(params, dt, blows_up):
+    # Heun advection is unstable on the whole imaginary axis, |G|^2 = 1 + z^4/4,
+    # so only the step count sets where roundoff grows to blow-up.  Over 200
+    # Euler-mode steps from the inviscid_limit start, measured at 32x33, 64x65
+    # and 128x129 alike: a run starting at directional CFL 0.46 stays bounded,
+    # one starting at 0.56 or more diverges (0.51 amplifies the vorticity 2-6x).
+    grid = ChannelGrid(nx=32, ny=33)
+    st = couette_perturbed_state(grid, params)
+    cfg = SolverConfig(dt=dt, t_end=200 * dt, mode="euler", cfl_max=0.99)
+    sol = ChannelFlowSolver(grid, params, cfg)
+    omega0 = compute_record(st, params).omega_inf_norm
+    first = sol.step(st)
+    cfl0 = sol.cfl_peak[0]
+    if blows_up:
+        assert cfl0 > 0.56
+        # the blow-up drives the number past cfl_max long after the start
+        with pytest.raises(CFLError) as err:
+            sol.run(first)
+        assert err.value.t > 50 * dt
+        return
+    assert cfl0 < 0.47
+    final = sol.run(first)
+    assert sol.cfl_peak[0] < 0.55
+    assert compute_record(final, params).omega_inf_norm < 1.1 * omega0
 
 
 def test_run_time_span_validation(grid, params):
