@@ -8,6 +8,7 @@ renames or deletes one of them breaks the benchmark.  These tests read
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -60,6 +61,26 @@ def test_micro_workload_horizons_are_whole_steps(monkeypatch):
                 m.setattr(experiments, name, value)
             n_steps, every = experiments._micro_schedule()
             assert 1 <= every <= n_steps
+
+
+def test_fp_solve_keeps_the_parameters_the_tracer_binds():
+    # tracing._fp_cell_updates binds the call to the solver's signature and
+    # reads these arguments by name, so a rename fails only under --trace 1
+    from nspb.fplanck import fokker_planck_solve
+
+    tree = ast.parse(inspect.getsource(tracing._fp_cell_updates))
+    read = {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "a"
+    }
+    assert read == {"fpgrid", "potential", "phys", "t_end", "u_slip", "dt"}
+    params = inspect.signature(fokker_planck_solve).parameters
+    assert read <= set(params)
+    # the tracer recomputes the solver's default step only when dt is None
+    assert params["dt"].default is None
 
 
 def test_workloads_import():

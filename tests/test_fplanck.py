@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from nspb.fplanck import (
     FPError,
     FPGrid,
+    _bernoulli,
     density_mass,
     fokker_planck_solve,
     fp_moments,
@@ -88,6 +90,28 @@ def test_bad_initial_density_rejected(fpgrid, pot, phys):
     f0[0, 0] = -1.0
     with pytest.raises(FPError):
         fokker_planck_solve(fpgrid, pot, phys, t_end=0.1, f0=f0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nonfinite_initial_density_rejected(fpgrid, pot, phys, value):
+    f0 = gibbs_density(fpgrid, pot)
+    f0[5, 3] = value
+    with pytest.raises(FPError, match=str(value)):
+        fokker_planck_solve(fpgrid, pot, phys, t_end=0.1, f0=f0)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, -0.5, math.inf])
+def test_bad_t_end_rejected(fpgrid, pot, phys, t_end):
+    # a NaN or negative horizon used to return f0 at t = 0, and inf died
+    # with a bare OverflowError
+    with pytest.raises(FPError, match=re.escape(f"t_end={t_end}")):
+        fokker_planck_solve(fpgrid, pot, phys, t_end=t_end)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
+def test_bad_dt_rejected(fpgrid, pot, phys, dt):
+    with pytest.raises(FPError, match=re.escape(f"dt={dt}")):
+        fokker_planck_solve(fpgrid, pot, phys, t_end=0.1, dt=dt)
 
 
 def test_record_times_snapshots(fpgrid, pot, phys):
@@ -211,3 +235,90 @@ def test_callable_slip_checked_at_every_step_time(fpgrid, pot, phys):
             u_slip=lambda t: 40.0 * math.sin(2.0 * math.pi * t / (t_end / 63)),
             f0=gibbs_density(fpgrid, pot),
         )
+
+
+def _reference_solve(fpgrid, potential, phys, t_end, u_slip=0.0, f0=None, record_times=()):
+    """The flux-form loop the kernel replaced, at the solver's default step:
+    edge fluxes into (n_t + 1, n_n) and (n_t, n_n + 1) arrays whose wall
+    rows stay zero, then their divergence into a new density."""
+    slip = u_slip if callable(u_slip) else (lambda t, _c=float(u_slip): _c)
+    u_bound = max(abs(slip(s)) for s in np.linspace(0.0, max(t_end, 1e-12), 64))
+    dt = stable_dt(fpgrid, potential, phys, u_max=u_bound)
+    if f0 is None:
+        f = np.full((fpgrid.n_t, fpgrid.n_n), 1.0 / (4.0 * fpgrid.extent_t * fpgrid.extent_n))
+    else:
+        f = np.array(f0, dtype=float)
+    U = potential.energy(fpgrid.center_points())
+    _, yc = fpgrid.centers()
+    D = phys.kB_T / phys.zeta
+    dU_x = U[1:, :] - U[:-1, :]
+    dU_y = U[:, 1:] - U[:, :-1]
+    shear_gain = yc[None, :] * fpgrid.h_t / (D * potential.R)
+    By_m = _bernoulli(dU_y)  # B(-s_y) with s_y = -dU_y
+    By_p = _bernoulli(-dU_y)
+    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
+    if n_steps:
+        dt = t_end / n_steps
+    want = sorted(float(s) for s in record_times)
+    times, history = [], []
+    fx = np.zeros((fpgrid.n_t + 1, fpgrid.n_n))
+    fy = np.zeros((fpgrid.n_t, fpgrid.n_n + 1))
+
+    def snapshot(tnow):
+        times.append(tnow)
+        history.append(fp_moments(fpgrid, f, potential, phys))
+
+    t = 0.0
+    while want and want[0] <= t + 1e-12:
+        snapshot(t)
+        want.pop(0)
+    for _ in range(n_steps):
+        s_x = slip(t) * shear_gain - dU_x
+        Bx_m = _bernoulli(-s_x)
+        Bx_p = _bernoulli(s_x)
+        fx[1:-1, :] = (D / fpgrid.h_t) * (Bx_m * f[:-1, :] - Bx_p * f[1:, :])
+        fy[:, 1:-1] = (D / fpgrid.h_n) * (By_m * f[:, :-1] - By_p * f[:, 1:])
+        f = f - dt * (
+            (fx[1:, :] - fx[:-1, :]) / fpgrid.h_t + (fy[:, 1:] - fy[:, :-1]) / fpgrid.h_n
+        )
+        t += dt
+        while want and want[0] <= t + 1e-12:
+            snapshot(t)
+            want.pop(0)
+    while want:
+        snapshot(t)
+        want.pop(0)
+    return f, times, history
+
+
+@pytest.mark.parametrize(
+    "u_slip, start, t_end, record_times",
+    [
+        (0.0, "uniform", 2.0, ()),
+        (1.0, "gibbs", 1.0, (0.0, 0.5, 1.0)),
+        (math.sin, "gibbs", 1.0, (0.0, 0.3, 0.7, 1.0)),
+    ],
+    ids=["zero_slip_uniform", "constant_slip_gibbs", "sin_slip_recorded"],
+)
+def test_kernel_matches_flux_form_reference(fpgrid, pot, phys, u_slip, start, t_end, record_times):
+    f0 = None if start == "uniform" else gibbs_density(fpgrid, pot)
+    res = fokker_planck_solve(
+        fpgrid, pot, phys, t_end=t_end, u_slip=u_slip, f0=f0, record_times=record_times
+    )
+    ref, ref_times, ref_history = _reference_solve(
+        fpgrid, pot, phys, t_end, u_slip=u_slip, f0=f0, record_times=record_times
+    )
+    assert np.max(np.abs(res.density - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert res.density.min() >= 0.0 and ref.min() >= 0.0
+    assert res.times == ref_times and len(ref_times) == len(record_times)
+    got = np.array([[m.sigma_tn, m.sigma_nn] for m in res.moment_history]).reshape(-1, 2)
+    want = np.array([[m.sigma_tn, m.sigma_nn] for m in ref_history]).reshape(-1, 2)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(initial=0.0))
+
+
+def test_solve_leaves_f0_untouched(fpgrid, pot, phys):
+    f0 = gibbs_density(fpgrid, SpringPotential.hookean(H=0.5))
+    kept = f0.copy()
+    res = fokker_planck_solve(fpgrid, pot, phys, t_end=0.2, u_slip=1.0, f0=f0)
+    assert np.array_equal(f0, kept)
+    assert res.density.shape == (fpgrid.n_t, fpgrid.n_n) and res.density.base is None

@@ -5,7 +5,43 @@ import pytest
 
 from nspb.flow import slip_poiseuille_profile
 from nspb.params import SimParams
-from nspb.wallbc import duhamel_boundary, exp_weights, step_boundary_ode
+from nspb.wallbc import exp_weights, step_boundary_ode
+
+
+def duhamel_boundary(g0, times, u_tau_series, params: SimParams, t: float):
+    """Evaluate g(t) from the slip history by piecewise-linear quadrature:
+    the Duhamel form of the wall law, the reference for step_boundary_ode.
+
+    ``times`` is an increasing sample grid starting at 0 and ``u_tau_series``
+    the matching slip samples (leading axis = time).  The result is exact for
+    slip histories linear on each sample interval.
+    """
+    times = np.asarray(times, dtype=float)
+    u = np.asarray(u_tau_series, dtype=float)
+    if times.ndim != 1 or len(times) != u.shape[0]:
+        raise ValueError("times and u_tau_series must align on the leading axis")
+    if times[0] != 0.0:
+        raise ValueError("history must start at time 0")
+    if t < -1e-15 or t > times[-1] + 1e-12:
+        raise ValueError(f"t={t} outside the sampled history [0, {times[-1]}]")
+    g0 = np.asarray(g0, dtype=float)
+    coef = params.alpha * params.Re / params.tau
+    acc = np.zeros_like(u[0], dtype=float)
+    reached = 0.0
+    for i in range(len(times) - 1):
+        t0, t1 = times[i], times[i + 1]
+        if t0 >= t - 1e-15:
+            break
+        u0, u1 = u[i], u[i + 1]
+        if t1 > t:  # partial last segment
+            frac = (t - t0) / (t1 - t0)
+            u1 = u0 + frac * (u1 - u0)
+            t1 = t
+        E, w0, w1 = exp_weights(t1 - t0, params.Wi)
+        acc = E * acc + w0 * u0 + w1 * u1
+        reached = t1
+    E_tail = math.exp(-(t - reached) / params.Wi) if t > reached else 1.0
+    return math.exp(-t / params.Wi) * g0 - coef * E_tail * acc
 
 
 @pytest.fixture()
