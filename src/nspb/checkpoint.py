@@ -12,10 +12,19 @@ wall stress g (2*nx, top wall then bottom).
 Version 1 files still load.  Their header ends after dt and holds no
 physics; their payload has two slip accumulators (nx each, top then
 bottom) after g, which are skipped.
+
+A ``FlowState`` holds coefficients, and the file holds node values: the
+conversion happens here and nowhere else.  ``write_checkpoint``
+synthesizes the vorticity with ``grid.spec_to_phys`` and the mean profile
+with ``cheb_inverse``; ``read_checkpoint`` takes them back with
+``grid.phys_to_spec`` and ``cheb_forward`` and zeroes the roundoff this
+leaves where a ``FlowState`` holds exact zeros.  A header whose grid, t or
+dt no solver state can have is a ``CheckpointError``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -25,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import FlowState, SolverConfig
-from .grid import ChannelGrid, Field2D
+from .grid import ChannelGrid, GridError, cheb_forward, cheb_inverse
 from .params import SimParams
 
 MAGIC = b"NSPB"
@@ -64,7 +73,7 @@ def write_atomic(path, data: bytes) -> None:
 
 def write_checkpoint(path, state: FlowState, params: SimParams, config: SolverConfig) -> None:
     """Serialize a state with the physics and time step it was advanced under."""
-    grid = state.omega.grid
+    grid = state.grid
     header = _HEADER.pack(
         MAGIC, VERSION, grid.nx, grid.ny, state.t, config.dt,
         grid.lx, params.Re, params.Wi, params.tau, params.alpha, params.kappa,
@@ -72,7 +81,7 @@ def write_checkpoint(path, state: FlowState, params: SimParams, config: SolverCo
     )
     payload = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for arr in (state.omega.values, state.mean_u, state.g)
+        for arr in (grid.spec_to_phys(state.omega), cheb_inverse(state.mean), state.g)
     )
     crc = _CRC.pack(zlib.crc32(payload, zlib.crc32(header)))
     write_atomic(path, header + crc + payload)
@@ -107,16 +116,24 @@ def read_checkpoint(path, lx: float = 2.0 * np.pi) -> Checkpoint:
         stored[6:8] = [s.rstrip(b"\0").decode("ascii") for s in stored[6:8]]
         physics = dict(zip(PHYSICS_KEYS, stored))
         lx = physics["lx"]
+    try:
+        grid = ChannelGrid(nx=nx, ny=ny, lx=lx)
+    except GridError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    if not (math.isfinite(dt) and dt > 0):
+        raise CheckpointError(f"{path}: dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise CheckpointError(f"{path}: t must be nonnegative and finite, got {t!r}")
     arr = np.frombuffer(raw, dtype="<f8", offset=body)
-    omega_vals, mean_u, g, _ = np.split(arr, np.cumsum([ny * nx, ny, 2 * nx]))
-    grid = ChannelGrid(nx=nx, ny=ny, lx=lx)
-    spec = grid.phys_to_spec(omega_vals.reshape(ny, nx))
+    omega_vals, mean_vals, g, _ = np.split(arr, np.cumsum([ny * nx, ny, 2 * nx]))
+    omega = grid.phys_to_spec(omega_vals.reshape(ny, nx))
     # the round trip leaves roundoff where a FlowState holds exact zeros
-    spec[:, 0] = 0.0
-    spec[:, grid.dealias_kx + 1 :] = 0.0
+    omega[:, 0] = 0.0
+    omega[:, grid.dealias_kx + 1 :] = 0.0
     state = FlowState(
-        omega=Field2D(grid, spectral=spec),
-        mean_u=mean_u.copy(),
+        grid=grid,
+        omega=omega,
+        mean=cheb_forward(mean_vals),
         g=g.reshape(2, nx).copy(),
         t=t,
         step_index=int(round(t / dt)),

@@ -33,15 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .elliptic import apply_modes, streamfunction_operator
-from .flow import FlowState, total_velocity_spectral, wall_slip
-from .grid import (
-    Field2D,
-    cheb_diff_matrices,
-    cheb_forward,
-    cheb_synthesis_matrix,
-    real_matmul,
-    resample_field,
-)
+from .flow import FlowState, total_velocity, wall_slip
+from .grid import cheb_diff_matrices, cheb_synthesis_matrix, real_matmul
 from .params import SimParams
 
 CSV_VERSION = "nspb-records-v1"
@@ -98,16 +91,15 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     ``FlowState`` vorticity, its k = 0 column and its modes above J must be
     exactly 0, and the total vorticity's k = 0 column is the mean's -U0'.
     """
-    grid = state.omega.grid
+    grid = state.grid
     Re = params.Re
     dx = grid.dx
     ny, J = grid.ny, grid.dealias_kx
     D, _ = cheb_diff_matrices(ny)
     k = grid.kx[: J + 1]
-    om = state.omega.spectral
+    om, mean_coeffs = state.omega, state.mean
 
     # [u | v | omega] coefficients of modes 0..J, the mean in each k = 0 column
-    mean_coeffs = cheb_forward(state.mean_u)
     psi = apply_modes(streamfunction_operator(grid)[1 : J + 1], om[:, 1 : J + 1])
     cols = np.empty((ny, 3 * (J + 1)), dtype=complex)
     cols[:, 0] = mean_coeffs
@@ -244,8 +236,8 @@ def time_average(records, field: str, t_start: float = 0.0) -> float:
 def euler_error(ns_states, euler_states) -> np.ndarray:
     """L2 velocity differences between paired viscous and inviscid states.
 
-    States must align in time; the inviscid reference is spectrally
-    resampled when resolutions differ.
+    States must align in time and live on one grid.  The total velocity is
+    linear in (omega, mean), so the difference is taken on the coefficients.
     """
     if len(ns_states) != len(euler_states):
         raise ValueError("state sequences must have equal length")
@@ -253,15 +245,13 @@ def euler_error(ns_states, euler_states) -> np.ndarray:
     for i, (a, b) in enumerate(zip(ns_states, euler_states)):
         if abs(a.t - b.t) > 1e-9:
             raise ValueError(f"time mismatch at index {i}: {a.t} vs {b.t}")
-        grid, grid_b = a.omega.grid, b.omega.grid
-        ua, va = total_velocity_spectral(grid, a.omega.spectral, cheb_forward(a.mean_u))
-        ub, vb = total_velocity_spectral(grid_b, b.omega.spectral, cheb_forward(b.mean_u))
-        if grid_b.nx != grid.nx or grid_b.ny != grid.ny:
-            ub = resample_field(Field2D(grid_b, spectral=ub), grid).spectral
-            vb = resample_field(Field2D(grid_b, spectral=vb), grid).spectral
-        du = grid.spec_to_phys(ua - ub)
-        dv = grid.spec_to_phys(va - vb)
-        out[i] = math.sqrt(max(grid.integrate(du**2 + dv**2), 0.0))
+        if a.grid != b.grid:
+            raise ValueError(f"grid mismatch at index {i}: {a.grid} vs {b.grid}")
+        grid = a.grid
+        du, dv = total_velocity(grid, a.omega - b.omega, a.mean - b.mean)
+        nodes = real_matmul(cheb_synthesis_matrix(grid.ny)[: grid.ny], np.stack([du, dv]))
+        d = np.fft.irfft(nodes, n=grid.nx, axis=-1, norm="forward")
+        out[i] = math.sqrt(grid.integrate((d**2).sum(axis=0)))
     return out
 
 

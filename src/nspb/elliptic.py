@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .grid import ChannelGrid, Field2D, cheb_diff_matrices, real_matmul
+from .grid import ChannelGrid, cheb_diff_matrices, real_matmul
 
 
 class SolverError(RuntimeError):
@@ -115,15 +115,8 @@ def streamfunction_operator(grid: ChannelGrid) -> np.ndarray:
     return ops
 
 
-def velocity_spectral(grid: ChannelGrid, omega_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def biot_savart(grid: ChannelGrid, omega_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) coefficient arrays induced by vorticity coefficients, all rfft modes."""
     psi = apply_modes(streamfunction_operator(grid), omega_spec)
     D, _ = cheb_diff_matrices(grid.ny)
     return -real_matmul(D, psi), psi * (1j * grid.kx)
-
-
-def biot_savart(omega: Field2D) -> tuple[Field2D, Field2D]:
-    """Velocity (u, v) induced by vorticity under the channel gauge."""
-    u, v = velocity_spectral(omega.grid, omega.spectral)
-    return Field2D(omega.grid, spectral=u), Field2D(omega.grid, spectral=v)
-

@@ -26,16 +26,15 @@ from .elliptic import (
     _bc_row,
     _wall_rows,
     apply_modes,
+    biot_savart,
     streamfunction_operator,
     tau_matrices,
-    velocity_spectral,
 )
 from .grid import (
     ChannelGrid,
-    Field2D,
+    GridError,
     cheb_diff_matrices,
     cheb_forward,
-    cheb_inverse,
     cheb_synthesis_matrix,
     real_matmul,
 )
@@ -107,14 +106,18 @@ class SolverConfig:
 class FlowState:
     """Solver state: fluctuation vorticity, mean profile, wall stresses.
 
-    ``omega`` holds exactly 0 in its k = 0 column (the x-mean lives in
-    ``mean_u``) and in its modes above ``grid.dealias_kx``; the solver
-    reads only modes 1..J.  ``g`` is the (2, nx) wall stress, row 0 the
-    top wall and row 1 the bottom, in the order of the physical grid rows.
+    ``omega`` is the (ny, nkx) complex Chebyshev x rfft coefficient array
+    of the fluctuation vorticity.  It holds exactly 0 in its k = 0 column
+    (the x-mean lives in ``mean``) and in its modes above
+    ``grid.dealias_kx``; the solver reads only modes 1..J.  ``mean`` holds
+    the (ny,) real Chebyshev coefficients of the mean profile U0(y).  ``g``
+    is the (2, nx) wall stress at the grid nodes, row 0 the top wall and
+    row 1 the bottom, in the order of the physical grid rows.
     """
 
-    omega: Field2D
-    mean_u: np.ndarray
+    grid: ChannelGrid
+    omega: np.ndarray
+    mean: np.ndarray
     g: np.ndarray
     t: float = 0.0
     step_index: int = 0
@@ -123,13 +126,7 @@ class FlowState:
         return replace(self, **kw)
 
 
-def mean_vorticity(mean_u: np.ndarray) -> np.ndarray:
-    """Vorticity -dU0/dy of the mean profile at the Gauss-Lobatto nodes."""
-    D, _ = cheb_diff_matrices(len(mean_u))
-    return cheb_inverse(-(D @ cheb_forward(mean_u)))
-
-
-def total_velocity_spectral(
+def total_velocity(
     grid: ChannelGrid, omega_spec: np.ndarray, mean_coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) coefficients of the total velocity, all rfft modes.
@@ -137,7 +134,7 @@ def total_velocity_spectral(
     The fluctuation's velocity, with the mean profile's Chebyshev
     coefficients written into u's k = 0 column.
     """
-    u, v = velocity_spectral(grid, omega_spec)
+    u, v = biot_savart(grid, omega_spec)
     u[:, 0] = mean_coeffs
     return u, v
 
@@ -150,14 +147,8 @@ def wall_slip(u_wall: np.ndarray) -> np.ndarray:
     return u_wall * _SLIP_SIGN
 
 
-def _zero_mean_column(spec: np.ndarray) -> np.ndarray:
-    out = spec.copy()
-    out[:, 0] = 0.0
-    return out
-
-
 def initial_state(grid: ChannelGrid, params: SimParams, u=None, v=None) -> FlowState:
-    """Build a state from velocity samples (physical arrays or Field2D).
+    """Build a state from velocity samples, (ny, nx) arrays at the grid nodes.
 
     The wall stress is initialized compatibly, g = omega_wall - beta*u_tau.
     Inputs are dealiased in x.
@@ -169,23 +160,29 @@ def initial_state(grid: ChannelGrid, params: SimParams, u=None, v=None) -> FlowS
     off the discrete constraint manifold, which costs a full order of time
     accuracy in a wall layer.
     """
-    if u is None:
-        u = np.zeros((grid.ny, grid.nx))
-    if v is None:
-        v = np.zeros((grid.ny, grid.nx))
-    uf = u if isinstance(u, Field2D) else Field2D(grid, values=u)
-    vf = v if isinstance(v, Field2D) else Field2D(grid, values=v)
-    uf = uf.dealias()
-    vf = vf.dealias()
-    omega_full = vf.ddx() - uf.ddy()
-    mean_coeffs = uf.spectral[:, 0].real.copy()
-    mean_u = cheb_inverse(mean_coeffs)
-    omega_f = Field2D(grid, spectral=_zero_mean_column(omega_full.spectral))
+    shape = (grid.ny, grid.nx)
+    spec = []
+    for name, f in (("u", u), ("v", v)):
+        f = np.zeros(shape) if f is None else np.asarray(f, dtype=float)
+        if f.shape != shape:
+            raise GridError(f"{name} has shape {f.shape}, not (ny, nx) = {shape}")
+        spec.append(grid.phys_to_spec(f))
+    u_hat, v_hat = spec
+    D, _ = cheb_diff_matrices(grid.ny)
+    modes = slice(1, grid.dealias_kx + 1)
+    omega = np.zeros_like(u_hat)
+    omega[:, modes] = v_hat[:, modes] * (1j * grid.kx[modes]) - real_matmul(D, u_hat[:, modes])
+    mean = u_hat[:, 0].real.copy()
 
-    u_rec, _ = total_velocity_spectral(grid, omega_f.spectral, mean_coeffs)
-    slip = wall_slip(grid.spec_to_phys(u_rec)[[0, -1]])
-    om_wall = omega_f.values[[0, -1]] + mean_vorticity(mean_u)[[0, -1], None]
-    return FlowState(omega=omega_f, mean_u=mean_u, g=om_wall - params.beta * slip)
+    # u and the total vorticity (the mean's -U0' at k = 0) on both walls
+    u_rec, _ = total_velocity(grid, omega, mean)
+    om_tot = omega.copy()
+    om_tot[:, 0] = -(D @ mean)
+    walls = real_matmul(_wall_rows(grid.ny), np.stack([u_rec, om_tot]))
+    u_wall, om_wall = np.fft.irfft(walls, n=grid.nx, axis=-1, norm="forward")
+    return FlowState(
+        grid=grid, omega=omega, mean=mean, g=om_wall - params.beta * wall_slip(u_wall)
+    )
 
 
 def slip_poiseuille_profile(params: SimParams, F: float, y: np.ndarray) -> np.ndarray:
@@ -229,8 +226,10 @@ class ChannelFlowSolver:
 
         # (J, ny, ny): vorticity modes 1..J to streamfunction coefficients
         self._psi_ops = streamfunction_operator(grid)[self._modes]
+        # (2, ny): a coefficient column's values at the (top, bottom) wall
+        self._walls = _wall_rows(ny)
         # (J, 2, ny): u at the (top, bottom) wall induced by each vorticity mode
-        self._traces = -(_wall_rows(ny) @ self._D) @ self._psi_ops
+        self._traces = -(self._walls @ self._D) @ self._psi_ops
         self._synth = cheb_synthesis_matrix(ny)
         # node values to the Chebyshev coefficients a dealiased product keeps
         self._fwd = cheb_forward(np.eye(ny))[: grid.dealias_cheb + 1]
@@ -344,11 +343,7 @@ class ChannelFlowSolver:
 
     @staticmethod
     def _check_finite(state: FlowState) -> FlowState:
-        for name, arr in (
-            ("omega", state.omega.spectral),
-            ("mean_u", state.mean_u),
-            ("g", state.g),
-        ):
+        for name, arr in (("omega", state.omega), ("mean", state.mean), ("g", state.g)):
             if not np.isfinite(arr).all():
                 raise SolverDivergedError(state.step_index, state.t, name)
         return state
@@ -369,12 +364,12 @@ class ChannelFlowSolver:
         out[:, self._modes] = apply_modes(mode_ops, b)
         return out, mean_op @ mean_rhs
 
-    def _wall_slip(self, omega_spec: np.ndarray, mean_u: np.ndarray) -> np.ndarray:
+    def _wall_slip(self, omega_spec: np.ndarray, mean_coeffs: np.ndarray) -> np.ndarray:
         """Slip u_tau along the (top, bottom) walls as a (2, nx) array."""
         grid = self.grid
         u_hat = np.zeros((2, grid.nkx), dtype=complex)
         u_hat[:, self._modes] = apply_modes(self._traces, omega_spec[:, self._modes])
-        u_hat[:, 0] = mean_u[[0, -1]]
+        u_hat[:, 0] = self._walls @ mean_coeffs
         return wall_slip(np.fft.irfft(u_hat * grid.nx, n=grid.nx, axis=1))
 
     # ---- stepping ----
@@ -387,8 +382,7 @@ class ChannelFlowSolver:
     def _step_ns(self, state: FlowState) -> FlowState:
         grid, params, cfg = self.grid, self.params, self.config
         dt, Re = cfg.dt, params.Re
-        mean_coeffs = cheb_forward(state.mean_u)
-        om = state.omega.spectral
+        mean_coeffs, om = state.mean, state.omega
         force = np.zeros(grid.ny)
         force[0] = cfg.mean_force
 
@@ -420,13 +414,13 @@ class ChannelFlowSolver:
         )
 
         # final slip traces close the boundary-stress update
-        mean_new_phys = cheb_inverse(mean_new)
-        slip_new = self._wall_slip(om_new, mean_new_phys)
+        slip_new = self._wall_slip(om_new, mean_new)
 
         return self._check_finite(
             FlowState(
-                omega=Field2D(grid, spectral=om_new),
-                mean_u=mean_new_phys,
+                grid=grid,
+                omega=om_new,
+                mean=mean_new,
                 g=step_boundary_ode(state.g, slip_n, params, dt, u_tau_end=slip_new),
                 t=state.t + dt,
                 step_index=state.step_index + 1,
@@ -436,8 +430,7 @@ class ChannelFlowSolver:
     def _step_euler(self, state: FlowState) -> FlowState:
         cfg = self.config
         dt = cfg.dt
-        mean_coeffs = cheb_forward(state.mean_u)
-        om = state.omega.spectral
+        mean_coeffs, om = state.mean, state.omega
         force = np.zeros(self.grid.ny)
         force[0] = cfg.mean_force
 
@@ -452,8 +445,9 @@ class ChannelFlowSolver:
 
         return self._check_finite(
             FlowState(
-                omega=Field2D(self.grid, spectral=om_new),
-                mean_u=cheb_inverse(mean_new),
+                grid=self.grid,
+                omega=om_new,
+                mean=mean_new,
                 g=state.g,
                 t=state.t + dt,
                 step_index=state.step_index + 1,
@@ -482,4 +476,4 @@ class ChannelFlowSolver:
 
     def slip_traces(self, state: FlowState) -> np.ndarray:
         """Slip u_tau along the (top, bottom) walls as a (2, nx) array."""
-        return self._wall_slip(state.omega.spectral, state.mean_u)
+        return self._wall_slip(state.omega, state.mean)

@@ -179,9 +179,6 @@ class ChannelGrid:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self._x, self._y)
 
-    def fourier_dealias_mask(self) -> np.ndarray:
-        return np.arange(self.nkx) <= self.dealias_kx
-
     def phys_to_spec(self, values: np.ndarray) -> np.ndarray:
         f = np.fft.rfft(values, axis=1) / self.nx
         return cheb_forward(f)
@@ -197,99 +194,3 @@ class ChannelGrid:
     def integrate(self, values: np.ndarray) -> float:
         """Integral over the channel by Clenshaw-Curtis x trapezoid."""
         return float(self._wy @ values.sum(axis=1)) * self.dx
-
-
-class Field2D:
-    """A scalar field carrying physical values, spectral coefficients, or both.
-
-    Conversions are cached on the instance; treat fields as immutable.
-    """
-
-    __slots__ = ("grid", "_values", "_spectral")
-
-    def __init__(self, grid: ChannelGrid, values=None, spectral=None):
-        if values is None and spectral is None:
-            raise GridError("Field2D needs values or spectral data")
-        if values is not None:
-            values = np.asarray(values, dtype=float)
-            if values.shape != (grid.ny, grid.nx):
-                raise GridError(
-                    f"physical shape {values.shape} != (ny, nx) = {(grid.ny, grid.nx)}"
-                )
-        if spectral is not None:
-            spectral = np.asarray(spectral, dtype=complex)
-            if spectral.shape != (grid.ny, grid.nkx):
-                raise GridError(
-                    f"spectral shape {spectral.shape} != (ny, nkx) = {(grid.ny, grid.nkx)}"
-                )
-        self.grid = grid
-        self._values = values
-        self._spectral = spectral
-
-    @classmethod
-    def zeros(cls, grid: ChannelGrid) -> "Field2D":
-        return cls(grid, values=np.zeros((grid.ny, grid.nx)))
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = self.grid.spec_to_phys(self._spectral)
-        return self._values
-
-    @property
-    def spectral(self) -> np.ndarray:
-        if self._spectral is None:
-            self._spectral = self.grid.phys_to_spec(self._values)
-        return self._spectral
-
-    def ddx(self) -> "Field2D":
-        return Field2D(self.grid, spectral=self.spectral * (1j * self.grid.kx))
-
-    def ddy(self) -> "Field2D":
-        D, _ = cheb_diff_matrices(self.grid.ny)
-        return Field2D(self.grid, spectral=real_matmul(D, self.spectral))
-
-    def dealias(self) -> "Field2D":
-        """Apply the 2/3 truncation in x."""
-        c = self.spectral.copy()
-        c[:, ~self.grid.fourier_dealias_mask()] = 0.0
-        return Field2D(self.grid, spectral=c)
-
-    def integrate(self) -> float:
-        return self.grid.integrate(self.values)
-
-    def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other: "Field2D") -> "Field2D":
-        self._check(other)
-        return Field2D(self.grid, spectral=self.spectral + other.spectral)
-
-    def __sub__(self, other: "Field2D") -> "Field2D":
-        self._check(other)
-        return Field2D(self.grid, spectral=self.spectral - other.spectral)
-
-    def __mul__(self, scalar: float) -> "Field2D":
-        return Field2D(self.grid, spectral=self.spectral * scalar)
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "Field2D"):
-        if other.grid is not self.grid and (
-            other.grid.nx != self.grid.nx
-            or other.grid.ny != self.grid.ny
-            or other.grid.lx != self.grid.lx
-        ):
-            raise GridError("fields live on different grids")
-
-
-def resample_field(f: Field2D, new_grid: ChannelGrid) -> Field2D:
-    """Spectral interpolation onto another grid (pad or truncate both bases)."""
-    if abs(new_grid.lx - f.grid.lx) > 1e-14 * f.grid.lx:
-        raise GridError("resampling requires identical channel length")
-    src = f.spectral
-    out = np.zeros((new_grid.ny, new_grid.nkx), dtype=complex)
-    m = min(f.grid.ny, new_grid.ny)
-    k = min(f.grid.nkx, new_grid.nkx)
-    out[:m, :k] = src[:m, :k]
-    return Field2D(new_grid, spectral=out)

@@ -29,7 +29,7 @@ from nspb.experiments import (
     perturbation_velocity,
 )
 from nspb.flow import ChannelFlowSolver, SolverConfig, initial_state
-from nspb.grid import ChannelGrid
+from nspb.grid import ChannelGrid, cheb_inverse
 from nspb.params import SimParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -119,7 +119,7 @@ def test_forced_steady_profile_matches_slip_poiseuille():
     bulk = params.Re * F
     u_slip = bulk / (params.alpha / 2.0 + params.friction_ratio)
     expected = bulk / 2.0 * (1.0 - grid.y**2) + u_slip
-    rel = np.max(np.abs(final.mean_u - expected)) / np.max(np.abs(expected))
+    rel = np.max(np.abs(cheb_inverse(final.mean) - expected)) / np.max(np.abs(expected))
     assert rel <= 1e-6, f"relative profile error {rel:.3e}"
 
 
@@ -200,8 +200,9 @@ def test_bitwise_determinism_and_restart(tmp_path, micro):
     execute(parse_config(text).with_output(resumed, seed=7), checkpoint=mid)
     full = read_checkpoint(tmp_path / "a" / "checkpoints" / "final.ckpt").state
     rerun = read_checkpoint(resumed / "checkpoints" / "final.ckpt").state
-    assert np.max(np.abs(full.omega.values - rerun.omega.values)) < 1e-12
-    assert np.max(np.abs(full.mean_u - rerun.mean_u)) < 1e-12
+    phys = full.grid.spec_to_phys
+    assert np.max(np.abs(phys(full.omega) - phys(rerun.omega))) < 1e-12
+    assert np.max(np.abs(cheb_inverse(full.mean) - cheb_inverse(rerun.mean))) < 1e-12
     assert np.max(np.abs(full.g[0] - rerun.g[0])) < 1e-12
     assert np.max(np.abs(full.g[1] - rerun.g[1])) < 1e-12
 
@@ -263,7 +264,7 @@ def test_sweep_alpha_step_is_self_converged_off_the_fixed_point(tmp_path_factory
 
     def perturbed(grid, params, F):
         up, vp = perturbation_velocity(grid)
-        u = steady(grid, params, F).mean_u[:, None] + up
+        u = cheb_inverse(steady(grid, params, F).mean)[:, None] + up
         return initial_state(grid, params, u=u, v=vp)
 
     monkeypatch.setattr(experiments, "steady_channel_state", perturbed)

@@ -87,6 +87,18 @@ def test_workloads_import():
     importlib.import_module("workloads")
 
 
+@pytest.mark.parametrize("workload", ["sweep_alpha", "energy_audit"])
+def test_flow_workload_setup_builds_a_state_the_solver_steps(workload):
+    # workloads.setup is the code the benchmark's setup_s times; a state
+    # layout it no longer matches would otherwise fail only in a benchmark run
+    import workloads
+
+    solver, state = workloads.setup(BENCH_DIR.parent, workload, smoke=True)
+    stepped = solver.step(state)
+    assert stepped.step_index == state.step_index + 1
+    assert stepped.t == pytest.approx(state.t + solver.config.dt)
+
+
 def test_workload_experiments_names_exist():
     # workloads.scale_micro setattr()s the MICRO_* keys on nspb.experiments,
     # so a renamed constant would silently become a dead attribute there

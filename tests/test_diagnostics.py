@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +21,10 @@ from nspb.diagnostics import (
 )
 import nspb.elliptic
 import nspb.flow
+import nspb.grid
 from nspb.elliptic import biot_savart
 from nspb.flow import FlowState, initial_state
-from nspb.grid import ChannelGrid, Field2D, cheb_derivative_coeffs, cheb_forward, cheb_inverse
+from nspb.grid import ChannelGrid, cheb_derivative_coeffs, cheb_inverse
 from nspb.params import SimParams
 from test_flow import grids, random_solver_state, seeds, sim_params
 
@@ -163,16 +165,22 @@ def _smooth_state(grid, params):
     return initial_state(grid, params, u=u, v=v)
 
 
-def test_euler_error_zero_against_itself_and_resampled():
+def test_euler_error_zero_against_itself_and_rejects_other_grids():
     params = SimParams(Re=100.0, Wi=1.0, tau=1.0, alpha=1.0)
     fine = ChannelGrid(nx=32, ny=33, lx=2 * np.pi)
-    coarse = ChannelGrid(nx=16, ny=17, lx=2 * np.pi)
     a = _smooth_state(fine, params)
-    b = _smooth_state(coarse, params)
     assert euler_error([a], [a])[0] == 0.0
-    # same smooth analytic field on both grids: spectral resampling closes
-    # the gap to interpolation accuracy
-    assert euler_error([a], [b])[0] < 1e-6
+    # the distance is the L2 norm of the velocity difference, here a pure
+    # mean-flow shift of 0.1 over a channel of area 2 lx
+    shifted = a.with_(mean=a.mean + np.eye(fine.ny)[0] * 0.1)
+    assert euler_error([a], [shifted])[0] == pytest.approx(0.1 * math.sqrt(4 * np.pi), rel=1e-13)
+    for other in (
+        ChannelGrid(nx=16, ny=17, lx=2 * np.pi),
+        ChannelGrid(nx=32, ny=17, lx=2 * np.pi),
+        ChannelGrid(nx=32, ny=33, lx=3.0),
+    ):
+        with pytest.raises(ValueError, match="grid mismatch at index 1"):
+            euler_error([a, a], [a, _smooth_state(other, params)])
 
 
 def test_euler_error_alignment_validation():
@@ -201,29 +209,31 @@ def test_compute_record_of_rest_state_is_zero():
 
 
 def reference_record(state, params, mean_force):
-    """compute_record's earlier arithmetic: biot_savart, the mean profile
-    added in physical space, Field2D.ddx and the d/dy recurrence."""
-    grid = state.omega.grid
+    """compute_record's earlier arithmetic: biot_savart over every mode, the
+    mean profile added in physical space, physical fields of the ik
+    products and the d/dy recurrence."""
+    grid = state.grid
     Re, dx, two_lx = params.Re, grid.dx, 2.0 * grid.lx
+    phys = grid.spec_to_phys
 
-    def ddy(f):
-        return Field2D(grid, spectral=cheb_derivative_coeffs(f.spectral))
-
-    u_f, v = biot_savart(state.omega)
-    u = Field2D(grid, values=u_f.values + state.mean_u[:, None])
-    ux, uy, vx, vy = u.ddx().values, ddy(u).values, v.ddx().values, ddy(v).values
+    u_f, v_spec = biot_savart(grid, state.omega)
+    u_spec = grid.phys_to_spec(phys(u_f) + cheb_inverse(state.mean)[:, None])
+    ik = 1j * grid.kx
+    u, v = phys(u_spec), phys(v_spec)
+    ux, vx = phys(u_spec * ik), phys(v_spec * ik)
+    uy, vy = phys(cheb_derivative_coeffs(u_spec)), phys(cheb_derivative_coeffs(v_spec))
     g_top, g_bot = state.g
     wall_g_sq = (np.sum(g_top**2) + np.sum(g_bot**2)) * dx
-    u_tau_top, u_tau_bot = -u.values[0], u.values[-1]
+    u_tau_top, u_tau_bot = -u[0], u[-1]
     wall_slip_sq = (np.sum(u_tau_top**2) + np.sum(u_tau_bot**2)) * dx
-    momentum_x = grid.integrate(u.values)
-    mean_om = cheb_inverse(-cheb_derivative_coeffs(cheb_forward(state.mean_u)))
-    om = state.omega.values + mean_om[:, None]
+    momentum_x = grid.integrate(u)
+    mean_om = cheb_inverse(-cheb_derivative_coeffs(state.mean))
+    om = phys(state.omega) + mean_om[:, None]
     om_top = g_top + params.beta * u_tau_top
     om_bot = g_bot + params.beta * u_tau_bot
     return DiagnosticsRecord(
         t=state.t,
-        kinetic_energy=0.5 * grid.integrate(u.values**2 + v.values**2),
+        kinetic_energy=0.5 * grid.integrate(u**2 + v**2),
         boundary_stress_energy=params.tau / (2.0 * params.alpha * Re**2) * wall_g_sq,
         dissipation_rate=(1.0 / Re) * grid.integrate(ux**2 + uy**2 + vx**2 + vy**2),
         wall_slip_dissipation=params.alpha / (2.0 * Re) * wall_slip_sq,
@@ -236,8 +246,8 @@ def reference_record(state, params, mean_force):
         friction_trace=-(1.0 / (Re * two_lx)) * (np.sum(uy[0]) - np.sum(uy[-1])) * dx,
         friction_tangential=(1.0 / (Re * two_lx)) * (np.sum(om_top) - np.sum(om_bot)) * dx,
         momentum_x=momentum_x,
-        wall_u_top_mean=np.mean(u.values[0]),
-        wall_u_bottom_mean=np.mean(u.values[-1]),
+        wall_u_top_mean=np.mean(u[0]),
+        wall_u_bottom_mean=np.mean(u[-1]),
     )
 
 
@@ -278,9 +288,9 @@ def test_compute_record_matches_closed_form(nx, ny, lx, m):
     omega = np.zeros((grid.ny, grid.nkx), dtype=complex)
     om_y = np.polynomial.chebyshev.poly2cheb((psi_y.deriv(2) - k**2 * psi_y).coef)
     omega[: len(om_y), m] = 0.5 * om_y
-    state = FlowState(
-        omega=Field2D(grid, spectral=omega), mean_u=U(grid.y), g=np.zeros((2, grid.nx))
-    )
+    mean = np.zeros(grid.ny)
+    mean[:3] = np.polynomial.chebyshev.poly2cheb(U.coef)
+    state = FlowState(grid=grid, omega=omega, mean=mean, g=np.zeros((2, grid.nx)))
     rec = compute_record(state, params, mean_force=0.0)
 
     def integral(p):
@@ -319,20 +329,28 @@ def test_compute_record_reads_only_modes_up_to_the_cut(monkeypatch):
     state = random_solver_state(grid, np.random.default_rng(3))
     rec = compute_record(state, params, 0.2)
 
-    # no physical field synthesis and no all-mode velocity reconstruction
+    # no physical field synthesis, no all-mode velocity reconstruction and
+    # no Chebyshev transform: the state already holds coefficients
     def refuse(*args, **kwargs):
         raise AssertionError("compute_record must not call this")
 
     monkeypatch.setattr(ChannelGrid, "spec_to_phys", refuse)
-    for mod in (nspb.elliptic, nspb.flow):
-        monkeypatch.setattr(mod, "velocity_spectral", refuse)
+    monkeypatch.setattr(scipy.fft, "dct", refuse)
+    for mod, name in (
+        (nspb.elliptic, "biot_savart"),
+        (nspb.flow, "biot_savart"),
+        (nspb.grid, "cheb_forward"),
+        (nspb.grid, "cheb_inverse"),
+        (nspb.flow, "cheb_forward"),
+    ):
+        monkeypatch.setattr(mod, name, refuse)
     assert compute_record(state, params, 0.2).row() == rec.row()
     monkeypatch.undo()
 
     # junk in the modes a FlowState keeps at zero leaves the record bitwise equal
-    junk = state.omega.spectral.copy()
+    junk = state.omega.copy()
     junk[:, grid.dealias_kx + 1 :] = np.random.default_rng(4).standard_normal(
         (grid.ny, grid.nkx - grid.dealias_kx - 1)
     )
-    junk_state = state.with_(omega=Field2D(grid, spectral=junk))
+    junk_state = state.with_(omega=junk)
     assert compute_record(junk_state, params, 0.2).row() == rec.row()

@@ -10,7 +10,6 @@ import pytest
 from nspb import experiments
 from nspb.config import parse_config
 from nspb.experiments import execute
-from nspb.grid import Field2D
 
 TINY_SWEEP = (
     "kind = sweep_re\n"
@@ -155,9 +154,9 @@ def _poisoned(make):
 
     def build(grid, params, *args):
         state = make(grid, params, *args)
-        spec = state.omega.spectral.copy()
+        spec = state.omega.copy()
         spec[2, 1] = np.nan
-        return state.with_(omega=Field2D(grid, spectral=spec))
+        return state.with_(omega=spec)
 
     return build
 

@@ -1,6 +1,7 @@
 import struct
 
 import numpy as np
+import scipy.fft
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from nspb.diagnostics import (
     time_average,
     total_energy,
 )
+import nspb.flow
+import nspb.grid
 from nspb.elliptic import TauSolver, biot_savart
 from nspb.experiments import couette_perturbed_state
 from nspb.flow import (
@@ -23,18 +26,17 @@ from nspb.flow import (
     SolverConfig,
     SolverDivergedError,
     initial_state,
-    mean_vorticity,
     slip_poiseuille_profile,
     steady_channel_state,
-    total_velocity_spectral,
+    total_velocity,
     wall_slip,
 )
 from nspb.grid import (
     ChannelGrid,
-    Field2D,
+    GridError,
     cheb_derivative_coeffs,
     cheb_diff_matrices,
-    cheb_forward,
+    cheb_inverse,
 )
 from nspb.params import SimParams
 from nspb.wallbc import exp_weights
@@ -58,9 +60,17 @@ def perturbed_shear(grid):
     return u, v
 
 
+def node_values(state):
+    """A state's fluctuation vorticity and mean profile at the grid nodes."""
+    return state.grid.spec_to_phys(state.omega), cheb_inverse(state.mean)
+
+
 def total_vorticity(state):
     """Total vorticity of a state at the grid nodes: fluctuation plus mean."""
-    return state.omega.values + mean_vorticity(state.mean_u)[:, None]
+    D, _ = cheb_diff_matrices(state.grid.ny)
+    spec = state.omega.copy()
+    spec[:, 0] = -(D @ state.mean)
+    return state.grid.spec_to_phys(spec)
 
 
 def test_solver_config_validation():
@@ -83,8 +93,8 @@ def test_solver_config_validation():
 def test_zero_state_stays_zero(grid, params):
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=0.01))
     end = sol.run(initial_state(grid, params))
-    assert np.all(end.omega.values == 0.0)
-    assert np.all(end.mean_u == 0.0)
+    assert np.all(end.omega == 0.0)
+    assert np.all(end.mean == 0.0)
     assert np.all(end.g[0] == 0.0)
     assert np.all(end.g[1] == 0.0)
     rec = compute_record(end, params)
@@ -104,11 +114,20 @@ def test_initial_state_seeds_g_on_the_trace_identity(grid, params):
     np.testing.assert_allclose(st.g[1], om[-1] - params.beta * traces[1], rtol=0, atol=1e-11)
 
 
-def test_mean_vorticity_of_a_cubic_profile(grid):
+def test_mean_vorticity_of_a_cubic_profile(grid, params):
     y = grid.y
-    np.testing.assert_allclose(
-        mean_vorticity(1.0 - y**2 + y**3), 2.0 * y - 3.0 * y**2, rtol=0, atol=1e-12
-    )
+    u = np.repeat((1.0 - y**2 + y**3)[:, None], grid.nx, axis=1)
+    st = initial_state(grid, params, u=u)
+    assert np.all(st.omega == 0.0)
+    want = np.repeat((2.0 * y - 3.0 * y**2)[:, None], grid.nx, axis=1)
+    np.testing.assert_allclose(total_vorticity(st), want, rtol=0, atol=1e-12)
+
+
+def test_initial_state_rejects_wrong_shape(grid, params):
+    with pytest.raises(GridError, match=r"u has shape \(3, 3\)"):
+        initial_state(grid, params, u=np.zeros((3, 3)))
+    with pytest.raises(GridError, match="v has shape"):
+        initial_state(grid, params, v=np.zeros((grid.nx, grid.ny)))
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.2])
@@ -120,12 +139,13 @@ def test_slip_poiseuille_is_a_discrete_fixed_point(grid, kappa):
         dt=1e-3, t_end=0.05, forcing="steady_pressure_gradient", forcing_amplitude=F
     )
     end = ChannelFlowSolver(grid, params, cfg).run(st)
-    assert np.max(np.abs(end.mean_u - st.mean_u)) < 1e-12
-    assert np.max(np.abs(end.omega.values - st.omega.values)) < 1e-12
+    (om_end, mean_end), (om_st, mean_st) = node_values(end), node_values(st)
+    assert np.max(np.abs(mean_end - mean_st)) < 1e-12
+    assert np.max(np.abs(om_end - om_st)) < 1e-12
     assert np.max(np.abs(end.g[0] - st.g[0])) < 1e-12
     assert np.max(np.abs(end.g[1] - st.g[1])) < 1e-12
     prof = slip_poiseuille_profile(params, F, grid.y)
-    np.testing.assert_allclose(end.mean_u, prof, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(mean_end, prof, rtol=0, atol=1e-12)
 
 
 def test_second_order_self_convergence(grid, params):
@@ -134,8 +154,7 @@ def test_second_order_self_convergence(grid, params):
 
     def endpoint(dt):
         sol = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=T))
-        s = sol.run(initial_state(grid, params, u=u, v=v))
-        return s.omega.values, s.mean_u
+        return node_values(sol.run(initial_state(grid, params, u=u, v=v)))
 
     ends = [endpoint(dt) for dt in (2e-3, 1e-3, 5e-4, 2.5e-4)]
 
@@ -374,6 +393,29 @@ def test_euler_mode_blow_up_boundary(params, dt, blows_up):
     assert compute_record(final, params).omega_inf_norm < 1.1 * omega0
 
 
+def test_steps_make_no_dct_call(grid, params, monkeypatch):
+    # the state holds coefficients, so a step never transforms in y
+    u, v = perturbed_shear(grid)
+    st = initial_state(grid, params, u=u, v=v)
+    solvers = [
+        ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0, mode=mode))
+        for mode in ("navier_stokes", "euler")
+    ]
+    want = [sol.step(st) for sol in solvers]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver step must not call this")
+
+    monkeypatch.setattr(scipy.fft, "dct", refuse)
+    monkeypatch.setattr(nspb.grid, "cheb_forward", refuse)
+    monkeypatch.setattr(nspb.grid, "cheb_inverse", refuse)
+    monkeypatch.setattr(nspb.flow, "cheb_forward", refuse)
+    for sol, ref in zip(solvers, want):
+        got = sol.step(st)
+        for name in ("omega", "mean", "g"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
 def test_run_time_span_validation(grid, params):
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=0.01))
     st = initial_state(grid, params)
@@ -404,8 +446,9 @@ def test_checkpoint_restart_matches_uninterrupted(grid, params, tmp_path):
     sol2 = ChannelFlowSolver(grid2, params, SolverConfig(dt=dt, t_end=0.04))
     s40b = sol2.run(restored, t_end=0.04)
 
-    assert np.max(np.abs(s40.omega.values - s40b.omega.values)) < 1e-12
-    assert np.max(np.abs(s40.mean_u - s40b.mean_u)) < 1e-12
+    (om_a, mean_a), (om_b, mean_b) = node_values(s40), node_values(s40b)
+    assert np.max(np.abs(om_a - om_b)) < 1e-12
+    assert np.max(np.abs(mean_a - mean_b)) < 1e-12
     assert np.max(np.abs(s40.g[0] - s40b.g[0])) < 1e-12
     assert np.max(np.abs(s40.g[1] - s40b.g[1])) < 1e-12
 
@@ -418,11 +461,13 @@ def test_read_checkpoint_restores_the_state_invariant(params, tmp_path):
     cfg = SolverConfig(dt=2e-4, t_end=4e-4)
     st = ChannelFlowSolver(grid, params, cfg).run(initial_state(grid, params, u=u, v=v))
     write_checkpoint(tmp_path / "s.ckpt", st, params, cfg)
-    spec = read_checkpoint(tmp_path / "s.ckpt").state.omega.spectral
+    restored = read_checkpoint(tmp_path / "s.ckpt").state
+    spec = restored.omega
     assert np.all(spec[:, 0] == 0.0)
     assert np.all(spec[:, grid.dealias_kx + 1 :] == 0.0)
     kept = slice(1, grid.dealias_kx + 1)
-    assert _rel(spec[:, kept], st.omega.spectral[:, kept]) <= 1e-13
+    assert _rel(spec[:, kept], st.omega[:, kept]) <= 1e-13
+    assert _rel(restored.mean, st.mean) <= 1e-13
 
 
 def test_version_1_checkpoint_loads_like_its_version_2_twin(grid, params, tmp_path):
@@ -434,7 +479,7 @@ def test_version_1_checkpoint_loads_like_its_version_2_twin(grid, params, tmp_pa
     accumulators = np.random.default_rng(0).standard_normal((2, grid.nx))
     v1 = struct.pack("<4sIIIdd", b"NSPB", 1, grid.nx, grid.ny, st.t, cfg.dt) + b"".join(
         np.ascontiguousarray(a, dtype="<f8").tobytes()
-        for a in (st.omega.values, st.mean_u, st.g, accumulators)
+        for a in (*node_values(st), st.g, accumulators)
     )
     (tmp_path / "v1.ckpt").write_bytes(v1)
 
@@ -445,8 +490,8 @@ def test_version_1_checkpoint_loads_like_its_version_2_twin(grid, params, tmp_pa
     assert old.grid == new.grid
     assert old.dt == new.dt
     assert (old.state.t, old.state.step_index) == (new.state.t, new.state.step_index)
-    assert np.array_equal(old.state.omega.spectral, new.state.omega.spectral)
-    assert np.array_equal(old.state.mean_u, new.state.mean_u)
+    assert np.array_equal(old.state.omega, new.state.omega)
+    assert np.array_equal(old.state.mean, new.state.mean)
     assert np.array_equal(old.state.g, new.state.g)
 
 
@@ -477,6 +522,27 @@ def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
     corrupt.write_bytes(bytes(flipped))
     with pytest.raises(CheckpointError, match="CRC32"):
         read_checkpoint(corrupt)
+
+    # v1 headers carry no CRC, so crafted values reach the header checks
+    def v1(name, nx=grid.nx, t=0.0, dt=1e-3):
+        path = tmp_path / f"{name}.ckpt"
+        payload = np.zeros(grid.ny * nx + grid.ny + 4 * nx, dtype="<f8")
+        header = struct.pack("<4sIIIdd", b"NSPB", 1, nx, grid.ny, t, dt)
+        path.write_bytes(header + payload.tobytes())
+        return path
+
+    assert read_checkpoint(v1("valid")).state.step_index == 0
+    for name, header, shown in [
+        ("dt_zero", {"dt": 0.0}, "dt must be positive and finite, got 0.0"),
+        ("dt_negative", {"dt": -1e-3}, "dt must be positive and finite, got -0.001"),
+        ("dt_inf", {"dt": np.inf}, "dt must be positive and finite, got inf"),
+        ("t_nan", {"t": np.nan}, "t must be nonnegative and finite, got nan"),
+        ("nx_odd", {"nx": 7}, "nx must be even and >= 8, got 7"),
+    ]:
+        path = v1(name, **header)
+        with pytest.raises(CheckpointError) as err:
+            read_checkpoint(path)
+        assert str(err.value) == f"{path}: {shown}"
 
 
 class PerModeReference:
@@ -511,8 +577,8 @@ class PerModeReference:
         return ucol.sum(), self.signs @ ucol
 
     def slip_traces(self, state):
-        u, _ = self.velocity(state.omega.spectral, range(1, self.jmax + 1))
-        u_phys = self.grid.spec_to_phys(u) + state.mean_u[:, None]
+        u, _ = self.velocity(state.omega, range(1, self.jmax + 1))
+        u_phys = self.grid.spec_to_phys(u) + cheb_inverse(state.mean)[:, None]
         return -u_phys[0], u_phys[-1]
 
     def stage(self, lam, rhs_spec, mean_rhs, qhat):
@@ -570,8 +636,9 @@ def random_solver_state(grid, rng):
     omega[:, 0] = 0.0
     omega[:, grid.dealias_kx + 1 :] = 0.0
     return FlowState(
-        omega=Field2D(grid, spectral=omega),
-        mean_u=rng.standard_normal(grid.ny),
+        grid=grid,
+        omega=omega,
+        mean=rng.standard_normal(grid.ny),
         g=rng.standard_normal((2, grid.nx)),
     )
 
@@ -586,10 +653,10 @@ def test_batched_operators_match_per_mode_reference(grid, params, dt, seed):
 
     # velocity over every rfft mode, as biot_savart promises
     omega = random_spectrum(grid, rng)
-    u, v = biot_savart(Field2D(grid, spectral=omega))
+    u, v = biot_savart(grid, omega)
     u_ref, v_ref = ref.velocity(omega, range(grid.nkx))
-    assert _rel(u.spectral, u_ref) <= 1e-12
-    assert _rel(v.spectral, v_ref) <= 1e-12
+    assert _rel(u, u_ref) <= 1e-12
+    assert _rel(v, v_ref) <= 1e-12
 
     # wall slip traces of a solver state
     state = random_solver_state(grid, rng)
@@ -614,7 +681,7 @@ def reference_nonlinear(grid, omega_spec, mean_coeffs):
     """_nonlinear's earlier arithmetic: five single-field spec_to_phys and
     two full phys_to_spec calls, truncated to the dealiased rows and modes."""
     D, D2 = cheb_diff_matrices(grid.ny)
-    u_spec, v_spec = total_velocity_spectral(grid, omega_spec, mean_coeffs)
+    u_spec, v_spec = total_velocity(grid, omega_spec, mean_coeffs)
     om_y_spec = D @ omega_spec
     om_y_spec[:, 0] = -(D2 @ mean_coeffs)
 
@@ -638,8 +705,7 @@ def reference_nonlinear(grid, omega_spec, mean_coeffs):
 def test_nonlinear_matches_reference(grid, params, seed):
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0))
     state = random_solver_state(grid, np.random.default_rng(seed))
-    omega = state.omega.spectral
-    mean_coeffs = cheb_forward(state.mean_u)
+    omega, mean_coeffs = state.omega, state.mean
     N, R, aux = sol._nonlinear(omega.copy(), mean_coeffs.copy())
     N_ref, R_ref, aux_ref = reference_nonlinear(grid, omega, mean_coeffs)
     assert _rel(N, N_ref) <= 1e-12
@@ -662,9 +728,9 @@ def test_nan_stops_the_run_with_a_named_error(grid, params, mode, field, detecte
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=0.01, mode=mode))
     mid = sol.run(initial_state(grid, params, u=u, v=v), t_end=0.005)
     if field == "omega":
-        spec = mid.omega.spectral.copy()
+        spec = mid.omega.copy()
         spec[3, 2] = np.nan
-        bad = mid.with_(omega=Field2D(grid, spectral=spec))
+        bad = mid.with_(omega=spec)
     else:
         g = mid.g.copy()
         g[0 if field == "g_top" else 1, 1] = np.nan
