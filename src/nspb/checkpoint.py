@@ -5,8 +5,8 @@ nx u32, ny u32, t f64, dt f64, then the physics the run was made with:
 lx, Re, Wi, tau, alpha, kappa (f64 each), mode and forcing (32-byte ASCII,
 NUL padded), forcing_amplitude f64, and last a CRC32 u32 of every other
 byte of the file.  Payload, row-major f64 arrays: fluctuation vorticity at
-the grid nodes (ny*nx; its x-mean lives in the mean profile, and it and
-the modes above the 2/3 cut are dropped on reading), mean profile (ny),
+the grid nodes (ny*nx; its x-mean lives in the mean profile, and only its
+Fourier modes 1..J below the 2/3 cut are read back), mean profile (ny),
 wall stress g (2*nx, top wall then bottom).
 
 Version 1 files still load.  Their header ends after dt and holds no
@@ -14,12 +14,13 @@ physics; their payload has two slip accumulators (nx each, top then
 bottom) after g, which are skipped.
 
 A ``FlowState`` holds coefficients, and the file holds node values: the
-conversion happens here and nowhere else.  ``write_checkpoint``
-synthesizes the vorticity with ``grid.spec_to_phys`` and the mean profile
-with ``cheb_inverse``; ``read_checkpoint`` takes them back with
-``grid.phys_to_spec`` and ``cheb_forward`` and zeroes the roundoff this
-leaves where a ``FlowState`` holds exact zeros.  A header whose grid, t or
-dt no solver state can have is a ``CheckpointError``.
+conversion happens here and nowhere else.  ``write_checkpoint`` sets the
+vorticity's modes 1..J in an all-mode spectrum and synthesizes it with
+``grid.spec_to_phys``, and the mean profile with ``cheb_inverse``;
+``read_checkpoint`` takes them back with ``grid.phys_to_spec``, keeping
+modes 1..J, and ``cheb_forward``.  A header whose grid, t or dt no solver
+state can have, or whose t is not a whole number of dt steps, is a
+``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def write_atomic(path, data: bytes) -> None:
 def write_checkpoint(path, state: FlowState, params: SimParams, config: SolverConfig) -> None:
     """Serialize a state with the physics and time step it was advanced under."""
     grid = state.grid
+    omega = np.zeros((grid.ny, grid.nkx), dtype=complex)
+    omega[:, 1 : grid.dealias_kx + 1] = state.omega
     header = _HEADER.pack(
         MAGIC, VERSION, grid.nx, grid.ny, state.t, config.dt,
         grid.lx, params.Re, params.Wi, params.tau, params.alpha, params.kappa,
@@ -81,7 +84,7 @@ def write_checkpoint(path, state: FlowState, params: SimParams, config: SolverCo
     )
     payload = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for arr in (grid.spec_to_phys(state.omega), cheb_inverse(state.mean), state.g)
+        for arr in (grid.spec_to_phys(omega), cheb_inverse(state.mean), state.g)
     )
     crc = _CRC.pack(zlib.crc32(payload, zlib.crc32(header)))
     write_atomic(path, header + crc + payload)
@@ -124,18 +127,19 @@ def read_checkpoint(path, lx: float = 2.0 * np.pi) -> Checkpoint:
         raise CheckpointError(f"{path}: dt must be positive and finite, got {dt!r}")
     if not (math.isfinite(t) and t >= 0):
         raise CheckpointError(f"{path}: t must be nonnegative and finite, got {t!r}")
+    # ChannelFlowSolver.run's tolerance for a whole number of steps
+    steps = round(t / dt)
+    if abs(steps * dt - t) > 1e-9 * max(1.0, t):
+        raise CheckpointError(f"{path}: t = {t!r} is not a whole number of steps of dt = {dt!r}")
     arr = np.frombuffer(raw, dtype="<f8", offset=body)
     omega_vals, mean_vals, g, _ = np.split(arr, np.cumsum([ny * nx, ny, 2 * nx]))
-    omega = grid.phys_to_spec(omega_vals.reshape(ny, nx))
-    # the round trip leaves roundoff where a FlowState holds exact zeros
-    omega[:, 0] = 0.0
-    omega[:, grid.dealias_kx + 1 :] = 0.0
+    omega = grid.phys_to_spec(omega_vals.reshape(ny, nx))[:, 1 : grid.dealias_kx + 1]
     state = FlowState(
         grid=grid,
-        omega=omega,
+        omega=omega.copy(),
         mean=cheb_forward(mean_vals),
         g=g.reshape(2, nx).copy(),
         t=t,
-        step_index=int(round(t / dt)),
+        step_index=steps,
     )
     return Checkpoint(grid, state, dt, physics)

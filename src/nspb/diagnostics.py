@@ -12,14 +12,16 @@ separately as curvature_term (zero for the flat-wall default).  Records
 are written to CSV in a frozen, versioned column order.
 
 ``compute_record`` works on Fourier modes 0..J and forms no physical
-velocity field.  One matmul with the shared ``grid.cheb_synthesis_matrix``
-``[C^-1; C^-1 D]`` takes the side-by-side [u | v | omega] coefficient
-columns to node values and to the node values of u_y and v_y.  The
-integrals are discrete Parseval in x (weight lx at k = 0 and 2 lx at
-k = 1..J, times k^2 for an x-derivative) and Clenshaw-Curtis in y, so the
-kinetic energy and the dissipation are one weighted reduction each, and
-the x-means come from the k = 0 column.  One irfft of the total vorticity
-and the two walls' u feeds the sup norms and the wall sums.  With 1 BLAS
+velocity field.  It takes u and v from ``flow.total_velocity``, the map
+the set-up and ``euler_error`` use too, and one matmul with the shared
+``grid.cheb_synthesis_matrix`` ``[C^-1; C^-1 D]`` takes the side-by-side
+[u | v | omega] coefficient columns to node values and to the node values
+of u_y and v_y.  The integrals are discrete Parseval in x (weight lx at
+k = 0 and 2 lx at k = 1..J, times k^2 for an x-derivative) and
+Clenshaw-Curtis in y, so the kinetic energy and the dissipation are one
+weighted reduction each, and the x-means come from the k = 0 column.  One
+irfft of the total vorticity and the two walls' u feeds the sup norms and
+the wall sums.  With 1 BLAS
 thread a record takes 150 us at 32x33 and 366 us at 64x65, against 339
 and 1077 us for the earlier synthesis of seven physical fields.
 """
@@ -32,7 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import apply_modes, streamfunction_operator
 from .flow import FlowState, total_velocity, wall_slip
 from .grid import cheb_diff_matrices, cheb_synthesis_matrix, real_matmul
 from .params import SimParams
@@ -87,9 +88,9 @@ class DiagnosticsRecord:
 def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0) -> DiagnosticsRecord:
     """Instantaneous diagnostics (budget_residual is NaN; see energy_audit).
 
-    Only vorticity modes 1..J (J = ``dealias_kx``) are read: like every
-    ``FlowState`` vorticity, its k = 0 column and its modes above J must be
-    exactly 0, and the total vorticity's k = 0 column is the mean's -U0'.
+    Everything is read from Fourier modes 0..J (J = ``dealias_kx``): the
+    state's vorticity modes 1..J, with the mean's -U0' as the total
+    vorticity's k = 0 column.
     """
     grid = state.grid
     Re = params.Re
@@ -97,17 +98,10 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     ny, J = grid.ny, grid.dealias_kx
     D, _ = cheb_diff_matrices(ny)
     k = grid.kx[: J + 1]
-    om, mean_coeffs = state.omega, state.mean
 
     # [u | v | omega] coefficients of modes 0..J, the mean in each k = 0 column
-    psi = apply_modes(streamfunction_operator(grid)[1 : J + 1], om[:, 1 : J + 1])
-    cols = np.empty((ny, 3 * (J + 1)), dtype=complex)
-    cols[:, 0] = mean_coeffs
-    cols[:, 1 : J + 1] = -real_matmul(D, psi)
-    cols[:, J + 1] = 0.0
-    cols[:, J + 2 : 2 * J + 2] = psi * (1j * k[1:])
-    cols[:, 2 * J + 2] = -(D @ mean_coeffs)
-    cols[:, 2 * J + 3 :] = om[:, 1 : J + 1]
+    u, v = total_velocity(grid, state.omega, state.mean)
+    cols = np.concatenate([u, v, -(D @ state.mean)[:, None], state.omega], axis=1)
     vals = real_matmul(cheb_synthesis_matrix(ny), cols)
 
     # x by discrete Parseval (a real field's modes 1..J count twice), y by
@@ -128,9 +122,7 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     f_trace = -(1.0 / (2.0 * Re)) * (uy_mean[0] - uy_mean[-1])
 
     # total vorticity at the nodes and u on both walls, in physical space
-    spec = np.zeros((ny + 2, grid.nkx), dtype=complex)
-    spec[:ny, : J + 1] = vals[:ny, 2 * J + 2 :]
-    spec[ny:, : J + 1] = vals[[0, ny - 1], : J + 1]
+    spec = np.concatenate([vals[:ny, 2 * J + 2 :], vals[[0, ny - 1], : J + 1]])
     phys = np.fft.irfft(spec, n=grid.nx, axis=-1, norm="forward")
     om_row_max = np.abs(phys[:ny]).max(axis=1)
     u_wall = phys[ny:]

@@ -102,21 +102,23 @@ class TauSolver:
 
 @lru_cache(maxsize=8)
 def streamfunction_operator(grid: ChannelGrid) -> np.ndarray:
-    """Read-only (nkx, ny, ny) stack taking vorticity to psi coefficients.
+    """Read-only (J, ny, ny) stack taking vorticity modes 1..J to psi coefficients.
 
+    J = ``grid.dealias_kx``; the modes' wavenumbers are ``grid.kx[1:J+1]``.
     Mode j is -A_j^-1 P, with A_j the Dirichlet tau matrix of
     (k_j^2 - d^2/dy^2) and P zeroing its two boundary rows, so
     psi = apply_modes(stack, omega) vanishes on both walls.
     """
     ny = grid.ny
-    ops = -np.linalg.inv(tau_matrices(ny, grid.kx**2, _wall_rows(ny)))
+    k = grid.kx[1 : grid.dealias_kx + 1]
+    ops = -np.linalg.inv(tau_matrices(ny, k**2, _wall_rows(ny)))
     ops[:, :, ny - 2 :] = 0.0
     ops.flags.writeable = False
     return ops
 
 
-def biot_savart(grid: ChannelGrid, omega_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) coefficient arrays induced by vorticity coefficients, all rfft modes."""
-    psi = apply_modes(streamfunction_operator(grid), omega_spec)
+def biot_savart(grid: ChannelGrid, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) coefficients, (ny, J) each, induced by vorticity modes 1..J."""
+    psi = apply_modes(streamfunction_operator(grid), omega)
     D, _ = cheb_diff_matrices(grid.ny)
-    return -real_matmul(D, psi), psi * (1j * grid.kx)
+    return -real_matmul(D, psi), psi * (1j * grid.kx[1 : grid.dealias_kx + 1])

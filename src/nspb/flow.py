@@ -106,13 +106,14 @@ class SolverConfig:
 class FlowState:
     """Solver state: fluctuation vorticity, mean profile, wall stresses.
 
-    ``omega`` is the (ny, nkx) complex Chebyshev x rfft coefficient array
-    of the fluctuation vorticity.  It holds exactly 0 in its k = 0 column
-    (the x-mean lives in ``mean``) and in its modes above
-    ``grid.dealias_kx``; the solver reads only modes 1..J.  ``mean`` holds
-    the (ny,) real Chebyshev coefficients of the mean profile U0(y).  ``g``
-    is the (2, nx) wall stress at the grid nodes, row 0 the top wall and
-    row 1 the bottom, in the order of the physical grid rows.
+    ``omega`` is the (ny, J) complex Chebyshev x Fourier coefficient array
+    of the fluctuation vorticity on the modes the solver evolves, k_1..k_J
+    (``grid.kx[1:J+1]``, J = ``grid.dealias_kx``, the 2/3 rule); the x-mean
+    lives in ``mean`` and no mode above J is stored.  ``mean`` holds the
+    (ny,) real Chebyshev coefficients of the mean profile U0(y).  ``g`` is
+    the (2, nx) wall stress at the grid nodes, row 0 the top wall and row 1
+    the bottom, in the order of the physical grid rows.  A field of another
+    shape is a ``GridError`` that names it.
     """
 
     grid: ChannelGrid
@@ -122,21 +123,32 @@ class FlowState:
     t: float = 0.0
     step_index: int = 0
 
+    def __post_init__(self):
+        grid = self.grid
+        for name, want in (
+            ("omega", (grid.ny, grid.dealias_kx)),
+            ("mean", (grid.ny,)),
+            ("g", (2, grid.nx)),
+        ):
+            got = np.shape(getattr(self, name))
+            if got != want:
+                raise GridError(f"FlowState.{name} has shape {got}, not {want}")
+
     def with_(self, **kw) -> "FlowState":
         return replace(self, **kw)
 
 
 def total_velocity(
-    grid: ChannelGrid, omega_spec: np.ndarray, mean_coeffs: np.ndarray
+    grid: ChannelGrid, omega: np.ndarray, mean_coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) coefficients of the total velocity, all rfft modes.
+    """(u, v) coefficients of the total velocity on modes 0..J, (ny, J+1) each.
 
-    The fluctuation's velocity, with the mean profile's Chebyshev
-    coefficients written into u's k = 0 column.
+    The fluctuation's velocity from ``biot_savart``, with the mean profile's
+    Chebyshev coefficients in u's k = 0 column and 0 in v's.  An ``irfft``
+    with ``n=grid.nx`` reads the modes above J as 0.
     """
-    u, v = biot_savart(grid, omega_spec)
-    u[:, 0] = mean_coeffs
-    return u, v
+    u, v = biot_savart(grid, omega)
+    return np.column_stack([mean_coeffs, u]), np.column_stack([np.zeros(grid.ny), v])
 
 
 def wall_slip(u_wall: np.ndarray) -> np.ndarray:
@@ -170,14 +182,12 @@ def initial_state(grid: ChannelGrid, params: SimParams, u=None, v=None) -> FlowS
     u_hat, v_hat = spec
     D, _ = cheb_diff_matrices(grid.ny)
     modes = slice(1, grid.dealias_kx + 1)
-    omega = np.zeros_like(u_hat)
-    omega[:, modes] = v_hat[:, modes] * (1j * grid.kx[modes]) - real_matmul(D, u_hat[:, modes])
+    omega = v_hat[:, modes] * (1j * grid.kx[modes]) - real_matmul(D, u_hat[:, modes])
     mean = u_hat[:, 0].real.copy()
 
     # u and the total vorticity (the mean's -U0' at k = 0) on both walls
     u_rec, _ = total_velocity(grid, omega, mean)
-    om_tot = omega.copy()
-    om_tot[:, 0] = -(D @ mean)
+    om_tot = np.column_stack([-(D @ mean), omega])
     walls = real_matmul(_wall_rows(grid.ny), np.stack([u_rec, om_tot]))
     u_wall, om_wall = np.fft.irfft(walls, n=grid.nx, axis=-1, norm="forward")
     return FlowState(
@@ -214,7 +224,6 @@ class ChannelFlowSolver:
         self.params = params
         self.config = config
         self.jmax = grid.dealias_kx
-        self._modes = slice(1, self.jmax + 1)
         ny = grid.ny
         self._D, self._D2 = cheb_diff_matrices(ny)
 
@@ -225,7 +234,11 @@ class ChannelFlowSolver:
         self.c2 = params.beta - self._slip_coef * self._w1
 
         # (J, ny, ny): vorticity modes 1..J to streamfunction coefficients
-        self._psi_ops = streamfunction_operator(grid)[self._modes]
+        self._psi_ops = streamfunction_operator(grid)
+        self._ksq = grid.kx[1 : self.jmax + 1] ** 2
+        # the mean-momentum forcing in Chebyshev coefficients (F times T_0)
+        self._force = np.zeros(ny)
+        self._force[0] = config.mean_force
         # (2, ny): a coefficient column's values at the (top, bottom) wall
         self._walls = _wall_rows(ny)
         # (J, 2, ny): u at the (top, bottom) wall induced by each vorticity mode
@@ -261,8 +274,7 @@ class ChannelFlowSolver:
         ny, c2 = self.grid.ny, self.c2
         robin = np.stack([_bc_row(ny, "top", c2, -1.0), _bc_row(ny, "bottom", -c2, -1.0)])
         mean = np.linalg.inv(tau_matrices(ny, [lam], robin))[0]
-        ksq = self.grid.kx[self._modes] ** 2
-        A_inv = np.linalg.inv(tau_matrices(ny, lam + ksq, _wall_rows(ny)))
+        A_inv = np.linalg.inv(tau_matrices(ny, lam + self._ksq, _wall_rows(ny)))
         unit = A_inv[:, :, ny - 2 :].copy()
         A_inv[:, :, ny - 2 :] = 0.0
         S = np.diag([-c2, c2])
@@ -277,38 +289,39 @@ class ChannelFlowSolver:
 
     # ---- nonlinear terms ----
 
-    def _nonlinear(self, omega_spec: np.ndarray, mean_coeffs: np.ndarray):
+    def _nonlinear(self, omega: np.ndarray, mean_coeffs: np.ndarray):
         """Advection for the fluctuation and the mean-flow exchange profile.
 
-        Returns (N_spec, R_coeffs, aux) with N = -(u.grad omega) restricted
-        to k != 0, R(y) the x-mean of v*omega (the mean-momentum source),
-        and aux carrying physical velocities and the (2, nx) wall slip.
+        Takes a ``FlowState``'s (ny, J) vorticity modes 1..J and mean
+        coefficients.  Returns (N, R_coeffs, aux) with N = -(u.grad omega)
+        on modes 1..J, R(y) the x-mean of v*omega (the mean-momentum
+        source), and aux carrying physical velocities and the (2, nx) wall
+        slip.
 
-        Only modes 1..J of omega_spec are read: like every ``FlowState``
-        vorticity, its k = 0 column and its modes above ``dealias_kx`` must
-        be exactly 0.  One real matmul takes [mean | psi | mean vorticity |
-        omega] coefficients to node values and d/dy node values; the five
-        fields u, v, omega, omega_x, omega_y then share one irfft, and the
-        two products one rfft and one matmul onto the dealiased rows.
+        One real matmul takes [mean | psi | mean vorticity | omega]
+        coefficients to node values and d/dy node values; the five fields
+        u, v, omega, omega_x, omega_y then share one irfft of modes 0..J
+        (it reads the modes above J as 0), and the two products one rfft and
+        one matmul onto the dealiased rows.
         """
         grid, ny, J = self.grid, self.grid.ny, self.jmax
-        modes = self._modes
+        modes = slice(1, J + 1)
         ikx = 1j * grid.kx[modes]
         cols = np.empty((ny, 2 * (J + 1)), dtype=complex)
         cols[:, 0] = mean_coeffs
-        cols[:, modes] = apply_modes(self._psi_ops, omega_spec[:, modes])
+        cols[:, modes] = apply_modes(self._psi_ops, omega)
         cols[:, J + 1] = -(self._D @ mean_coeffs)
-        cols[:, J + 2 :] = omega_spec[:, modes]
+        cols[:, J + 2 :] = omega
         vals = real_matmul(self._synth, cols)
         f, df = vals[:ny], vals[ny:]
 
-        spec = np.zeros((5, ny, grid.nkx), dtype=complex)
+        spec = np.zeros((5, ny, J + 1), dtype=complex)
         spec[0, :, 0] = f[:, 0]  # the mean profile
         spec[0, :, modes] = -df[:, modes]  # u = -psi_y
         spec[1, :, modes] = f[:, modes] * ikx  # v = ik psi
         spec[2, :, modes] = f[:, J + 2 :]  # omega
         spec[3, :, modes] = spec[2, :, modes] * ikx  # omega_x
-        spec[4, :, : J + 1] = df[:, J + 1 :]  # omega_y, the mean's -U0'' at k = 0
+        spec[4] = df[:, J + 1 :]  # omega_y, the mean's -U0'' at k = 0
         u, v, om, om_x, om_y = np.fft.irfft(spec, n=grid.nx, axis=-1, norm="forward")
 
         prod = np.empty((2, ny, grid.nx))
@@ -318,8 +331,8 @@ class ChannelFlowSolver:
         prod_hat = np.fft.rfft(prod, axis=-1, norm="forward")[..., : J + 1]
         adv, exchange = real_matmul(self._fwd, prod_hat)
 
-        N = np.zeros((ny, grid.nkx), dtype=complex)
-        N[: len(self._fwd), modes] = -adv[:, 1:]
+        N = np.zeros((ny, J), dtype=complex)
+        N[: len(self._fwd)] = -adv[:, 1:]
         R = np.zeros(ny)
         R[: len(self._fwd)] = exchange[:, 0].real
         return N, R, {"u_tot": u, "v": v, "slip": wall_slip(u[[0, -1]])}
@@ -350,26 +363,23 @@ class ChannelFlowSolver:
 
     # ---- implicit stage ----
 
-    def _implicit_stage(self, stage, rhs_spec, mean_rhs, qhat):
-        """Solve (lam + k^2 - D^2) with the wall law closed, mean and modes.
+    def _implicit_stage(self, stage, rhs, mean_rhs, qhat):
+        """Solve (lam + k^2 - D^2) with the wall law closed, mean and modes 1..J.
 
-        qhat holds the rfft modes of the (top, bottom) wall data; it is
+        qhat holds rfft modes 0..J of the (top, bottom) wall data; it is
         written into the tau rows of both right-hand sides, in place.
         """
         mean_op, mode_ops = stage
         mean_rhs[-2:] = qhat[:, 0].real
-        b = rhs_spec[:, self._modes]
-        b[-2:] = qhat[:, self._modes]
-        out = np.zeros_like(rhs_spec)
-        out[:, self._modes] = apply_modes(mode_ops, b)
-        return out, mean_op @ mean_rhs
+        rhs[-2:] = qhat[:, 1:]
+        return apply_modes(mode_ops, rhs), mean_op @ mean_rhs
 
-    def _wall_slip(self, omega_spec: np.ndarray, mean_coeffs: np.ndarray) -> np.ndarray:
+    def _wall_slip(self, omega: np.ndarray, mean_coeffs: np.ndarray) -> np.ndarray:
         """Slip u_tau along the (top, bottom) walls as a (2, nx) array."""
         grid = self.grid
-        u_hat = np.zeros((2, grid.nkx), dtype=complex)
-        u_hat[:, self._modes] = apply_modes(self._traces, omega_spec[:, self._modes])
+        u_hat = np.empty((2, self.jmax + 1), dtype=complex)
         u_hat[:, 0] = self._walls @ mean_coeffs
+        u_hat[:, 1:] = apply_modes(self._traces, omega)
         return wall_slip(np.fft.irfft(u_hat * grid.nx, n=grid.nx, axis=1))
 
     # ---- stepping ----
@@ -380,11 +390,9 @@ class ChannelFlowSolver:
         return self._step_ns(state)
 
     def _step_ns(self, state: FlowState) -> FlowState:
-        grid, params, cfg = self.grid, self.params, self.config
-        dt, Re = cfg.dt, params.Re
-        mean_coeffs, om = state.mean, state.omega
-        force = np.zeros(grid.ny)
-        force[0] = cfg.mean_force
+        grid, params, dt = self.grid, self.params, self.config.dt
+        Re = params.Re
+        mean_coeffs, om, force = state.mean, state.omega, self._force
 
         N_n, R_n, aux_n = self._nonlinear(om, mean_coeffs)
         self._check_cfl(aux_n, state)
@@ -392,7 +400,7 @@ class ChannelFlowSolver:
         # wall data pieces that depend only on the step start, (top, bottom)
         slip_n = aux_n["slip"]
         q = self._E * state.g - self._slip_coef * self._w0 * slip_n
-        qhat = np.fft.rfft(q, axis=1) / grid.nx
+        qhat = np.fft.rfft(q, axis=1)[:, : self.jmax + 1] / grid.nx
 
         lam_p = Re / dt
         om_star, mean_star = self._implicit_stage(
@@ -405,10 +413,9 @@ class ChannelFlowSolver:
         N_s, R_s, _ = self._nonlinear(om_star, mean_star)
 
         lam_c = 2.0 * Re / dt
-        ksq = grid.kx**2
         om_new, mean_new = self._implicit_stage(
             self._stage_c,
-            lam_c * om - ksq * om + real_matmul(self._D2, om) + Re * (N_n + N_s),
+            lam_c * om - self._ksq * om + real_matmul(self._D2, om) + Re * (N_n + N_s),
             lam_c * mean_coeffs + self._D2 @ mean_coeffs + Re * (R_n + R_s + 2.0 * force),
             qhat,
         )
@@ -428,11 +435,8 @@ class ChannelFlowSolver:
         )
 
     def _step_euler(self, state: FlowState) -> FlowState:
-        cfg = self.config
-        dt = cfg.dt
-        mean_coeffs, om = state.mean, state.omega
-        force = np.zeros(self.grid.ny)
-        force[0] = cfg.mean_force
+        dt = self.config.dt
+        mean_coeffs, om, force = state.mean, state.omega, self._force
 
         N_n, R_n, aux_n = self._nonlinear(om, mean_coeffs)
         self._check_cfl(aux_n, state)

@@ -36,20 +36,15 @@ def exp_weights(dt: float, Wi: float) -> tuple[float, float, float]:
     return E, I0 - w1, w1
 
 
-def step_boundary_ode(g, u_tau, params: SimParams, dt: float, u_tau_end=None) -> np.ndarray:
+def step_boundary_ode(g, u_tau, params: SimParams, dt: float, u_tau_end) -> np.ndarray:
     """Advance g over one step by the exact exponential integrator.
 
     g and the slips are plain arrays of one shape; the solver passes both
     walls at once as (2, nx) arrays, row 0 the top wall and row 1 the
-    bottom.  With only ``u_tau`` the slip is held constant over the step;
-    passing ``u_tau_end`` as well uses the exponential trapezoid (second
-    order).
+    bottom.  The slip runs linearly from ``u_tau`` at the step start to
+    ``u_tau_end`` at its end (the exponential trapezoid, second order).
     """
     E, w0, w1 = exp_weights(dt, params.Wi)
-    u0 = np.asarray(u_tau, dtype=float)
-    if u_tau_end is None:
-        quad = params.Wi * (1.0 - E) * u0
-    else:
-        quad = w0 * u0 + w1 * np.asarray(u_tau_end, dtype=float)
+    quad = w0 * np.asarray(u_tau, dtype=float) + w1 * np.asarray(u_tau_end, dtype=float)
     coef = params.alpha * params.Re / params.tau
     return E * np.asarray(g, dtype=float) - coef * quad

@@ -97,6 +97,8 @@ def test_flow_workload_setup_builds_a_state_the_solver_steps(workload):
     stepped = solver.step(state)
     assert stepped.step_index == state.step_index + 1
     assert stepped.t == pytest.approx(state.t + solver.config.dt)
+    grid = solver.grid
+    assert state.omega.shape == stepped.omega.shape == (grid.ny, grid.dealias_kx)
 
 
 def test_workload_experiments_names_exist():

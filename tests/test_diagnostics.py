@@ -19,14 +19,13 @@ from nspb.diagnostics import (
     total_energy,
     write_records,
 )
-import nspb.elliptic
 import nspb.flow
 import nspb.grid
 from nspb.elliptic import biot_savart
 from nspb.flow import FlowState, initial_state
 from nspb.grid import ChannelGrid, cheb_derivative_coeffs, cheb_inverse
 from nspb.params import SimParams
-from test_flow import grids, random_solver_state, seeds, sim_params
+from test_flow import all_modes, grids, random_solver_state, seeds, sim_params
 
 
 def make_record(t, **overrides):
@@ -209,14 +208,14 @@ def test_compute_record_of_rest_state_is_zero():
 
 
 def reference_record(state, params, mean_force):
-    """compute_record's earlier arithmetic: biot_savart over every mode, the
-    mean profile added in physical space, physical fields of the ik
-    products and the d/dy recurrence."""
+    """compute_record's earlier arithmetic: biot_savart on every mode of the
+    state, the mean profile added in physical space, physical fields of the
+    ik products and the d/dy recurrence."""
     grid = state.grid
     Re, dx, two_lx = params.Re, grid.dx, 2.0 * grid.lx
     phys = grid.spec_to_phys
 
-    u_f, v_spec = biot_savart(grid, state.omega)
+    u_f, v_spec = all_modes(grid, np.stack(biot_savart(grid, state.omega)))
     u_spec = grid.phys_to_spec(phys(u_f) + cheb_inverse(state.mean)[:, None])
     ik = 1j * grid.kx
     u, v = phys(u_spec), phys(v_spec)
@@ -228,7 +227,7 @@ def reference_record(state, params, mean_force):
     wall_slip_sq = (np.sum(u_tau_top**2) + np.sum(u_tau_bot**2)) * dx
     momentum_x = grid.integrate(u)
     mean_om = cheb_inverse(-cheb_derivative_coeffs(state.mean))
-    om = phys(state.omega) + mean_om[:, None]
+    om = phys(all_modes(grid, state.omega)) + mean_om[:, None]
     om_top = g_top + params.beta * u_tau_top
     om_bot = g_bot + params.beta * u_tau_bot
     return DiagnosticsRecord(
@@ -284,10 +283,11 @@ def test_compute_record_matches_closed_form(nx, ny, lx, m):
     psi_y = P([1.0, 0.0, -1.0]) ** 2  # psi's y-profile, zero on both walls
     U = P([A + s, 0.0, -A])
 
-    # omega = Laplacian(psi): (psi_y'' - k^2 psi_y) cos(k x), coefficient 1/2 at mode m
-    omega = np.zeros((grid.ny, grid.nkx), dtype=complex)
+    # omega = Laplacian(psi): (psi_y'' - k^2 psi_y) cos(k x), coefficient 1/2 at
+    # mode m, which is column m - 1 of a state's modes 1..J
+    omega = np.zeros((grid.ny, grid.dealias_kx), dtype=complex)
     om_y = np.polynomial.chebyshev.poly2cheb((psi_y.deriv(2) - k**2 * psi_y).coef)
-    omega[: len(om_y), m] = 0.5 * om_y
+    omega[: len(om_y), m - 1] = 0.5 * om_y
     mean = np.zeros(grid.ny)
     mean[:3] = np.polynomial.chebyshev.poly2cheb(U.coef)
     state = FlowState(grid=grid, omega=omega, mean=mean, g=np.zeros((2, grid.nx)))
@@ -329,28 +329,27 @@ def test_compute_record_reads_only_modes_up_to_the_cut(monkeypatch):
     state = random_solver_state(grid, np.random.default_rng(3))
     rec = compute_record(state, params, 0.2)
 
-    # no physical field synthesis, no all-mode velocity reconstruction and
-    # no Chebyshev transform: the state already holds coefficients
+    # no physical field synthesis and no Chebyshev transform: the state
+    # already holds coefficients
     def refuse(*args, **kwargs):
         raise AssertionError("compute_record must not call this")
 
     monkeypatch.setattr(ChannelGrid, "spec_to_phys", refuse)
     monkeypatch.setattr(scipy.fft, "dct", refuse)
     for mod, name in (
-        (nspb.elliptic, "biot_savart"),
-        (nspb.flow, "biot_savart"),
         (nspb.grid, "cheb_forward"),
         (nspb.grid, "cheb_inverse"),
         (nspb.flow, "cheb_forward"),
     ):
         monkeypatch.setattr(mod, name, refuse)
-    assert compute_record(state, params, 0.2).row() == rec.row()
-    monkeypatch.undo()
 
-    # junk in the modes a FlowState keeps at zero leaves the record bitwise equal
-    junk = state.omega.copy()
-    junk[:, grid.dealias_kx + 1 :] = np.random.default_rng(4).standard_normal(
-        (grid.ny, grid.nkx - grid.dealias_kx - 1)
-    )
-    junk_state = state.with_(omega=junk)
-    assert compute_record(junk_state, params, 0.2).row() == rec.row()
+    # the velocity comes from total_velocity's biot_savart, on modes 1..J only
+    shapes = []
+
+    def spy(grid, omega):
+        shapes.append(omega.shape)
+        return biot_savart(grid, omega)
+
+    monkeypatch.setattr(nspb.flow, "biot_savart", spy)
+    assert compute_record(state, params, 0.2).row() == rec.row()
+    assert shapes == [(grid.ny, grid.dealias_kx)]

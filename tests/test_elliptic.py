@@ -18,21 +18,30 @@ def grid():
     return ChannelGrid(nx=24, ny=33)
 
 
+def _modes(grid, values):
+    """Coefficients of Fourier modes 1..J, (ny, J), of (ny, nx) node values."""
+    return grid.phys_to_spec(values)[:, 1 : grid.dealias_kx + 1]
+
+
+def _nodes(grid, modes):
+    """(ny, nx) node values of the coefficients of Fourier modes 1..J."""
+    return grid.spec_to_phys(np.pad(modes, ((0, 0), (1, 0))))
+
+
 def _dealiased_noise(grid, seed):
-    """Coefficients of white noise at the nodes, cut above the 2/3 rule in x."""
+    """Modes 1..J of white noise at the nodes: no x-mean, cut by the 2/3 rule."""
     rng = np.random.default_rng(seed)
-    spec = grid.phys_to_spec(rng.standard_normal((grid.ny, grid.nx)))
-    spec[:, grid.dealias_kx + 1 :] = 0.0
-    return spec
+    return _modes(grid, rng.standard_normal((grid.ny, grid.nx)))
 
 
-def _streamfunction(grid, omega_spec):
-    return apply_modes(streamfunction_operator(grid), omega_spec)
+def _streamfunction(grid, omega):
+    return apply_modes(streamfunction_operator(grid), omega)
 
 
-def _laplacian(grid, spec):
-    _, D2 = cheb_diff_matrices(grid.ny)
-    return real_matmul(D2, spec) - grid.kx**2 * spec
+def _laplacian(spec, k):
+    """Laplacian of coefficient columns whose Fourier wavenumbers are k."""
+    _, D2 = cheb_diff_matrices(spec.shape[0])
+    return real_matmul(D2, spec) - k**2 * spec
 
 
 def _solve_robin(grid, lam, rhs, robin_top, robin_bottom):
@@ -53,25 +62,28 @@ def _solve_robin(grid, lam, rhs, robin_top, robin_bottom):
 def test_poisson_manufactured(grid):
     X, Y = grid.meshgrid()
     psi_exact = (1.0 - Y**2) * np.sin(X)
-    omega = grid.phys_to_spec(-(3.0 - Y**2) * np.sin(X))
-    psi = grid.spec_to_phys(_streamfunction(grid, omega))
+    omega = _modes(grid, -(3.0 - Y**2) * np.sin(X))
+    psi = _nodes(grid, _streamfunction(grid, omega))
     assert np.max(np.abs(psi - psi_exact)) < 1e-10
     assert np.max(np.abs(psi[0])) < 1e-13
     assert np.max(np.abs(psi[-1])) < 1e-13
 
 
 def test_biot_savart_constant_vorticity(grid):
-    _, Y = grid.meshgrid()
-    omega = grid.phys_to_spec(np.full((grid.ny, grid.nx), -2.0))
-    u, v = grid.spec_to_phys(np.stack(biot_savart(grid, omega)))
-    assert np.max(np.abs(u - 2.0 * Y)) < 1e-10
-    assert np.max(np.abs(v)) < 1e-12
+    # vorticity constant in y on one mode, -2 sin(x): psi'' - psi = -2 with
+    # psi(+-1) = 0 gives psi = 2 (1 - cosh(y)/cosh(1)) sin(x)
+    X, Y = grid.meshgrid()
+    omega = _modes(grid, -2.0 * np.sin(X))
+    u, v = (_nodes(grid, f) for f in biot_savart(grid, omega))
+    assert np.max(np.abs(u - 2.0 * np.sinh(Y) / np.cosh(1.0) * np.sin(X))) < 1e-10
+    assert np.max(np.abs(v - 2.0 * (1.0 - np.cosh(Y) / np.cosh(1.0)) * np.cos(X))) < 1e-12
     assert np.max(np.abs(v[0])) < 1e-13
     assert np.max(np.abs(v[-1])) < 1e-13
 
 
 def test_biot_savart_zero(grid):
-    u, v = biot_savart(grid, np.zeros((grid.ny, grid.nkx), dtype=complex))
+    u, v = biot_savart(grid, np.zeros((grid.ny, grid.dealias_kx), dtype=complex))
+    assert u.shape == v.shape == (grid.ny, grid.dealias_kx)
     assert np.max(np.abs(u)) == 0.0
     assert np.max(np.abs(v)) == 0.0
 
@@ -79,7 +91,7 @@ def test_biot_savart_zero(grid):
 def test_biot_savart_divergence_free(grid):
     u, v = biot_savart(grid, _dealiased_noise(grid, 3))
     D, _ = cheb_diff_matrices(grid.ny)
-    div = grid.spec_to_phys(u * (1j * grid.kx) + real_matmul(D, v))
+    div = _nodes(grid, u * (1j * grid.kx[1 : grid.dealias_kx + 1]) + real_matmul(D, v))
     assert np.max(np.abs(div)) < 1e-10
 
 
@@ -98,7 +110,7 @@ def test_helmholtz_robin_manufactured(grid):
     )
     assert np.max(np.abs(grid.spec_to_phys(u) - u_exact)) < 1e-10
     # the last two tau rows hold boundary data, not the PDE
-    res = lam * u - _laplacian(grid, u) - grid.phys_to_spec(rhs)
+    res = lam * u - _laplacian(u, grid.kx) - grid.phys_to_spec(rhs)
     assert np.max(np.abs(res[:-2])) < 1e-10
 
 
@@ -134,5 +146,6 @@ def test_spectral_accuracy_doubling():
 
 def test_poisson_spectral_residual_random(grid):
     omega = _dealiased_noise(grid, 4)
-    res = _laplacian(grid, _streamfunction(grid, omega)) - omega
+    k = grid.kx[1 : grid.dealias_kx + 1]
+    res = _laplacian(_streamfunction(grid, omega), k) - omega
     assert np.max(np.abs(res[:-2, :])) < 1e-10

@@ -60,17 +60,28 @@ def perturbed_shear(grid):
     return u, v
 
 
+def all_modes(grid, cols, first=1):
+    """The (..., ny, nkx) rfft spectrum with cols at modes first, first + 1, ...
+
+    Every other mode is 0.  A ``FlowState`` vorticity starts at mode 1, a
+    ``total_velocity`` array at mode 0.
+    """
+    full = np.zeros(cols.shape[:-1] + (grid.nkx,), dtype=complex)
+    full[..., first : first + cols.shape[-1]] = cols
+    return full
+
+
 def node_values(state):
     """A state's fluctuation vorticity and mean profile at the grid nodes."""
-    return state.grid.spec_to_phys(state.omega), cheb_inverse(state.mean)
+    grid = state.grid
+    return grid.spec_to_phys(all_modes(grid, state.omega)), cheb_inverse(state.mean)
 
 
 def total_vorticity(state):
     """Total vorticity of a state at the grid nodes: fluctuation plus mean."""
     D, _ = cheb_diff_matrices(state.grid.ny)
-    spec = state.omega.copy()
-    spec[:, 0] = -(D @ state.mean)
-    return state.grid.spec_to_phys(spec)
+    cols = np.column_stack([-(D @ state.mean), state.omega])
+    return state.grid.spec_to_phys(all_modes(state.grid, cols, first=0))
 
 
 def test_solver_config_validation():
@@ -128,6 +139,22 @@ def test_initial_state_rejects_wrong_shape(grid, params):
         initial_state(grid, params, u=np.zeros((3, 3)))
     with pytest.raises(GridError, match="v has shape"):
         initial_state(grid, params, v=np.zeros((grid.nx, grid.ny)))
+
+
+def test_flow_state_rejects_fields_of_another_shape(grid, params):
+    # a state stores vorticity modes 1..J only; an all-mode (ny, nkx) array,
+    # as states held before, is refused by name instead of failing in a reshape
+    st = initial_state(grid, params)
+    J = grid.dealias_kx
+    assert st.omega.shape == (grid.ny, J)
+    for field, value, shown in [
+        ("omega", np.zeros((grid.ny, grid.nkx), dtype=complex), (grid.ny, grid.nkx)),
+        ("mean", np.zeros(grid.ny + 1), (grid.ny + 1,)),
+        ("g", np.zeros((2, grid.nx + 2)), (2, grid.nx + 2)),
+    ]:
+        with pytest.raises(GridError) as err:
+            st.with_(**{field: value})
+        assert f"FlowState.{field} has shape {shown}" in str(err.value)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.2])
@@ -454,20 +481,35 @@ def test_checkpoint_restart_matches_uninterrupted(grid, params, tmp_path):
 
 
 def test_read_checkpoint_restores_the_state_invariant(params, tmp_path):
-    # the physical-values round trip leaves roundoff in the k = 0 column and
-    # above the 2/3 cut; the solver reads neither, so both must be exact 0
+    # the file holds node values of every mode; reading keeps modes 1..J,
+    # the ones a state stores, and drops the roundoff at k = 0 and above J
     grid = ChannelGrid(nx=64, ny=65)
     u, v = perturbed_shear(grid)
     cfg = SolverConfig(dt=2e-4, t_end=4e-4)
     st = ChannelFlowSolver(grid, params, cfg).run(initial_state(grid, params, u=u, v=v))
     write_checkpoint(tmp_path / "s.ckpt", st, params, cfg)
     restored = read_checkpoint(tmp_path / "s.ckpt").state
-    spec = restored.omega
-    assert np.all(spec[:, 0] == 0.0)
-    assert np.all(spec[:, grid.dealias_kx + 1 :] == 0.0)
-    kept = slice(1, grid.dealias_kx + 1)
-    assert _rel(spec[:, kept], st.omega[:, kept]) <= 1e-13
+    assert restored.omega.shape == st.omega.shape == (grid.ny, grid.dealias_kx)
+    assert _rel(restored.omega, st.omega) <= 1e-13
     assert _rel(restored.mean, st.mean) <= 1e-13
+
+
+def test_read_checkpoint_rejects_t_off_the_step_grid(tmp_path):
+    # a restart runs from t in whole steps of dt, so a t between steps is a
+    # corrupt file: named at load, not a runtime failure mid-restart
+    nx, ny = 16, 17
+    payload = np.zeros(ny * nx + ny + 4 * nx, dtype="<f8").tobytes()
+    path = tmp_path / "between.ckpt"
+
+    def v1(t):
+        path.write_bytes(struct.pack("<4sIIIdd", b"NSPB", 1, nx, ny, t, 1e-3) + payload)
+        return path
+
+    with pytest.raises(CheckpointError) as err:
+        read_checkpoint(v1(0.0105))
+    assert str(err.value) == f"{path}: t = 0.0105 is not a whole number of steps of dt = 0.001"
+    # roundoff in t within ChannelFlowSolver.run's tolerance still loads
+    assert read_checkpoint(v1(0.3 * (1 + 1e-12))).state.step_index == 300
 
 
 def test_version_1_checkpoint_loads_like_its_version_2_twin(grid, params, tmp_path):
@@ -563,13 +605,14 @@ class PerModeReference:
         self.poisson = TauSolver(grid, 0.0, (1.0, 0.0), (1.0, 0.0))
         self.signs = np.where(np.arange(grid.ny) % 2 == 0, 1.0, -1.0)
 
-    def velocity(self, omega_spec, modes):
-        u = np.zeros_like(omega_spec)
-        v = np.zeros_like(omega_spec)
-        for j in modes:
-            psi = self.poisson.solve_mode(j, -omega_spec[:, j])
-            u[:, j] = -cheb_derivative_coeffs(psi)
-            v[:, j] = 1j * self.grid.kx[j] * psi
+    def velocity(self, omega):
+        """(u, v) of the (ny, J) vorticity modes 1..J."""
+        u = np.empty_like(omega)
+        v = np.empty_like(omega)
+        for j in range(1, self.jmax + 1):
+            psi = self.poisson.solve_mode(j, -omega[:, j - 1])
+            u[:, j - 1] = -cheb_derivative_coeffs(psi)
+            v[:, j - 1] = 1j * self.grid.kx[j] * psi
         return u, v
 
     def wall_u_traces(self, j, col):
@@ -577,15 +620,15 @@ class PerModeReference:
         return ucol.sum(), self.signs @ ucol
 
     def slip_traces(self, state):
-        u, _ = self.velocity(state.omega, range(1, self.jmax + 1))
-        u_phys = self.grid.spec_to_phys(u) + cheb_inverse(state.mean)[:, None]
+        u, _ = self.velocity(state.omega)
+        u_phys = self.grid.spec_to_phys(all_modes(self.grid, u)) + cheb_inverse(state.mean)[:, None]
         return -u_phys[0], u_phys[-1]
 
-    def stage(self, lam, rhs_spec, mean_rhs, qhat):
+    def stage(self, lam, rhs, mean_rhs, qhat):
         grid, c2 = self.grid, self.c2
         dirichlet = TauSolver(grid, lam, (1.0, 0.0), (1.0, 0.0))
         zeros = np.zeros(grid.ny)
-        out = np.zeros_like(rhs_spec)
+        out = np.empty_like(rhs)
         for j in range(1, self.jmax + 1):
             unit_top = dirichlet.solve_mode(j, zeros, 1.0, 0.0).real
             unit_bot = dirichlet.solve_mode(j, zeros, 0.0, 1.0).real
@@ -597,10 +640,10 @@ class PerModeReference:
                     [-c2 * a_bt.real, 1.0 - c2 * a_bb.real],
                 ]
             )
-            part = dirichlet.solve_mode(j, rhs_spec[:, j], 0.0, 0.0)
+            part = dirichlet.solve_mode(j, rhs[:, j - 1], 0.0, 0.0)
             ut_p, ub_p = self.wall_u_traces(j, part)
             d_t, d_b = np.linalg.solve(K, [qhat[0, j] - c2 * ut_p, qhat[1, j] + c2 * ub_p])
-            out[:, j] = part + d_t * unit_top + d_b * unit_bot
+            out[:, j - 1] = part + d_t * unit_top + d_b * unit_bot
         mean = TauSolver(grid, lam, (c2, -1.0), (c2, 1.0))
         mean_out = mean.solve_mode(0, mean_rhs, qhat[0, 0].real, -qhat[1, 0].real).real
         return out, mean_out
@@ -625,19 +668,17 @@ sim_params = st.builds(
 seeds = st.integers(0, 2**31)
 
 
-def random_spectrum(grid, rng):
-    shape = (grid.ny, grid.nkx)
+def random_modes(grid, rng):
+    """White-noise (ny, J) complex coefficients of Fourier modes 1..J."""
+    shape = (grid.ny, grid.dealias_kx)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_solver_state(grid, rng):
-    """White-noise state with no k = 0 fluctuation and no modes above the 2/3 cut."""
-    omega = random_spectrum(grid, rng)
-    omega[:, 0] = 0.0
-    omega[:, grid.dealias_kx + 1 :] = 0.0
+    """White-noise state: vorticity modes 1..J, mean profile, wall stress."""
     return FlowState(
         grid=grid,
-        omega=omega,
+        omega=random_modes(grid, rng),
         mean=rng.standard_normal(grid.ny),
         g=rng.standard_normal((2, grid.nx)),
     )
@@ -651,10 +692,10 @@ def test_batched_operators_match_per_mode_reference(grid, params, dt, seed):
     rng = np.random.default_rng(seed)
     Re = params.Re
 
-    # velocity over every rfft mode, as biot_savart promises
-    omega = random_spectrum(grid, rng)
+    # velocity of vorticity modes 1..J, as biot_savart promises
+    omega = random_modes(grid, rng)
     u, v = biot_savart(grid, omega)
-    u_ref, v_ref = ref.velocity(omega, range(grid.nkx))
+    u_ref, v_ref = ref.velocity(omega)
     assert _rel(u, u_ref) <= 1e-12
     assert _rel(v, v_ref) <= 1e-12
 
@@ -667,9 +708,10 @@ def test_batched_operators_match_per_mode_reference(grid, params, dt, seed):
 
     # both implicit stages, wall law closed
     for lam, stage in ((Re / dt, sol._stage_p), (2.0 * Re / dt, sol._stage_c)):
-        rhs = random_spectrum(grid, rng)
+        rhs = random_modes(grid, rng)
         mean_rhs = rng.standard_normal(grid.ny)
-        qhat = rng.standard_normal((2, grid.nkx)) + 1j * rng.standard_normal((2, grid.nkx))
+        shape = (2, grid.dealias_kx + 1)
+        qhat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         qhat[:, 0] = qhat[:, 0].real
         out_ref, mean_ref = ref.stage(lam, rhs, mean_rhs, qhat)
         out, mean = sol._implicit_stage(stage, rhs.copy(), mean_rhs.copy(), qhat)
@@ -677,11 +719,12 @@ def test_batched_operators_match_per_mode_reference(grid, params, dt, seed):
         assert _rel(mean, mean_ref) <= 1e-12
 
 
-def reference_nonlinear(grid, omega_spec, mean_coeffs):
+def reference_nonlinear(grid, omega, mean_coeffs):
     """_nonlinear's earlier arithmetic: five single-field spec_to_phys and
     two full phys_to_spec calls, truncated to the dealiased rows and modes."""
     D, D2 = cheb_diff_matrices(grid.ny)
-    u_spec, v_spec = total_velocity(grid, omega_spec, mean_coeffs)
+    u_spec, v_spec = all_modes(grid, np.stack(total_velocity(grid, omega, mean_coeffs)), first=0)
+    omega_spec = all_modes(grid, omega)
     om_y_spec = D @ omega_spec
     om_y_spec[:, 0] = -(D2 @ mean_coeffs)
 
@@ -691,10 +734,8 @@ def reference_nonlinear(grid, omega_spec, mean_coeffs):
     om_x = grid.spec_to_phys(omega_spec * (1j * grid.kx))
     om_y = grid.spec_to_phys(om_y_spec)
 
-    N = -grid.phys_to_spec(u_tot * om_x + v_phys * om_y)
-    N[:, grid.dealias_kx + 1 :] = 0.0
+    N = -grid.phys_to_spec(u_tot * om_x + v_phys * om_y)[:, 1 : grid.dealias_kx + 1]
     N[grid.dealias_cheb + 1 :, :] = 0.0
-    N[:, 0] = 0.0
     R = grid.phys_to_spec(v_phys * om_phys)[:, 0].real.copy()
     R[grid.dealias_cheb + 1 :] = 0.0
     return N, R, {"u_tot": u_tot, "v": v_phys, "slip": wall_slip(u_tot[[0, -1]])}

@@ -142,15 +142,15 @@ def test_wall_values_orientation(grid):
 
 def test_dealias_masks_high_modes(grid):
     # initial_state applies the 2/3 cut in x: the vorticity of white-noise
-    # velocity keeps modes 1..J of (ik v - D u) and exact zeros above them
+    # velocity keeps modes 1..J of (ik v - D u) and nothing above them
     rng = np.random.default_rng(1)
     u, v = rng.standard_normal((2, grid.ny, grid.nx))
     omega = initial_state(grid, SimParams(Re=10.0), u=u, v=v).omega
     kept = grid.dealias_kx + 1
-    assert np.all(omega[:, kept:] == 0)
+    assert omega.shape == (grid.ny, kept - 1)
     D, _ = cheb_diff_matrices(grid.ny)
     full = grid.phys_to_spec(v) * (1j * grid.kx) - real_matmul(D, grid.phys_to_spec(u))
-    assert np.max(np.abs(omega[:, 1:kept] - full[:, 1:kept])) <= 1e-12 * np.max(np.abs(full))
+    assert np.max(np.abs(omega - full[:, 1:kept])) <= 1e-12 * np.max(np.abs(full))
 
 
 @settings(max_examples=25, deadline=None)

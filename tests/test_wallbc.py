@@ -60,7 +60,8 @@ def test_exp_weights_limits():
 
 
 def test_free_decay_half_step(params):
-    out = step_boundary_ode(np.array([1.0]), np.array([0.0]), params, 0.5)
+    zero = np.array([0.0])
+    out = step_boundary_ode(np.array([1.0]), zero, params, 0.5, u_tau_end=zero)
     assert out[0] == pytest.approx(0.6065306597126334, abs=1e-12)
 
 
@@ -69,7 +70,7 @@ def test_constant_slip_reaches_friction_fixed_point(params):
     g = np.array([0.0])
     E = math.exp(-0.5 / params.Wi)
     for n in range(1, 41):
-        g = step_boundary_ode(g, np.array([c]), params, 0.5)
+        g = step_boundary_ode(g, np.array([c]), params, 0.5, u_tau_end=np.array([c]))
         expected = -params.friction_ratio * c * (1.0 - E**n)
         assert g[0] == pytest.approx(expected, rel=1e-12)
     assert g[0] == pytest.approx(-params.friction_ratio * c, rel=1e-7)
