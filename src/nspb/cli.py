@@ -5,7 +5,8 @@ can cap the BLAS/OpenMP pools through the environment before numpy first
 loads; everything heavy is imported inside main().
 
 Exit codes: 0 all checks passed, 1 a physics acceptance check failed,
-2 configuration error, 3 runtime failure.
+2 configuration error or a restart checkpoint the reader rejects,
+3 runtime failure.
 """
 
 from __future__ import annotations
@@ -103,12 +104,16 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    from .checkpoint import CheckpointError
     from .experiments import execute
 
     try:
         summary = execute(plan, checkpoint=getattr(args, "checkpoint", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         raise

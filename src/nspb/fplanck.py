@@ -53,12 +53,8 @@ class FPGrid:
         cls, potential: SpringPotential, cutoff: float = 30.0, h: float = 0.12
     ) -> "FPGrid":
         """Box sized so the neglected tail has U >= cutoff."""
-        if potential.finite_extent:
-            r = potential.R * math.sqrt(max(1.0 - math.exp(-cutoff / max(potential.H, 1e-12)), 0.5))
-        else:
-            r = potential.R * (cutoff / max(potential.H, 1e-12)) ** (
-                1.0 / (2 * potential.k_exponent)
-            )
+        potential.require_restoring("a Fokker-Planck box")
+        r = potential.R * (cutoff / potential.H) ** 0.5
         return cls(
             extent_t=r,
             extent_n=r,

@@ -18,12 +18,14 @@ Typical use::
         mem = memory_closure_step(mem, 1.0, phys, 5e-3)
     mom = kramers_stress(ens, pot, phys)  # mom.sigma_tn tracks mem.sigma_tn
 
-The Hookean k=1 spring has the exact-in-law step ``hookean_exact_step``
-and the exact shear-stress memory ``memory_closure_step``; every other
-spring takes the Euler-Maruyama ``sde_step``.
+The spring is Hookean, U = H |m|^2 / R^2: it is the one spring whose stress
+closes to the relaxation law of the wall-tangential stress.  It has the
+exact-in-law step ``hookean_exact_step`` and the exact shear-stress memory
+``memory_closure_step``; the Euler-Maruyama ``sde_step`` is kept as the
+first-order reference the exact step is tested against.
 
-All randomness is counter-based (Philox keyed by seed, step and retry
-index), so trajectories are bitwise reproducible for a given seed.
+All randomness is counter-based (Philox keyed by seed and step), so
+trajectories are bitwise reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -38,61 +40,35 @@ from .params import ParameterError, PhysicalParams
 from .wallbc import exp_weights
 
 
-class ClosureError(ValueError):
-    """The requested closure is only defined for the Hookean k=1 spring."""
-
-
 @dataclass(frozen=True)
 class SpringPotential:
-    """Radial spring potential U(|m|) in kB_T units."""
+    """Hookean spring U(m) = H |m|^2 / R^2 in kB_T units."""
 
-    kind: str
     H: float
     R: float = 1.0
-    k_exponent: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("hookean", "fene"):
-            raise ParameterError(f"unknown spring kind {self.kind!r}")
         if self.H < 0 or not math.isfinite(self.H):
             raise ParameterError(f"H must be nonnegative, got {self.H!r}")
         if self.R <= 0:
             raise ParameterError(f"R must be positive, got {self.R!r}")
-        if self.kind == "hookean" and self.k_exponent < 1:
-            raise ParameterError(f"k_exponent must be >= 1, got {self.k_exponent}")
 
     @classmethod
-    def hookean(cls, H: float, R: float = 1.0, k: int = 1) -> "SpringPotential":
-        return cls(kind="hookean", H=H, R=R, k_exponent=k)
+    def hookean(cls, H: float, R: float = 1.0) -> "SpringPotential":
+        return cls(H=H, R=R)
 
-    @classmethod
-    def fene(cls, H: float, R: float = 1.0) -> "SpringPotential":
-        return cls(kind="fene", H=H, R=R)
-
-    @property
-    def finite_extent(self) -> bool:
-        return self.kind == "fene"
+    def require_restoring(self, what: str) -> None:
+        """Reject the free spring (H = 0), which has no equilibrium density."""
+        if self.H == 0:
+            raise ParameterError(f"{what} needs a restoring spring, got H = 0")
 
     def energy(self, m: np.ndarray) -> np.ndarray:
         r2 = np.sum(np.square(m), axis=-1)
-        if self.kind == "hookean":
-            return self.H * (r2 / self.R**2) ** self.k_exponent
-        x = r2 / self.R**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(x < 1.0, -self.H * np.log1p(-np.minimum(x, 1.0)), np.inf)
+        return self.H * (r2 / self.R**2)
 
     def grad(self, m: np.ndarray) -> np.ndarray:
         """grad U at each member, as a fresh array the caller may overwrite."""
-        if self.is_hookean_linear():
-            return (2.0 * self.H / self.R**2) * m
-        r2 = np.sum(np.square(m), axis=-1, keepdims=True)
-        if self.kind == "hookean":
-            k = self.k_exponent
-            return (2.0 * k * self.H / self.R ** (2 * k)) * r2 ** (k - 1) * m
-        return (2.0 * self.H / self.R**2) * m / np.maximum(1.0 - r2 / self.R**2, 1e-300)
-
-    def is_hookean_linear(self) -> bool:
-        return self.kind == "hookean" and self.k_exponent == 1
+        return (2.0 * self.H / self.R**2) * m
 
 
 @dataclass(frozen=True)
@@ -118,49 +94,21 @@ class PolymerEnsemble:
 
 
 _EQ_LABEL = 1 << 40  # keeps equilibrium-draw streams clear of step streams
-_RETRY_STREAMS = 65536  # streams per label: a key is label * _RETRY_STREAMS + retry
+_STREAMS_PER_LABEL = 65536  # a key is (seed, label * 65536), the layout every stored output used
 
 
-def _philox_normals(seed: int, label: int, retry: int, shape) -> np.ndarray:
-    key = [np.uint64(seed), np.uint64(label) * np.uint64(_RETRY_STREAMS) + np.uint64(retry)]
+def _philox_normals(seed: int, label: int, shape) -> np.ndarray:
+    key = [np.uint64(seed), np.uint64(label) * np.uint64(_STREAMS_PER_LABEL)]
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
-def _philox_uniform(seed: int, label: int, retry: int, shape) -> np.ndarray:
-    key = [np.uint64(seed), np.uint64(label) * np.uint64(_RETRY_STREAMS) + np.uint64(retry)]
-    return np.random.Generator(np.random.Philox(key=key)).random(shape)
-
-
-def equilibrium_ensemble(
-    n: int, potential: SpringPotential, seed: int, max_tries: int = 10000
-) -> PolymerEnsemble:
+def equilibrium_ensemble(n: int, potential: SpringPotential, seed: int) -> PolymerEnsemble:
     """Sample n members from the Gibbs density exp(-U) on the half plane."""
-    if potential.is_hookean_linear() and potential.H > 0:
-        sd = potential.R / math.sqrt(2.0 * potential.H)
-        z = _philox_normals(seed, _EQ_LABEL, 0, (n, 2))
-        m = sd * z
-        m[:, 1] = np.abs(m[:, 1])
-        return PolymerEnsemble(members=m, seed=seed, step_count=0, t=0.0)
-    # generic rejection sampling under exp(-U) <= 1
-    if potential.finite_extent:
-        L = potential.R
-    else:
-        L = potential.R * (40.0 / max(potential.H, 1e-12)) ** (1.0 / (2 * potential.k_exponent))
-    out = np.empty((n, 2))
-    filled = 0
-    for attempt in range(max_tries):
-        todo = n - filled
-        u = _philox_uniform(seed, _EQ_LABEL + 1 + attempt, 0, (todo, 3))
-        cand = np.empty((todo, 2))
-        cand[:, 0] = (2.0 * u[:, 0] - 1.0) * L
-        cand[:, 1] = u[:, 1] * L
-        keep = u[:, 2] < np.exp(-potential.energy(cand))
-        k = int(keep.sum())
-        out[filled : filled + k] = cand[keep]
-        filled += k
-        if filled == n:
-            return PolymerEnsemble(members=out, seed=seed, step_count=0, t=0.0)
-    raise RuntimeError("equilibrium rejection sampling failed to converge")
+    potential.require_restoring("the equilibrium ensemble")
+    sd = potential.R / math.sqrt(2.0 * potential.H)
+    m = sd * _philox_normals(seed, _EQ_LABEL, (n, 2))
+    m[:, 1] = np.abs(m[:, 1])
+    return PolymerEnsemble(members=m, seed=seed, step_count=0, t=0.0)
 
 
 def sde_step(
@@ -170,60 +118,31 @@ def sde_step(
     phys: PhysicalParams,
     u_slip: float = 0.0,
     noise: bool = True,
-    max_retries: int = 200,
 ) -> PolymerEnsemble:
     """One Euler-Maruyama step with mirror reflection at the wall plane.
 
     Members crossing m_n < 0 are reflected by a sign flip of the normal
-    coordinate.  For finite-extent springs a proposal with |m| >= R is
-    retried with fresh noise (fresh counter stream per retry); the
-    ``noise=False`` hook freezes the Brownian term for deterministic
-    drift tests.
+    coordinate.  The ``noise=False`` hook freezes the Brownian term for
+    deterministic drift tests.  No driver steps with it: it is the
+    first-order reference that ``hookean_exact_step`` is tested against,
+    and it draws the same normals.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if not 0 <= max_retries < _RETRY_STREAMS:
-        # a retry index >= _RETRY_STREAMS would reuse the next step's stream
-        raise ValueError(
-            f"max_retries must lie in [0, {_RETRY_STREAMS - 1}], got {max_retries}"
-        )
     D = phys.kB_T / phys.zeta
     scale = math.sqrt(2.0 * D * dt) if noise else 0.0
     m = ens.members
-
-    def propose(points: np.ndarray, z: np.ndarray) -> np.ndarray:
-        # points + dt * drift + scale * z, evaluated in place in the same
-        # order (so bitwise equal) in the fresh gradient; z is overwritten
-        new = potential.grad(points)
-        new *= -D
-        new[:, 0] += (u_slip / potential.R) * points[:, 1]
-        new *= dt
-        new += points
-        z *= scale
-        new += z
-        np.abs(new[:, 1], out=new[:, 1])  # mirror reflection
-        return new
-
-    z = _philox_normals(ens.seed, ens.step_count, 0, m.shape) if noise else np.zeros_like(m)
-    new = propose(m, z)
-
-    if potential.finite_extent:
-        bad = np.sum(np.square(new), axis=1) >= potential.R**2
-        retry = 0
-        while np.any(bad):
-            retry += 1
-            if retry > max_retries:
-                raise RuntimeError(
-                    f"{int(bad.sum())} members failed the finite-extent retry cap; "
-                    "the explicit drift overshoots near full extension, reduce dt"
-                )
-            if not noise:
-                raise RuntimeError("drift-only step left the finite-extent domain")
-            zr = _philox_normals(ens.seed, ens.step_count, retry, m.shape)
-            idx = np.nonzero(bad)[0]
-            new[idx] = propose(m[idx], zr[idx])
-            bad[idx] = np.sum(np.square(new[idx]), axis=1) >= potential.R**2
-
+    z = _philox_normals(ens.seed, ens.step_count, m.shape) if noise else np.zeros_like(m)
+    # m + dt * drift + scale * z, evaluated in place in the same order (so
+    # bitwise equal) in the fresh gradient; z is overwritten
+    new = potential.grad(m)
+    new *= -D
+    new[:, 0] += (u_slip / potential.R) * m[:, 1]
+    new *= dt
+    new += m
+    z *= scale
+    new += z
+    np.abs(new[:, 1], out=new[:, 1])  # mirror reflection
     return PolymerEnsemble(
         members=new, seed=ens.seed, step_count=ens.step_count + 1, t=ens.t + dt
     )
@@ -236,7 +155,7 @@ def hookean_exact_step(
     phys: PhysicalParams,
     u_slip: float = 0.0,
 ) -> PolymerEnsemble:
-    """One exact-in-law step of the reflected Hookean k=1 dumbbell.
+    """One exact-in-law step of the reflected Hookean dumbbell.
 
     m_n is the modulus of an Ornstein-Uhlenbeck process that the slip does
     not reach, so for any dt it has the exact transition (Gillespie, Phys.
@@ -251,16 +170,10 @@ def hookean_exact_step(
     where (E, w0, w1) are the exponential-trapezoid weights of
     ``wallbc.exp_weights``.  The trapezoid is the only time-step bias, and
     only sigma_tn sees it.  The normals come from the same Philox stream as
-    ``sde_step`` (seed, step_count, retry 0); the input is not modified.
-    Euler-Maruyama (``sde_step``) remains the step for every other spring.
+    ``sde_step`` (seed, step_count), so the Euler-Maruyama step is its
+    first-order reference; the input is not modified.
     """
-    if not potential.is_hookean_linear():
-        raise ClosureError(
-            f"the exact step requires the Hookean k=1 spring, got {potential.kind} "
-            f"k={potential.k_exponent}"
-        )
-    if potential.H == 0:
-        raise ValueError("the exact step needs a restoring spring, got H = 0")
+    potential.require_restoring("the exact step")
     if not dt > 0:
         raise ValueError("dt must be positive")
     D = phys.kB_T / phys.zeta
@@ -268,7 +181,7 @@ def hookean_exact_step(
     E, w0, w1 = exp_weights(dt, two_lam)
     s = math.sqrt(two_lam * D * (1.0 - E * E))
     m = ens.members
-    new = _philox_normals(ens.seed, ens.step_count, 0, m.shape)
+    new = _philox_normals(ens.seed, ens.step_count, m.shape)
     new *= s
     new += E * m
     np.abs(new[:, 1], out=new[:, 1])  # m_n' from the OU transition
@@ -326,21 +239,16 @@ def closure_ode_step(
     u_slip: float,
     phys: PhysicalParams,
     dt: float,
-    potential: SpringPotential | None = None,
 ) -> StressMoments:
     """Advance the closed moment system by its exact exponential solution.
 
     d(sigma_nn)/dt = -(sigma_nn - sigma_nn_eq)/lambda
     d(sigma_tn)/dt = (u_slip/R) sigma_nn - sigma_tn/lambda
 
-    with lambda = R^2 zeta/(4 H kB_T); u_slip is held over the step.  Only
-    the Hookean k=1 spring closes this way.
+    with lambda = R^2 zeta/(4 H kB_T); u_slip is held over the step.  The
+    closed form drops the wall flux of the reflected ensemble, which
+    ``memory_closure_step`` keeps.
     """
-    if potential is not None and not potential.is_hookean_linear():
-        raise ClosureError(
-            f"moment closure requires the Hookean k=1 spring, got {potential.kind} "
-            f"k={getattr(potential, 'k_exponent', None)}"
-        )
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     lam = phys.relaxation_time

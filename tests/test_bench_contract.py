@@ -101,6 +101,25 @@ def test_flow_workload_setup_builds_a_state_the_solver_steps(workload):
     assert state.omega.shape == stepped.omega.shape == (grid.ny, grid.dealias_kx)
 
 
+def test_micro_workload_setup_builds_the_ensemble_grid_and_gibbs_density(monkeypatch):
+    # workloads.setup setattr()s the MICRO_SMOKE keys on nspb.experiments;
+    # pinning each one first makes monkeypatch restore it at teardown
+    import workloads
+    from nspb.config import load_config
+    from nspb.fplanck import density_mass
+
+    experiments = importlib.import_module("nspb.experiments")
+    for name in workloads.MICRO_SMOKE:
+        monkeypatch.setattr(experiments, name, getattr(experiments, name))
+    ens, fpgrid, f0 = workloads.setup(BENCH_DIR.parent, "micro", smoke=True)
+    assert ens.n_members == workloads.MICRO_SMOKE["MC_MEMBERS"]
+    assert (fpgrid.n_t, fpgrid.n_n) == (120, 60)
+    plan = load_config(BENCH_DIR.parent / workloads.CONFIGS["micro"])
+    phys, _ = workloads.micro_physics(plan)
+    assert density_mass(fpgrid, f0) == pytest.approx(phys.N_P, rel=1e-12)
+    assert f0.min() > 0.0
+
+
 def test_workload_experiments_names_exist():
     # workloads.scale_micro setattr()s the MICRO_* keys on nspb.experiments,
     # so a renamed constant would silently become a dead attribute there

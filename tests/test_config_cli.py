@@ -196,12 +196,21 @@ def test_cli_config_error_exits_2(tmp_path):
     assert main(["energy-audit", "--config", clash, "--out", str(tmp_path / "o2")]) == 2
 
 
-def test_cli_runtime_failure_exits_3(tmp_path):
+def test_cli_runtime_failure_exits_3(tmp_path, capsys):
+    # dt = 0.5 trips the CFL guard on the first step of the sweep point,
+    # which the driver records as a failed point
+    cfg = write_cfg(tmp_path, "nx = 16\nny = 17\ndt = 0.5\nt_end = 0.5\nsweep_values = 10\n")
+    assert main(["sweep-alpha", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "CFLError" in capsys.readouterr().err
+
+
+def test_cli_rejected_checkpoint_exits_2(tmp_path, capsys):
     bad = tmp_path / "broken.ckpt"
     bad.write_bytes(b"not a checkpoint")
     cfg = write_cfg(tmp_path, TINY)
     code = main(["restart", str(bad), "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == 3
+    assert code == 2
+    assert "checkpoint error:" in capsys.readouterr().err
 
 
 def test_cli_restart_matches_uninterrupted(tmp_path):

@@ -17,7 +17,7 @@ from nspb.fplanck import (
     wall_tangential_flux_moment,
 )
 from nspb.micro import SpringPotential, StressMoments, closure_ode_step
-from nspb.params import PhysicalParams
+from nspb.params import ParameterError, PhysicalParams
 
 
 @pytest.fixture()
@@ -48,9 +48,12 @@ def test_for_potential_extents(pot):
     assert g.extent_t == pytest.approx(math.sqrt(80.0))
     assert g.extent_n == g.extent_t
     assert g.h_t <= 0.15 + 1e-12
-    fene = SpringPotential.fene(H=1.0, R=2.0)
-    gf = FPGrid.for_potential(fene, cutoff=20.0, h=0.15)
-    assert gf.extent_t == pytest.approx(2.0, rel=1e-6)
+
+
+def test_for_potential_rejects_the_free_spring():
+    # no U >= cutoff bounds the box at H = 0; raise before sizing anything
+    with pytest.raises(ParameterError, match="H = 0"):
+        FPGrid.for_potential(SpringPotential.hookean(H=0.0), cutoff=20.0, h=0.15)
 
 
 def test_gibbs_density_mass(fpgrid, pot):
