@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import FlowState, SolverConfig
+from .flow import FlowState, SolverConfig, whole_steps
 from .grid import ChannelGrid, GridError, cheb_forward, cheb_inverse
 from .params import SimParams
 
@@ -44,7 +44,8 @@ _PREFIX = struct.Struct("<4sI")
 _HEADER_V1 = struct.Struct("<4sIIIdd")
 _HEADER = struct.Struct("<4sIIIdd6d32s32sd")  # v2, without its closing CRC32
 _CRC = struct.Struct("<I")
-# config keys of the physics a v2 header stores, in header order
+# the physics a v2 header stores, in header order: config keys plus the
+# run's SolverConfig mode and forcing
 PHYSICS_KEYS = ("lx", "re", "wi", "tau", "alpha", "kappa", "mode", "forcing", "forcing_amplitude")
 
 
@@ -127,9 +128,8 @@ def read_checkpoint(path, lx: float = 2.0 * np.pi) -> Checkpoint:
         raise CheckpointError(f"{path}: dt must be positive and finite, got {dt!r}")
     if not (math.isfinite(t) and t >= 0):
         raise CheckpointError(f"{path}: t must be nonnegative and finite, got {t!r}")
-    # ChannelFlowSolver.run's tolerance for a whole number of steps
-    steps = round(t / dt)
-    if abs(steps * dt - t) > 1e-9 * max(1.0, t):
+    steps = whole_steps(t, dt)  # ChannelFlowSolver.run's rule
+    if steps is None:
         raise CheckpointError(f"{path}: t = {t!r} is not a whole number of steps of dt = {dt!r}")
     arr = np.frombuffer(raw, dtype="<f8", offset=body)
     omega_vals, mean_vals, g, _ = np.split(arr, np.cumsum([ny * nx, ny, 2 * nx]))

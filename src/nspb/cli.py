@@ -73,7 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
         "run": "single trajectory with records and checkpoints",
         "sweep-re": "Reynolds sweep: dissipation decay, forced friction, vorticity bound",
         "sweep-alpha": "wall-coupling sweep: no-slip recovery",
-        "micro-verify": "stochastic dumbbell ensembles against the closed moment system",
+        "micro-verify": (
+            "stochastic dumbbell ensembles against the closed moment system "
+            "and the memory closure"
+        ),
         "energy-audit": "budget-residual refinement order and monotone decay",
         "inviscid-limit": "distance to the matched ideal-fluid run across Re",
         "restart": "resume a checkpointed trajectory",

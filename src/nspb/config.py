@@ -1,11 +1,12 @@
 """Flat key=value experiment configuration.
 
 A config file is UTF-8 text, one ``key = value`` pair per line, ``#``
-starting a comment.  Unknown or duplicate keys are rejected with their
-line number.  Every key has a default, so the empty file is a valid
-single-run plan; a few keys get kind-specific defaults (sweep value
-lists, the resolved short run of the budget-order experiment) when the
-user does not set them explicitly.
+starting a comment.  Each experiment kind accepts only the keys its
+driver reads (``KIND_KEYS``); an unknown key, a duplicate, or a key the
+kind does not read is rejected with its line number.  Every key has a
+default, so the empty file is a valid single-run plan; a few keys get
+kind-specific defaults (sweep value lists, the resolved short run of the
+budget-order experiment) when the user does not set them explicitly.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .flow import SolverConfig
+from .flow import SolverConfig, whole_steps
 from .grid import ChannelGrid, GridError
 from .params import ParameterError, SimParams
 
@@ -23,40 +24,39 @@ class ConfigError(ValueError):
     """Malformed, unknown, or inconsistent configuration input."""
 
 
-KINDS = (
-    "single_run",
-    "sweep_re",
-    "sweep_alpha",
-    "micro_verify",
-    "energy_audit",
-    "inviscid_limit",
-)
+# the model, grid and time-step keys every flow driver reads
+_FLOW = ("re", "wi", "tau", "alpha", "kappa", "nx", "ny", "lx", "dt", "t_end", "cfl_max")
 
-_SWEEP_KINDS = ("sweep_re", "sweep_alpha", "inviscid_limit")
+# kind -> the keys its driver reads besides kind; micro_verify runs on the
+# fixed constants of its driver and reads none
+KIND_KEYS = {
+    "single_run": _FLOW + ("forcing_amplitude", "checkpoint_every", "record_every"),
+    "sweep_re": _FLOW + ("forcing_amplitude", "record_every", "sweep_values"),
+    # alpha is the swept value
+    "sweep_alpha": tuple(k for k in _FLOW if k != "alpha")
+    + ("forcing_amplitude", "record_every", "sweep_values"),
+    "micro_verify": (),
+    "energy_audit": _FLOW,
+    "inviscid_limit": _FLOW + ("sweep_values",),
+}
+
+KINDS = tuple(KIND_KEYS)
+
+_SWEEP_KINDS = tuple(kind for kind, keys in KIND_KEYS.items() if "sweep_values" in keys)
 
 # sweep_re's forced phase runs over this span whatever t_end is
 FORCED_PHASE_SPAN = 0.5
 # inviscid_limit compares its runs at multiples of this spacing
 INVISCID_SAMPLE_SPACING = 0.05
 
-# key -> (parser, default)
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(s: str) -> bool:
-    try:
-        return _BOOL_WORDS[s.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean (true/false), got {s!r}")
-
-
-def _parse_values(s: str):
+def _parse_values(s: str) -> list:
     parts = [p.strip() for p in s.split(",")]
     if any(not p for p in parts):
         raise ValueError(f"expected comma-separated numbers, got {s!r}")
-    return tuple(float(p) for p in parts)
+    return [float(p) for p in parts]
 
 
+# key -> (parser, default)
 _SCHEMA = {
     # dimensionless groups
     "re": (float, 250.0),
@@ -64,7 +64,6 @@ _SCHEMA = {
     "tau": (float, 1.0),
     "alpha": (float, 10.0),
     "kappa": (float, 0.0),
-    "stokes_einstein": (_parse_bool, True),
     # discretization
     "nx": (int, 64),
     "ny": (int, 65),
@@ -72,15 +71,14 @@ _SCHEMA = {
     # time integration
     "dt": (float, 1e-3),
     "t_end": (float, 1.0),
-    "mode": (str, "navier_stokes"),
-    "forcing": (str, "zero"),
+    # a nonzero amplitude drives the flow by a steady pressure gradient
     "forcing_amplitude": (float, 0.0),
     "cfl_max": (float, 0.5),
     "checkpoint_every": (int, 1000),
     "record_every": (int, 1),
     # experiment selection
     "kind": (str, "single_run"),
-    "sweep_values": (_parse_values, ()),
+    "sweep_values": (_parse_values, []),
 }
 
 # applied only when the user left the key at its default; acceptance
@@ -89,9 +87,9 @@ _SCHEMA = {
 # shipped 64x65 configs within half the measured blow-up boundary, and moves
 # no verdict by more than 1% of its margin when halved (tests/test_acceptance.py).
 _KIND_DEFAULTS = {
-    "sweep_re": {"sweep_values": (250.0, 500.0, 1000.0, 2000.0, 4000.0), "t_end": 2.0, "dt": 2e-2},
-    "sweep_alpha": {"sweep_values": (10.0, 100.0, 1000.0), "t_end": 0.5, "dt": 5e-3},
-    "inviscid_limit": {"sweep_values": (250.0, 1000.0, 4000.0), "dt": 1.25e-2, "t_end": 0.5},
+    "sweep_re": {"sweep_values": [250.0, 500.0, 1000.0, 2000.0, 4000.0], "t_end": 2.0, "dt": 2e-2},
+    "sweep_alpha": {"sweep_values": [10.0, 100.0, 1000.0], "t_end": 0.5, "dt": 5e-3},
+    "inviscid_limit": {"sweep_values": [250.0, 1000.0, 4000.0], "dt": 1.25e-2, "t_end": 0.5},
     "energy_audit": {"re": 20.0, "nx": 32, "ny": 33, "dt": 2e-3, "t_end": 0.2},
 }
 
@@ -102,7 +100,6 @@ class ExperimentPlan:
 
     kind: str
     sim: SimParams
-    stokes_einstein: bool
     nx: int
     ny: int
     lx: float
@@ -110,14 +107,12 @@ class ExperimentPlan:
     sweep_values: tuple
     output_dir: Path = Path("runs")
     seed: int = 0
-    raw: dict = field(default_factory=dict)
+    raw: dict = field(default_factory=dict)  # every schema key, resolved
 
     def echo(self) -> dict:
-        """Every key with its resolved value, defaults included."""
-        out = dict(self.raw)
-        out["output_dir"] = str(self.output_dir)
-        out["seed"] = self.seed
-        return out
+        """kind and the kind's keys with their resolved values, then output_dir and seed."""
+        out = {key: self.raw[key] for key in ("kind", *KIND_KEYS[self.kind])}
+        return {**out, "output_dir": str(self.output_dir), "seed": self.seed}
 
     def with_output(self, output_dir, seed=None) -> "ExperimentPlan":
         from dataclasses import replace
@@ -132,9 +127,8 @@ class ExperimentPlan:
 
 
 def _check_whole_steps(what: str, span: float, dt: float) -> None:
-    """The flow solver steps by dt (ChannelFlowSolver.run, same tolerance)."""
-    n_steps = round(span / dt)
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+    """The flow solver steps by dt (ChannelFlowSolver.run, same rule)."""
+    if whole_steps(span, dt) is None:
         raise ConfigError(f"{what} = {span} is not a whole number of steps of dt = {dt}")
 
 
@@ -179,6 +173,10 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
     if kind not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
 
+    for key, lineno in seen_lines.items():
+        if key != "kind" and key not in KIND_KEYS[kind]:
+            raise ConfigError(f"line {lineno}: key {key!r} is not read by kind={kind}")
+
     resolved = {k: default for k, (_, default) in _SCHEMA.items()}
     resolved.update(_KIND_DEFAULTS.get(kind, {}))
     resolved.update(values)
@@ -211,8 +209,7 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
         solver = SolverConfig(
             dt=resolved["dt"],
             t_end=resolved["t_end"],
-            mode=resolved["mode"],
-            forcing=resolved["forcing"],
+            forcing="steady_pressure_gradient" if resolved["forcing_amplitude"] else "zero",
             forcing_amplitude=resolved["forcing_amplitude"],
             cfl_max=resolved["cfl_max"],
             checkpoint_every=resolved["checkpoint_every"],
@@ -221,9 +218,7 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
         ChannelGrid(nx=resolved["nx"], ny=resolved["ny"], lx=resolved["lx"])
     except (ParameterError, GridError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    # micro_verify runs on its own fixed time step
-    if kind != "micro_verify":
-        _check_whole_steps("t_end", solver.t_end, solver.dt)
+    _check_whole_steps("t_end", solver.t_end, solver.dt)
     if kind == "sweep_re":
         _check_whole_steps("the forced phase span", FORCED_PHASE_SPAN, solver.dt)
     if kind == "inviscid_limit":
@@ -232,7 +227,6 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
     return ExperimentPlan(
         kind=kind,
         sim=sim,
-        stokes_einstein=resolved["stokes_einstein"],
         nx=resolved["nx"],
         ny=resolved["ny"],
         lx=resolved["lx"],

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -41,26 +41,6 @@ from .params import SimParams
 CSV_VERSION = "nspb-records-v1"
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-_COLUMNS = [
-    "t",
-    "kinetic_energy",
-    "boundary_stress_energy",
-    "dissipation_rate",
-    "wall_slip_dissipation",
-    "boundary_relaxation_dissipation",
-    "forcing_power",
-    "curvature_term",
-    "budget_residual",
-    "omega_inf_norm",
-    "omega_wall_inf_norm",
-    "friction_trace",
-    "friction_tangential",
-    "momentum_x",
-    "wall_u_top_mean",
-    "wall_u_bottom_mean",
-]
-
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -83,6 +63,9 @@ class DiagnosticsRecord:
 
     def row(self) -> list[str]:
         return [repr(float(getattr(self, c))) for c in _COLUMNS]
+
+
+_COLUMNS = [f.name for f in fields(DiagnosticsRecord)]
 
 
 def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0) -> DiagnosticsRecord:
@@ -289,17 +272,11 @@ class ScalingFit:
     slope: float
     r_squared: float
     n_points: int
-    re_values: tuple
-    values: tuple
+    re_values: list
+    values: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "re_values": list(self.re_values),
-            "values": list(self.values),
-        }
+        return asdict(self)
 
 
 def fit_scaling(re_values, values) -> ScalingFit:
@@ -322,6 +299,6 @@ def fit_scaling(re_values, values) -> ScalingFit:
         slope=float(slope),
         r_squared=r2,
         n_points=len(values),
-        re_values=tuple(re_values),
-        values=tuple(values),
+        re_values=re_values,
+        values=values,
     )

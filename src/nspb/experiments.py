@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +29,14 @@ from .diagnostics import (
     total_energy,
     write_records,
 )
-from .flow import ChannelFlowSolver, FlowState, SolverConfig, initial_state, steady_channel_state
+from .flow import (
+    ChannelFlowSolver,
+    FlowState,
+    SolverConfig,
+    initial_state,
+    steady_channel_state,
+    whole_steps,
+)
 from .fplanck import FPGrid, fokker_planck_solve, gibbs_density
 from .grid import ChannelGrid
 from .micro import (
@@ -87,15 +94,6 @@ class Check:
     requirement: str
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": self.value,
-            "requirement": self.requirement,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class RunSummary:
@@ -126,23 +124,7 @@ class RunSummary:
         self.checks.append(Check(name, bool(passed), value, requirement, detail))
 
     def to_json_dict(self) -> dict:
-        config = {k: list(v) if isinstance(v, tuple) else v for k, v in self.config.items()}
-        return {
-            "kind": self.kind,
-            "config": config,
-            "notes": list(self.notes),
-            "points": list(self.points),
-            "fits": {k: v for k, v in self.fits.items()},
-            "checks": [c.to_json_dict() for c in self.checks],
-            "passed": self.passed,
-            "exit_code": self.exit_code,
-            "runtime_failures": self.runtime_failures,
-            "total_steps": self.total_steps,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "outputs": list(self.outputs),
-        }
+        return {**asdict(self), "passed": self.passed, "exit_code": self.exit_code}
 
 
 def _now() -> str:
@@ -199,7 +181,6 @@ def _forced_config(base: SolverConfig, F: float, t_end: float) -> SolverConfig:
     return replace(
         base,
         t_end=t_end,
-        mode="navier_stokes",
         forcing="steady_pressure_gradient",
         forcing_amplitude=F,
     )
@@ -327,14 +308,15 @@ def _drive_restart(
     if physics is None:
         summary.notes.append(
             f"{ckpt} is a version 1 checkpoint, which stores no physics: "
-            f"{', '.join(PHYSICS_KEYS)} taken from the config unverified"
+            f"{', '.join(PHYSICS_KEYS)} taken from this run unverified"
         )
     else:
+        run = {**plan.raw, "mode": plan.solver.mode, "forcing": plan.solver.forcing}
         for key, value in physics.items():
-            if plan.raw[key] != value:
+            if run[key] != value:
                 raise ConfigError(
                     f"checkpoint {ckpt} was written with {key}={value!r}, "
-                    f"but the config sets {key}={plan.raw[key]!r}"
+                    f"but this run has {key}={run[key]!r}"
                 )
     if (grid.nx, grid.ny) != (plan.nx, plan.ny):
         summary.notes.append(
@@ -514,9 +496,8 @@ def _drive_sweep_alpha(plan: ExperimentPlan, outdir: Path, summary: RunSummary) 
 
 
 def _micro_phys(plan: ExperimentPlan) -> PhysicalParams:
-    if plan.stokes_einstein:
-        return PhysicalParams()
-    # unit drag gives a unit relaxation time with the default spring
+    """The micro physics, which no config key sets: unit bead drag, so the
+    default spring relaxes in exactly one time unit."""
     return PhysicalParams(zeta=1.0, stokes_einstein_enforced=False)
 
 
@@ -528,13 +509,9 @@ def _mc_slip(name: str):
 
 def _micro_schedule() -> tuple[int, int]:
     """Steps to MC_T_END and steps between comparisons, each a whole number >= 1."""
-    n_steps = round(MC_T_END / MC_DT)
-    every = round(MC_COMPARE_SPACING / MC_DT)
-    whole = all(
-        n >= 1 and abs(n * MC_DT - span) <= 1e-9 * max(1.0, span)
-        for n, span in ((n_steps, MC_T_END), (every, MC_COMPARE_SPACING))
-    )
-    if not whole:
+    n_steps = whole_steps(MC_T_END, MC_DT)
+    every = whole_steps(MC_COMPARE_SPACING, MC_DT)
+    if not n_steps or not every:  # off the step grid (None) or zero steps
         raise ValueError(
             f"micro horizon MC_T_END = {MC_T_END} and comparison spacing "
             f"MC_COMPARE_SPACING = {MC_COMPARE_SPACING} must both be whole, nonzero "
@@ -679,8 +656,7 @@ def _drive_energy_audit(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     dts = [plan.solver.dt, plan.solver.dt / 2.0, plan.solver.dt / 4.0]
     residuals = []
     for dt in dts:
-        cfg = SolverConfig(dt=dt, t_end=plan.solver.t_end, cfl_max=plan.solver.cfl_max)
-        solver = ChannelFlowSolver(grid, params, cfg)
+        solver = ChannelFlowSolver(grid, params, replace(plan.solver, dt=dt))
         final, recs = _trajectory(solver, shear_decay_state(grid, params), 1, _recorder(solver))
         records = recs[:1] + [energy_audit(a, b) for a, b in zip(recs, recs[1:])]
         residuals.append(records[-1].budget_residual)
@@ -726,11 +702,10 @@ def _drive_inviscid_limit(plan: ExperimentPlan, outdir: Path, summary: RunSummar
         f"friction_ratio held fixed at {base.friction_ratio:g} across the sweep "
         f"by scaling tau proportionally to Re"
     )
-    cfg = SolverConfig(dt=plan.solver.dt, t_end=plan.solver.t_end, cfl_max=plan.solver.cfl_max)
-    every = round(INVISCID_SAMPLE_SPACING / cfg.dt)  # whole and >= 1: parse_config checks
+    every = round(INVISCID_SAMPLE_SPACING / plan.solver.dt)  # whole and >= 1: parse_config checks
 
     def states_of(params, mode):
-        solver = ChannelFlowSolver(grid, params, replace(cfg, mode=mode))
+        solver = ChannelFlowSolver(grid, params, replace(plan.solver, mode=mode))
         state = couette_perturbed_state(grid, params)
         final, states = _trajectory(solver, state, every, lambda s: s)
         summary.total_steps += final.step_index

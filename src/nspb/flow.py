@@ -17,7 +17,7 @@ so the solver builds each one once as an operator stack (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +68,12 @@ class SolverDivergedError(RuntimeError):
         self.step = step
         self.t = t
         self.field = field
+
+
+def whole_steps(span: float, dt: float) -> int | None:
+    """round(span / dt) when span is that many steps of dt to a relative 1e-9, else None."""
+    n = round(span / dt)
+    return n if abs(n * dt - span) <= 1e-9 * max(1.0, abs(span)) else None
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,6 @@ class FlowState:
             got = np.shape(getattr(self, name))
             if got != want:
                 raise GridError(f"FlowState.{name} has shape {got}, not {want}")
-
-    def with_(self, **kw) -> "FlowState":
-        return replace(self, **kw)
 
 
 def total_velocity(
@@ -465,8 +468,8 @@ class ChannelFlowSolver:
         span = t_end - state.t
         if span < -1e-12:
             raise ValueError(f"t_end={t_end} lies before state.t={state.t}")
-        n = int(round(span / self.config.dt))
-        if abs(n * self.config.dt - span) > 1e-9 * max(1.0, abs(span)):
+        n = whole_steps(span, self.config.dt)
+        if n is None:
             raise ValueError(
                 f"t_end - t = {span} is not an integer number of steps of dt={self.config.dt}"
             )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, fields
 
 
 class ParameterError(ValueError):
@@ -67,9 +67,6 @@ class PhysicalParams:
     def polymer_viscosity(self) -> float:
         """kB_T * N_P * lambda / rho, the polymer contribution to viscosity."""
         return self.kB_T * self.N_P * self.relaxation_time / self.rho
-
-    def with_(self, **kw) -> "PhysicalParams":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from nspb.cli import main
-from nspb.config import KINDS, ConfigError, load_config, parse_config
+from nspb.config import _SCHEMA, KIND_KEYS, KINDS, ConfigError, load_config, parse_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = (
     "re = 50\n"
@@ -32,12 +34,12 @@ def test_empty_config_is_default_single_run():
     assert plan.sim.Re == 250.0
     assert plan.solver.mode == "navier_stokes"
     echo = plan.echo()
-    # every schema key is echoed with its resolved value
-    keys = ("re", "wi", "tau", "alpha", "kappa", "stokes_einstein", "nx", "ny", "lx",
-            "dt", "t_end", "mode", "forcing", "forcing_amplitude", "cfl_max",
-            "checkpoint_every", "record_every", "kind", "sweep_values")
-    assert set(echo) == set(keys) | {"output_dir", "seed"}
+    # kind and every key a single run reads are echoed with their resolved values
+    keys = ["kind", "re", "wi", "tau", "alpha", "kappa", "nx", "ny", "lx", "dt", "t_end",
+            "cfl_max", "forcing_amplitude", "checkpoint_every", "record_every"]
+    assert list(echo) == keys + ["output_dir", "seed"]
     assert echo["kind"] == "single_run"
+    assert echo["re"] == 250.0
 
 
 def test_comments_and_whitespace():
@@ -76,7 +78,7 @@ def test_kind_defaults_and_overrides():
         ("re = 100\nre = 200\n", r"line 2: duplicate key"),
         ("just words\n", r"line 1: expected key=value"),
         ("re = fast\n", r"line 1: bad value for 're'"),
-        ("stokes_einstein = maybe\n", r"bad value for 'stokes_einstein'"),
+        ("stokes_einstein = maybe\n", r"line 1: unknown key 'stokes_einstein'"),
         ("kind = warp_drive\n", r"kind must be one of"),
         ("kind = sweep_re\nsweep_values =\n", r"bad value for 'sweep_values'"),
         ("kind = sweep_re\nsweep_values = 100,-5\n", r"sweep_values must be positive"),
@@ -90,6 +92,7 @@ def test_kind_defaults_and_overrides():
         ("dt = 1e-3\nt_end = 0.0015\n", r"t_end = 0.0015 is not a whole number"),
         ("kind = sweep_alpha\nt_end = 0.50025\n", r"not a whole number of steps"),
         ("kind = inviscid_limit\ndt = 0.3\n", r"dt = 0.3"),
+        ("kind = micro_verify\ndt = 0.3\n", r"line 2: key 'dt' is not read by kind=micro_verify"),
         (
             "kind = sweep_re\nnx = 16\nny = 17\ndt = 3e-4\nt_end = 0.0006\n",
             r"forced phase span = 0.5 is not a whole number of steps of dt = 0.0003",
@@ -126,10 +129,51 @@ def test_inviscid_dt_must_divide_the_sample_spacing(tmp_path, dt, error):
     assert not (out / "inviscid_errors.csv").exists()
 
 
-def test_t_end_whole_steps_allows_roundoff_and_spares_micro_verify():
+def test_t_end_whole_steps_allows_roundoff():
     assert parse_config("dt = 0.1\nt_end = 0.3\n").solver.t_end == 0.3  # 0.3/0.1 = 2.99...
-    # micro_verify steps its ensemble on its own dt, not the flow's
-    assert parse_config("kind = micro_verify\ndt = 0.3\n").solver.dt == 0.3
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_kind_rejects_the_keys_it_does_not_read(kind):
+    outside = [key for key in _SCHEMA if key != "kind" and key not in KIND_KEYS[kind]]
+    for key in outside:
+        with pytest.raises(ConfigError, match=rf"^line 2: key '{key}' is not read by kind={kind}$"):
+            parse_config(f"kind = {kind}\n{key} = 1\n")
+        # a subcommand's kind rejects it too
+        with pytest.raises(ConfigError, match=rf"^line 1: key '{key}' is not read by kind={kind}$"):
+            parse_config(f"{key} = 1\n", force_kind=kind)
+    # the drivers choose the mode, the amplitude sets the forcing, the bead drag is unit
+    for key in ("mode", "forcing", "stokes_einstein"):
+        with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
+            parse_config(f"kind = {kind}\n{key} = x\n")
+
+
+def test_kind_key_sets():
+    flow = {"re", "wi", "tau", "alpha", "kappa", "nx", "ny", "lx", "dt", "t_end", "cfl_max"}
+    expected = {
+        "single_run": flow | {"forcing_amplitude", "checkpoint_every", "record_every"},
+        "sweep_re": flow | {"forcing_amplitude", "record_every", "sweep_values"},
+        "sweep_alpha": flow - {"alpha"} | {"forcing_amplitude", "record_every", "sweep_values"},
+        "inviscid_limit": flow | {"sweep_values"},
+        "energy_audit": flow,
+        "micro_verify": set(),
+    }
+    assert {kind: set(keys) for kind, keys in KIND_KEYS.items()} == expected
+    assert sum(len(keys) for keys in KIND_KEYS.values()) == 64
+    assert len(_SCHEMA) == 16
+
+
+def test_every_shipped_config_loads():
+    paths = sorted(CONFIGS.glob("*.cfg"))
+    assert sorted(p.stem for p in paths) == sorted(KINDS)
+    for path in paths:
+        assert load_config(path).kind == path.stem
+
+
+def test_forcing_follows_the_amplitude():
+    forced = parse_config("forcing_amplitude = 0.004\n").solver
+    assert (forced.forcing, forced.mean_force) == ("steady_pressure_gradient", 0.004)
+    assert parse_config("forcing_amplitude = 0\n").solver.forcing == "zero"
 
 
 def test_force_kind_inherits_and_conflicts():
@@ -236,7 +280,12 @@ def test_cli_restart_matches_uninterrupted(tmp_path):
 
 @pytest.mark.parametrize(
     "key, text",
-    [("alpha", TINY.replace("alpha = 1\n", "alpha = 2\n")), ("lx", TINY + "lx = 6.0\n")],
+    [
+        ("alpha", TINY.replace("alpha = 1\n", "alpha = 2\n")),
+        ("lx", TINY + "lx = 6.0\n"),
+        # a nonzero amplitude makes the run forced, which the unforced checkpoint was not
+        ("forcing", TINY + "forcing_amplitude = 0.004\n"),
+    ],
 )
 def test_cli_restart_under_other_physics_exits_2(tmp_path, capsys, key, text):
     full = tmp_path / "full"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,8 +106,15 @@ def test_records_csv_round_trip_bitwise(tmp_path):
 def test_records_csv_header_versioned(tmp_path):
     p = tmp_path / "r.csv"
     write_records(p, [make_record(0.0)])
-    first = p.read_text().splitlines()[0]
+    first, header = p.read_text().splitlines()[:2]
     assert first == f"# {CSV_VERSION}"
+    # the v1 column order, which the record's field order must keep
+    assert header == (
+        "t,kinetic_energy,boundary_stress_energy,dissipation_rate,wall_slip_dissipation,"
+        "boundary_relaxation_dissipation,forcing_power,curvature_term,budget_residual,"
+        "omega_inf_norm,omega_wall_inf_norm,friction_trace,friction_tangential,momentum_x,"
+        "wall_u_top_mean,wall_u_bottom_mean"
+    )
 
 
 def test_read_records_rejects_foreign_version(tmp_path):
@@ -171,7 +179,7 @@ def test_euler_error_zero_against_itself_and_rejects_other_grids():
     assert euler_error([a], [a])[0] == 0.0
     # the distance is the L2 norm of the velocity difference, here a pure
     # mean-flow shift of 0.1 over a channel of area 2 lx
-    shifted = a.with_(mean=a.mean + np.eye(fine.ny)[0] * 0.1)
+    shifted = replace(a, mean=a.mean + np.eye(fine.ny)[0] * 0.1)
     assert euler_error([a], [shifted])[0] == pytest.approx(0.1 * math.sqrt(4 * np.pi), rel=1e-13)
     for other in (
         ChannelGrid(nx=16, ny=17, lx=2 * np.pi),
@@ -188,7 +196,7 @@ def test_euler_error_alignment_validation():
     a = _smooth_state(grid, params)
     with pytest.raises(ValueError, match="equal length"):
         euler_error([a, a], [a])
-    shifted = a.with_(t=0.5)
+    shifted = replace(a, t=0.5)
     with pytest.raises(ValueError, match="time mismatch"):
         euler_error([a], [shifted])
 

@@ -3,6 +3,7 @@ failure containment, restart notes.  The shipped full-size experiment
 configurations are exercised in test_acceptance.py."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,9 +74,9 @@ def test_summary_json_matches_in_memory(tiny_sweep):
 
 
 def test_sweep_re_decay_phase_is_unforced(tmp_path):
-    # a forcing line in a sweep_re config drives the forced phase only
-    text = TINY_SWEEP.replace("t_end = 0.05", "t_end = 0.02") + "forcing_amplitude = 0.02\n"
-    forced_text = text + "forcing = steady_pressure_gradient\n"
+    # a forcing amplitude in a sweep_re config drives the forced phase only
+    text = TINY_SWEEP.replace("t_end = 0.05", "t_end = 0.02")
+    forced_text = text + "forcing_amplitude = 0.02\n"
     execute(parse_config(text).with_output(tmp_path / "plain"))
     execute(parse_config(forced_text).with_output(tmp_path / "forced"))
     for label in ("50", "100", "200"):
@@ -156,7 +157,7 @@ def _poisoned(make):
         state = make(grid, params, *args)
         spec = state.omega.copy()
         spec[2, 1] = np.nan
-        return state.with_(omega=spec)
+        return replace(state, omega=spec)
 
     return build
 
@@ -214,7 +215,9 @@ def test_micro_verify_tiny(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "MC_T_END", 0.5)
     monkeypatch.setattr(experiments, "MC_COMPARE_SPACING", 0.25)
     monkeypatch.setattr(experiments, "FP_RELAX_MULTIPLE", 2.0)
-    plan = parse_config("kind = micro_verify\nstokes_einstein = false\n").with_output(tmp_path)
+    plan = parse_config("kind = micro_verify\n").with_output(tmp_path)
+    # unit bead drag whatever the config: the relaxation time is exactly 1
+    assert experiments._micro_phys(plan).relaxation_time == 1.0
     summary = execute(plan)
     assert summary.runtime_failures == 0
     checks = check_map(summary)
@@ -244,7 +247,7 @@ def test_micro_verify_tiny(tmp_path, monkeypatch):
 def test_micro_verify_rejects_horizons_off_the_step_grid(tmp_path, monkeypatch, name, value):
     monkeypatch.setattr(experiments, "MC_DT", 5e-3)
     monkeypatch.setattr(experiments, name, value)
-    plan = parse_config("kind = micro_verify\nstokes_einstein = false\n").with_output(tmp_path)
+    plan = parse_config("kind = micro_verify\n").with_output(tmp_path)
     with pytest.raises(ValueError) as err:
         execute(plan)
     for shown in (

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import scipy.fft
@@ -153,7 +154,7 @@ def test_flow_state_rejects_fields_of_another_shape(grid, params):
         ("g", np.zeros((2, grid.nx + 2)), (2, grid.nx + 2)),
     ]:
         with pytest.raises(GridError) as err:
-            st.with_(**{field: value})
+            replace(st, **{field: value})
         assert f"FlowState.{field} has shape {shown}" in str(err.value)
 
 
@@ -320,7 +321,7 @@ def _guard_number(sol, state, u, v):
 def test_cfl_number_is_directional(grid, params):
     dt = 1e-2
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=1.0))
-    st = initial_state(grid, params).with_(t=0.25)
+    st = replace(initial_state(grid, params), t=0.25)
     X, Y = np.meshgrid(grid.x, grid.y)
     zero = np.zeros_like(X)
     assert sol.cfl_peak == (0.0, None)
@@ -345,14 +346,14 @@ def test_cfl_number_is_directional(grid, params):
     assert value < dt * np.max(np.abs(v)) / wall_gap / 10.0
 
     # the peak only moves up, and keeps the t it was seen at
-    _guard_number(sol2, st.with_(t=0.5), zero, 0.5 * v)
+    _guard_number(sol2, replace(st, t=0.5), zero, 0.5 * v)
     assert sol2.cfl_peak == (value, 0.25)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_cfl_guard_non_finite_velocity_is_divergence(grid, params, bad):
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0))
-    st = initial_state(grid, params).with_(t=0.5, step_index=500)
+    st = replace(initial_state(grid, params), t=0.5, step_index=500)
     v = np.zeros((grid.ny, grid.nx))
     v[7, 3] = bad
     with pytest.raises(SolverDivergedError, match=r"non-finite velocity at step 500 \(t=0.5\)"):
@@ -378,7 +379,7 @@ def test_wall_parallel_shear_passes_the_directional_guard(grid, params):
 def test_cfl_error_names_number_bound_time_and_node(grid, params):
     X, Y = np.meshgrid(grid.x, grid.y)
     v = 50.0 * np.sin(X) * (1.0 - Y**2)
-    st = initial_state(grid, params, v=v).with_(t=0.3)
+    st = replace(initial_state(grid, params, v=v), t=0.3)
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=5e-2, t_end=0.5, cfl_max=0.1))
     with pytest.raises(CFLError) as err:
         sol.step(st)
@@ -447,7 +448,7 @@ def test_run_time_span_validation(grid, params):
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=0.01))
     st = initial_state(grid, params)
     with pytest.raises(ValueError, match="before"):
-        sol.run(st.with_(t=1.0), t_end=0.5)
+        sol.run(replace(st, t=1.0), t_end=0.5)
     with pytest.raises(ValueError, match="integer"):
         sol.run(st, t_end=0.0015)
 
@@ -771,11 +772,11 @@ def test_nan_stops_the_run_with_a_named_error(grid, params, mode, field, detecte
     if field == "omega":
         spec = mid.omega.copy()
         spec[3, 2] = np.nan
-        bad = mid.with_(omega=spec)
+        bad = replace(mid, omega=spec)
     else:
         g = mid.g.copy()
         g[0 if field == "g_top" else 1, 1] = np.nan
-        bad = mid.with_(g=g)
+        bad = replace(mid, g=g)
     name, step = detected
     with pytest.raises(SolverDivergedError, match=f"non-finite {name} at step {step}") as info:
         sol.run(bad)

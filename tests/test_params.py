@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +53,7 @@ def test_inconsistent_zeta_rejected_under_stokes_einstein():
 
 def test_halving_nu_doubles_re_and_halves_wi():
     base = PhysicalParams()
-    thin = base.with_(nu=base.nu / 2, zeta=None)
+    thin = replace(base, nu=base.nu / 2, zeta=None)
     s0 = derive_sim_params(base)
     s1 = derive_sim_params(thin)
     assert s1.Re == pytest.approx(2 * s0.Re, rel=1e-14)
@@ -64,8 +65,8 @@ def _ladder_point(mode: str, re: float) -> SimParams:
     """Groups at Re by raising V (fixed fluid) or thinning nu (Stokes-Einstein drag)."""
     base = PhysicalParams()
     if mode == "vary_V":
-        return derive_sim_params(base.with_(V=re * base.nu / base.L))
-    return derive_sim_params(base.with_(nu=base.V * base.L / re, zeta=None))
+        return derive_sim_params(replace(base, V=re * base.nu / base.L))
+    return derive_sim_params(replace(base, nu=base.V * base.L / re, zeta=None))
 
 
 @pytest.mark.parametrize("mode", ["vary_V", "vary_nu"])
