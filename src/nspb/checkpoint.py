@@ -44,8 +44,8 @@ _PREFIX = struct.Struct("<4sI")
 _HEADER_V1 = struct.Struct("<4sIIIdd")
 _HEADER = struct.Struct("<4sIIIdd6d32s32sd")  # v2, without its closing CRC32
 _CRC = struct.Struct("<I")
-# the physics a v2 header stores, in header order: config keys plus the
-# run's SolverConfig mode and forcing
+# the physics a v2 header stores, in header order (run_physics maps a run to
+# it): config keys plus the run's SolverConfig mode and forcing
 PHYSICS_KEYS = ("lx", "re", "wi", "tau", "alpha", "kappa", "mode", "forcing", "forcing_amplitude")
 
 
@@ -73,15 +73,24 @@ def write_atomic(path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def run_physics(params: SimParams, config: SolverConfig, lx: float) -> dict:
+    """PHYSICS_KEYS -> the value of a run under params and config on a channel of length lx."""
+    values = (
+        lx, params.Re, params.Wi, params.tau, params.alpha, params.kappa,
+        config.mode, config.forcing, config.forcing_amplitude,
+    )
+    return dict(zip(PHYSICS_KEYS, values))
+
+
 def write_checkpoint(path, state: FlowState, params: SimParams, config: SolverConfig) -> None:
     """Serialize a state with the physics and time step it was advanced under."""
     grid = state.grid
     omega = np.zeros((grid.ny, grid.nkx), dtype=complex)
     omega[:, 1 : grid.dealias_kx + 1] = state.omega
+    physics = run_physics(params, config, grid.lx).values()
     header = _HEADER.pack(
         MAGIC, VERSION, grid.nx, grid.ny, state.t, config.dt,
-        grid.lx, params.Re, params.Wi, params.tau, params.alpha, params.kappa,
-        config.mode.encode("ascii"), config.forcing.encode("ascii"), config.forcing_amplitude,
+        *(v.encode("ascii") if isinstance(v, str) else v for v in physics),
     )
     payload = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes()

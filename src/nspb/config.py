@@ -12,7 +12,7 @@ budget-order experiment) when the user does not set them explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .flow import SolverConfig, whole_steps
@@ -107,16 +107,22 @@ class ExperimentPlan:
     sweep_values: tuple
     output_dir: Path = Path("runs")
     seed: int = 0
-    raw: dict = field(default_factory=dict)  # every schema key, resolved
 
     def echo(self) -> dict:
-        """kind and the kind's keys with their resolved values, then output_dir and seed."""
-        out = {key: self.raw[key] for key in ("kind", *KIND_KEYS[self.kind])}
+        """kind and the kind's keys with the values the plan holds, then output_dir and seed."""
+        sim, solver = self.sim, self.solver
+        held = {
+            "re": sim.Re, "wi": sim.Wi, "tau": sim.tau, "alpha": sim.alpha, "kappa": sim.kappa,
+            "nx": self.nx, "ny": self.ny, "lx": self.lx,
+            "dt": solver.dt, "t_end": solver.t_end, "cfl_max": solver.cfl_max,
+            "forcing_amplitude": solver.forcing_amplitude,
+            "checkpoint_every": solver.checkpoint_every, "record_every": solver.record_every,
+            "sweep_values": list(self.sweep_values),
+        }
+        out = {"kind": self.kind, **{key: held[key] for key in KIND_KEYS[self.kind]}}
         return {**out, "output_dir": str(self.output_dir), "seed": self.seed}
 
     def with_output(self, output_dir, seed=None) -> "ExperimentPlan":
-        from dataclasses import replace
-
         kw = {"output_dir": Path(output_dir)}
         if seed is not None:
             kw["seed"] = seed
@@ -198,6 +204,11 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
             f"positive, got {resolved['t_end']}"
         )
 
+    if kind == "sweep_alpha":
+        # the driver runs the model at each swept alpha and reads no alpha
+        # key; the plan carries the first, and every one is checked below
+        resolved["alpha"] = sweep[0]
+
     try:
         sim = SimParams(
             Re=resolved["re"],
@@ -206,6 +217,9 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
             alpha=resolved["alpha"],
             kappa=resolved["kappa"],
         )
+        if kind == "sweep_alpha":
+            for alpha in sweep[1:]:
+                replace(sim, alpha=alpha)
         solver = SolverConfig(
             dt=resolved["dt"],
             t_end=resolved["t_end"],
@@ -231,8 +245,7 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
         ny=resolved["ny"],
         lx=resolved["lx"],
         solver=solver,
-        sweep_values=tuple(resolved["sweep_values"]),
-        raw=dict(resolved),
+        sweep_values=tuple(sweep),
     )
 
 

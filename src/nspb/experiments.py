@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import PHYSICS_KEYS, read_checkpoint, write_atomic, write_checkpoint
+from .checkpoint import PHYSICS_KEYS, read_checkpoint, run_physics, write_atomic, write_checkpoint
 from .config import FORCED_PHASE_SPAN, INVISCID_SAMPLE_SPACING, ConfigError, ExperimentPlan
 from .diagnostics import (
     compute_record,
@@ -165,9 +165,7 @@ def couette_perturbed_state(grid: ChannelGrid, params: SimParams) -> FlowState:
 
 def _point_params(base: SimParams, Re: float) -> SimParams:
     """Sweep point at a new Re with tau scaled to hold friction_ratio."""
-    return SimParams(
-        Re=Re, Wi=base.Wi, tau=base.tau * Re / base.Re, alpha=base.alpha, kappa=base.kappa
-    )
+    return replace(base, Re=Re, tau=base.tau * Re / base.Re)
 
 
 def _bulk_drive(plan: ExperimentPlan) -> float:
@@ -311,7 +309,7 @@ def _drive_restart(
             f"{', '.join(PHYSICS_KEYS)} taken from this run unverified"
         )
     else:
-        run = {**plan.raw, "mode": plan.solver.mode, "forcing": plan.solver.forcing}
+        run = run_physics(plan.sim, plan.solver, plan.lx)
         for key, value in physics.items():
             if run[key] != value:
                 raise ConfigError(
@@ -458,7 +456,7 @@ def _drive_sweep_alpha(plan: ExperimentPlan, outdir: Path, summary: RunSummary) 
     cfg = _forced_config(plan.solver, F, plan.solver.t_end)
 
     def run_point(alpha, point):
-        params = SimParams(Re=base.Re, Wi=base.Wi, tau=base.tau, alpha=alpha, kappa=base.kappa)
+        params = replace(base, alpha=alpha)
         solver = ChannelFlowSolver(grid, params, cfg)
         state = steady_channel_state(grid, params, F)
         final, recs = _trajectory(solver, state, cfg.record_every, _recorder(solver))
@@ -498,7 +496,7 @@ def _drive_sweep_alpha(plan: ExperimentPlan, outdir: Path, summary: RunSummary) 
 def _micro_phys(plan: ExperimentPlan) -> PhysicalParams:
     """The micro physics, which no config key sets: unit bead drag, so the
     default spring relaxes in exactly one time unit."""
-    return PhysicalParams(zeta=1.0, stokes_einstein_enforced=False)
+    return PhysicalParams()
 
 
 def _mc_slip(name: str):

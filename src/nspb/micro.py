@@ -10,7 +10,8 @@ density is proportional to exp(-U).
 
 Typical use::
 
-    pot = SpringPotential.hookean(H=0.25)
+    phys = PhysicalParams()  # unit bead drag: relaxation time 1
+    pot = SpringPotential.hookean(H=phys.H, R=phys.R)
     ens = equilibrium_ensemble(100_000, pot, seed=7)
     mem = memory_closure_equilibrium(phys)
     for k in range(1000):

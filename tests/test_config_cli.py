@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,37 @@ def test_wall_admissibility_rejected():
         parse_config("alpha = 2\nkappa = 1\n")
 
 
+def test_sweep_alpha_checks_the_alphas_it_sweeps():
+    # the unread default alpha = 10 would not admit kappa = 3; the swept ones do
+    plan = parse_config("kind = sweep_alpha\nkappa = 3\nsweep_values = 100,1000\n")
+    assert plan.sweep_values == (100.0, 1000.0)
+    assert plan.sim.alpha == 100.0  # the plan carries the first swept alpha
+
+
+def test_echo_follows_the_plan():
+    plan = parse_config("")
+    moved = replace(plan, nx=16, ny=17, solver=replace(plan.solver, t_end=0.01))
+    echo = moved.echo()
+    assert list(echo) == list(plan.echo())
+    assert (echo["nx"], echo["ny"], echo["t_end"]) == (16, 17, 0.01)
+
+
+# a distinct admissible value for every key some kind reads
+_EVERY_KEY = {
+    "re": "300", "wi": "2", "tau": "3", "alpha": "5", "kappa": "0.5", "nx": "16", "ny": "17",
+    "lx": "6", "dt": "0.01", "t_end": "0.5", "cfl_max": "0.4", "forcing_amplitude": "0.004",
+    "checkpoint_every": "7", "record_every": "3", "sweep_values": "5,50",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_echo_reads_each_key_as_written(kind):
+    keys = KIND_KEYS[kind]
+    echo = parse_config("".join(f"{k} = {_EVERY_KEY[k]}\n" for k in keys), force_kind=kind).echo()
+    written = {key: _SCHEMA[key][0](_EVERY_KEY[key]) for key in keys}
+    assert echo == {"kind": kind, **written, "output_dir": "runs", "seed": 0}
+
+
 def test_three_point_sweep_plan():
     plan = parse_config("kind = sweep_re\nsweep_values = 250,500,1000\n")
     assert plan.kind == "sweep_re"
@@ -91,6 +123,9 @@ def test_kind_defaults_and_overrides():
         ("kind = energy_audit\nnx = 16\nny = 17\nt_end = 0.003\n", r"not a whole number"),
         ("dt = 1e-3\nt_end = 0.0015\n", r"t_end = 0.0015 is not a whole number"),
         ("kind = sweep_alpha\nt_end = 0.50025\n", r"not a whole number of steps"),
+        # each swept alpha must admit kappa, the first as well as a later one
+        ("kind = sweep_alpha\nkappa = 2\nsweep_values = 5,100\n", r"got alpha=5.0, kappa=2.0"),
+        ("kind = sweep_alpha\nkappa = 2\nsweep_values = 100,5\n", r"got alpha=5.0, kappa=2.0"),
         ("kind = inviscid_limit\ndt = 0.3\n", r"dt = 0.3"),
         ("kind = micro_verify\ndt = 0.3\n", r"line 2: key 'dt' is not read by kind=micro_verify"),
         (
@@ -281,7 +316,11 @@ def test_cli_restart_matches_uninterrupted(tmp_path):
 @pytest.mark.parametrize(
     "key, text",
     [
+        ("re", TINY.replace("re = 50\n", "re = 60\n")),
+        ("wi", TINY.replace("wi = 1\n", "wi = 2\n")),
+        ("tau", TINY.replace("tau = 20\n", "tau = 10\n")),
         ("alpha", TINY.replace("alpha = 1\n", "alpha = 2\n")),
+        ("kappa", TINY + "kappa = 0.1\n"),
         ("lx", TINY + "lx = 6.0\n"),
         # a nonzero amplitude makes the run forced, which the unforced checkpoint was not
         ("forcing", TINY + "forcing_amplitude = 0.004\n"),

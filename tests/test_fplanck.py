@@ -22,7 +22,7 @@ from nspb.params import ParameterError, PhysicalParams
 
 @pytest.fixture()
 def phys():
-    return PhysicalParams(zeta=1.0, stokes_einstein_enforced=False)
+    return PhysicalParams()
 
 
 @pytest.fixture()
