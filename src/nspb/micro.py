@@ -14,16 +14,19 @@ Typical use::
     pot = SpringPotential.hookean(H=phys.H, R=phys.R)
     ens = equilibrium_ensemble(100_000, pot, seed=7)
     mem = memory_closure_equilibrium(phys)
-    for k in range(1000):
-        ens = hookean_exact_step(ens, 5e-3, pot, phys, u_slip=1.0)
-        mem = memory_closure_step(mem, 1.0, phys, 5e-3)
-    mom = kramers_stress(ens, pot, phys)  # mom.sigma_tn tracks mem.sigma_tn
+    for _ in range(10):  # compare every 100 steps
+        slips = [1.0] * 100  # slips[j] is held over step j
+        ens = hookean_exact_walk(ens, 5e-3, pot, phys, slips)
+        for u in slips:
+            mem = memory_closure_step(mem, u, phys, 5e-3)
+        mom = kramers_stress(ens, pot, phys)  # mom.sigma_tn tracks mem.sigma_tn
 
 The spring is Hookean, U = H |m|^2 / R^2: it is the one spring whose stress
 closes to the relaxation law of the wall-tangential stress.  It has the
-exact-in-law step ``hookean_exact_step`` and the exact shear-stress memory
-``memory_closure_step``; the Euler-Maruyama ``sde_step`` is kept as the
-first-order reference the exact step is tested against.
+exact-in-law walk ``hookean_exact_walk`` (``hookean_exact_step`` is one step
+of it) and the exact shear-stress memory ``memory_closure_step``; the
+Euler-Maruyama ``sde_step`` is kept as the first-order reference the exact
+step is tested against.
 
 All randomness is counter-based (Philox keyed by seed and step), so
 trajectories are bitwise reproducible for a given seed.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +102,16 @@ _EQ_LABEL = 1 << 40  # keeps equilibrium-draw streams clear of step streams
 _STREAMS_PER_LABEL = 65536  # a key is (seed, label * 65536), the layout every stored output used
 
 
-def _philox_normals(seed: int, label: int, shape) -> np.ndarray:
+_WALK_BLOCK = 16384  # rows per block of hookean_exact_walk: the block's buffers stay in cache
+
+
+def _philox(seed: int, label: int) -> np.random.Generator:
     key = [np.uint64(seed), np.uint64(label) * np.uint64(_STREAMS_PER_LABEL)]
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _philox_normals(seed: int, label: int, shape) -> np.ndarray:
+    return _philox(seed, label).standard_normal(shape)
 
 
 def equilibrium_ensemble(n: int, potential: SpringPotential, seed: int) -> PolymerEnsemble:
@@ -149,18 +160,18 @@ def sde_step(
     )
 
 
-def hookean_exact_step(
+def hookean_exact_walk(
     ens: PolymerEnsemble,
     dt: float,
     potential: SpringPotential,
     phys: PhysicalParams,
-    u_slip: float = 0.0,
+    slips: Sequence[float],
 ) -> PolymerEnsemble:
-    """One exact-in-law step of the reflected Hookean dumbbell.
+    """``len(slips)`` exact-in-law steps of the reflected Hookean dumbbell.
 
-    m_n is the modulus of an Ornstein-Uhlenbeck process that the slip does
-    not reach, so for any dt it has the exact transition (Gillespie, Phys.
-    Rev. E 54, 2084, 1996)
+    ``slips[j]`` is held over step j.  m_n is the modulus of an
+    Ornstein-Uhlenbeck process that the slip does not reach, so for any dt it
+    has the exact transition (Gillespie, Phys. Rev. E 54, 2084, 1996)
 
         m_n' = |E m_n + s z_n|,  E = exp(-dt/(2 lambda)),  s^2 = 2 lambda D (1 - E^2)
 
@@ -170,29 +181,61 @@ def hookean_exact_step(
 
     where (E, w0, w1) are the exponential-trapezoid weights of
     ``wallbc.exp_weights``.  The trapezoid is the only time-step bias, and
-    only sigma_tn sees it.  The normals come from the same Philox stream as
-    ``sde_step`` (seed, step_count), so the Euler-Maruyama step is its
-    first-order reference; the input is not modified.
+    only sigma_tn sees it.  Each step's normals come from the same Philox
+    stream as ``sde_step`` (seed, step_count), so the Euler-Maruyama step is
+    its first-order reference.
+
+    The members are copied once and each step walks them in row blocks of
+    ``_WALK_BLOCK``, drawing the block's normals into one buffer as the next
+    part of the step's stream, so no step allocates.  The arithmetic is the
+    one-step formula's, operation for operation, so the result does not
+    depend on the blocking; the input is not modified.
     """
     potential.require_restoring("the exact step")
     if not dt > 0:
         raise ValueError("dt must be positive")
+    for j, u in enumerate(slips):
+        if not math.isfinite(u):
+            raise ValueError(f"slip of step {j} must be finite, got {u!r}")
     D = phys.kB_T / phys.zeta
     two_lam = potential.R**2 / (2.0 * potential.H * D)  # 2 lambda, the OU time
     E, w0, w1 = exp_weights(dt, two_lam)
     s = math.sqrt(two_lam * D * (1.0 - E * E))
-    m = ens.members
-    new = _philox_normals(ens.seed, ens.step_count, m.shape)
-    new *= s
-    new += E * m
-    np.abs(new[:, 1], out=new[:, 1])  # m_n' from the OU transition
-    shear = w0 * m[:, 1]
-    shear += w1 * new[:, 1]
-    shear *= u_slip / potential.R
-    new[:, 0] += shear
-    return PolymerEnsemble(
-        members=new, seed=ens.seed, step_count=ens.step_count + 1, t=ens.t + dt
-    )
+    m = ens.members.copy()
+    n = m.shape[0]
+    z = np.empty((min(n, _WALK_BLOCK), 2))
+    shear = np.empty(z.shape[0])
+    step, t = ens.step_count, ens.t
+    for u in slips:
+        normals = _philox(ens.seed, step)
+        drive = u / potential.R
+        for lo in range(0, n, _WALK_BLOCK):
+            mb = m[lo : lo + _WALK_BLOCK]
+            zb, sb = z[: mb.shape[0]], shear[: mb.shape[0]]
+            normals.standard_normal(out=zb)
+            np.multiply(mb[:, 1], w0, out=sb)  # w0 m_n, before m_n is overwritten
+            zb *= s
+            mb *= E
+            mb += zb
+            np.abs(mb[:, 1], out=mb[:, 1])  # m_n' from the OU transition
+            np.multiply(mb[:, 1], w1, out=zb[:, 1])  # the spent normals hold w1 m_n'
+            sb += zb[:, 1]
+            sb *= drive
+            mb[:, 0] += sb
+        step += 1
+        t += dt
+    return PolymerEnsemble(members=m, seed=ens.seed, step_count=step, t=t)
+
+
+def hookean_exact_step(
+    ens: PolymerEnsemble,
+    dt: float,
+    potential: SpringPotential,
+    phys: PhysicalParams,
+    u_slip: float = 0.0,
+) -> PolymerEnsemble:
+    """One exact-in-law step: ``hookean_exact_walk`` with the one slip ``u_slip``."""
+    return hookean_exact_walk(ens, dt, potential, phys, (u_slip,))
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,13 @@ def test_next_traced_layer_resolves():
 
 
 def test_next_traced_micro_step_resolves():
-    # micro_verify steps its Hookean ensembles with the exact-in-law step, so
-    # the next benchmark change traces it in place of sde_step
+    # micro_verify walks its Hookean ensembles with the exact-in-law walk, so
+    # the next benchmark change traces it in place of sde_step and counts
+    # n_members * len(slips) member-steps per call
     from nspb import micro
 
     assert callable(getattr(micro, "hookean_exact_step", None))
+    assert callable(getattr(micro, "hookean_exact_walk", None))
 
 
 def test_micro_workload_horizons_are_whole_steps(monkeypatch):

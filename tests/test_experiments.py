@@ -3,6 +3,7 @@ failure containment, restart notes.  The shipped full-size experiment
 configurations are exercised in test_acceptance.py."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -234,6 +235,41 @@ def test_micro_verify_tiny(tmp_path, monkeypatch):
     assert "fp_steady_matches_gibbs" in checks
     assert (tmp_path / "ensemble_a.csv").is_file()
     assert not (tmp_path / "ensemble_b.csv").exists()
+
+
+def _tiny_micro(monkeypatch):
+    for name, value in {
+        "MC_MEMBERS": 1000,
+        "MC_T_END": 0.01,
+        "MC_COMPARE_SPACING": 0.005,
+        "FP_RELAX_MULTIPLE": 0.5,
+    }.items():
+        monkeypatch.setattr(experiments, name, value)
+
+
+def test_micro_verify_fails_the_checks_of_non_finite_stresses(tmp_path, monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN ratio folded with max() would pass its check
+    _tiny_micro(monkeypatch)
+    real = experiments.kramers_stress
+    monkeypatch.setattr(
+        experiments,
+        "kramers_stress",
+        lambda *args: replace(real(*args), sigma_tn=math.nan, sigma_nn=math.nan),
+    )
+    checks = check_map(execute(parse_config("kind = micro_verify\n").with_output(tmp_path)))
+    bands = ("closure_tracks_sigma_nn", "closure_tracks_sigma_tn", "memory_closure_tracks_sigma_tn")
+    for scen in ("constant", "sinusoidal"):
+        for band in bands:
+            check = checks[f"{band}_{scen}"]
+            assert not check.passed
+            assert math.isnan(check.value)
+
+
+def test_micro_verify_stops_on_a_non_finite_slip(tmp_path, monkeypatch):
+    _tiny_micro(monkeypatch)
+    monkeypatch.setattr(experiments, "MC_SLIP_AMPLITUDE", math.nan)
+    with pytest.raises(ValueError, match="slip of step 0 must be finite, got nan"):
+        execute(parse_config("kind = micro_verify\n").with_output(tmp_path))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nspb import experiments, micro
+from nspb.config import parse_config
 from nspb.micro import (
     PolymerEnsemble,
     SpringPotential,
@@ -13,12 +16,14 @@ from nspb.micro import (
     ensemble_to_csv,
     equilibrium_ensemble,
     hookean_exact_step,
+    hookean_exact_walk,
     kramers_stress,
     memory_closure_equilibrium,
     memory_closure_step,
     sde_step,
 )
 from nspb.params import ParameterError, PhysicalParams
+from nspb.wallbc import exp_weights
 
 
 @pytest.fixture()
@@ -314,9 +319,132 @@ def test_exact_step_rejects_other_springs_and_bad_steps(pot, phys):
     ens = equilibrium_ensemble(10, pot, seed=1)
     with pytest.raises(ValueError, match="H = 0"):
         hookean_exact_step(ens, 5e-3, SpringPotential.hookean(H=0.0), phys)
+    with pytest.raises(ValueError, match="H = 0"):
+        hookean_exact_walk(ens, 5e-3, SpringPotential.hookean(H=0.0), phys, [1.0, 0.5])
     for dt in (0.0, -5e-3):
         with pytest.raises(ValueError, match="dt"):
             hookean_exact_step(ens, dt, pot, phys)
+        with pytest.raises(ValueError, match="dt"):
+            hookean_exact_walk(ens, dt, pot, phys, [1.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_walk_rejects_a_non_finite_slip_naming_its_step(pot, phys, bad):
+    ens = equilibrium_ensemble(10, pot, seed=1)
+    before = ens.members.copy()
+    with pytest.raises(ValueError, match=f"step 2 must be finite, got {bad!r}"):
+        hookean_exact_walk(ens, 5e-3, pot, phys, [0.0, 1.0, bad, 0.5])
+    with pytest.raises(ValueError, match=f"step 0 must be finite, got {bad!r}"):
+        hookean_exact_step(ens, 5e-3, pot, phys, u_slip=bad)
+    assert np.array_equal(ens.members, before)
+
+
+def _reference_exact_step(ens, dt, potential, phys, u_slip=0.0):
+    """One exact-in-law step, out of place, with the Philox key spelled out.
+
+    A chain of these is what hookean_exact_walk must reproduce bit for bit.
+    """
+    D = phys.kB_T / phys.zeta
+    two_lam = potential.R**2 / (2.0 * potential.H * D)
+    E, w0, w1 = exp_weights(dt, two_lam)
+    s = math.sqrt(two_lam * D * (1.0 - E * E))
+    m = ens.members
+    key = [np.uint64(ens.seed), np.uint64(ens.step_count) * np.uint64(65536)]
+    z = np.random.Generator(np.random.Philox(key=key)).standard_normal(m.shape)
+    new = s * z + E * m
+    new[:, 1] = np.abs(new[:, 1])
+    shear = (w0 * m[:, 1] + w1 * new[:, 1]) * (u_slip / potential.R)
+    new[:, 0] = new[:, 0] + shear
+    return PolymerEnsemble(members=new, seed=ens.seed, step_count=ens.step_count + 1, t=ens.t + dt)
+
+
+_WALK_SLIPS = {
+    "zero": [0.0] * 12,
+    "negative": [-2.0] * 12,
+    "sinusoidal": [math.sin(2.0 * math.pi * k * 5e-3 / 0.03) for k in range(12)],
+}
+
+
+@pytest.mark.parametrize("slips", list(_WALK_SLIPS))
+@pytest.mark.parametrize(
+    "n",
+    [1, 1000, micro._WALK_BLOCK, 2 * micro._WALK_BLOCK + 17],
+    ids=["1", "1000", "block", "2block+17"],
+)
+def test_walk_matches_a_chain_of_reference_steps_bitwise(n, slips, pot, phys):
+    ens = equilibrium_ensemble(n, pot, seed=13)
+    ens = PolymerEnsemble(members=ens.members, seed=ens.seed, step_count=7, t=0.25)
+    before = ens.members.copy()
+    walked = hookean_exact_walk(ens, 5e-3, pot, phys, _WALK_SLIPS[slips])
+    ref = ens
+    for u in _WALK_SLIPS[slips]:
+        ref = _reference_exact_step(ref, 5e-3, pot, phys, u_slip=u)
+    assert np.array_equal(walked.members, ref.members)
+    assert (walked.t, walked.step_count, walked.seed) == (ref.t, ref.step_count, ref.seed)
+    assert np.array_equal(ens.members, before)
+    assert not np.shares_memory(walked.members, ens.members)
+
+
+def test_walk_of_no_steps_is_a_copy(pot, phys):
+    ens = equilibrium_ensemble(100, pot, seed=13)
+    walked = hookean_exact_walk(ens, 5e-3, pot, phys, [])
+    assert np.array_equal(walked.members, ens.members)
+    assert not np.shares_memory(walked.members, ens.members)
+    assert (walked.t, walked.step_count) == (ens.t, ens.step_count)
+
+
+def test_walk_allocates_no_array_per_step(pot, phys):
+    ens = equilibrium_ensemble(50_000, pot, seed=17)
+    block = micro._WALK_BLOCK
+    buffers = block * 2 * 8 + block * 8  # the normals block and the shear column
+    # slack covers the bool mask PolymerEnsemble checks its result with and
+    # the per-step generator objects
+    slack = ens.n_members + 64 * 1024
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            hookean_exact_walk(ens, 5e-3, pot, phys, [0.5] * steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(4), peak(40)
+    assert long <= ens.members.nbytes + buffers + slack
+    assert long <= short + 16 * 1024
+
+
+def test_micro_verify_walk_matches_a_per_step_reference_chain(tmp_path, monkeypatch):
+    # 53 steps with a comparison every 10: five comparisons and a 3-step tail
+    for name, value in {
+        "MC_MEMBERS": 1000,
+        "MC_T_END": 0.265,
+        "MC_COMPARE_SPACING": 0.05,
+        "FP_RELAX_MULTIPLE": 0.5,
+    }.items():
+        monkeypatch.setattr(experiments, name, value)
+    plan = parse_config("kind = micro_verify\n").with_output(tmp_path, seed=4)
+    summary = experiments.execute(plan)
+    assert summary.total_steps == 2 * 53
+    phys = experiments._micro_phys(plan)
+    pot = SpringPotential.hookean(H=phys.H, R=phys.R)
+    dt = experiments.MC_DT
+    for idx, scen in enumerate(("constant", "sinusoidal")):
+        slip = experiments._mc_slip(scen)
+        ens = equilibrium_ensemble(1000, pot, seed=plan.seed + idx)
+        ode, mem = closure_equilibrium(phys), memory_closure_equilibrium(phys)
+        rows = []
+        for k in range(53):
+            u = float(slip(k * dt))
+            ens = _reference_exact_step(ens, dt, pot, phys, u_slip=u)
+            ode = closure_ode_step(ode, u, phys, dt)
+            mem = memory_closure_step(mem, u, phys, dt)
+            if (k + 1) % 10 == 0:
+                mom = kramers_stress(ens, pot, phys)
+                rows.append([ens.t, mom.sigma_tn, mom.se_tn, ode.sigma_tn])
+                rows[-1] += [mom.sigma_nn, mom.se_nn, ode.sigma_nn]
+        lines = (tmp_path / f"micro_moments_{scen}.csv").read_text().splitlines()
+        assert [[float(v) for v in line.split(",")] for line in lines[2:]] == rows
 
 
 def _kernel(s):
