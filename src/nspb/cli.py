@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         type=_positive_int,
         default=None,
-        help="cap numerical library thread pools",
+        help="cap the BLAS/OpenMP thread pools (not micro-verify's walk thread)",
     )
     parser = argparse.ArgumentParser(
         prog="nspb",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from concurrent import futures
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -507,14 +508,17 @@ def _mc_slip(name: str):
 
 
 def _micro_schedule() -> tuple[int, int]:
-    """Steps to MC_T_END and steps between comparisons, each a whole number >= 1."""
+    """Steps to MC_T_END and steps between comparisons, whole numbers with
+    1 <= every <= n_steps, so at least one comparison falls in the horizon."""
     n_steps = whole_steps(MC_T_END, MC_DT)
     every = whole_steps(MC_COMPARE_SPACING, MC_DT)
-    if not n_steps or not every:  # off the step grid (None) or zero steps
+    # off the step grid (None), zero steps, or no comparison within the horizon
+    if not n_steps or not every or every > n_steps:
         raise ValueError(
             f"micro horizon MC_T_END = {MC_T_END} and comparison spacing "
             f"MC_COMPARE_SPACING = {MC_COMPARE_SPACING} must both be whole, nonzero "
-            f"multiples of the step MC_DT = {MC_DT}"
+            f"multiples of the step MC_DT = {MC_DT}, the spacing no longer than "
+            f"the horizon"
         )
     return n_steps, every
 
@@ -525,6 +529,35 @@ def _worse(worst: float, ratio: float) -> float:
     if not (math.isfinite(worst) and math.isfinite(ratio)):
         return math.nan
     return max(worst, ratio)
+
+
+class _MicroScenario:
+    """One slip history: its ensemble, both closures, and the comparisons so far."""
+
+    # a plain class: building a dataclass adds about half a millisecond to
+    # every import of nspb, which each benchmark workload's set-up pays
+
+    def __init__(self, name: str, slip, ens, phys: PhysicalParams):
+        self.name, self.slip, self.ens = name, slip, ens
+        self.ode = closure_equilibrium(phys)
+        self.mem = memory_closure_equilibrium(phys)
+        self.rows = []
+        self.worst_nn = self.worst_tn = self.worst_mem = 0.0
+        self.final_ratio = None
+
+    def compare(self, mom) -> None:
+        """Fold the ensemble moments against both closures into the worst ratios."""
+        ode = self.ode
+        tol_nn = 3.0 * mom.se_nn + MC_BIAS_ALLOWANCE
+        tol_tn = 3.0 * mom.se_tn + MC_BIAS_ALLOWANCE
+        self.worst_nn = _worse(self.worst_nn, abs(mom.sigma_nn - ode.sigma_nn) / tol_nn)
+        self.worst_tn = _worse(self.worst_tn, abs(mom.sigma_tn - ode.sigma_tn) / tol_tn)
+        self.worst_mem = _worse(self.worst_mem, abs(mom.sigma_tn - self.mem.sigma_tn) / tol_tn)
+        if abs(ode.sigma_tn) > 1e-12:
+            self.final_ratio = mom.sigma_tn / ode.sigma_tn
+        self.rows.append(
+            (self.ens.t, mom.sigma_tn, mom.se_tn, ode.sigma_tn, mom.sigma_nn, mom.se_nn, ode.sigma_nn)
+        )
 
 
 def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> None:
@@ -538,59 +571,63 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     )
     eq_sigma = phys.kB_T * phys.N_P / phys.rho
 
-    for idx, scen in enumerate(("constant", "sinusoidal")):
-        slip = _mc_slip(scen)
-        ens = equilibrium_ensemble(MC_MEMBERS, pot, seed=plan.seed + idx)
-        ode = closure_equilibrium(phys)
-        mem = memory_closure_equilibrium(phys)
-        rows = []
-        worst_nn = worst_tn = worst_mem = 0.0
-        final_ratio = None
+    scenarios = [
+        _MicroScenario(
+            name, _mc_slip(name), equilibrium_ensemble(MC_MEMBERS, pot, seed=plan.seed + idx), phys
+        )
+        for idx, name in enumerate(("constant", "sinusoidal"))
+    ]
+    here, other = scenarios
+    # The scenarios draw from disjoint Philox streams (seed, step), so their
+    # walks over each comparison interval run at the same time: the second on
+    # a worker thread, the first here (numpy drops the GIL in the draws and
+    # the ufunc loops).  All else stays on this thread.  Leaving the block
+    # waits for the worker, so a raise here leaves no walk running.  The
+    # pool's module loads on first use, so importing nspb does not load it.
+    with futures.ThreadPoolExecutor(max_workers=1) as pool:
         # one walk per comparison interval; a horizon that is not a whole
         # number of intervals ends in a shorter tail
         for start in range(0, n_steps, every):
+            steps = range(start, min(start + every, n_steps))
             # each slip is held over its step for every system
-            slips = [float(slip(k * MC_DT)) for k in range(start, min(start + every, n_steps))]
-            ens = hookean_exact_walk(ens, MC_DT, pot, phys, slips)
-            for u in slips:
-                ode = closure_ode_step(ode, u, phys, MC_DT)
-                mem = memory_closure_step(mem, u, phys, MC_DT)
-            if len(slips) < every:  # the tail: no comparison falls in it
+            slips = [[float(sc.slip(k * MC_DT)) for k in steps] for sc in scenarios]
+            walked = pool.submit(hookean_exact_walk, other.ens, MC_DT, pot, phys, slips[1])
+            here.ens = hookean_exact_walk(here.ens, MC_DT, pot, phys, slips[0])
+            other.ens = walked.result()
+            for sc, held in zip(scenarios, slips):
+                for u in held:
+                    sc.ode = closure_ode_step(sc.ode, u, phys, MC_DT)
+                    sc.mem = memory_closure_step(sc.mem, u, phys, MC_DT)
+            if len(steps) < every:  # the tail: no comparison falls in it
                 break
-            mom = kramers_stress(ens, pot, phys)
-            tol_nn = 3.0 * mom.se_nn + MC_BIAS_ALLOWANCE
-            tol_tn = 3.0 * mom.se_tn + MC_BIAS_ALLOWANCE
-            worst_nn = _worse(worst_nn, abs(mom.sigma_nn - ode.sigma_nn) / tol_nn)
-            worst_tn = _worse(worst_tn, abs(mom.sigma_tn - ode.sigma_tn) / tol_tn)
-            worst_mem = _worse(worst_mem, abs(mom.sigma_tn - mem.sigma_tn) / tol_tn)
-            if abs(ode.sigma_tn) > 1e-12:
-                final_ratio = mom.sigma_tn / ode.sigma_tn
-            rows.append(
-                (ens.t, mom.sigma_tn, mom.se_tn, ode.sigma_tn, mom.sigma_nn, mom.se_nn, ode.sigma_nn)
-            )
-        header = "t,sigma_tn_mc,se_tn,sigma_tn_ode,sigma_nn_mc,se_nn,sigma_nn_ode"
+            for sc in scenarios:
+                sc.compare(kramers_stress(sc.ens, pot, phys))
+
+    header = "t,sigma_tn_mc,se_tn,sigma_tn_ode,sigma_nn_mc,se_nn,sigma_nn_ode"
+    for sc in scenarios:
+        scen = sc.name
         name = f"micro_moments_{scen}.csv"
-        _write_table(outdir, name, "nspb-micro-moments-v1", header, rows, summary)
+        _write_table(outdir, name, "nspb-micro-moments-v1", header, sc.rows, summary)
         summary.total_steps += n_steps
         summary.points.append(
             {
                 "scenario": scen,
-                "worst_nn_over_tol": worst_nn,
-                "worst_tn_over_tol": worst_tn,
-                "worst_memory_tn_over_tol": worst_mem,
-                "final_tn_ratio": final_ratio,
+                "worst_nn_over_tol": sc.worst_nn,
+                "worst_tn_over_tol": sc.worst_tn,
+                "worst_memory_tn_over_tol": sc.worst_mem,
+                "final_tn_ratio": sc.final_ratio,
             }
         )
         summary.add_check(
             f"closure_tracks_sigma_nn_{scen}",
-            worst_nn <= 1.0,
-            worst_nn,
+            sc.worst_nn <= 1.0,
+            sc.worst_nn,
             "normal stress within 3 SE + bias of the closed moment system",
         )
         summary.add_check(
             f"closure_tracks_sigma_tn_{scen}",
-            worst_tn <= 1.0,
-            worst_tn,
+            sc.worst_tn <= 1.0,
+            sc.worst_tn,
             "shear stress within 3 SE + bias of the closed moment system",
             detail=(
                 "the reflected half-space dynamics carries a wall flux the closed "
@@ -599,8 +636,8 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
         )
         summary.add_check(
             f"memory_closure_tracks_sigma_tn_{scen}",
-            worst_mem <= 1.0,
-            worst_mem,
+            sc.worst_mem <= 1.0,
+            sc.worst_mem,
             "shear stress within 3 SE + bias of the exact memory closure",
             detail="the memory closure keeps the wall flux the closed system drops",
         )
@@ -608,8 +645,8 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
             lo, hi = TN_DEFECT_BAND
             summary.add_check(
                 "tn_defect_band_constant",
-                final_ratio is not None and lo <= final_ratio <= hi,
-                final_ratio,
+                sc.final_ratio is not None and lo <= sc.final_ratio <= hi,
+                sc.final_ratio,
                 f"developed shear-stress ratio ensemble/closure in [{lo}, {hi}]",
                 detail="quantifies the omitted wall-flux term at steady slip",
             )

@@ -72,7 +72,8 @@ class SpringPotential:
         return self.H * (r2 / self.R**2)
 
     def grad(self, m: np.ndarray) -> np.ndarray:
-        """grad U at each member, as a fresh array the caller may overwrite."""
+        """grad U at m, as a fresh array the caller may overwrite; a column of
+        the members gives that component of grad U."""
         return (2.0 * self.H / self.R**2) * m
 
 
@@ -118,7 +119,8 @@ def equilibrium_ensemble(n: int, potential: SpringPotential, seed: int) -> Polym
     """Sample n members from the Gibbs density exp(-U) on the half plane."""
     potential.require_restoring("the equilibrium ensemble")
     sd = potential.R / math.sqrt(2.0 * potential.H)
-    m = sd * _philox_normals(seed, _EQ_LABEL, (n, 2))
+    m = _philox_normals(seed, _EQ_LABEL, (n, 2))
+    m *= sd
     m[:, 1] = np.abs(m[:, 1])
     return PolymerEnsemble(members=m, seed=seed, step_count=0, t=0.0)
 
@@ -189,12 +191,14 @@ def hookean_exact_walk(
     ``_WALK_BLOCK``, drawing the block's normals into one buffer as the next
     part of the step's stream, so no step allocates.  The arithmetic is the
     one-step formula's, operation for operation, so the result does not
-    depend on the blocking; the input is not modified.
+    depend on the blocking; the input is not modified.  A non-finite slip is
+    a ``ValueError`` naming its step as the ensemble counts it
+    (``ens.step_count + j``), raised before any step is taken.
     """
     potential.require_restoring("the exact step")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    for j, u in enumerate(slips):
+    for j, u in enumerate(slips, start=ens.step_count):
         if not math.isfinite(u):
             raise ValueError(f"slip of step {j} must be finite, got {u!r}")
     D = phys.kB_T / phys.zeta
@@ -259,9 +263,10 @@ def kramers_stress(
 ) -> StressMoments:
     """Ensemble Kramers moments (kB_T N_P / rho) <m (x) grad U>."""
     pref = phys.kB_T * phys.N_P / phys.rho
-    g = potential.grad(ens.members)
-    prod_tn = ens.members[:, 0] * g[:, 1]
-    prod_nn = ens.members[:, 1] * g[:, 1]
+    m = ens.members
+    g_n = potential.grad(m[:, 1])  # grad U enters only through its normal column
+    prod_tn = m[:, 0] * g_n
+    prod_nn = np.multiply(m[:, 1], g_n, out=g_n)  # g_n is spent
     n = ens.n_members
     se = lambda a: float(np.std(a, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return StressMoments(

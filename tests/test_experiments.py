@@ -4,6 +4,7 @@ configurations are exercised in test_acceptance.py."""
 
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -272,12 +273,87 @@ def test_micro_verify_stops_on_a_non_finite_slip(tmp_path, monkeypatch):
         execute(parse_config("kind = micro_verify\n").with_output(tmp_path))
 
 
+def _threads_of(monkeypatch, names):
+    """Wrap each experiments.<name> to record the threads it is called on."""
+    seen = {name: set() for name in names}
+    for name in names:
+        real = getattr(experiments, name)
+
+        def wrapped(*args, _real=real, _seen=seen[name], **kwargs):
+            _seen.add(threading.current_thread())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, wrapped)
+    return seen
+
+
+def test_micro_verify_walks_one_scenario_on_one_worker_thread(tmp_path, monkeypatch):
+    _tiny_micro(monkeypatch)
+    main_only = (
+        "kramers_stress",
+        "closure_ode_step",
+        "memory_closure_step",
+        "equilibrium_ensemble",
+        "fokker_planck_solve",
+    )
+    seen = _threads_of(monkeypatch, main_only + ("hookean_exact_walk",))
+    before = threading.active_count()
+    execute(parse_config("kind = micro_verify\n").with_output(tmp_path))
+    main = threading.main_thread()
+    for name in main_only:
+        assert seen[name] == {main}, name
+    walkers = seen["hookean_exact_walk"] - {main}
+    assert len(walkers) == 1
+    assert not any(t.is_alive() for t in walkers)
+    assert threading.active_count() == before
+
+
+def test_micro_verify_raises_a_walk_failure_off_the_main_thread(tmp_path, monkeypatch):
+    # 4 steps compared every 2; only the sinusoidal slip turns NaN, at step 3
+    for name, value in {
+        "MC_MEMBERS": 1000,
+        "MC_T_END": 0.02,
+        "MC_COMPARE_SPACING": 0.01,
+        "FP_RELAX_MULTIPLE": 0.5,
+    }.items():
+        monkeypatch.setattr(experiments, name, value)
+    real_slip = experiments._mc_slip
+
+    def slip(name):
+        u = real_slip(name)
+        if name == "constant":
+            return u
+        return lambda t: math.nan if t > 0.0125 else u(t)
+
+    monkeypatch.setattr(experiments, "_mc_slip", slip)
+    real_walk = experiments.hookean_exact_walk
+    raised_on = []
+
+    def walk(*args):
+        try:
+            return real_walk(*args)
+        except ValueError:
+            raised_on.append(threading.current_thread())
+            raise
+
+    monkeypatch.setattr(experiments, "hookean_exact_walk", walk)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="slip of step 3 must be finite, got nan"):
+        execute(parse_config("kind = micro_verify\n").with_output(tmp_path))
+    assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+    assert threading.active_count() == before
+    # both scenarios write their tables after the last walk
+    assert not (tmp_path / "micro_moments_constant.csv").exists()
+    assert not (tmp_path / "micro_moments_sinusoidal.csv").exists()
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
         ("MC_COMPARE_SPACING", 0.002),  # below MC_DT / 2: zero steps apart
         ("MC_COMPARE_SPACING", 0.0075),  # 1.5 steps: compares at shifted times
         ("MC_T_END", 0.9975),  # ends between two steps
+        ("MC_T_END", 0.01),  # 2 steps against a 100-step spacing: no comparison
     ],
 )
 def test_micro_verify_rejects_horizons_off_the_step_grid(tmp_path, monkeypatch, name, value):

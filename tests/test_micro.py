@@ -185,6 +185,37 @@ def test_kramers_stress_hand_sum(pot, phys):
     assert mom.se_tn > 0
 
 
+def _reference_kramers_stress(ens, potential, phys):
+    """The moments from the full (n, 2) gradient, as first written."""
+    pref = phys.kB_T * phys.N_P / phys.rho
+    g = potential.grad(ens.members)
+    prod_tn = ens.members[:, 0] * g[:, 1]
+    prod_nn = ens.members[:, 1] * g[:, 1]
+    n = ens.n_members
+    se = lambda a: float(np.std(a, ddof=1) / math.sqrt(n))
+    return StressMoments(
+        sigma_tn=pref * float(np.mean(prod_tn)),
+        sigma_nn=pref * float(np.mean(prod_nn)),
+        se_tn=pref * se(prod_tn),
+        se_nn=pref * se(prod_nn),
+        n_members=n,
+    )
+
+
+def test_moments_and_equilibrium_draw_keep_their_reference_bits(pot, phys):
+    # kramers_stress reads one gradient column and equilibrium_ensemble scales
+    # its normals in place; both must keep the bits of the formulas they replace
+    ens = equilibrium_ensemble(1000, pot, seed=9)
+    sd = pot.R / math.sqrt(2.0 * pot.H)
+    want = sd * micro._philox_normals(9, micro._EQ_LABEL, (1000, 2))
+    want[:, 1] = np.abs(want[:, 1])
+    assert np.array_equal(ens.members, want)
+    walked = hookean_exact_walk(ens, 5e-3, pot, phys, [1.0] * 20)
+    for e in (ens, walked):
+        assert kramers_stress(e, pot, phys) == _reference_kramers_stress(e, pot, phys)
+    assert kramers_stress(walked, pot, phys).sigma_tn != 0.0
+
+
 def test_pure_normal_members_have_zero_shear_stress(pot, phys):
     ens = PolymerEnsemble(members=np.column_stack([np.zeros(8), np.full(8, 1.3)]), seed=0)
     assert kramers_stress(ens, pot, phys).sigma_tn == 0.0
@@ -337,6 +368,10 @@ def test_walk_rejects_a_non_finite_slip_naming_its_step(pot, phys, bad):
     with pytest.raises(ValueError, match=f"step 0 must be finite, got {bad!r}"):
         hookean_exact_step(ens, 5e-3, pot, phys, u_slip=bad)
     assert np.array_equal(ens.members, before)
+    # a walked ensemble counts its steps on from where it stands
+    walked = hookean_exact_walk(ens, 5e-3, pot, phys, [0.5] * 7)
+    with pytest.raises(ValueError, match=f"step 8 must be finite, got {bad!r}"):
+        hookean_exact_walk(walked, 5e-3, pot, phys, [0.0, bad])
 
 
 def _reference_exact_step(ens, dt, potential, phys, u_slip=0.0):
