@@ -37,6 +37,7 @@ import numpy as np
 from .flow import FlowState, total_velocity, wall_slip
 from .grid import cheb_diff_matrices, cheb_synthesis_matrix, real_matmul
 from .params import SimParams
+from .wallbc import wall_stress_terms
 
 CSV_VERSION = "nspb-records-v1"
 
@@ -113,9 +114,8 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     g = state.g
     wall_g_sq = float(np.vdot(g, g)) * dx
     wall_slip_sq = float(np.vdot(u_wall, u_wall)) * dx  # |u_tau| = |u| on a wall
-    e_g = params.tau / (2.0 * params.alpha * Re**2) * wall_g_sq
+    e_g, d_relax = wall_stress_terms(params, wall_g_sq)
     d_slip = params.alpha / (2.0 * Re) * wall_slip_sq
-    d_relax = params.tau / (params.alpha * Re**2 * params.Wi) * wall_g_sq
     # the generalized trace identity feeds 2*kappa*u_tau back into the wall
     # vorticity, so the net wall drain is (alpha/2 - 2*kappa)/Re * |u_tau|^2;
     # positivity of that combination is the alpha > 4*kappa admissibility rule

@@ -170,6 +170,13 @@ def _point_params(base: SimParams, Re: float) -> SimParams:
     return replace(base, Re=Re, tau=base.tau * Re / base.Re)
 
 
+def _held_friction_note(base: SimParams) -> str:
+    return (
+        f"friction_ratio held fixed at {base.friction_ratio:g} across the sweep "
+        f"by scaling tau proportionally to Re"
+    )
+
+
 def _bulk_drive(plan: ExperimentPlan) -> float:
     """Re*F of the forced sweep runs: the config's amplitude at its own Re,
     or FORCED_BULK_REF when the amplitude is left at zero."""
@@ -367,10 +374,7 @@ def _advance_with_outputs(solver, state, outdir: Path, summary: RunSummary) -> N
 def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> None:
     grid = plan.grid()
     base = plan.sim
-    summary.notes.append(
-        f"friction_ratio held fixed at {base.friction_ratio:g} across the sweep "
-        f"by scaling tau proportionally to Re"
-    )
+    summary.notes.append(_held_friction_note(base))
     bulk = _bulk_drive(plan)
     summary.notes.append(f"forced phase drives Re*F = {bulk:g} at every point")
     every = plan.solver.record_every
@@ -746,10 +750,7 @@ def _drive_energy_audit(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
 def _drive_inviscid_limit(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> None:
     grid = plan.grid()
     base = plan.sim
-    summary.notes.append(
-        f"friction_ratio held fixed at {base.friction_ratio:g} across the sweep "
-        f"by scaling tau proportionally to Re"
-    )
+    summary.notes.append(_held_friction_note(base))
     every = round(INVISCID_SAMPLE_SPACING / plan.solver.dt)  # whole and >= 1: parse_config checks
 
     def states_of(params, mode):

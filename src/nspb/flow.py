@@ -39,7 +39,7 @@ from .grid import (
     real_matmul,
 )
 from .params import SimParams
-from .wallbc import exp_weights, step_boundary_ode
+from .wallbc import MaxwellWall, step_boundary_ode
 
 _MODES = ("navier_stokes", "euler")
 _FORCINGS = ("zero", "steady_pressure_gradient")
@@ -232,9 +232,8 @@ class ChannelFlowSolver:
 
         dt = config.dt
         Re = params.Re
-        self._E, self._w0, self._w1 = exp_weights(dt, params.Wi)
-        self._slip_coef = params.alpha * Re / params.tau
-        self.c2 = params.beta - self._slip_coef * self._w1
+        self.wall = MaxwellWall(params, dt)
+        self.c2 = params.beta - self.wall.b
 
         # (J, ny, ny): vorticity modes 1..J to streamfunction coefficients
         self._psi_ops = streamfunction_operator(grid)
@@ -393,8 +392,7 @@ class ChannelFlowSolver:
         return self._step_ns(state)
 
     def _step_ns(self, state: FlowState) -> FlowState:
-        grid, params, dt = self.grid, self.params, self.config.dt
-        Re = params.Re
+        grid, dt, Re = self.grid, self.config.dt, self.params.Re
         mean_coeffs, om, force = state.mean, state.omega, self._force
 
         N_n, R_n, aux_n = self._nonlinear(om, mean_coeffs)
@@ -402,7 +400,7 @@ class ChannelFlowSolver:
 
         # wall data pieces that depend only on the step start, (top, bottom)
         slip_n = aux_n["slip"]
-        q = self._E * state.g - self._slip_coef * self._w0 * slip_n
+        q = self.wall.drive(state.g, slip_n)
         qhat = np.fft.rfft(q, axis=1)[:, : self.jmax + 1] / grid.nx
 
         lam_p = Re / dt
@@ -431,7 +429,7 @@ class ChannelFlowSolver:
                 grid=grid,
                 omega=om_new,
                 mean=mean_new,
-                g=step_boundary_ode(state.g, slip_n, params, dt, u_tau_end=slip_new),
+                g=step_boundary_ode(state.g, slip_n, self.wall, u_tau_end=slip_new),
                 t=state.t + dt,
                 step_index=state.step_index + 1,
             )

@@ -1,4 +1,4 @@
-"""Dynamic wall-stress law and its exact-exponential time integration.
+"""The dynamic wall-stress law: the one home of its step, closure scalar and energy.
 
 The boundary trace g = 2(D(u)n)*tau + (alpha/2) u*tau relaxes as
 
@@ -13,8 +13,6 @@ beta = 2*kappa - alpha/2.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .params import SimParams
 
@@ -36,15 +34,32 @@ def exp_weights(dt: float, Wi: float) -> tuple[float, float, float]:
     return E, I0 - w1, w1
 
 
-def step_boundary_ode(g, u_tau, params: SimParams, dt: float, u_tau_end) -> np.ndarray:
-    """Advance g over one step by the exact exponential integrator.
+class MaxwellWall:
+    """The law over one step of dt: E, w0, w1 from ``exp_weights``, coef = alpha*Re/tau,
+    and b = coef*w1, the end-slip weight the solver's implicit wall closure folds in."""
 
-    g and the slips are plain arrays of one shape; the solver passes both
-    walls at once as (2, nx) arrays, row 0 the top wall and row 1 the
-    bottom.  The slip runs linearly from ``u_tau`` at the step start to
-    ``u_tau_end`` at its end (the exponential trapezoid, second order).
+    def __init__(self, params: SimParams, dt: float):
+        self.E, self.w0, self.w1 = exp_weights(dt, params.Wi)
+        self.coef = params.alpha * params.Re / params.tau
+        self.b = self.coef * self.w1
+
+    def drive(self, g, u_tau):
+        """The update's part fixed at the step start, E*g - coef*w0*u_tau."""
+        return self.E * g - self.coef * self.w0 * u_tau
+
+
+def step_boundary_ode(g, u_tau, wall: MaxwellWall, u_tau_end):
+    """Advance g over one step of ``wall`` by the exact exponential integrator.
+
+    g and the slips are arrays of one shape, (2, nx) in the solver (row 0 the
+    top wall).  The slip runs linearly from ``u_tau`` to ``u_tau_end`` over the
+    step (the exponential trapezoid, second order).  The algebraically equal
+    ``wall.drive(g, u_tau) - wall.b * u_tau_end`` would change g's last bits.
     """
-    E, w0, w1 = exp_weights(dt, params.Wi)
-    quad = w0 * np.asarray(u_tau, dtype=float) + w1 * np.asarray(u_tau_end, dtype=float)
-    coef = params.alpha * params.Re / params.tau
-    return E * np.asarray(g, dtype=float) - coef * quad
+    return wall.E * g - wall.coef * (wall.w0 * u_tau + wall.w1 * u_tau_end)
+
+
+def wall_stress_terms(params: SimParams, g_sq: float) -> tuple[float, float]:
+    """Stored energy tau/(2 alpha Re^2) g_sq and relaxation drain tau/(alpha Re^2 Wi) g_sq."""
+    e_g = params.tau / (2.0 * params.alpha * params.Re**2) * g_sq
+    return e_g, params.tau / (params.alpha * params.Re**2 * params.Wi) * g_sq

@@ -148,3 +148,43 @@ def test_workload_experiments_names_exist():
     }
     experiments = importlib.import_module("nspb.experiments")
     assert sorted(n for n in names if not hasattr(experiments, n)) == []
+
+
+def test_wall_law_control_layer_is_one_call_per_ns_step(monkeypatch):
+    # the benchmark reads its "wallbc.step_boundary_ode" layer as a control:
+    # the solver closes each Navier-Stokes step through it exactly once and
+    # an Euler step never.  Wrap every nspb binding of it, as tracing._patch does.
+    import numpy as np
+
+    from nspb.flow import ChannelFlowSolver, SolverConfig, initial_state
+    from nspb.grid import ChannelGrid
+    from nspb.params import SimParams
+
+    [(_, modname, _, attr, _)] = [t for t in tracing.TARGETS if t[0] == "wallbc.step_boundary_ode"]
+    orig = getattr(importlib.import_module(modname), attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return orig(*args, **kwargs)
+
+    bound = [
+        (mod, key)
+        for name, mod in list(sys.modules.items())
+        if name == "nspb" or name.startswith("nspb.")
+        for key, value in list(vars(mod).items())
+        if value is orig
+    ]
+    assert len(bound) >= 2  # the module's own name and the solver's from-import
+    for mod, key in bound:
+        monkeypatch.setattr(mod, key, counted)
+
+    grid = ChannelGrid(nx=8, ny=9, lx=2.0 * np.pi)
+    params = SimParams(Re=50.0, Wi=0.5, tau=1.0, alpha=1.0, kappa=0.0)
+    u = np.repeat(np.sin(0.5 * np.pi * grid.y)[:, None], grid.nx, axis=1)
+    for mode, per_step in (("navier_stokes", 1), ("euler", 0)):
+        solver = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=5e-3, mode=mode))
+        state = initial_state(grid, params, u=u)
+        calls.clear()
+        assert solver.run(state).step_index == 5
+        assert len(calls) == 5 * per_step, mode

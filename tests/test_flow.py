@@ -126,6 +126,22 @@ def test_initial_state_seeds_g_on_the_trace_identity(grid, params):
     np.testing.assert_allclose(st.g[1], om[-1] - params.beta * traces[1], rtol=0, atol=1e-11)
 
 
+def test_stepped_state_keeps_g_on_the_trace_identity():
+    # the implicit closure makes the new field's wall vorticity g + beta*u_tau
+    # for the slip it induces, and step_boundary_ode advances g with that same
+    # end slip, so the identity holds after every step, not only at the start
+    grid = ChannelGrid(nx=24, ny=25, lx=2.0 * np.pi)
+    params = SimParams(Re=37.0, Wi=0.3, tau=7.0, alpha=3.0, kappa=0.2)
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=3e-3, t_end=1.0))
+    u, v = perturbed_shear(grid)
+    st = sol.run(initial_state(grid, params, u=u, v=v), t_end=10 * 3e-3)
+    assert st.step_index == 10
+    traces = sol.slip_traces(st)
+    om = total_vorticity(st)
+    np.testing.assert_allclose(st.g[0], om[0] - params.beta * traces[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(st.g[1], om[-1] - params.beta * traces[1], rtol=0, atol=1e-12)
+
+
 def test_mean_vorticity_of_a_cubic_profile(grid, params):
     y = grid.y
     u = np.repeat((1.0 - y**2 + y**3)[:, None], grid.nx, axis=1)

@@ -5,7 +5,7 @@ import pytest
 
 from nspb.flow import slip_poiseuille_profile
 from nspb.params import SimParams
-from nspb.wallbc import exp_weights, step_boundary_ode
+from nspb.wallbc import MaxwellWall, exp_weights, step_boundary_ode
 
 
 def duhamel_boundary(g0, times, u_tau_series, params: SimParams, t: float):
@@ -61,7 +61,7 @@ def test_exp_weights_limits():
 
 def test_free_decay_half_step(params):
     zero = np.array([0.0])
-    out = step_boundary_ode(np.array([1.0]), zero, params, 0.5, u_tau_end=zero)
+    out = step_boundary_ode(np.array([1.0]), zero, MaxwellWall(params, 0.5), u_tau_end=zero)
     assert out[0] == pytest.approx(0.6065306597126334, abs=1e-12)
 
 
@@ -69,8 +69,9 @@ def test_constant_slip_reaches_friction_fixed_point(params):
     c = 0.3
     g = np.array([0.0])
     E = math.exp(-0.5 / params.Wi)
+    wall = MaxwellWall(params, 0.5)
     for n in range(1, 41):
-        g = step_boundary_ode(g, np.array([c]), params, 0.5, u_tau_end=np.array([c]))
+        g = step_boundary_ode(g, np.array([c]), wall, u_tau_end=np.array([c]))
         expected = -params.friction_ratio * c * (1.0 - E**n)
         assert g[0] == pytest.approx(expected, rel=1e-12)
     assert g[0] == pytest.approx(-params.friction_ratio * c, rel=1e-7)
@@ -87,10 +88,11 @@ def _exact_sine_response(params, T):
 def _stepped_sine_response(params, T, n):
     dt = T / n
     g = np.array([0.0])
+    wall = MaxwellWall(params, dt)
     for i in range(n):
         u0 = math.sin(i * dt)
         u1 = math.sin((i + 1) * dt)
-        g = step_boundary_ode(g, np.array([u0]), params, dt, u_tau_end=np.array([u1]))
+        g = step_boundary_ode(g, np.array([u0]), wall, u_tau_end=np.array([u1]))
     return g[0]
 
 
@@ -118,8 +120,9 @@ def test_duhamel_matches_step_recursion(params):
     u = np.sin(times)[:, None, None] * np.array([[1.0, 0.5, -0.2], [-1.0, 0.3, 0.8]])
     g0 = np.array([[0.7, 0.7, 0.7], [-0.4, 0.1, 0.0]])
     g = g0
+    wall = MaxwellWall(params, dt)
     for i in range(n):
-        g = step_boundary_ode(g, u[i], params, dt, u_tau_end=u[i + 1])
+        g = step_boundary_ode(g, u[i], wall, u_tau_end=u[i + 1])
     via_duhamel = duhamel_boundary(g0, times, u, params, times[-1])
     assert g.shape == (2, 3)
     assert np.max(np.abs(g - via_duhamel)) < 1e-12
@@ -144,3 +147,41 @@ def test_steady_slip_value_and_monotonicity(params):
         p = SimParams(Re=10.0, Wi=1.0, tau=10.0, alpha=alpha, kappa=0.0)
         slips.append(float(slip_poiseuille_profile(p, F, walls)[0]))
     assert all(a > b for a, b in zip(slips, slips[1:]))
+
+
+@pytest.mark.parametrize("Re, alpha", [(37.0, 3.0), (29.0, 7.0)])
+def test_law_arithmetic_is_bitwise_the_inline_formulas(Re, alpha):
+    # At Wi, tau, alpha and Re off the dyadic values the shipped configs use,
+    # each of the law's numbers must equal, to the last bit, the formula
+    # written out here, so the CSV and checkpoint bytes stay put.  Closing the
+    # step as drive(g, u) - b*u_end changes bits at both points; at the
+    # second, (tau/(alpha Re^2))/Wi for tau/(alpha Re^2 Wi) does too.
+    from dataclasses import replace
+
+    from nspb.diagnostics import compute_record
+    from nspb.flow import ChannelFlowSolver, SolverConfig, initial_state
+    from nspb.grid import ChannelGrid
+
+    params = SimParams(Re=Re, Wi=0.3, tau=7.0, alpha=alpha, kappa=0.2)
+    dt = 3e-3
+    grid = ChannelGrid(nx=24, ny=25, lx=2.0 * np.pi)
+    rng = np.random.default_rng(20190419)
+    g, u0, u1 = rng.standard_normal((3, 2, grid.nx))
+
+    E, w0, w1 = exp_weights(dt, params.Wi)
+    coef = params.alpha * params.Re / params.tau
+    wall = MaxwellWall(params, dt)
+    assert np.array_equal(
+        step_boundary_ode(g, u0, wall, u_tau_end=u1), E * g - coef * (w0 * u0 + w1 * u1)
+    )
+    assert np.array_equal(wall.drive(g, u0), E * g - coef * w0 * u0)
+
+    solver = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=1.0))
+    assert solver.c2 == params.beta - params.alpha * params.Re / params.tau * w1
+
+    rec = compute_record(replace(initial_state(grid, params), g=g), params)
+    wall_g_sq = float(np.vdot(g, g)) * grid.dx
+    assert rec.boundary_stress_energy == params.tau / (2.0 * params.alpha * Re**2) * wall_g_sq
+    assert rec.boundary_relaxation_dissipation == (
+        params.tau / (params.alpha * Re**2 * params.Wi) * wall_g_sq
+    )
