@@ -70,11 +70,13 @@ PERTURBATION_AMPLITUDE = 0.05
 FORCED_BULK_REF = 1.0  # Re*F held at this value across forced sweeps
 
 # micro verification scale (ensemble size pinned by the advertised tolerance:
-# 3 standard errors plus an absolute bias allowance).  The exact-in-law step's
-# mean sigma_tn is within 1e-6 of the exact memory closure at MC_DT, far below
-# a third of the allowance; MC_DT must divide the horizon and the spacing.
+# 3 standard errors plus an absolute bias allowance).  MC_DT caps the walk's
+# step; the driver steps at the largest h <= MC_DT that divides the comparison
+# spacing.  At h = 0.1 the exact-in-law walk's mean sigma_tn is within 3.0e-4
+# of the exact memory closure up to t = 5, under a third of the allowance
+# (tests/test_micro.py pins that rule).
 MC_MEMBERS = 100_000
-MC_DT = 5e-3
+MC_DT = 1e-1
 MC_T_END = 5.0
 MC_COMPARE_SPACING = 0.5
 MC_BIAS_ALLOWANCE = 5e-3
@@ -511,20 +513,34 @@ def _mc_slip(name: str):
     return lambda t: MC_SLIP_AMPLITUDE * np.sin(2.0 * np.pi * t / MC_SIN_PERIOD)
 
 
-def _micro_schedule() -> tuple[int, int]:
-    """Steps to MC_T_END and steps between comparisons, whole numbers with
-    1 <= every <= n_steps, so at least one comparison falls in the horizon."""
-    n_steps = whole_steps(MC_T_END, MC_DT)
-    every = whole_steps(MC_COMPARE_SPACING, MC_DT)
-    # off the step grid (None), zero steps, or no comparison within the horizon
-    if not n_steps or not every or every > n_steps:
+def _micro_schedule() -> tuple[float, int, int]:
+    """The walk's step h, the steps to MC_T_END and the steps between comparisons.
+
+    h = MC_COMPARE_SPACING / every with every = ceil(MC_COMPARE_SPACING / MC_DT),
+    the ratio taken whole when it is within a relative 1e-9 of a whole number:
+    the largest step no longer than MC_DT that puts every comparison on the
+    step grid.  The horizon must be whole steps of h and hold at least one
+    comparison, so 1 <= every <= n_steps.
+    """
+    ratio = MC_COMPARE_SPACING / MC_DT
+    every = n_steps = None
+    if ratio > 0 and math.isfinite(ratio):
+        every = round(ratio)
+        if abs(every - ratio) > 1e-9 * ratio:
+            every = math.ceil(ratio)
+        h = MC_COMPARE_SPACING / every
+        n_steps = whole_steps(MC_T_END, h)
+    # a spacing or step that is not positive, a horizon off the step grid
+    # (None) or of zero steps, or no comparison within the horizon
+    if not n_steps or every > n_steps:
         raise ValueError(
             f"micro horizon MC_T_END = {MC_T_END} and comparison spacing "
-            f"MC_COMPARE_SPACING = {MC_COMPARE_SPACING} must both be whole, nonzero "
-            f"multiples of the step MC_DT = {MC_DT}, the spacing no longer than "
-            f"the horizon"
+            f"MC_COMPARE_SPACING = {MC_COMPARE_SPACING} must both be positive, the "
+            f"spacing no longer than the horizon, and the horizon a whole number of "
+            f"steps of MC_COMPARE_SPACING / ceil(MC_COMPARE_SPACING / MC_DT), the "
+            f"step the driver fits under MC_DT = {MC_DT}"
         )
-    return n_steps, every
+    return h, n_steps, every
 
 
 def _worse(worst: float, ratio: float) -> float:
@@ -568,10 +584,11 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     phys = _micro_phys(plan)
     pot = SpringPotential.hookean(H=phys.H, R=phys.R)
     lam = phys.relaxation_time
-    n_steps, every = _micro_schedule()
+    h, n_steps, every = _micro_schedule()
     summary.notes.append(
-        f"ensemble of {MC_MEMBERS} dumbbells, exact-in-law step dt={MC_DT:g}, horizon "
-        f"{MC_T_END:g} ({MC_T_END / lam:.2f} relaxation times)"
+        f"ensemble of {MC_MEMBERS} dumbbells, exact-in-law step h={h:g} (MC_DT={MC_DT:g} "
+        f"fitted to the comparison spacing {MC_COMPARE_SPACING:g}), {n_steps} steps per "
+        f"scenario, horizon {MC_T_END:g} ({MC_T_END / lam:.2f} relaxation times)"
     )
     eq_sigma = phys.kB_T * phys.N_P / phys.rho
 
@@ -594,14 +611,14 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
         for start in range(0, n_steps, every):
             steps = range(start, min(start + every, n_steps))
             # each slip is held over its step for every system
-            slips = [[float(sc.slip(k * MC_DT)) for k in steps] for sc in scenarios]
-            walked = pool.submit(hookean_exact_walk, other.ens, MC_DT, pot, phys, slips[1])
-            here.ens = hookean_exact_walk(here.ens, MC_DT, pot, phys, slips[0])
+            slips = [[float(sc.slip(k * h)) for k in steps] for sc in scenarios]
+            walked = pool.submit(hookean_exact_walk, other.ens, h, pot, phys, slips[1])
+            here.ens = hookean_exact_walk(here.ens, h, pot, phys, slips[0])
             other.ens = walked.result()
             for sc, held in zip(scenarios, slips):
                 for u in held:
-                    sc.ode = closure_ode_step(sc.ode, u, phys, MC_DT)
-                    sc.mem = memory_closure_step(sc.mem, u, phys, MC_DT)
+                    sc.ode = closure_ode_step(sc.ode, u, phys, h)
+                    sc.mem = memory_closure_step(sc.mem, u, phys, h)
             if len(steps) < every:  # the tail: no comparison falls in it
                 break
             for sc in scenarios:
@@ -683,8 +700,8 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     # fixed seed reproduces the ensemble bitwise, including its CSV bytes
     ens_a = equilibrium_ensemble(1000, pot, seed=plan.seed)
     ens_b = equilibrium_ensemble(1000, pot, seed=plan.seed)
-    ens_a = hookean_exact_walk(ens_a, MC_DT, pot, phys, [1.0] * 50)
-    ens_b = hookean_exact_walk(ens_b, MC_DT, pot, phys, [1.0] * 50)
+    ens_a = hookean_exact_walk(ens_a, h, pot, phys, [1.0] * 50)
+    ens_b = hookean_exact_walk(ens_b, h, pot, phys, [1.0] * 50)
     pa, pb = outdir / "ensemble_a.csv", outdir / "ensemble_b.csv"
     ensemble_to_csv(ens_a, pa)
     ensemble_to_csv(ens_b, pb)

@@ -14,11 +14,11 @@ Typical use::
     pot = SpringPotential.hookean(H=phys.H, R=phys.R)
     ens = equilibrium_ensemble(100_000, pot, seed=7)
     mem = memory_closure_equilibrium(phys)
-    for _ in range(10):  # compare every 100 steps
-        slips = [1.0] * 100  # slips[j] is held over step j
-        ens = hookean_exact_walk(ens, 5e-3, pot, phys, slips)
+    for _ in range(10):  # compare every 5 steps
+        slips = [1.0] * 5  # slips[j] is held over step j
+        ens = hookean_exact_walk(ens, 0.1, pot, phys, slips)
         for u in slips:
-            mem = memory_closure_step(mem, u, phys, 5e-3)
+            mem = memory_closure_step(mem, u, phys, 0.1)
         mom = kramers_stress(ens, pot, phys)  # mom.sigma_tn tracks mem.sigma_tn
 
 The spring is Hookean, U = H |m|^2 / R^2: it is the one spring whose stress

@@ -52,8 +52,9 @@ def test_next_traced_micro_step_resolves():
 
 
 def test_micro_workload_horizons_are_whole_steps(monkeypatch):
-    # the driver rejects a horizon or spacing off its step grid, so both
-    # benchmark scalings must sit on the grid of the shipped MC_DT
+    # the driver rejects a horizon off the step it fits under MC_DT to the
+    # comparison spacing, so both benchmark scalings must schedule at the
+    # shipped MC_DT
     import workloads
 
     experiments = importlib.import_module("nspb.experiments")
@@ -61,8 +62,9 @@ def test_micro_workload_horizons_are_whole_steps(monkeypatch):
         with monkeypatch.context() as m:
             for name, value in scaled.items():
                 m.setattr(experiments, name, value)
-            n_steps, every = experiments._micro_schedule()
+            h, n_steps, every = experiments._micro_schedule()
             assert 1 <= every <= n_steps
+            assert 0 < h <= experiments.MC_DT
 
 
 def test_fp_solve_keeps_the_parameters_the_tracer_binds():

@@ -311,6 +311,7 @@ def test_micro_verify_walks_one_scenario_on_one_worker_thread(tmp_path, monkeypa
 def test_micro_verify_raises_a_walk_failure_off_the_main_thread(tmp_path, monkeypatch):
     # 4 steps compared every 2; only the sinusoidal slip turns NaN, at step 3
     for name, value in {
+        "MC_DT": 5e-3,
         "MC_MEMBERS": 1000,
         "MC_T_END": 0.02,
         "MC_COMPARE_SPACING": 0.01,
@@ -347,11 +348,41 @@ def test_micro_verify_raises_a_walk_failure_off_the_main_thread(tmp_path, monkey
     assert not (tmp_path / "micro_moments_sinusoidal.csv").exists()
 
 
+def test_micro_verify_steps_at_a_spacing_below_mc_dt(tmp_path, monkeypatch):
+    # a spacing of 0.02 under MC_DT = 0.1: the driver fits its step to the
+    # spacing and compares after every step
+    for name, value in {
+        "MC_DT": 0.1,
+        "MC_MEMBERS": 1000,
+        "MC_T_END": 0.06,
+        "MC_COMPARE_SPACING": 0.02,
+        "FP_RELAX_MULTIPLE": 0.5,
+    }.items():
+        monkeypatch.setattr(experiments, name, value)
+    assert experiments._micro_schedule() == (0.02, 3, 1)
+    steps = []
+    real_walk = experiments.hookean_exact_walk
+
+    def walk(ens, dt, *args):
+        steps.append(dt)
+        return real_walk(ens, dt, *args)
+
+    monkeypatch.setattr(experiments, "hookean_exact_walk", walk)
+    summary = execute(parse_config("kind = micro_verify\n").with_output(tmp_path))
+    assert summary.total_steps == 2 * 3
+    assert set(steps) == {0.02}
+    assert any("step h=0.02 " in n and "3 steps per scenario" in n for n in summary.notes)
+    for scen in ("constant", "sinusoidal"):
+        lines = (tmp_path / f"micro_moments_{scen}.csv").read_text().splitlines()
+        t = [float(line.split(",")[0]) for line in lines[2:]]
+        assert t == pytest.approx([0.02, 0.04, 0.06], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
-        ("MC_COMPARE_SPACING", 0.002),  # below MC_DT / 2: zero steps apart
-        ("MC_COMPARE_SPACING", 0.0075),  # 1.5 steps: compares at shifted times
+        ("MC_COMPARE_SPACING", 0.0),  # no step fits a zero spacing
+        ("MC_COMPARE_SPACING", 0.0075),  # fitted step 0.00375 does not divide the horizon
         ("MC_T_END", 0.9975),  # ends between two steps
         ("MC_T_END", 0.01),  # 2 steps against a 100-step spacing: no comparison
     ],

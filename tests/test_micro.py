@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from nspb import experiments, micro
 from nspb.config import parse_config
+from nspb.flow import whole_steps
 from nspb.micro import (
     PolymerEnsemble,
     SpringPotential,
@@ -452,6 +453,7 @@ def test_walk_allocates_no_array_per_step(pot, phys):
 def test_micro_verify_walk_matches_a_per_step_reference_chain(tmp_path, monkeypatch):
     # 53 steps with a comparison every 10: five comparisons and a 3-step tail
     for name, value in {
+        "MC_DT": 5e-3,
         "MC_MEMBERS": 1000,
         "MC_T_END": 0.265,
         "MC_COMPARE_SPACING": 0.05,
@@ -482,10 +484,16 @@ def test_micro_verify_walk_matches_a_per_step_reference_chain(tmp_path, monkeypa
         assert [[float(v) for v in line.split(",")] for line in lines[2:]] == rows
 
 
+def _folded_correlation(s):
+    # C(s) = E|X||Y| / E X^2 for the stationary OU coordinate at lag s, lambda = 1:
+    # the correlation of the reflected m_n chain
+    rho = math.exp(-s / 2)
+    return (2 / math.pi) * (math.sqrt(max(1.0 - rho * rho, 0.0)) + rho * math.asin(rho))
+
+
 def _kernel(s):
     # the exact shear kernel exp(-s/2) C(s) at lambda = 1
-    rho = math.exp(-s / 2)
-    return rho * (2 / math.pi) * (math.sqrt(max(1.0 - rho * rho, 0.0)) + rho * math.asin(rho))
+    return math.exp(-s / 2) * _folded_correlation(s)
 
 
 @pytest.mark.parametrize("scenario", ["constant", "sinusoidal"])
@@ -513,6 +521,44 @@ def test_memory_closure_matches_quadrature_of_the_kernel(scenario, phys):
     if scenario == "constant":
         assert np.max(np.abs(got / want - 1.0)) <= 1e-4
     assert state.sigma_nn == closure_equilibrium(phys).sigma_nn
+
+
+def _walk_mean_bias(h, scenario):
+    """Largest |exact mean sigma_tn of the walk - held-slip memory integral| at
+    the comparison times up to the shipped MC_T_END, lambda = 1, sigma_eq/R = 1.
+
+    No sampling: the walk's m_n is the exact reflected OU chain, so after k
+    steps its mean sigma_tn is sum_j u_j E^i (w0 C((i+1)h) + w1 C(i h)) with
+    i = k-1-j and (E, w0, w1) = exp_weights(h, 2 lambda).  The memory closure
+    integrates the kernel over each held-slip step.  Both read j through i only.
+    """
+    n = whole_steps(experiments.MC_T_END, h)
+    every = whole_steps(experiments.MC_COMPARE_SPACING, h)
+    E, w0, w1 = exp_weights(h, 2.0)
+    walk = [E**i * (w0 * _folded_correlation((i + 1) * h) + w1 * _folded_correlation(i * h))
+            for i in range(n)]
+    exact = [quad(_kernel, i * h, (i + 1) * h, epsabs=1e-14)[0] for i in range(n)]
+    gap = np.subtract(walk, exact)
+    slip = experiments._mc_slip(scenario)
+    u = np.array([float(slip(k * h)) for k in range(n)])
+    return max(abs(u[:k] @ gap[k - 1 :: -1]) for k in range(every, n + 1, every))
+
+
+@pytest.mark.parametrize("scenario", ["constant", "sinusoidal"])
+def test_walk_mean_at_the_driver_step_is_within_the_bias_rule(scenario):
+    # the exponential trapezoid in the shear drive is the walk's only time-step
+    # bias; at the driver's step its exact mean stays within a third of the
+    # band's allowance (2.95e-4 / 2.02e-4 at h = 0.1)
+    phys = experiments._micro_phys(parse_config("kind = micro_verify\n"))
+    assert phys.relaxation_time == 1.0 and phys.R == 1.0
+    assert phys.kB_T * phys.N_P / phys.rho == 1.0
+    h, _, _ = experiments._micro_schedule()
+    assert _walk_mean_bias(h, scenario) <= experiments.MC_BIAS_ALLOWANCE / 3
+
+
+def test_bias_rule_rejects_a_step_of_a_quarter():
+    # the rule bites: at h = 0.25 the constant slip's bias is 1.77e-3
+    assert _walk_mean_bias(0.25, "constant") > experiments.MC_BIAS_ALLOWANCE / 3
 
 
 def test_memory_closure_ratio_to_closed_system(phys):
