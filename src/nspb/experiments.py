@@ -39,7 +39,7 @@ from .flow import (
     steady_channel_state,
     whole_steps,
 )
-from .fplanck import FPGrid, fokker_planck_solve, gibbs_density
+from .fplanck import POSITIVITY_SAFETY, FPGrid, fokker_planck_solve, gibbs_density, stable_dt
 from .grid import ChannelGrid
 from .micro import (
     SpringPotential,
@@ -83,8 +83,10 @@ MC_BIAS_ALLOWANCE = 5e-3
 MC_SLIP_AMPLITUDE = 1.0
 MC_SIN_PERIOD = 2.5
 TN_DEFECT_BAND = (1.35, 1.65)
-# the slowest density mode of the Hookean half-space process decays at
-# 1/(2*lambda), so the horizon is counted in units of 2*lambda
+# the Fokker-Planck relaxation to Gibbs runs FP_RELAX_MULTIPLE * lambda.  From
+# the uniform start, which is symmetric in m_t, the slowest excited density
+# mode decays at 1/lambda (the 1/(2*lambda) mode is odd in m_t): L1 to Gibbs
+# reads 5.65e-5 at 12 lambda and 1.41e-7 at 18 lambda
 FP_RELAX_MULTIPLE = 18.0
 
 
@@ -565,8 +567,8 @@ class _MicroScenario:
         self.worst_nn = self.worst_tn = self.worst_mem = 0.0
         self.final_ratio = None
 
-    def compare(self, mom) -> None:
-        """Fold the ensemble moments against both closures into the worst ratios."""
+    def compare(self, t: float, mom) -> None:
+        """Fold the ensemble moments at time t against both closures into the worst ratios."""
         ode = self.ode
         tol_nn = 3.0 * mom.se_nn + MC_BIAS_ALLOWANCE
         tol_tn = 3.0 * mom.se_tn + MC_BIAS_ALLOWANCE
@@ -576,7 +578,7 @@ class _MicroScenario:
         if abs(ode.sigma_tn) > 1e-12:
             self.final_ratio = mom.sigma_tn / ode.sigma_tn
         self.rows.append(
-            (self.ens.t, mom.sigma_tn, mom.se_tn, ode.sigma_tn, mom.sigma_nn, mom.se_nn, ode.sigma_nn)
+            (t, mom.sigma_tn, mom.se_tn, ode.sigma_tn, mom.sigma_nn, mom.se_nn, ode.sigma_nn)
         )
 
 
@@ -607,8 +609,10 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     # pool's module loads on first use, so importing nspb does not load it.
     with futures.ThreadPoolExecutor(max_workers=1) as pool:
         # one walk per comparison interval; a horizon that is not a whole
-        # number of intervals ends in a shorter tail
-        for start in range(0, n_steps, every):
+        # number of intervals ends in a shorter tail.  The c-th comparison is
+        # written at c * MC_COMPARE_SPACING, exact on the comparison grid,
+        # where the walk's accumulated time carries roundoff
+        for c, start in enumerate(range(0, n_steps, every), 1):
             steps = range(start, min(start + every, n_steps))
             # each slip is held over its step for every system
             slips = [[float(sc.slip(k * h)) for k in steps] for sc in scenarios]
@@ -622,7 +626,7 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
             if len(steps) < every:  # the tail: no comparison falls in it
                 break
             for sc in scenarios:
-                sc.compare(kramers_stress(sc.ens, pot, phys))
+                sc.compare(c * MC_COMPARE_SPACING, kramers_stress(sc.ens, pot, phys))
 
     header = "t,sigma_tn_mc,se_tn,sigma_tn_ode,sigma_nn_mc,se_nn,sigma_nn_ode"
     for sc in scenarios:
@@ -685,10 +689,24 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     fpg = FPGrid.for_potential(pot, cutoff=20.0, h=0.15)
     gibbs = gibbs_density(fpg, pot, mass=phys.N_P)
     f0 = np.full((fpg.n_t, fpg.n_n), phys.N_P / (fpg.n_t * fpg.n_n * fpg.cell_area))
-    res = fokker_planck_solve(fpg, pot, phys, t_end=FP_RELAX_MULTIPLE * lam, f0=f0)
+    # the verdict reads only the end of the relaxation, and Gibbs is the exact
+    # fixed point of the exponential-fitted step at any dt, so step at the
+    # solver's positivity bound, the largest dt it accepts
+    dt_bound = stable_dt(fpg, pot, phys, safety=POSITIVITY_SAFETY)
+    res = fokker_planck_solve(fpg, pot, phys, t_end=FP_RELAX_MULTIPLE * lam, dt=dt_bound, f0=f0)
+    summary.notes.append(
+        f"Fokker-Planck relaxation from uniform over {FP_RELAX_MULTIPLE:g} relaxation times "
+        f"at the positivity bound (stable_dt at safety {POSITIVITY_SAFETY:g}): "
+        f"{res.steps} steps of {res.dt:.4g}"
+    )
     l1 = float(np.sum(np.abs(res.density - gibbs)) * fpg.cell_area)
     summary.points.append(
-        {"fp_l1_error": l1, "fp_mass_drift": abs(res.mass_final - res.mass_initial)}
+        {
+            "fp_l1_error": l1,
+            "fp_mass_drift": abs(res.mass_final - res.mass_initial),
+            "fp_dt": res.dt,
+            "fp_steps": res.steps,
+        }
     )
     summary.add_check(
         "fp_steady_matches_gibbs",

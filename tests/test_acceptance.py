@@ -177,6 +177,24 @@ def test_equilibrium_stress_anchor_and_gibbs_density(micro):
     assert fp.passed and fp.value <= 1e-3, f"L1 distance {fp.value}"
 
 
+def test_micro_moments_are_written_on_the_comparison_grid(micro):
+    # the t column is the c-th comparison time c * 0.5, not the walk's
+    # accumulated sum of steps
+    outdir = Path(micro.config["output_dir"])
+    for scen in ("constant", "sinusoidal"):
+        lines = (outdir / f"micro_moments_{scen}.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[2:]] == [
+            0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0
+        ]
+
+
+def test_gibbs_relaxation_steps_at_the_positivity_bound(micro):
+    [point] = [p for p in micro.points if "fp_l1_error" in p]
+    assert point["fp_steps"] == 3716
+    assert point["fp_dt"] * point["fp_steps"] == pytest.approx(experiments.FP_RELAX_MULTIPLE)
+    assert any("at the positivity bound" in n for n in micro.notes)
+
+
 def test_wall_slip_vanishes_inversely_with_alpha(alpha_sweep):
     checks = checks_of(alpha_sweep)
     assert checks["slip_strictly_decreasing_in_alpha"].passed

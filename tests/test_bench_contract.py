@@ -9,6 +9,7 @@ renames or deletes one of them breaks the benchmark.  These tests read
 import ast
 import importlib
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -85,6 +86,48 @@ def test_fp_solve_keeps_the_parameters_the_tracer_binds():
     assert read <= set(params)
     # the tracer recomputes the solver's default step only when dt is None
     assert params["dt"].default is None
+
+
+def test_micro_relaxation_passes_dt_by_keyword():
+    # the tracer counts a solve's cell updates from its dt argument, so
+    # _drive_micro_verify's step must reach the solve as dt, not through the
+    # default rule
+    experiments = importlib.import_module("nspb.experiments")
+    tree = ast.parse(inspect.getsource(experiments._drive_micro_verify))
+    [call] = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fokker_planck_solve"
+    ]
+    assert "dt" in {kw.arg for kw in call.keywords}
+
+
+def test_tracer_counts_the_micro_relaxation_at_the_positivity_bound(tmp_path, monkeypatch):
+    # run micro_verify at the benchmark's smoke scale and count its
+    # relaxation call as tracing._fp_cell_updates does
+    import workloads
+    from nspb.config import parse_config
+    from nspb.fplanck import POSITIVITY_SAFETY, fokker_planck_solve, stable_dt
+
+    experiments = importlib.import_module("nspb.experiments")
+    for name, value in workloads.MICRO_SMOKE.items():
+        monkeypatch.setattr(experiments, name, value)
+    calls = []
+
+    def solve(*args, **kwargs):
+        result = fokker_planck_solve(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(experiments, "fokker_planck_solve", solve)
+    experiments.execute(parse_config("kind = micro_verify\n").with_output(tmp_path))
+    [(args, kwargs, result)] = calls
+    grid, pot, phys = args[:3]
+    t_end = kwargs["t_end"]
+    dt_bound = stable_dt(grid, pot, phys, safety=POSITIVITY_SAFETY)
+    counted = tracing._fp_cell_updates(fokker_planck_solve)(args, kwargs, result)
+    assert counted == grid.n_t * grid.n_n * math.ceil(t_end / dt_bound)
+    assert counted == grid.n_t * grid.n_n * result.steps
 
 
 def test_workloads_import():

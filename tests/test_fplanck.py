@@ -1,10 +1,12 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from nspb.fplanck import (
+    POSITIVITY_SAFETY,
     FPError,
     FPGrid,
     _bernoulli,
@@ -62,11 +64,51 @@ def test_gibbs_density_mass(fpgrid, pot):
     assert np.all(f > 0)
 
 
-def test_gibbs_is_discretely_stationary(fpgrid, pot, phys):
+def _clipped_bernoulli(x):
+    # the Bernoulli function as first written: clipped to +-500, with a
+    # first-order series below 1e-8
+    x = np.clip(x, -500.0, 500.0)
+    small = np.abs(x) < 1e-8
+    with np.errstate(over="ignore"):
+        return np.where(small, 1.0 - 0.5 * x, x / np.expm1(np.where(small, 1.0, x)))
+
+
+def test_bernoulli_is_one_at_zero():
+    got = _bernoulli(np.array([-0.0, 0.0, 1e-300]))
+    assert np.array_equal(got, [1.0, 1.0, 1.0])
+
+
+def test_bernoulli_limits_past_overflow_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _bernoulli(np.array([800.0, -800.0]))
+    assert got[0] == 0.0 and got[1] == 800.0
+
+
+def test_bernoulli_reflection_identity():
+    # B(-s) - B(s) = s, the identity x_weights builds the upper weights by;
+    # the difference cancels for small s, so the tolerance is relative to
+    # B(-s), the size of its terms
+    s = np.logspace(-12, math.log10(700.0), 1001)
+    lower = _bernoulli(-s)
+    assert np.all(np.abs(lower - _bernoulli(s) - s) <= 1e-15 * lower)
+
+
+def test_bernoulli_matches_the_clipped_formula_inside_the_clip():
+    s = np.logspace(-12, math.log10(500.0), 501)
+    x = np.concatenate([-s, [0.0], s, np.linspace(-50.0, 50.0, 1001)])
+    want = _clipped_bernoulli(x)
+    np.testing.assert_allclose(_bernoulli(x), want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("step", ["default", "bound"])
+def test_gibbs_is_discretely_stationary(fpgrid, pot, phys, step):
     """The exponential-fitted fluxes vanish identically on the Gibbs cell
-    density, so time stepping leaves it unchanged to roundoff."""
+    density, so time stepping leaves it unchanged to roundoff, at the
+    default step and at the positivity bound."""
     f0 = gibbs_density(fpgrid, pot)
-    res = fokker_planck_solve(fpgrid, pot, phys, t_end=2.0, f0=f0)
+    dt = None if step == "default" else stable_dt(fpgrid, pot, phys, safety=POSITIVITY_SAFETY)
+    res = fokker_planck_solve(fpgrid, pot, phys, t_end=2.0, dt=dt, f0=f0)
     drift = np.sum(np.abs(res.density - f0)) * fpgrid.cell_area
     assert drift < 1e-11
     assert res.mass_final == pytest.approx(res.mass_initial, rel=1e-12)

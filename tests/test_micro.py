@@ -478,7 +478,9 @@ def test_micro_verify_walk_matches_a_per_step_reference_chain(tmp_path, monkeypa
             mem = memory_closure_step(mem, u, phys, dt)
             if (k + 1) % 10 == 0:
                 mom = kramers_stress(ens, pot, phys)
-                rows.append([ens.t, mom.sigma_tn, mom.se_tn, ode.sigma_tn])
+                # the c-th comparison is written at c * MC_COMPARE_SPACING
+                t = (k + 1) // 10 * experiments.MC_COMPARE_SPACING
+                rows.append([t, mom.sigma_tn, mom.se_tn, ode.sigma_tn])
                 rows[-1] += [mom.sigma_nn, mom.se_nn, ode.sigma_nn]
         lines = (tmp_path / f"micro_moments_{scen}.csv").read_text().splitlines()
         assert [[float(v) for v in line.split(",")] for line in lines[2:]] == rows
