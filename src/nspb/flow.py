@@ -9,8 +9,11 @@ field itself induces; this keeps the scheme stable for arbitrarily stiff
 wall friction.  In "euler" mode diffusion and the wall law are switched
 off and the same advection terms are advanced explicitly (Heun).
 
-Every per-mode map of a step is linear and fixed for given (dt, Re, grid),
-so the solver builds each one once as an operator stack (see
+The mean profile is the k = 0 column of a step: it obeys the same implicit
+stage as every vorticity mode, with the Robin form of the wall law in its
+two wall rows in place of the influence-matrix closure.  Every map of a
+step is linear and fixed for given (dt, Re, grid), so the solver builds
+each one once as an operator stack over modes 0..J (see
 ``elliptic.apply_modes``) and applies it as one matmul per stage.
 """
 
@@ -218,6 +221,13 @@ def steady_channel_state(grid: ChannelGrid, params: SimParams, F: float) -> Flow
 class ChannelFlowSolver:
     """Time stepper for the channel with the dynamic wall law.
 
+    A step works on one (ny, J+1) complex coefficient array x: column 0
+    holds the mean profile's real Chebyshev coefficients and columns 1..J
+    the vorticity modes, packed from the ``FlowState`` at the start of the
+    step and unpacked at its end.  The mean is the k = 0 column of every
+    map: each implicit stage is one (J+1, ny, ny) stack and the wall-trace
+    map one (J+1, 2, ny) stack, whose k = 0 entries act on the mean.
+
     ``cfl_peak`` is the largest directional CFL number the solver has checked
     and the t of the step start where it occurred; (0.0, None) before a step.
     """
@@ -226,7 +236,7 @@ class ChannelFlowSolver:
         self.grid = grid
         self.params = params
         self.config = config
-        self.jmax = grid.dealias_kx
+        J = self.jmax = grid.dealias_kx
         ny = grid.ny
         self._D, self._D2 = cheb_diff_matrices(ny)
 
@@ -237,14 +247,16 @@ class ChannelFlowSolver:
 
         # (J, ny, ny): vorticity modes 1..J to streamfunction coefficients
         self._psi_ops = streamfunction_operator(grid)
-        self._ksq = grid.kx[1 : self.jmax + 1] ** 2
-        # the mean-momentum forcing in Chebyshev coefficients (F times T_0)
-        self._force = np.zeros(ny)
-        self._force[0] = config.mean_force
-        # (2, ny): a coefficient column's values at the (top, bottom) wall
-        self._walls = _wall_rows(ny)
-        # (J, 2, ny): u at the (top, bottom) wall induced by each vorticity mode
-        self._traces = -(self._walls @ self._D) @ self._psi_ops
+        # k^2 of the packed columns, 0 for the mean
+        self._ksq = grid.kx[: J + 1] ** 2
+        # the mean-momentum forcing F times T_0, the mean's constant coefficient
+        self._force = np.zeros((ny, J + 1), dtype=complex)
+        self._force[0, 0] = config.mean_force
+        # (J+1, 2, ny): u at the (top, bottom) wall of each packed column, the
+        # mean's own values at k = 0 and those each vorticity mode induces after
+        self._traces = np.empty((J + 1, 2, ny))
+        self._traces[0] = _wall_rows(ny)
+        self._traces[1:] = -(self._traces[0] @ self._D) @ self._psi_ops
         self._synth = cheb_synthesis_matrix(ny)
         # node values to the Chebyshev coefficients a dealiased product keeps
         self._fwd = cheb_forward(np.eye(ny))[: grid.dealias_cheb + 1]
@@ -257,48 +269,46 @@ class ChannelFlowSolver:
             self._stage_p = self._stage_operators(Re / dt)
             self._stage_c = self._stage_operators(2.0 * Re / dt)
 
-    def _stage_operators(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Maps of one implicit stage (lam - Laplacian) with the wall law closed.
+    def _stage_operators(self, lam: float) -> np.ndarray:
+        """(J+1, ny, ny) maps of one implicit stage (lam + k^2 - D^2), wall law closed.
 
-        Both read the wall data (q_top, q_bottom) from the two tau rows of
-        their right-hand side.  The mean profile's rows are the Robin form
-        c2*u - u' = q_top, -c2*u - u' = q_bottom.  Each fluctuation mode is
-        a Dirichlet tau solve A^-1 P plus the two unit-boundary profiles
+        Each map reads the wall data (q_top, q_bottom) from the two tau rows
+        of its right-hand side column.  The mean's (k = 0) rows are the Robin
+        form c2*u - u' = q_top, -c2*u - u' = q_bottom.  Each fluctuation mode
+        is a Dirichlet tau solve A^-1 P plus the two unit-boundary profiles
         A^-1 E, weighted by the 2x2 influence matrix K (Kleiser & Schumann
         1980) so that the wall vorticity equals g + beta*u_tau for the slip
         the new field induces:
 
             out = A^-1 P b + A^-1 E K^-1 (E^T b + S T A^-1 P b),
             K = I - S T A^-1 E,  S = diag(-c2, c2),  T = wall u-traces.
-
-        Returns the (ny, ny) mean map and the (J, ny, ny) mode stack.
         """
         ny, c2 = self.grid.ny, self.c2
-        robin = np.stack([_bc_row(ny, "top", c2, -1.0), _bc_row(ny, "bottom", -c2, -1.0)])
-        mean = np.linalg.inv(tau_matrices(ny, [lam], robin))[0]
-        A_inv = np.linalg.inv(tau_matrices(ny, lam + self._ksq, _wall_rows(ny)))
-        unit = A_inv[:, :, ny - 2 :].copy()
-        A_inv[:, :, ny - 2 :] = 0.0
+        A = tau_matrices(ny, lam + self._ksq, _wall_rows(ny))
+        A[0, ny - 2 :] = [_bc_row(ny, "top", c2, -1.0), _bc_row(ny, "bottom", -c2, -1.0)]
+        ops = np.linalg.inv(A)
+        modes, traces = ops[1:], self._traces[1:]
+        unit = modes[:, :, ny - 2 :].copy()
+        modes[:, :, ny - 2 :] = 0.0
         S = np.diag([-c2, c2])
-        K = np.eye(2) - S @ self._traces @ unit
-        weights = S @ self._traces @ A_inv
+        K = np.eye(2) - S @ traces @ unit
+        weights = S @ traces @ modes
         weights[:, :, ny - 2 :] = np.eye(2)
         try:
             closure = np.linalg.solve(K, weights)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise SolverError("singular wall influence matrix") from exc
-        return mean, A_inv + unit @ closure
+        modes += unit @ closure
+        return ops
 
     # ---- nonlinear terms ----
 
-    def _nonlinear(self, omega: np.ndarray, mean_coeffs: np.ndarray):
-        """Advection for the fluctuation and the mean-flow exchange profile.
+    def _nonlinear(self, x: np.ndarray):
+        """Advection terms of a packed (ny, J+1) coefficient array x.
 
-        Takes a ``FlowState``'s (ny, J) vorticity modes 1..J and mean
-        coefficients.  Returns (N, R_coeffs, aux) with N = -(u.grad omega)
-        on modes 1..J, R(y) the x-mean of v*omega (the mean-momentum
-        source), and aux carrying physical velocities and the (2, nx) wall
-        slip.
+        Returns (N, aux): N is (ny, J+1), the mean-momentum source R(y) (the
+        x-mean of v*omega) in column 0 and N = -(u.grad omega) on modes
+        1..J; aux carries physical velocities and the (2, nx) wall slip.
 
         One real matmul takes [mean | psi | mean vorticity | omega]
         coefficients to node values and d/dy node values; the five fields
@@ -310,10 +320,10 @@ class ChannelFlowSolver:
         modes = slice(1, J + 1)
         ikx = 1j * grid.kx[modes]
         cols = np.empty((ny, 2 * (J + 1)), dtype=complex)
-        cols[:, 0] = mean_coeffs
-        cols[:, modes] = apply_modes(self._psi_ops, omega)
-        cols[:, J + 1] = -(self._D @ mean_coeffs)
-        cols[:, J + 2 :] = omega
+        cols[:, 0] = x[:, 0]
+        cols[:, modes] = apply_modes(self._psi_ops, x[:, modes])
+        cols[:, J + 1] = -(self._D @ x[:, 0].real)
+        cols[:, J + 2 :] = x[:, modes]
         vals = real_matmul(self._synth, cols)
         f, df = vals[:ny], vals[ny:]
 
@@ -333,11 +343,10 @@ class ChannelFlowSolver:
         prod_hat = np.fft.rfft(prod, axis=-1, norm="forward")[..., : J + 1]
         adv, exchange = real_matmul(self._fwd, prod_hat)
 
-        N = np.zeros((ny, J), dtype=complex)
-        N[: len(self._fwd)] = -adv[:, 1:]
-        R = np.zeros(ny)
-        R[: len(self._fwd)] = exchange[:, 0].real
-        return N, R, {"u_tot": u, "v": v, "slip": wall_slip(u[[0, -1]])}
+        N = np.zeros((ny, J + 1), dtype=complex)
+        N[: len(self._fwd), 0] = exchange[:, 0].real
+        N[: len(self._fwd), modes] = -adv[:, 1:]
+        return N, {"u_tot": u, "v": v, "slip": wall_slip(u[[0, -1]])}
 
     def _check_cfl(self, aux, state: FlowState):
         """Directional CFL number of the step start, dt*max(|u|/dx + |v|/dy_local).
@@ -356,108 +365,74 @@ class ChannelFlowSolver:
             node = tuple(int(i) for i in np.unravel_index(number.argmax(), number.shape))
             raise CFLError(cfl, self.config.cfl_max, state.t, node)
 
-    @staticmethod
-    def _check_finite(state: FlowState) -> FlowState:
-        for name, arr in (("omega", state.omega), ("mean", state.mean), ("g", state.g)):
-            if not np.isfinite(arr).all():
-                raise SolverDivergedError(state.step_index, state.t, name)
-        return state
-
-    # ---- implicit stage ----
-
-    def _implicit_stage(self, stage, rhs, mean_rhs, qhat):
-        """Solve (lam + k^2 - D^2) with the wall law closed, mean and modes 1..J.
-
-        qhat holds rfft modes 0..J of the (top, bottom) wall data; it is
-        written into the tau rows of both right-hand sides, in place.
-        """
-        mean_op, mode_ops = stage
-        mean_rhs[-2:] = qhat[:, 0].real
-        rhs[-2:] = qhat[:, 1:]
-        return apply_modes(mode_ops, rhs), mean_op @ mean_rhs
-
-    def _wall_slip(self, omega: np.ndarray, mean_coeffs: np.ndarray) -> np.ndarray:
-        """Slip u_tau along the (top, bottom) walls as a (2, nx) array."""
-        grid = self.grid
-        u_hat = np.empty((2, self.jmax + 1), dtype=complex)
-        u_hat[:, 0] = self._walls @ mean_coeffs
-        u_hat[:, 1:] = apply_modes(self._traces, omega)
-        return wall_slip(np.fft.irfft(u_hat * grid.nx, n=grid.nx, axis=1))
+    def _wall_slip(self, x: np.ndarray) -> np.ndarray:
+        """Slip u_tau along the (top, bottom) walls of a packed x, a (2, nx) array."""
+        nx = self.grid.nx
+        return wall_slip(np.fft.irfft(apply_modes(self._traces, x) * nx, n=nx, axis=1))
 
     # ---- stepping ----
 
+    def _pack(self, state: FlowState) -> np.ndarray:
+        """The state's (ny, J+1) array x, column-major as ``apply_modes`` returns
+        it, so the mode columns reach the operator stacks without a copy."""
+        x = np.empty((self.grid.ny, self.jmax + 1), dtype=complex, order="F")
+        x[:, 0], x[:, 1:] = state.mean, state.omega
+        return x
+
     def step(self, state: FlowState) -> FlowState:
+        """Advance one step; SolverDivergedError names the first non-finite field."""
+        x = self._pack(state)
         if self.config.mode == "euler":
-            return self._step_euler(state)
-        return self._step_ns(state)
+            x, g = self._step_euler(state, x), state.g
+        else:
+            x, g = self._step_ns(state, x)
+        new = FlowState(
+            grid=self.grid,
+            omega=x[:, 1:],
+            mean=x[:, 0].real.copy(),
+            g=g,
+            t=state.t + self.config.dt,
+            step_index=state.step_index + 1,
+        )
+        for name in ("omega", "mean", "g"):
+            if not np.isfinite(getattr(new, name)).all():
+                raise SolverDivergedError(new.step_index, new.t, name)
+        return new
 
-    def _step_ns(self, state: FlowState) -> FlowState:
-        grid, dt, Re = self.grid, self.config.dt, self.params.Re
-        mean_coeffs, om, force = state.mean, state.omega, self._force
+    def _step_ns(self, state: FlowState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dt, Re, F = self.config.dt, self.params.Re, self._force
 
-        N_n, R_n, aux_n = self._nonlinear(om, mean_coeffs)
+        N_n, aux_n = self._nonlinear(x)
         self._check_cfl(aux_n, state)
 
-        # wall data pieces that depend only on the step start, (top, bottom)
+        # wall data that depends only on the step start, (top, bottom); each
+        # stage reads it from the two tau rows of its right-hand side
         slip_n = aux_n["slip"]
         q = self.wall.drive(state.g, slip_n)
-        qhat = np.fft.rfft(q, axis=1)[:, : self.jmax + 1] / grid.nx
+        qhat = np.fft.rfft(q, axis=1)[:, : self.jmax + 1] / self.grid.nx
 
-        lam_p = Re / dt
-        om_star, mean_star = self._implicit_stage(
-            self._stage_p,
-            lam_p * om + Re * N_n,
-            lam_p * mean_coeffs + Re * (R_n + force),
-            qhat,
+        rhs = Re / dt * x + Re * (N_n + F)
+        rhs[-2:] = qhat
+        x_star = apply_modes(self._stage_p, rhs)
+
+        N_s, _ = self._nonlinear(x_star)
+        rhs = (
+            2.0 * Re / dt * x - self._ksq * x + real_matmul(self._D2, x)
+            + Re * (N_n + N_s + 2.0 * F)
         )
-
-        N_s, R_s, _ = self._nonlinear(om_star, mean_star)
-
-        lam_c = 2.0 * Re / dt
-        om_new, mean_new = self._implicit_stage(
-            self._stage_c,
-            lam_c * om - self._ksq * om + real_matmul(self._D2, om) + Re * (N_n + N_s),
-            lam_c * mean_coeffs + self._D2 @ mean_coeffs + Re * (R_n + R_s + 2.0 * force),
-            qhat,
-        )
+        rhs[-2:] = qhat
+        x_new = apply_modes(self._stage_c, rhs)
 
         # final slip traces close the boundary-stress update
-        slip_new = self._wall_slip(om_new, mean_new)
+        g = step_boundary_ode(state.g, slip_n, self.wall, u_tau_end=self._wall_slip(x_new))
+        return x_new, g
 
-        return self._check_finite(
-            FlowState(
-                grid=grid,
-                omega=om_new,
-                mean=mean_new,
-                g=step_boundary_ode(state.g, slip_n, self.wall, u_tau_end=slip_new),
-                t=state.t + dt,
-                step_index=state.step_index + 1,
-            )
-        )
-
-    def _step_euler(self, state: FlowState) -> FlowState:
-        dt = self.config.dt
-        mean_coeffs, om, force = state.mean, state.omega, self._force
-
-        N_n, R_n, aux_n = self._nonlinear(om, mean_coeffs)
+    def _step_euler(self, state: FlowState, x: np.ndarray) -> np.ndarray:
+        dt, F = self.config.dt, self._force
+        N_n, aux_n = self._nonlinear(x)
         self._check_cfl(aux_n, state)
-        om_star = om + dt * N_n
-        mean_star = mean_coeffs + dt * (R_n + force)
-
-        N_s, R_s, _ = self._nonlinear(om_star, mean_star)
-        om_new = om + 0.5 * dt * (N_n + N_s)
-        mean_new = mean_coeffs + 0.5 * dt * (R_n + R_s + 2.0 * force)
-
-        return self._check_finite(
-            FlowState(
-                grid=self.grid,
-                omega=om_new,
-                mean=mean_new,
-                g=state.g,
-                t=state.t + dt,
-                step_index=state.step_index + 1,
-            )
-        )
+        N_s, _ = self._nonlinear(x + dt * (N_n + F))
+        return x + 0.5 * dt * (N_n + N_s + 2.0 * F)
 
     def run(self, state: FlowState, t_end: float | None = None, callback=None) -> FlowState:
         """Step until t_end (default: config.t_end); t_end=t is a no-op."""
@@ -481,4 +456,4 @@ class ChannelFlowSolver:
 
     def slip_traces(self, state: FlowState) -> np.ndarray:
         """Slip u_tau along the (top, bottom) walls as a (2, nx) array."""
-        return self._wall_slip(state.omega, state.mean)
+        return self._wall_slip(self._pack(state))

@@ -50,8 +50,10 @@ class FPGrid:
     n_n: int
 
     def __post_init__(self):
-        if self.extent_t <= 0 or self.extent_n <= 0:
-            raise FPError("extents must be positive")
+        for name in ("extent_t", "extent_n"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise FPError(f"{name} must be positive and finite, got {v!r}")
         if self.n_t < 4 or self.n_n < 4:
             raise FPError("need at least 4 cells per direction")
 
@@ -120,8 +122,6 @@ class FPResult:
     t: float
     mass_initial: float
     mass_final: float
-    times: list
-    moment_history: list
     dt: float
     steps: int
 
@@ -197,7 +197,6 @@ def fokker_planck_solve(
     u_slip=0.0,
     dt: float | None = None,
     f0: np.ndarray | None = None,
-    record_times=(),
 ) -> FPResult:
     """Explicit finite-volume integration to t_end.
 
@@ -206,9 +205,9 @@ def fokker_planck_solve(
     is accepted.  The steps are then evened out to t_end.
     ``u_slip`` may be a constant or a callable of time.  A callable's dt
     comes from 64 samples of it; FPError is raised if the slip at a step
-    time makes that dt unstable.  ``record_times``
-    asks for Kramers moment snapshots (recorded at the first step boundary
-    at or past each requested time).
+    time makes that dt unstable.  The result holds the density at t_end;
+    ``fp_moments`` gives its Kramers moments, and a later start is a
+    further solve from ``f0=result.density``.
     """
     if not 0.0 <= t_end < math.inf:
         raise FPError(f"t_end={t_end} must be finite and nonnegative")
@@ -267,17 +266,7 @@ def fokker_planck_solve(
     lo_x, hi_x, lo_y, hi_y = f[:-1], f[1:], flat[:-1], flat[1:]
     gx, tx = np.empty((2, n_t - 1, n_n))
     gy, ty = np.empty((2, flat.size - 1))
-    want = sorted(float(s) for s in record_times)
-    times, history = [], []
-
-    def record(tnow, final=False):  # requests at/past t_end land on the final boundary
-        while want and (final or want[0] <= tnow + 1e-12):
-            times.append(tnow)
-            history.append(fp_moments(fpgrid, f, potential, phys))
-            want.pop(0)
-
     t = 0.0
-    record(t)
     for i in range(n_steps):
         if step_slip:
             ax, bx = x_weights(step_slip[i][1])
@@ -288,12 +277,9 @@ def fokker_planck_solve(
         hi_y += gy
         lo_y -= gy
         t += dt
-        record(t)
-    record(t, final=True)
 
     return FPResult(grid=fpgrid, density=f, t=t, mass_initial=mass0,
-                    mass_final=density_mass(fpgrid, f), times=times, moment_history=history,
-                    dt=dt, steps=n_steps)
+                    mass_final=density_mass(fpgrid, f), dt=dt, steps=n_steps)
 
 
 def free_energy(

@@ -55,8 +55,8 @@ class SpringPotential:
     def __post_init__(self):
         if self.H < 0 or not math.isfinite(self.H):
             raise ParameterError(f"H must be nonnegative, got {self.H!r}")
-        if self.R <= 0:
-            raise ParameterError(f"R must be positive, got {self.R!r}")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ParameterError(f"R must be positive and finite, got {self.R!r}")
 
     @classmethod
     def hookean(cls, H: float, R: float = 1.0) -> "SpringPotential":

@@ -18,7 +18,7 @@ from nspb.diagnostics import (
 )
 import nspb.flow
 import nspb.grid
-from nspb.elliptic import TauSolver, biot_savart
+from nspb.elliptic import TauSolver, apply_modes, biot_savart
 from nspb.experiments import couette_perturbed_state
 from nspb.flow import (
     CFLError,
@@ -723,17 +723,24 @@ def test_batched_operators_match_per_mode_reference(grid, params, dt, seed):
     assert _rel(traces[0], top_ref) <= 1e-12
     assert _rel(traces[1], bottom_ref) <= 1e-12
 
-    # both implicit stages, wall law closed
+    # both implicit stages, wall law closed; the mean is the k = 0 column,
+    # and the stage reads the wall data from the tau rows of its right-hand side
+    J = grid.dealias_kx
+    assert sol._traces.shape == (J + 1, 2, grid.ny)
     for lam, stage in ((Re / dt, sol._stage_p), (2.0 * Re / dt, sol._stage_c)):
+        assert stage.shape == (J + 1, grid.ny, grid.ny)
         rhs = random_modes(grid, rng)
         mean_rhs = rng.standard_normal(grid.ny)
-        shape = (2, grid.dealias_kx + 1)
+        shape = (2, J + 1)
         qhat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         qhat[:, 0] = qhat[:, 0].real
         out_ref, mean_ref = ref.stage(lam, rhs, mean_rhs, qhat)
-        out, mean = sol._implicit_stage(stage, rhs.copy(), mean_rhs.copy(), qhat)
-        assert _rel(out, out_ref) <= 1e-12
-        assert _rel(mean, mean_ref) <= 1e-12
+        x = np.column_stack([mean_rhs, rhs])
+        x[-2:] = qhat
+        out = apply_modes(stage, x)
+        assert _rel(out[:, 1:], out_ref) <= 1e-12
+        assert _rel(out[:, 0].real, mean_ref) <= 1e-12
+        assert np.all(out[:, 0].imag == 0.0)
 
 
 def reference_nonlinear(grid, omega, mean_coeffs):
@@ -764,10 +771,11 @@ def test_nonlinear_matches_reference(grid, params, seed):
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0))
     state = random_solver_state(grid, np.random.default_rng(seed))
     omega, mean_coeffs = state.omega, state.mean
-    N, R, aux = sol._nonlinear(omega.copy(), mean_coeffs.copy())
+    N, aux = sol._nonlinear(np.column_stack([mean_coeffs, omega]))
     N_ref, R_ref, aux_ref = reference_nonlinear(grid, omega, mean_coeffs)
-    assert _rel(N, N_ref) <= 1e-12
-    assert _rel(R, R_ref) <= 1e-12
+    assert _rel(N[:, 1:], N_ref) <= 1e-12
+    assert _rel(N[:, 0], R_ref) <= 1e-12
+    assert np.all(N[:, 0].imag == 0.0)
     for key in ("u_tot", "v", "slip"):
         assert _rel(aux[key], aux_ref[key]) <= 1e-12, key
 
@@ -799,3 +807,23 @@ def test_nan_stops_the_run_with_a_named_error(grid, params, mode, field, detecte
     assert not isinstance(info.value, ValueError)
     assert (info.value.field, info.value.step) == (name, step)
     assert info.value.t == pytest.approx(step * 1e-3)
+
+
+@pytest.mark.parametrize("field", ["omega", "mean", "g"])
+def test_step_names_each_non_finite_field(grid, params, monkeypatch, field):
+    # the step unpacks the mean from column 0 of its packed array and the
+    # modes from the columns after it; a non-finite entry is named by field
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=0.01))
+    advance = sol._step_ns
+
+    def poisoned(state, x):
+        x, g = advance(state, x)
+        if field == "g":
+            g[1, 2] = np.nan
+        else:
+            x[3, 0 if field == "mean" else 2] = np.nan
+        return x, g
+
+    monkeypatch.setattr(sol, "_step_ns", poisoned)
+    with pytest.raises(SolverDivergedError, match=f"non-finite {field} at step 1 "):
+        sol.step(initial_state(grid, params))

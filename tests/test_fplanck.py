@@ -18,7 +18,7 @@ from nspb.fplanck import (
     stable_dt,
     wall_tangential_flux_moment,
 )
-from nspb.micro import SpringPotential, StressMoments, closure_ode_step
+from nspb.micro import SpringPotential, closure_ode_step
 from nspb.params import ParameterError, PhysicalParams
 
 
@@ -43,6 +43,11 @@ def test_grid_validation():
         FPGrid(extent_t=-1.0, extent_n=1.0, n_t=8, n_n=8)
     with pytest.raises(FPError):
         FPGrid(extent_t=1.0, extent_n=1.0, n_t=2, n_n=8)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FPError, match="extent_t must be positive and finite"):
+            FPGrid(extent_t=bad, extent_n=1.0, n_t=8, n_n=8)
+        with pytest.raises(FPError, match="extent_n must be positive and finite"):
+            FPGrid(extent_t=1.0, extent_n=bad, n_t=8, n_n=8)
 
 
 def test_for_potential_extents(pot):
@@ -159,38 +164,18 @@ def test_bad_dt_rejected(fpgrid, pot, phys, dt):
         fokker_planck_solve(fpgrid, pot, phys, t_end=0.1, dt=dt)
 
 
-def test_record_times_snapshots(fpgrid, pot, phys):
-    res = fokker_planck_solve(
-        fpgrid,
-        pot,
-        phys,
-        t_end=0.5,
-        f0=gibbs_density(fpgrid, pot),
-        record_times=[0.0, 0.2, 0.5],
-    )
-    assert len(res.times) == 3
-    assert res.times[0] == 0.0
-    for asked, got in zip([0.0, 0.2, 0.5], res.times):
-        assert got >= asked - 1e-12
-        assert got - asked <= stable_dt(fpgrid, pot, phys) + 1e-12
-    assert all(isinstance(m, StressMoments) for m in res.moment_history)
-
-
 def test_normal_moment_relaxation_matches_closed_form(fpgrid, pot, phys):
     """Start from the Gibbs state of a stiffer spring and relax: the normal
     moment obeys the closed exponential exactly in the continuum, so the
     solver must track it to discretization error."""
-    stiff = SpringPotential.hookean(H=0.5)
-    f0 = gibbs_density(fpgrid, stiff)
-    res = fokker_planck_solve(
-        fpgrid, pot, phys, t_end=2.5, f0=f0, record_times=[0.0, 0.3, 1.0, 2.5]
-    )
-    first = res.moment_history[0]
-    assert first.sigma_nn == pytest.approx(0.5, rel=0.02)
-    assert abs(first.sigma_tn) < 1e-10
-    mom = first
-    t_prev = res.times[0]
-    for t_now, ref in zip(res.times[1:], res.moment_history[1:]):
+    f = gibbs_density(fpgrid, SpringPotential.hookean(H=0.5))
+    mom = fp_moments(fpgrid, f, pot, phys)
+    assert mom.sigma_nn == pytest.approx(0.5, rel=0.02)
+    assert abs(mom.sigma_tn) < 1e-10
+    t_prev = 0.0
+    for t_now in (0.3, 1.0, 2.5):
+        f = fokker_planck_solve(fpgrid, pot, phys, t_end=t_now - t_prev, f0=f).density
+        ref = fp_moments(fpgrid, f, pot, phys)
         mom = closure_ode_step(mom, 0.0, phys, t_now - t_prev)
         t_prev = t_now
         assert ref.sigma_nn == pytest.approx(mom.sigma_nn, rel=0.02)
@@ -219,16 +204,11 @@ def test_steady_shear_moments_and_wall_flux_identity(fpgrid, pot, phys):
     flux term through the steady moment identity
         E[m_t m_n] = lambda * ((u/R) E[m_n^2] + W)
     with W the wall tangential flux moment."""
-    res = fokker_planck_solve(
-        fpgrid,
-        pot,
-        phys,
-        t_end=30.0,
-        u_slip=1.0,
-        f0=gibbs_density(fpgrid, pot),
-        record_times=[24.0, 30.0],
+    early = fokker_planck_solve(
+        fpgrid, pot, phys, t_end=24.0, u_slip=1.0, f0=gibbs_density(fpgrid, pot)
     )
-    near, last = res.moment_history
+    res = fokker_planck_solve(fpgrid, pot, phys, t_end=6.0, u_slip=1.0, f0=early.density)
+    near, last = (fp_moments(fpgrid, r.density, pot, phys) for r in (early, res))
     assert last.sigma_tn == pytest.approx(near.sigma_tn, rel=1e-3)  # converged
     assert last.sigma_nn == pytest.approx(1.0, rel=0.02)
     assert 1.40 < last.sigma_tn / 1.0 < 1.60
@@ -249,10 +229,9 @@ def test_time_dependent_slip_runs_and_conserves_mass(fpgrid, pot, phys):
         t_end=1.0,
         u_slip=lambda t: math.sin(t),
         f0=gibbs_density(fpgrid, pot),
-        record_times=[1.0],
     )
     assert res.mass_final == pytest.approx(res.mass_initial, rel=1e-12)
-    assert res.moment_history[-1].sigma_tn > 0.0
+    assert fp_moments(fpgrid, res.density, pot, phys).sigma_tn > 0.0
 
 
 def test_free_energy_requires_mass(fpgrid, pot):
@@ -282,7 +261,7 @@ def test_callable_slip_checked_at_every_step_time(fpgrid, pot, phys):
         )
 
 
-def _reference_solve(fpgrid, potential, phys, t_end, u_slip=0.0, f0=None, record_times=()):
+def _reference_solve(fpgrid, potential, phys, t_end, u_slip=0.0, f0=None):
     """The flux-form loop the kernel replaced, at the solver's default step:
     edge fluxes into (n_t + 1, n_n) and (n_t, n_n + 1) arrays whose wall
     rows stay zero, then their divergence into a new density."""
@@ -304,19 +283,9 @@ def _reference_solve(fpgrid, potential, phys, t_end, u_slip=0.0, f0=None, record
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0
     if n_steps:
         dt = t_end / n_steps
-    want = sorted(float(s) for s in record_times)
-    times, history = [], []
     fx = np.zeros((fpgrid.n_t + 1, fpgrid.n_n))
     fy = np.zeros((fpgrid.n_t, fpgrid.n_n + 1))
-
-    def snapshot(tnow):
-        times.append(tnow)
-        history.append(fp_moments(fpgrid, f, potential, phys))
-
     t = 0.0
-    while want and want[0] <= t + 1e-12:
-        snapshot(t)
-        want.pop(0)
     for _ in range(n_steps):
         s_x = slip(t) * shear_gain - dU_x
         Bx_m = _bernoulli(-s_x)
@@ -327,38 +296,35 @@ def _reference_solve(fpgrid, potential, phys, t_end, u_slip=0.0, f0=None, record
             (fx[1:, :] - fx[:-1, :]) / fpgrid.h_t + (fy[:, 1:] - fy[:, :-1]) / fpgrid.h_n
         )
         t += dt
-        while want and want[0] <= t + 1e-12:
-            snapshot(t)
-            want.pop(0)
-    while want:
-        snapshot(t)
-        want.pop(0)
-    return f, times, history
+    return f
 
 
 @pytest.mark.parametrize(
-    "u_slip, start, t_end, record_times",
+    "u_slip, start, ends",
     [
-        (0.0, "uniform", 2.0, ()),
-        (1.0, "gibbs", 1.0, (0.0, 0.5, 1.0)),
-        (math.sin, "gibbs", 1.0, (0.0, 0.3, 0.7, 1.0)),
+        (0.0, "uniform", (2.0,)),
+        (1.0, "gibbs", (0.5, 1.0)),
+        (math.sin, "gibbs", (0.3, 0.7, 1.0)),
     ],
     ids=["zero_slip_uniform", "constant_slip_gibbs", "sin_slip_recorded"],
 )
-def test_kernel_matches_flux_form_reference(fpgrid, pot, phys, u_slip, start, t_end, record_times):
-    f0 = None if start == "uniform" else gibbs_density(fpgrid, pot)
-    res = fokker_planck_solve(
-        fpgrid, pot, phys, t_end=t_end, u_slip=u_slip, f0=f0, record_times=record_times
-    )
-    ref, ref_times, ref_history = _reference_solve(
-        fpgrid, pot, phys, t_end, u_slip=u_slip, f0=f0, record_times=record_times
-    )
-    assert np.max(np.abs(res.density - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert res.density.min() >= 0.0 and ref.min() >= 0.0
-    assert res.times == ref_times and len(ref_times) == len(record_times)
-    got = np.array([[m.sigma_tn, m.sigma_nn] for m in res.moment_history]).reshape(-1, 2)
-    want = np.array([[m.sigma_tn, m.sigma_nn] for m in ref_history]).reshape(-1, 2)
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(initial=0.0))
+def test_kernel_matches_flux_form_reference(fpgrid, pot, phys, u_slip, start, ends):
+    """Solves chained through ``ends`` match the reference loop chained the same
+    way, in the density and its Kramers moments at every end."""
+    res = ref = None if start == "uniform" else gibbs_density(fpgrid, pot)
+    t0 = 0.0
+    for t1 in ends:
+        slip = (lambda t, t0=t0: u_slip(t0 + t)) if callable(u_slip) else u_slip
+        res = fokker_planck_solve(fpgrid, pot, phys, t_end=t1 - t0, u_slip=slip, f0=res).density
+        ref = _reference_solve(fpgrid, pot, phys, t1 - t0, u_slip=slip, f0=ref)
+        t0 = t1
+        assert np.max(np.abs(res - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert res.min() >= 0.0 and ref.min() >= 0.0
+        got, want = (fp_moments(fpgrid, f, pot, phys) for f in (res, ref))
+        want = np.array([want.sigma_tn, want.sigma_nn])
+        np.testing.assert_allclose(
+            [got.sigma_tn, got.sigma_nn], want, rtol=1e-13, atol=1e-13 * np.abs(want).max()
+        )
 
 
 def test_solve_leaves_f0_untouched(fpgrid, pot, phys):

@@ -44,6 +44,9 @@ def test_potential_validation():
         SpringPotential.hookean(H=math.nan)
     with pytest.raises(ParameterError):
         SpringPotential.hookean(H=1.0, R=0.0)
+    for R in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="R must be positive and finite"):
+            SpringPotential(H=0.25, R=R)
 
 
 def test_hookean_energy_and_grad(pot):
