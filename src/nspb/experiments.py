@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import PHYSICS_KEYS, read_checkpoint, run_physics, write_atomic, write_checkpoint
+from .checkpoint import read_checkpoint, run_record, write_atomic, write_checkpoint
 from .config import FORCED_PHASE_SPAN, INVISCID_SAMPLE_SPACING, ConfigError, ExperimentPlan
 from .diagnostics import (
     compute_record,
@@ -315,31 +315,22 @@ def _drive_single_run(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -
 def _drive_restart(
     plan: ExperimentPlan, ckpt: Path, outdir: Path, summary: RunSummary
 ) -> None:
-    grid, state, dt, physics = read_checkpoint(ckpt, lx=plan.lx)
-    if physics is None:
-        summary.notes.append(
-            f"{ckpt} is a version 1 checkpoint, which stores no physics: "
-            f"{', '.join(PHYSICS_KEYS)} taken from this run unverified"
+    state, stored = read_checkpoint(ckpt)
+    run = run_record(plan.grid(), plan.sim, plan.solver)
+    for key, value in stored.items():
+        if run[key] != value:
+            raise ConfigError(
+                f"checkpoint {ckpt} was written with {key}={value!r}, "
+                f"but this run has {key}={run[key]!r}"
+            )
+    if plan.solver.t_end - state.t < -1e-12:  # ChannelFlowSolver.run's rule
+        raise ConfigError(
+            f"checkpoint {ckpt} was written at t={state.t!r}, "
+            f"but this run has t_end={plan.solver.t_end!r} before it"
         )
-    else:
-        run = run_physics(plan.sim, plan.solver, plan.lx)
-        for key, value in physics.items():
-            if run[key] != value:
-                raise ConfigError(
-                    f"checkpoint {ckpt} was written with {key}={value!r}, "
-                    f"but this run has {key}={run[key]!r}"
-                )
-    if (grid.nx, grid.ny) != (plan.nx, plan.ny):
-        summary.notes.append(
-            f"grid {grid.nx}x{grid.ny} taken from the checkpoint (config said "
-            f"{plan.nx}x{plan.ny})"
-        )
-    cfg = plan.solver
-    if abs(dt - cfg.dt) > 1e-15 * max(dt, cfg.dt):
-        summary.notes.append(f"dt={dt!r} taken from the checkpoint (config said {cfg.dt!r})")
-        cfg = replace(cfg, dt=dt)
     summary.notes.append(f"restarted from {ckpt} at t={state.t!r}")
-    _advance_with_outputs(ChannelFlowSolver(grid, plan.sim, cfg), state, outdir, summary)
+    solver = ChannelFlowSolver(state.grid, plan.sim, plan.solver)
+    _advance_with_outputs(solver, state, outdir, summary)
 
 
 def _advance_with_outputs(solver, state, outdir: Path, summary: RunSummary) -> None:

@@ -75,7 +75,10 @@ class SolverDivergedError(RuntimeError):
 
 def whole_steps(span: float, dt: float) -> int | None:
     """round(span / dt) when span is that many steps of dt to a relative 1e-9, else None."""
-    n = round(span / dt)
+    ratio = span / dt
+    if not math.isfinite(ratio):  # an overflowing count is no whole number; round(inf) raises
+        return None
+    n = round(ratio)
     return n if abs(n * dt - span) <= 1e-9 * max(1.0, abs(span)) else None
 
 

@@ -23,10 +23,9 @@ Typical use::
 
 The spring is Hookean, U = H |m|^2 / R^2: it is the one spring whose stress
 closes to the relaxation law of the wall-tangential stress.  It has the
-exact-in-law walk ``hookean_exact_walk`` (``hookean_exact_step`` is one step
-of it) and the exact shear-stress memory ``memory_closure_step``; the
-Euler-Maruyama ``sde_step`` is kept as the first-order reference the exact
-step is tested against.
+exact-in-law walk ``hookean_exact_walk`` and the exact shear-stress memory
+``memory_closure_step``; the Euler-Maruyama ``sde_step`` is kept as the
+first-order reference the exact walk is tested against.
 
 All randomness is counter-based (Philox keyed by seed and step), so
 trajectories are bitwise reproducible for a given seed.
@@ -138,7 +137,7 @@ def sde_step(
     Members crossing m_n < 0 are reflected by a sign flip of the normal
     coordinate.  The ``noise=False`` hook freezes the Brownian term for
     deterministic drift tests.  No driver steps with it: it is the
-    first-order reference that ``hookean_exact_step`` is tested against,
+    first-order reference that ``hookean_exact_walk`` is tested against,
     and it draws the same normals.
     """
     if dt <= 0:
@@ -229,17 +228,6 @@ def hookean_exact_walk(
         step += 1
         t += dt
     return PolymerEnsemble(members=m, seed=ens.seed, step_count=step, t=t)
-
-
-def hookean_exact_step(
-    ens: PolymerEnsemble,
-    dt: float,
-    potential: SpringPotential,
-    phys: PhysicalParams,
-    u_slip: float = 0.0,
-) -> PolymerEnsemble:
-    """One exact-in-law step: ``hookean_exact_walk`` with the one slip ``u_slip``."""
-    return hookean_exact_walk(ens, dt, potential, phys, (u_slip,))
 
 
 @dataclass(frozen=True)

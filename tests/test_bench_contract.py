@@ -48,7 +48,6 @@ def test_next_traced_micro_step_resolves():
     # n_members * len(slips) member-steps per call
     from nspb import micro
 
-    assert callable(getattr(micro, "hookean_exact_step", None))
     assert callable(getattr(micro, "hookean_exact_walk", None))
 
 

@@ -133,6 +133,9 @@ def test_kind_defaults_and_overrides():
             r"forced phase span = 0.5 is not a whole number of steps of dt = 0.0003",
         ),
         ("dt = -1\n", r"dt must be positive"),
+        # t_end / dt overflows to inf: no whole number of steps, not a crash
+        ("dt = 1e-320\n", r"t_end = 1.0 is not a whole number of steps of dt = 1e-320"),
+        ("dt = 1e-300\nt_end = 1e10\n", r"t_end = 10000000000.0 is not a whole number"),
         ("cfl_max = 1.5\n", r"cfl_max"),
         ("mode = magic\n", r"mode"),
     ],
@@ -322,6 +325,9 @@ def test_cli_restart_matches_uninterrupted(tmp_path):
         ("alpha", TINY.replace("alpha = 1\n", "alpha = 2\n")),
         ("kappa", TINY + "kappa = 0.1\n"),
         ("lx", TINY + "lx = 6.0\n"),
+        ("nx", TINY.replace("nx = 16\n", "nx = 24\n")),
+        ("ny", TINY.replace("ny = 17\n", "ny = 25\n")),
+        ("dt", TINY.replace("dt = 2e-3\n", "dt = 1e-3\n")),
         # a nonzero amplitude makes the run forced, which the unforced checkpoint was not
         ("forcing", TINY + "forcing_amplitude = 0.004\n"),
     ],
@@ -336,13 +342,13 @@ def test_cli_restart_under_other_physics_exits_2(tmp_path, capsys, key, text):
     assert f"written with {key}=" in capsys.readouterr().err
 
 
-def test_cli_restart_from_version_1_notes_unverified_physics(tmp_path):
+def test_cli_restart_from_version_1_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY)
     full = tmp_path / "full"
     assert main(["run", "--config", cfg, "--out", str(full)]) == 0
     raw = (full / "checkpoints" / "step00000005.ckpt").read_bytes()
-    # v1 keeps the first 32 header bytes (version aside), has no physics or
-    # CRC32 and appends two slip accumulators, which the reader skips
+    # v1 kept the first 32 header bytes (version aside), had no physics or
+    # CRC32 and appended two slip accumulators: a run no restart can check
     nx, ny = struct.unpack_from("<II", raw, 8)
     body = 156
     v1 = raw[:4] + struct.pack("<I", 1) + raw[8:32] + raw[body:] + bytes(16 * nx)
@@ -350,9 +356,21 @@ def test_cli_restart_from_version_1_notes_unverified_physics(tmp_path):
     ckpt = tmp_path / "v1.ckpt"
     ckpt.write_bytes(v1)
     resumed = tmp_path / "resumed"
-    assert main(["restart", str(ckpt), "--config", cfg, "--out", str(resumed)]) == 0
-    notes = json.loads((resumed / "summary.json").read_text())["notes"]
-    assert any("version 1" in n and "unverified" in n for n in notes), notes
+    capsys.readouterr()
+    assert main(["restart", str(ckpt), "--config", cfg, "--out", str(resumed)]) == 2
+    assert "unsupported version 1" in capsys.readouterr().err
+    assert not (resumed / "records.csv").exists()
+
+
+def test_cli_restart_with_t_end_before_the_checkpoint_exits_2(tmp_path, capsys):
+    full = tmp_path / "full"
+    assert main(["run", "--config", write_cfg(tmp_path, TINY), "--out", str(full)]) == 0
+    ckpt = str(full / "checkpoints" / "final.ckpt")  # t = 0.02
+    early = write_cfg(tmp_path, TINY.replace("t_end = 0.02\n", "t_end = 0.01\n"), "early.cfg")
+    capsys.readouterr()
+    assert main(["restart", ckpt, "--config", early, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "t_end=0.01 before it" in err
 
 
 def test_cli_same_plan_same_bytes(tmp_path):

@@ -1,5 +1,5 @@
 """Driver-level behavior at small scale: summary structure, per-point
-failure containment, restart notes.  The shipped full-size experiment
+failure containment, restart.  The shipped full-size experiment
 configurations are exercised in test_acceptance.py."""
 
 import json
@@ -400,30 +400,6 @@ def test_micro_verify_rejects_horizons_off_the_step_grid(tmp_path, monkeypatch, 
     ):
         assert shown in str(err.value)
     assert not (tmp_path / "micro_moments_constant.csv").exists()
-
-
-def test_restart_takes_grid_and_dt_from_checkpoint(tmp_path):
-    base = (
-        "re = 50\nwi = 1\ntau = 20\nalpha = 1\n"
-        "nx = 16\nny = 17\ndt = 2e-3\nt_end = 0.02\ncheckpoint_every = 5\n"
-    )
-    first = tmp_path / "first"
-    execute(parse_config(base).with_output(first))
-    ckpt = first / "checkpoints" / "final.ckpt"
-
-    # config disagrees with the checkpoint on grid and dt; checkpoint wins
-    clashing = (
-        "re = 50\nwi = 1\ntau = 20\nalpha = 1\n"
-        "nx = 24\nny = 25\ndt = 1e-3\nt_end = 0.04\n"
-    )
-    resumed = tmp_path / "resumed"
-    summary = execute(parse_config(clashing).with_output(resumed), checkpoint=ckpt)
-    assert summary.kind == "restart"
-    assert summary.exit_code == 0
-    assert any("grid 16x17 taken from the checkpoint" in n for n in summary.notes)
-    assert any(n.startswith("dt=0.002 taken from the checkpoint") for n in summary.notes)
-    assert summary.total_steps == 10  # 0.02 -> 0.04 at the checkpoint's dt
-    assert summary.points[-1]["t_final"] == pytest.approx(0.04)
 
 
 def test_restart_at_final_time_is_a_no_op(tmp_path):

@@ -1,4 +1,5 @@
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -479,15 +480,15 @@ def test_checkpoint_restart_matches_uninterrupted(grid, params, tmp_path):
 
     path = tmp_path / "mid.ckpt"
     write_checkpoint(path, s20, params, cfg)
-    grid2, restored, dt, physics = read_checkpoint(path)
-    assert dt == 1e-3
+    restored, run = read_checkpoint(path)
     assert restored.t == pytest.approx(0.02)
-    assert physics == {
+    assert run == {
+        "nx": grid.nx, "ny": grid.ny, "dt": 1e-3,
         "lx": grid.lx, "re": params.Re, "wi": params.Wi, "tau": params.tau,
         "alpha": params.alpha, "kappa": params.kappa, "mode": "navier_stokes",
         "forcing": "zero", "forcing_amplitude": 0.0,
     }
-    sol2 = ChannelFlowSolver(grid2, params, SolverConfig(dt=dt, t_end=0.04))
+    sol2 = ChannelFlowSolver(restored.grid, params, SolverConfig(dt=run["dt"], t_end=0.04))
     s40b = sol2.run(restored, t_end=0.04)
 
     (om_a, mean_a), (om_b, mean_b) = node_values(s40), node_values(s40b)
@@ -511,47 +512,28 @@ def test_read_checkpoint_restores_the_state_invariant(params, tmp_path):
     assert _rel(restored.mean, st.mean) <= 1e-13
 
 
+def crafted_checkpoint(path, nx=16, ny=17, t=0.0, dt=1e-3):
+    """A version 2 file with a zero payload and a recomputed CRC32, so that
+    crafted header values reach the header checks."""
+    header = struct.pack(
+        "<4sIIIdd6d32s32sd", b"NSPB", 2, nx, ny, t, dt,
+        2.0 * np.pi, 50.0, 1.0, 20.0, 1.0, 0.0, b"navier_stokes", b"zero", 0.0,
+    )
+    payload = np.zeros(ny * nx + ny + 2 * nx, dtype="<f8").tobytes()
+    crc = struct.pack("<I", zlib.crc32(payload, zlib.crc32(header)))
+    path.write_bytes(header + crc + payload)
+    return path
+
+
 def test_read_checkpoint_rejects_t_off_the_step_grid(tmp_path):
     # a restart runs from t in whole steps of dt, so a t between steps is a
     # corrupt file: named at load, not a runtime failure mid-restart
-    nx, ny = 16, 17
-    payload = np.zeros(ny * nx + ny + 4 * nx, dtype="<f8").tobytes()
     path = tmp_path / "between.ckpt"
-
-    def v1(t):
-        path.write_bytes(struct.pack("<4sIIIdd", b"NSPB", 1, nx, ny, t, 1e-3) + payload)
-        return path
-
     with pytest.raises(CheckpointError) as err:
-        read_checkpoint(v1(0.0105))
+        read_checkpoint(crafted_checkpoint(path, t=0.0105))
     assert str(err.value) == f"{path}: t = 0.0105 is not a whole number of steps of dt = 0.001"
     # roundoff in t within ChannelFlowSolver.run's tolerance still loads
-    assert read_checkpoint(v1(0.3 * (1 + 1e-12))).state.step_index == 300
-
-
-def test_version_1_checkpoint_loads_like_its_version_2_twin(grid, params, tmp_path):
-    u, v = perturbed_shear(grid)
-    cfg = SolverConfig(dt=1e-3, t_end=0.01)
-    st = ChannelFlowSolver(grid, params, cfg).run(initial_state(grid, params, u=u, v=v))
-    write_checkpoint(tmp_path / "v2.ckpt", st, params, cfg)
-    # v1: a 32-byte header ending after dt, then two slip accumulators after g
-    accumulators = np.random.default_rng(0).standard_normal((2, grid.nx))
-    v1 = struct.pack("<4sIIIdd", b"NSPB", 1, grid.nx, grid.ny, st.t, cfg.dt) + b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes()
-        for a in (*node_values(st), st.g, accumulators)
-    )
-    (tmp_path / "v1.ckpt").write_bytes(v1)
-
-    old = read_checkpoint(tmp_path / "v1.ckpt", lx=grid.lx)
-    new = read_checkpoint(tmp_path / "v2.ckpt")
-    assert old.physics is None
-    assert new.physics["alpha"] == params.alpha
-    assert old.grid == new.grid
-    assert old.dt == new.dt
-    assert (old.state.t, old.state.step_index) == (new.state.t, new.state.step_index)
-    assert np.array_equal(old.state.omega, new.state.omega)
-    assert np.array_equal(old.state.mean, new.state.mean)
-    assert np.array_equal(old.state.g, new.state.g)
+    assert read_checkpoint(crafted_checkpoint(path, t=0.3 * (1 + 1e-12))).state.step_index == 300
 
 
 def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
@@ -564,6 +546,12 @@ def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
     bad_magic.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(CheckpointError, match="magic"):
         read_checkpoint(bad_magic)
+
+    # version 1 stored no physics, so no restart from it can be checked
+    v1 = tmp_path / "v1.ckpt"
+    v1.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(CheckpointError, match="unsupported version 1"):
+        read_checkpoint(v1)
 
     truncated = tmp_path / "short.ckpt"
     truncated.write_bytes(raw[: len(raw) // 2])
@@ -582,23 +570,21 @@ def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
     with pytest.raises(CheckpointError, match="CRC32"):
         read_checkpoint(corrupt)
 
-    # v1 headers carry no CRC, so crafted values reach the header checks
-    def v1(name, nx=grid.nx, t=0.0, dt=1e-3):
-        path = tmp_path / f"{name}.ckpt"
-        payload = np.zeros(grid.ny * nx + grid.ny + 4 * nx, dtype="<f8")
-        header = struct.pack("<4sIIIdd", b"NSPB", 1, nx, grid.ny, t, dt)
-        path.write_bytes(header + payload.tobytes())
-        return path
-
-    assert read_checkpoint(v1("valid")).state.step_index == 0
+    assert read_checkpoint(crafted_checkpoint(tmp_path / "valid.ckpt")).state.step_index == 0
     for name, header, shown in [
         ("dt_zero", {"dt": 0.0}, "dt must be positive and finite, got 0.0"),
         ("dt_negative", {"dt": -1e-3}, "dt must be positive and finite, got -0.001"),
         ("dt_inf", {"dt": np.inf}, "dt must be positive and finite, got inf"),
         ("t_nan", {"t": np.nan}, "t must be nonnegative and finite, got nan"),
         ("nx_odd", {"nx": 7}, "nx must be even and >= 8, got 7"),
+        # t / dt overflows to inf: no whole number of steps
+        (
+            "steps_overflow",
+            {"t": 1e10, "dt": 1e-300},
+            "t = 10000000000.0 is not a whole number of steps of dt = 1e-300",
+        ),
     ]:
-        path = v1(name, **header)
+        path = crafted_checkpoint(tmp_path / f"{name}.ckpt", **header)
         with pytest.raises(CheckpointError) as err:
             read_checkpoint(path)
         assert str(err.value) == f"{path}: {shown}"

@@ -16,7 +16,6 @@ from nspb.micro import (
     closure_ode_step,
     ensemble_to_csv,
     equilibrium_ensemble,
-    hookean_exact_step,
     hookean_exact_walk,
     kramers_stress,
     memory_closure_equilibrium,
@@ -301,7 +300,7 @@ def test_exact_step_normal_is_the_folded_normal(pot, phys):
     # lambda = 1 and D = 1: from m_n = 1, one step of h = 1 is the normal of
     # mean E = exp(-1/2) and variance 2 (1 - E^2), folded at the wall
     n, h = 100_000, 1.0
-    ens = hookean_exact_step(_point_mass(n, 0.0, 1.0, seed=41), h, pot, phys)
+    ens = hookean_exact_walk(_point_mass(n, 0.0, 1.0, seed=41), h, pot, phys, [0.0])
     mu, s = math.exp(-0.5), math.sqrt(2.0 * (1.0 - math.exp(-1.0)))
     folded_mean = s * math.sqrt(2 / math.pi) * math.exp(-mu**2 / (2 * s**2)) + mu * math.erf(
         mu / (s * math.sqrt(2))
@@ -317,17 +316,17 @@ def test_exact_step_shear_drive_is_the_conditional_mean(pot, phys):
     # far from the wall E[m_n(s)] = m_n exp(-s/2), so the exact mean drive is
     # (u/R) m_n h exp(-h/2); the exponential trapezoid is within 3e-4 of it here
     n, h, u, m_n = 100_000, 0.05, 10.0, 10.0
-    ens = hookean_exact_step(_point_mass(n, 0.0, m_n, seed=43), h, pot, phys, u_slip=u)
+    ens = hookean_exact_walk(_point_mass(n, 0.0, m_n, seed=43), h, pot, phys, [u])
     _within_4se(ens.members[:, 0], u * m_n * h * math.exp(-h / 2))
     _within_4se(ens.members[:, 1], m_n * math.exp(-h / 2))
 
 
 def test_exact_step_is_exact_for_any_step_without_slip(pot, phys):
     n = 100_000
-    one = hookean_exact_step(_point_mass(n, 2.0, 1.0, seed=45), 0.5, pot, phys)
+    one = hookean_exact_walk(_point_mass(n, 2.0, 1.0, seed=45), 0.5, pot, phys, [0.0])
     many = _point_mass(n, 2.0, 1.0, seed=46)
     for _ in range(100):
-        many = hookean_exact_step(many, 5e-3, pot, phys)
+        many = hookean_exact_walk(many, 5e-3, pot, phys, [0.0])
     assert many.t == pytest.approx(0.5, rel=1e-12)
     a, b = one.members[:, 0] ** 2, many.members[:, 0] ** 2
     se = math.sqrt(np.var(a, ddof=1) / n + np.var(b, ddof=1) / n)
@@ -341,11 +340,11 @@ def test_exact_step_deterministic_and_leaves_input_untouched(pot, phys):
     a = b = equilibrium_ensemble(500, pot, seed=21)
     for _ in range(10):
         before = a.members.copy()
-        new = hookean_exact_step(a, 5e-3, pot, phys, u_slip=0.37)
+        new = hookean_exact_walk(a, 5e-3, pot, phys, [0.37])
         assert np.array_equal(a.members, before)
         assert not np.shares_memory(new.members, a.members)
         a = new
-        b = hookean_exact_step(b, 5e-3, pot, phys, u_slip=0.37)
+        b = hookean_exact_walk(b, 5e-3, pot, phys, [0.37])
     assert np.array_equal(a.members, b.members)
     assert (a.t, a.step_count) == (b.t, b.step_count)
 
@@ -353,12 +352,12 @@ def test_exact_step_deterministic_and_leaves_input_untouched(pot, phys):
 def test_exact_step_rejects_other_springs_and_bad_steps(pot, phys):
     ens = equilibrium_ensemble(10, pot, seed=1)
     with pytest.raises(ValueError, match="H = 0"):
-        hookean_exact_step(ens, 5e-3, SpringPotential.hookean(H=0.0), phys)
+        hookean_exact_walk(ens, 5e-3, SpringPotential.hookean(H=0.0), phys, [0.0])
     with pytest.raises(ValueError, match="H = 0"):
         hookean_exact_walk(ens, 5e-3, SpringPotential.hookean(H=0.0), phys, [1.0, 0.5])
     for dt in (0.0, -5e-3):
         with pytest.raises(ValueError, match="dt"):
-            hookean_exact_step(ens, dt, pot, phys)
+            hookean_exact_walk(ens, dt, pot, phys, [0.0])
         with pytest.raises(ValueError, match="dt"):
             hookean_exact_walk(ens, dt, pot, phys, [1.0, 0.5])
 
@@ -370,7 +369,7 @@ def test_walk_rejects_a_non_finite_slip_naming_its_step(pot, phys, bad):
     with pytest.raises(ValueError, match=f"step 2 must be finite, got {bad!r}"):
         hookean_exact_walk(ens, 5e-3, pot, phys, [0.0, 1.0, bad, 0.5])
     with pytest.raises(ValueError, match=f"step 0 must be finite, got {bad!r}"):
-        hookean_exact_step(ens, 5e-3, pot, phys, u_slip=bad)
+        hookean_exact_walk(ens, 5e-3, pot, phys, [bad])
     assert np.array_equal(ens.members, before)
     # a walked ensemble counts its steps on from where it stands
     walked = hookean_exact_walk(ens, 5e-3, pot, phys, [0.5] * 7)
