@@ -20,10 +20,10 @@ of u_y and v_y.  The integrals are discrete Parseval in x (weight lx at
 k = 0 and 2 lx at k = 1..J, times k^2 for an x-derivative) and
 Clenshaw-Curtis in y, so the kinetic energy and the dissipation are one
 weighted reduction each, and the x-means come from the k = 0 column.  One
-irfft of the total vorticity and the two walls' u feeds the sup norms and
-the wall sums.  With 1 BLAS
-thread a record takes 150 us at 32x33 and 366 us at 64x65, against 339
-and 1077 us for the earlier synthesis of seven physical fields.
+matmul with the value matrix of ``grid.fourier_matrices`` takes the total
+vorticity and the two walls' u to the x-nodes for the sup norms and the
+wall sums.  With 1 BLAS thread a record takes 89 us at 32x33 and 230 us
+at 64x65 (median of 7 runs, each the best of 7; README "Solver layout").
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .flow import FlowState, total_velocity, wall_slip
-from .grid import cheb_diff_matrices, cheb_synthesis_matrix, real_matmul
+from .grid import cheb_diff_matrices, cheb_synthesis_matrix, fourier_matrices, real_matmul
 from .params import SimParams
 from .wallbc import wall_stress_terms
 
@@ -107,7 +107,7 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
 
     # total vorticity at the nodes and u on both walls, in physical space
     spec = np.concatenate([vals[:ny, 2 * J + 2 :], vals[[0, ny - 1], : J + 1]])
-    phys = np.fft.irfft(spec, n=grid.nx, axis=-1, norm="forward")
+    phys = spec.view(np.float64) @ fourier_matrices(grid.nx, J, grid.lx)[0]
     om_row_max = np.abs(phys[:ny]).max(axis=1)
     u_wall = phys[ny:]
 
@@ -225,7 +225,7 @@ def euler_error(ns_states, euler_states) -> np.ndarray:
         grid = a.grid
         du, dv = total_velocity(grid, a.omega - b.omega, a.mean - b.mean)
         nodes = real_matmul(cheb_synthesis_matrix(grid.ny)[: grid.ny], np.stack([du, dv]))
-        d = np.fft.irfft(nodes, n=grid.nx, axis=-1, norm="forward")
+        d = nodes.view(np.float64) @ fourier_matrices(grid.nx, grid.dealias_kx, grid.lx)[0]
         out[i] = math.sqrt(grid.integrate((d**2).sum(axis=0)))
     return out
 

@@ -271,6 +271,7 @@ def _write_table(outdir: Path, name: str, version: str, header: str, rows, summa
 
 def execute(plan: ExperimentPlan, checkpoint: str | Path | None = None) -> RunSummary:
     """Run the plan's driver, writing all outputs under plan.output_dir."""
+    restart = None if checkpoint is None else _restart_state(plan, Path(checkpoint))
     outdir = Path(plan.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = RunSummary(
@@ -278,8 +279,10 @@ def execute(plan: ExperimentPlan, checkpoint: str | Path | None = None) -> RunSu
     )
     summary.started_at = _now()
     tic = time.monotonic()
-    if checkpoint is not None:
-        _drive_restart(plan, Path(checkpoint), outdir, summary)
+    if restart is not None:
+        summary.notes.append(f"restarted from {checkpoint} at t={restart.t!r}")
+        solver = ChannelFlowSolver(restart.grid, plan.sim, plan.solver)
+        _advance_with_outputs(solver, restart, outdir, summary)
     else:
         driver = {
             "single_run": _drive_single_run,
@@ -312,9 +315,8 @@ def _drive_single_run(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -
     _advance_with_outputs(solver, initial_state(grid, plan.sim), outdir, summary)
 
 
-def _drive_restart(
-    plan: ExperimentPlan, ckpt: Path, outdir: Path, summary: RunSummary
-) -> None:
+def _restart_state(plan: ExperimentPlan, ckpt: Path) -> FlowState:
+    """The checkpoint's state if all it stores matches the plan's run; read before any output."""
     state, stored = read_checkpoint(ckpt)
     run = run_record(plan.grid(), plan.sim, plan.solver)
     for key, value in stored.items():
@@ -328,9 +330,7 @@ def _drive_restart(
             f"checkpoint {ckpt} was written at t={state.t!r}, "
             f"but this run has t_end={plan.solver.t_end!r} before it"
         )
-    summary.notes.append(f"restarted from {ckpt} at t={state.t!r}")
-    solver = ChannelFlowSolver(state.grid, plan.sim, plan.solver)
-    _advance_with_outputs(solver, state, outdir, summary)
+    return state
 
 
 def _advance_with_outputs(solver, state, outdir: Path, summary: RunSummary) -> None:

@@ -39,6 +39,7 @@ from .grid import (
     cheb_diff_matrices,
     cheb_forward,
     cheb_synthesis_matrix,
+    fourier_matrices,
     real_matmul,
 )
 from .params import SimParams
@@ -153,8 +154,8 @@ def total_velocity(
     """(u, v) coefficients of the total velocity on modes 0..J, (ny, J+1) each.
 
     The fluctuation's velocity from ``biot_savart``, with the mean profile's
-    Chebyshev coefficients in u's k = 0 column and 0 in v's.  An ``irfft``
-    with ``n=grid.nx`` reads the modes above J as 0.
+    Chebyshev coefficients in u's k = 0 column and 0 in v's; the matrices of
+    ``grid.fourier_matrices`` take such columns to node values in x.
     """
     u, v = biot_savart(grid, omega)
     return np.column_stack([mean_coeffs, u]), np.column_stack([np.zeros(grid.ny), v])
@@ -198,7 +199,8 @@ def initial_state(grid: ChannelGrid, params: SimParams, u=None, v=None) -> FlowS
     u_rec, _ = total_velocity(grid, omega, mean)
     om_tot = np.column_stack([-(D @ mean), omega])
     walls = real_matmul(_wall_rows(grid.ny), np.stack([u_rec, om_tot]))
-    u_wall, om_wall = np.fft.irfft(walls, n=grid.nx, axis=-1, norm="forward")
+    S = fourier_matrices(grid.nx, grid.dealias_kx, grid.lx)[0]
+    u_wall, om_wall = walls.view(np.float64) @ S
     return FlowState(
         grid=grid, omega=omega, mean=mean, g=om_wall - params.beta * wall_slip(u_wall)
     )
@@ -261,6 +263,7 @@ class ChannelFlowSolver:
         self._traces[0] = _wall_rows(ny)
         self._traces[1:] = -(self._traces[0] @ self._D) @ self._psi_ops
         self._synth = cheb_synthesis_matrix(ny)
+        self._fourier = fourier_matrices(grid.nx, J, grid.lx)
         # node values to the Chebyshev coefficients a dealiased product keeps
         self._fwd = cheb_forward(np.eye(ny))[: grid.dealias_cheb + 1]
         # dt over the node spacings of the directional CFL number
@@ -314,41 +317,38 @@ class ChannelFlowSolver:
         1..J; aux carries physical velocities and the (2, nx) wall slip.
 
         One real matmul takes [mean | psi | mean vorticity | omega]
-        coefficients to node values and d/dy node values; the five fields
-        u, v, omega, omega_x, omega_y then share one irfft of modes 0..J
-        (it reads the modes above J as 0), and the two products one rfft and
-        one matmul onto the dealiased rows.
+        coefficients to node values and d/dy node values.  ``grid.fourier_matrices``
+        does every x-transform: S gives u, omega and omega_y, Sx (d/dx folded in)
+        v and omega_x, and A takes u.grad(omega) to modes 1..J and v*omega to its
+        x-mean, each then onto the dealiased rows by ``_fwd``.
         """
-        grid, ny, J = self.grid, self.grid.ny, self.jmax
+        ny, nx, J = self.grid.ny, self.grid.nx, self.jmax
         modes = slice(1, J + 1)
-        ikx = 1j * grid.kx[modes]
+        S, Sx, A = self._fourier
         cols = np.empty((ny, 2 * (J + 1)), dtype=complex)
         cols[:, 0] = x[:, 0]
         cols[:, modes] = apply_modes(self._psi_ops, x[:, modes])
         cols[:, J + 1] = -(self._D @ x[:, 0].real)
         cols[:, J + 2 :] = x[:, modes]
         vals = real_matmul(self._synth, cols)
-        f, df = vals[:ny], vals[ny:]
+        # u's coefficients in the d/dy rows: the mean profile at k = 0, -psi_y after
+        vals[ny:, 0] = vals[:ny, 0]
+        vals[ny:, modes] *= -1.0
+        # float rows alternating the two halves, [mean | psi] and [mean vorticity | omega]
+        f, df = vals.view(np.float64).reshape(2, 2 * ny, 2 * (J + 1))
+        v, om_x = (f @ Sx).reshape(ny, 2, nx).swapaxes(0, 1)
+        u, om_y = (df @ S).reshape(ny, 2, nx).swapaxes(0, 1)  # omega_y with the mean's -U0''
+        om = f[1::2, 2:] @ S[2:]  # the fluctuation, modes 1..J
 
-        spec = np.zeros((5, ny, J + 1), dtype=complex)
-        spec[0, :, 0] = f[:, 0]  # the mean profile
-        spec[0, :, modes] = -df[:, modes]  # u = -psi_y
-        spec[1, :, modes] = f[:, modes] * ikx  # v = ik psi
-        spec[2, :, modes] = f[:, J + 2 :]  # omega
-        spec[3, :, modes] = spec[2, :, modes] * ikx  # omega_x
-        spec[4] = df[:, J + 1 :]  # omega_y, the mean's -U0'' at k = 0
-        u, v, om, om_x, om_y = np.fft.irfft(spec, n=grid.nx, axis=-1, norm="forward")
-
-        prod = np.empty((2, ny, grid.nx))
-        np.multiply(u, om_x, out=prod[0])
-        prod[0] += v * om_y
-        np.multiply(v, om, out=prod[1])
-        prod_hat = np.fft.rfft(prod, axis=-1, norm="forward")[..., : J + 1]
-        adv, exchange = real_matmul(self._fwd, prod_hat)
+        # u.grad(omega) on modes 1..J, and the x-mean (k = 0) of v*omega
+        adv = u * om_x
+        adv += v * om_y
+        adv_hat = (adv @ A[:, 2:]).view(np.complex128)
+        exchange = (v * om) @ A[:, 0]
 
         N = np.zeros((ny, J + 1), dtype=complex)
-        N[: len(self._fwd), 0] = exchange[:, 0].real
-        N[: len(self._fwd), modes] = -adv[:, 1:]
+        N[: len(self._fwd), 0] = self._fwd @ exchange
+        N[: len(self._fwd), modes] = -real_matmul(self._fwd, adv_hat)
         return N, {"u_tot": u, "v": v, "slip": wall_slip(u[[0, -1]])}
 
     def _check_cfl(self, aux, state: FlowState):
@@ -369,9 +369,9 @@ class ChannelFlowSolver:
             raise CFLError(cfl, self.config.cfl_max, state.t, node)
 
     def _wall_slip(self, x: np.ndarray) -> np.ndarray:
-        """Slip u_tau along the (top, bottom) walls of a packed x, a (2, nx) array."""
-        nx = self.grid.nx
-        return wall_slip(np.fft.irfft(apply_modes(self._traces, x) * nx, n=nx, axis=1))
+        """(2, nx) slip u_tau on the (top, bottom) walls of a packed x: u-traces times S."""
+        traces = np.ascontiguousarray(apply_modes(self._traces, x))
+        return wall_slip(traces.view(np.float64) @ self._fourier[0])
 
     # ---- stepping ----
 
@@ -412,7 +412,7 @@ class ChannelFlowSolver:
         # stage reads it from the two tau rows of its right-hand side
         slip_n = aux_n["slip"]
         q = self.wall.drive(state.g, slip_n)
-        qhat = np.fft.rfft(q, axis=1)[:, : self.jmax + 1] / self.grid.nx
+        qhat = (q @ self._fourier[2]).view(np.complex128)
 
         rhs = Re / dt * x + Re * (N_n + F)
         rhs[-2:] = qhat

@@ -99,6 +99,32 @@ def cheb_synthesis_matrix(ny: int) -> np.ndarray:
     return S
 
 
+@lru_cache(maxsize=None)
+def fourier_matrices(nx: int, J: int, lx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only real (S, Sx, A): the x-transforms of Fourier modes 0..J on nx nodes.
+
+    S and Sx are (2 (J+1), nx) and act on the float64 view of complex
+    coefficients c (..., J+1): ``c.view(np.float64) @ S`` equals
+    ``irfft(c, n=nx, norm="forward")``, Im c_0 ignored as irfft ignores it,
+    and ``@ Sx`` the irfft of ``1j * kx * c`` (kx of ``ChannelGrid(nx, ., lx)``).
+    A is (nx, 2 (J+1)): ``(f @ A).view(np.complex128)`` equals
+    ``rfft(f, norm="forward")[..., :J+1]`` for real node values f (..., nx).
+    J must lie below nx/2 (no Nyquist mode), as ``dealias_kx`` does; up to
+    nx = 128 one matmul beats the FFT.
+    """
+    k = np.arange(J + 1)
+    theta = 2.0 * np.pi / nx * ((k[:, None] * np.arange(nx)) % nx)
+    cos, sin = np.cos(theta), np.sin(theta)
+    w = np.where(k == 0, 1.0, 2.0)[:, None]  # a real field's modes 1..J count twice
+    kw = w * (2.0 * math.pi / lx * k)[:, None]
+    S = np.stack([w * cos, -w * sin], axis=1).reshape(2 * (J + 1), nx)
+    Sx = np.stack([-kw * sin, -kw * cos], axis=1).reshape(2 * (J + 1), nx)
+    A = np.stack([cos.T, -sin.T], axis=-1).reshape(nx, 2 * (J + 1)) / nx
+    for M in (S, Sx, A):
+        M.flags.writeable = False
+    return S, Sx, A
+
+
 def real_matmul(M: np.ndarray, a: np.ndarray) -> np.ndarray:
     """M @ a for a real matrix M and complex a (..., ny, n), as one real matmul.
 

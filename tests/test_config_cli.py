@@ -293,6 +293,7 @@ def test_cli_rejected_checkpoint_exits_2(tmp_path, capsys):
     code = main(["restart", str(bad), "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert "checkpoint error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # a rejected restart writes nothing
 
 
 def test_cli_restart_matches_uninterrupted(tmp_path):
@@ -340,6 +341,7 @@ def test_cli_restart_under_other_physics_exits_2(tmp_path, capsys, key, text):
     capsys.readouterr()
     assert main(["restart", ckpt, "--config", other, "--out", str(tmp_path / "r")]) == 2
     assert f"written with {key}=" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_restart_from_version_1_exits_2(tmp_path, capsys):
@@ -359,7 +361,7 @@ def test_cli_restart_from_version_1_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["restart", str(ckpt), "--config", cfg, "--out", str(resumed)]) == 2
     assert "unsupported version 1" in capsys.readouterr().err
-    assert not (resumed / "records.csv").exists()
+    assert not resumed.exists()
 
 
 def test_cli_restart_with_t_end_before_the_checkpoint_exits_2(tmp_path, capsys):
@@ -371,6 +373,7 @@ def test_cli_restart_with_t_end_before_the_checkpoint_exits_2(tmp_path, capsys):
     assert main(["restart", ckpt, "--config", early, "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "t_end=0.01 before it" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_same_plan_same_bytes(tmp_path):

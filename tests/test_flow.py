@@ -12,6 +12,7 @@ from nspb.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from nspb.diagnostics import (
     compute_record,
     energy_audit,
+    euler_error,
     max_principle_report,
     momentum_audit,
     time_average,
@@ -459,6 +460,34 @@ def test_steps_make_no_dct_call(grid, params, monkeypatch):
         got = sol.step(st)
         for name in ("omega", "mean", "g"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+
+def test_steps_and_records_make_no_fft_call(grid, params, monkeypatch):
+    # modes 0..J go to and from the nodes in x by the cached Fourier matrices
+    u, v = perturbed_shear(grid)
+    st = initial_state(grid, params, u=u, v=v)
+    solvers = [
+        ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0, mode=mode))
+        for mode in ("navier_stokes", "euler")
+    ]
+
+    def outputs():
+        ns, eu = (sol.step(st) for sol in solvers)
+        return ns, eu, compute_record(ns, params), euler_error([ns], [eu])
+
+    want = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step or a record must not call this")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    monkeypatch.setattr(np.fft, "irfft", refuse)
+    got = outputs()
+    for a, b in zip(got[:2], want[:2]):
+        for name in ("omega", "mean", "g"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert got[2].row() == want[2].row()  # budget_residual is NaN
+    assert np.array_equal(got[3], want[3])
 
 
 def test_run_time_span_validation(grid, params):

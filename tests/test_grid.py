@@ -12,6 +12,7 @@ from nspb.grid import (
     cheb_diff_matrices,
     cheb_inverse,
     cheb_synthesis_matrix,
+    fourier_matrices,
     real_matmul,
 )
 from nspb.params import SimParams
@@ -117,6 +118,31 @@ def test_synthesis_matrix_gives_node_values_and_their_derivative():
     config = SolverConfig(dt=1e-3, t_end=1.0)
     sol = ChannelFlowSolver(ChannelGrid(nx=16, ny=ny), SimParams(Re=10.0), config)
     assert sol._synth is S
+
+
+@pytest.mark.parametrize("nx", [8, 32, 64])
+@pytest.mark.parametrize("lx", [2.0 * math.pi, 3.7])
+def test_fourier_matrices_match_the_fft(nx, lx):
+    grid = ChannelGrid(nx=nx, ny=9, lx=lx)
+    J = grid.dealias_kx
+    S, Sx, A = fourier_matrices(nx, J, lx)
+    rng = np.random.default_rng(nx)
+    c = rng.standard_normal((3, J + 1)) + 1j * rng.standard_normal((3, J + 1))
+    assert np.all(c[:, 0].imag != 0.0)  # irfft ignores Im c_0, and so must S
+    f = rng.standard_normal((3, nx))
+    pairs = [
+        (c.view(np.float64) @ S, np.fft.irfft(c, n=nx, norm="forward")),
+        (c.view(np.float64) @ Sx, np.fft.irfft(1j * grid.kx[: J + 1] * c, n=nx, norm="forward")),
+        ((f @ A).view(np.complex128), np.fft.rfft(f, norm="forward")[:, : J + 1]),
+    ]
+    for got, ref in pairs:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for M in (S, Sx, A):
+        assert M.dtype == np.float64 and not M.flags.writeable
+    # cached: the solver's transforms use these very objects
+    sol = ChannelFlowSolver(grid, SimParams(Re=10.0), SolverConfig(dt=1e-3, t_end=1.0))
+    assert all(a is b for a, b in zip(sol._fourier, (S, Sx, A)))
 
 
 def test_ddy_cubic(grid):
