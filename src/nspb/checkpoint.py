@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flow import FlowState, SolverConfig, whole_steps
+from .flow import FlowState, SolverConfig, forcing_name, whole_steps
 from .grid import ChannelGrid, GridError, cheb_forward, cheb_inverse
 from .params import SimParams
 
@@ -45,7 +45,7 @@ _PREFIX = struct.Struct("<4sI")
 _HEADER = struct.Struct("<4sIIIdd6d32s32sd")  # without its closing CRC32
 _CRC = struct.Struct("<I")
 # what a header stores besides t, in header order (run_record maps a run to
-# it): config keys plus the run's SolverConfig mode and forcing
+# it): config keys plus the run's mode and the forcing_name of its amplitude
 RUN_KEYS = (
     "nx", "ny", "dt", "lx", "re", "wi", "tau", "alpha", "kappa",
     "mode", "forcing", "forcing_amplitude",
@@ -79,7 +79,7 @@ def run_record(grid: ChannelGrid, params: SimParams, config: SolverConfig) -> di
     values = (
         grid.nx, grid.ny, config.dt, grid.lx,
         params.Re, params.Wi, params.tau, params.alpha, params.kappa,
-        config.mode, config.forcing, config.forcing_amplitude,
+        config.mode, forcing_name(config.forcing_amplitude), config.forcing_amplitude,
     )
     return dict(zip(RUN_KEYS, values))
 

@@ -223,7 +223,6 @@ def parse_config(text: str, force_kind: str | None = None) -> ExperimentPlan:
         solver = SolverConfig(
             dt=resolved["dt"],
             t_end=resolved["t_end"],
-            forcing="steady_pressure_gradient" if resolved["forcing_amplitude"] else "zero",
             forcing_amplitude=resolved["forcing_amplitude"],
             cfl_max=resolved["cfl_max"],
             checkpoint_every=resolved["checkpoint_every"],

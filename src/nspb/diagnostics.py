@@ -41,7 +41,6 @@ from .wallbc import wall_stress_terms
 
 CSV_VERSION = "nspb-records-v1"
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -205,7 +204,7 @@ def time_average(records, field: str, t_start: float = 0.0) -> float:
         raise ValueError("need at least two records past t_start")
     t = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
-    return float(_trapz(v, t) / (t[-1] - t[0]))
+    return float(np.trapezoid(v, t) / (t[-1] - t[0]))
 
 
 def euler_error(ns_states, euler_states) -> np.ndarray:

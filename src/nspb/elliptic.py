@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .grid import ChannelGrid, cheb_diff_matrices, real_matmul
 
@@ -75,6 +74,7 @@ class TauSolver:
         bc_top: tuple[float, float],
         bc_bottom: tuple[float, float],
     ):
+        import scipy.linalg  # only the tests' per-mode reference needs scipy
         if bc_top == (0.0, 0.0) or bc_bottom == (0.0, 0.0):
             raise SolverError("boundary rows need (a, b) != (0, 0)")
         self.grid = grid
@@ -92,6 +92,7 @@ class TauSolver:
                 raise SolverError(f"singular tau system at k={k}") from exc
 
     def solve_mode(self, j: int, rhs_coeffs: np.ndarray, c_top=0.0, c_bottom=0.0) -> np.ndarray:
+        import scipy.linalg
         b = np.array(rhs_coeffs, dtype=complex)
         b[-2] = c_top
         b[-1] = c_bottom

@@ -34,7 +34,6 @@ from .diagnostics import (
 from .flow import (
     ChannelFlowSolver,
     FlowState,
-    SolverConfig,
     initial_state,
     steady_channel_state,
     whole_steps,
@@ -188,15 +187,6 @@ def _bulk_drive(plan: ExperimentPlan) -> float:
     return F0 * plan.sim.Re if F0 > 0 else FORCED_BULK_REF
 
 
-def _forced_config(base: SolverConfig, F: float, t_end: float) -> SolverConfig:
-    return replace(
-        base,
-        t_end=t_end,
-        forcing="steady_pressure_gradient",
-        forcing_amplitude=F,
-    )
-
-
 def _trajectory(solver, state, every, take, on_step=None):
     """Run solver from state to its t_end; return the final state and samples.
 
@@ -230,7 +220,7 @@ def _higher_cfl(*peaks: dict) -> dict:
 
 def _recorder(solver):
     """Sample a state as its diagnostics record under the solver's physics."""
-    return lambda s: compute_record(s, solver.params, solver.config.mean_force)
+    return lambda s: compute_record(s, solver.params, solver.config.forcing_amplitude)
 
 
 def _sweep_points(summary: RunSummary, key: str, values, run_point) -> list:
@@ -378,7 +368,7 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
         params = _point_params(base, Re)
         point["tau"] = params.tau
         # phase A: unforced decay from smooth shear data
-        solver = ChannelFlowSolver(grid, params, replace(plan.solver, forcing="zero"))
+        solver = ChannelFlowSolver(grid, params, replace(plan.solver, forcing_amplitude=0.0))
         state = shear_decay_state(grid, params)
         final, recs = _trajectory(solver, state, every, _recorder(solver))
         name = f"records_re{_label(Re)}_decay.csv"
@@ -390,7 +380,7 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
 
         # phase B: steady pressure gradient from the analytic steady state
         F = bulk / Re
-        fcfg = _forced_config(plan.solver, F, FORCED_PHASE_SPAN)
+        fcfg = replace(plan.solver, t_end=FORCED_PHASE_SPAN, forcing_amplitude=F)
         fsolver = ChannelFlowSolver(grid, params, fcfg)
         fstate = steady_channel_state(grid, params, F)
         ffinal, frecs = _trajectory(fsolver, fstate, every, _recorder(fsolver))
@@ -454,7 +444,7 @@ def _drive_sweep_alpha(plan: ExperimentPlan, outdir: Path, summary: RunSummary) 
     summary.notes.append(
         f"alpha sweep at Re={base.Re:g}, steady pressure gradient with Re*F = {bulk:g}"
     )
-    cfg = _forced_config(plan.solver, F, plan.solver.t_end)
+    cfg = replace(plan.solver, forcing_amplitude=F)
 
     def run_point(alpha, point):
         params = replace(base, alpha=alpha)

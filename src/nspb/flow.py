@@ -20,7 +20,7 @@ each one once as an operator stack over modes 0..J (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .params import SimParams
 from .wallbc import MaxwellWall, step_boundary_ode
 
 _MODES = ("navier_stokes", "euler")
-_FORCINGS = ("zero", "steady_pressure_gradient")
 _SLIP_SIGN = np.array([[-1.0], [1.0]])
 
 
@@ -83,36 +82,39 @@ def whole_steps(span: float, dt: float) -> int | None:
     return n if abs(n * dt - span) <= 1e-9 * max(1.0, abs(span)) else None
 
 
+def forcing_name(amplitude: float) -> str:
+    """Name of the forcing a mean pressure gradient F = amplitude makes ("zero" for 0)."""
+    return "steady_pressure_gradient" if amplitude else "zero"
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
     t_end: float
     mode: str = "navier_stokes"
-    forcing: str = "zero"
     forcing_amplitude: float = 0.0
     cfl_max: float = 0.5
     checkpoint_every: int = 1000
     record_every: int = 1
+    forcing: InitVar[str | None] = None  # sets nothing: may name only the amplitude's forcing
 
-    def __post_init__(self):
+    def __post_init__(self, forcing):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be nonnegative, got {self.t_end!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.forcing not in _FORCINGS:
-            raise ValueError(f"forcing must be one of {_FORCINGS}, got {self.forcing!r}")
         if not math.isfinite(self.forcing_amplitude):
             raise ValueError(f"forcing_amplitude must be finite, got {self.forcing_amplitude!r}")
+        if forcing not in (None, forcing_name(self.forcing_amplitude)):
+            raise ValueError(
+                f"forcing={forcing!r} contradicts forcing_amplitude={self.forcing_amplitude!r}"
+            )
         if not (0.0 < self.cfl_max < 1.0):
             raise ValueError(f"cfl_max must lie in (0, 1), got {self.cfl_max!r}")
         if self.checkpoint_every < 1 or self.record_every < 1:
             raise ValueError("checkpoint_every and record_every must be >= 1")
-
-    @property
-    def mean_force(self) -> float:
-        return self.forcing_amplitude if self.forcing == "steady_pressure_gradient" else 0.0
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ class ChannelFlowSolver:
         self._ksq = grid.kx[: J + 1] ** 2
         # the mean-momentum forcing F times T_0, the mean's constant coefficient
         self._force = np.zeros((ny, J + 1), dtype=complex)
-        self._force[0, 0] = config.mean_force
+        self._force[0, 0] = config.forcing_amplitude
         # (J+1, 2, ny): u at the (top, bottom) wall of each packed column, the
         # mean's own values at k = 0 and those each vorticity mode induces after
         self._traces = np.empty((J + 1, 2, ny))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 
 class GridError(ValueError):
@@ -41,10 +40,19 @@ def _clencurt_weights(n_nodes: int) -> np.ndarray:
     return w
 
 
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """``scipy.fft.dct(x, type=1, axis=0)``, as the rfft of x's even extension."""
+    if np.iscomplexobj(x):  # rfft takes no complex input, so do each part
+        out = np.empty(x.shape, dtype=np.complex128)
+        out.real, out.imag = _dct1(x.real), _dct1(x.imag)
+        return out
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]]), axis=0).real
+
+
 def cheb_forward(values: np.ndarray) -> np.ndarray:
     """Gauss-Lobatto samples (axis 0) to Chebyshev coefficients."""
     N = values.shape[0] - 1
-    a = scipy.fft.dct(values, type=1, axis=0) / N
+    a = _dct1(values) / N
     a[0] *= 0.5
     a[N] *= 0.5
     return a
@@ -54,7 +62,7 @@ def cheb_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients (axis 0) back to Gauss-Lobatto samples."""
     b = coeffs.copy()
     b[1:-1] *= 0.5
-    return scipy.fft.dct(b, type=1, axis=0)
+    return _dct1(b)
 
 
 def cheb_derivative_coeffs(a: np.ndarray) -> np.ndarray:

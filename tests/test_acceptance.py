@@ -109,7 +109,6 @@ def test_forced_steady_profile_matches_slip_poiseuille():
     cfg = SolverConfig(
         dt=2e-3,
         t_end=50.0,
-        forcing="steady_pressure_gradient",
         forcing_amplitude=F,
         record_every=10_000,
         checkpoint_every=10_000_000,

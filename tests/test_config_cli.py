@@ -1,12 +1,16 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nspb
+from nspb.checkpoint import run_record
 from nspb.cli import main
 from nspb.config import _SCHEMA, KIND_KEYS, KINDS, ConfigError, load_config, parse_config
 
@@ -209,9 +213,10 @@ def test_every_shipped_config_loads():
 
 
 def test_forcing_follows_the_amplitude():
-    forced = parse_config("forcing_amplitude = 0.004\n").solver
-    assert (forced.forcing, forced.mean_force) == ("steady_pressure_gradient", 0.004)
-    assert parse_config("forcing_amplitude = 0\n").solver.forcing == "zero"
+    for amplitude, forcing in ((0.004, "steady_pressure_gradient"), (0.0, "zero")):
+        plan = parse_config(f"forcing_amplitude = {amplitude}\n")
+        run = run_record(plan.grid(), plan.sim, plan.solver)
+        assert (run["forcing"], run["forcing_amplitude"]) == (forcing, amplitude)
 
 
 def test_force_kind_inherits_and_conflicts():
@@ -245,6 +250,20 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def test_cli_import_loads_no_scipy():
+    # the run-time package is numpy only: scipy serves the tests alone
+    code = (
+        "import sys, nspb.cli, nspb.experiments; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    path = [str(Path(nspb.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_run_produces_outputs(tmp_path):

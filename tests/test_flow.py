@@ -3,7 +3,6 @@ import zlib
 from dataclasses import replace
 
 import numpy as np
-import scipy.fft
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +95,12 @@ def test_solver_config_validation():
         SolverConfig(dt=1e-3, t_end=1.0, mode="stokes")
     with pytest.raises(ValueError):
         SolverConfig(dt=1e-3, t_end=1.0, forcing="gravity")
+    # forcing_amplitude alone sets the forcing; a named forcing must agree with it
+    with pytest.raises(ValueError, match="contradicts"):
+        SolverConfig(dt=1e-3, t_end=1.0, forcing="zero", forcing_amplitude=0.1)
+    unforced = SolverConfig(dt=1e-3, t_end=1.0)
+    named = replace(unforced, forcing="steady_pressure_gradient", forcing_amplitude=0.1)
+    assert named == replace(unforced, forcing_amplitude=0.1)
     with pytest.raises(ValueError):
         SolverConfig(dt=1e-3, t_end=1.0, cfl_max=0.0)
     with pytest.raises(ValueError):
@@ -181,9 +186,7 @@ def test_slip_poiseuille_is_a_discrete_fixed_point(grid, kappa):
     params = SimParams(Re=200.0, Wi=0.5, tau=1.0, alpha=1.0, kappa=kappa)
     F = 2.0 / params.Re
     st = steady_channel_state(grid, params, F)
-    cfg = SolverConfig(
-        dt=1e-3, t_end=0.05, forcing="steady_pressure_gradient", forcing_amplitude=F
-    )
+    cfg = SolverConfig(dt=1e-3, t_end=0.05, forcing_amplitude=F)
     end = ChannelFlowSolver(grid, params, cfg).run(st)
     (om_end, mean_end), (om_st, mean_st) = node_values(end), node_values(st)
     assert np.max(np.abs(mean_end - mean_st)) < 1e-12
@@ -273,9 +276,7 @@ def test_energy_audit_second_order(grid, kappa):
 def test_energy_audit_closes_at_steady_state(grid, params):
     F = 2.0 / params.Re
     st = steady_channel_state(grid, params, F)
-    cfg = SolverConfig(
-        dt=1e-3, t_end=1e-3, forcing="steady_pressure_gradient", forcing_amplitude=F
-    )
+    cfg = SolverConfig(dt=1e-3, t_end=1e-3, forcing_amplitude=F)
     s1 = ChannelFlowSolver(grid, params, cfg).step(st)
     rec = energy_audit(compute_record(st, params, F), compute_record(s1, params, F))
     assert rec.budget_residual < 1e-12
@@ -291,9 +292,7 @@ def test_energy_audit_rejects_misordered_states(grid, params):
 def test_friction_factor_forms_agree_at_steady(grid, params):
     F = 2.0 / params.Re
     st = steady_channel_state(grid, params, F)
-    cfg = SolverConfig(
-        dt=1e-3, t_end=0.05, forcing="steady_pressure_gradient", forcing_amplitude=F
-    )
+    cfg = SolverConfig(dt=1e-3, t_end=0.05, forcing_amplitude=F)
     sol = ChannelFlowSolver(grid, params, cfg)
     recs = [compute_record(st, params, F)]
     sol.run(st, callback=lambda s: recs.append(compute_record(s, params, F)))
@@ -304,9 +303,7 @@ def test_friction_factor_forms_agree_at_steady(grid, params):
 def test_momentum_audit_balances(grid, params):
     F = 2.0 / params.Re
     st = steady_channel_state(grid, params, F)
-    cfg = SolverConfig(
-        dt=1e-3, t_end=0.05, forcing="steady_pressure_gradient", forcing_amplitude=F
-    )
+    cfg = SolverConfig(dt=1e-3, t_end=0.05, forcing_amplitude=F)
     sol = ChannelFlowSolver(grid, params, cfg)
     recs = [compute_record(st, params, F)]
     sol.run(st, callback=lambda s: recs.append(compute_record(s, params, F)))
@@ -452,7 +449,7 @@ def test_steps_make_no_dct_call(grid, params, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a solver step must not call this")
 
-    monkeypatch.setattr(scipy.fft, "dct", refuse)
+    monkeypatch.setattr(np.fft, "rfft", refuse)  # the DCT's transform
     monkeypatch.setattr(nspb.grid, "cheb_forward", refuse)
     monkeypatch.setattr(nspb.grid, "cheb_inverse", refuse)
     monkeypatch.setattr(nspb.flow, "cheb_forward", refuse)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from nspb.grid import (
     ChannelGrid,
     GridError,
     cheb_diff_matrices,
+    cheb_forward,
     cheb_inverse,
     cheb_synthesis_matrix,
     fourier_matrices,
@@ -81,6 +83,28 @@ def test_round_trip(grid):
     vals = grid.spec_to_phys(spec)
     back = grid.spec_to_phys(grid.phys_to_spec(vals))
     assert np.max(np.abs(back - vals)) < 1e-12
+
+
+@pytest.mark.parametrize("ny", [9, 17, 32, 33, 65, 129])
+def test_cheb_transforms_equal_the_scipy_dct_bitwise(ny):
+    # the DCT-I is numpy's rfft of the even extension; it must give scipy's
+    # type-1 DCT to the last bit, or every stored byte would move at roundoff
+    def dct(x):
+        return scipy.fft.dct(x, type=1, axis=0)
+
+    rng = np.random.default_rng(ny)
+    real = rng.standard_normal((ny, 7))
+    stack = rng.standard_normal((3, ny, 5)) + 1j * rng.standard_normal((3, ny, 5))
+    for x in (real, real + 1j * rng.standard_normal((ny, 7)), np.eye(ny), real[:, 0],
+              np.moveaxis(stack, 1, 0)):
+        N = ny - 1
+        forward = dct(x) / N
+        forward[[0, N]] *= 0.5
+        halved = x.copy()
+        halved[1:-1] *= 0.5
+        for got, want in ((cheb_forward(x), forward), (cheb_inverse(x), dct(halved))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("nx, ny", [(16, 9), (24, 17), (64, 65)])
