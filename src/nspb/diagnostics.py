@@ -182,21 +182,6 @@ def write_records(path, records) -> None:
             w.writerow(r.row())
 
 
-def read_records(path) -> list[DiagnosticsRecord]:
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        if first != f"# {CSV_VERSION}":
-            raise ValueError(f"unsupported records file (got header {first!r})")
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != _COLUMNS:
-            raise ValueError("records column order does not match this version")
-        out = []
-        for row in rd:
-            out.append(DiagnosticsRecord(**{c: float(v) for c, v in zip(_COLUMNS, row)}))
-    return out
-
-
 def time_average(records, field: str, t_start: float = 0.0) -> float:
     """Trapezoid time average of one record field from t_start on."""
     pts = [(r.t, getattr(r, field)) for r in records if r.t >= t_start - 1e-12]
@@ -242,25 +227,6 @@ def momentum_audit(records, lx: float, mean_force: float = 0.0) -> dict:
         "max_residual": max(res),
         "final_residual": res[-1],
         "n_intervals": len(res),
-    }
-
-
-def max_principle_report(records, curl_forcing_inf: float = 0.0, slack: float = 1e-8) -> dict:
-    """Interior vorticity bound: start/wall maxima plus forcing growth.
-
-    bound = max(|omega(0)|_inf, max_t |omega_wall|_inf) + T*|curl f_b|_inf.
-    """
-    if not records:
-        raise ValueError("no records")
-    T = records[-1].t - records[0].t
-    wall_max = max(r.omega_wall_inf_norm for r in records)
-    bound = max(records[0].omega_inf_norm, wall_max) + T * curl_forcing_inf
-    observed = max(r.omega_inf_norm for r in records)
-    return {
-        "bound": bound,
-        "observed": observed,
-        "satisfied": observed <= bound + slack,
-        "ratio": observed / bound if bound > 0 else math.inf,
     }
 
 

@@ -27,6 +27,7 @@ from .diagnostics import (
     energy_audit,
     euler_error,
     fit_scaling,
+    momentum_audit,
     time_average,
     total_energy,
     write_records,
@@ -389,6 +390,7 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
         summary.outputs.append(name)
         summary.total_steps += ffinal.step_index
         point["friction_trace_mean"] = time_average(frecs, "friction_trace")
+        point["momentum_audit"] = momentum_audit(frecs, grid.lx, F)
         point["friction_form_gap"] = max(
             abs(r.friction_trace - r.friction_tangential) for r in frecs
         )

@@ -314,9 +314,9 @@ class ChannelFlowSolver:
     def _nonlinear(self, x: np.ndarray):
         """Advection terms of a packed (ny, J+1) coefficient array x.
 
-        Returns (N, aux): N is (ny, J+1), the mean-momentum source R(y) (the
+        Returns (N, u, v): N is (ny, J+1), the mean-momentum source R(y) (the
         x-mean of v*omega) in column 0 and N = -(u.grad omega) on modes
-        1..J; aux carries physical velocities and the (2, nx) wall slip.
+        1..J; u and v are the total velocity at the (ny, nx) nodes.
 
         One real matmul takes [mean | psi | mean vorticity | omega]
         coefficients to node values and d/dy node values.  ``grid.fourier_matrices``
@@ -351,16 +351,16 @@ class ChannelFlowSolver:
         N = np.zeros((ny, J + 1), dtype=complex)
         N[: len(self._fwd), 0] = self._fwd @ exchange
         N[: len(self._fwd), modes] = -real_matmul(self._fwd, adv_hat)
-        return N, {"u_tot": u, "v": v, "slip": wall_slip(u[[0, -1]])}
+        return N, u, v
 
-    def _check_cfl(self, aux, state: FlowState):
+    def _check_cfl(self, u, v, state: FlowState):
         """Directional CFL number of the step start, dt*max(|u|/dx + |v|/dy_local).
 
         Raises SolverDivergedError on a non-finite velocity and CFLError above
         cfl_max; keeps the largest number so far, with its t, in cfl_peak.
         """
-        number = np.abs(aux["u_tot"]) * self._dt_dx
-        number += np.abs(aux["v"]) * self._dt_dy
+        number = np.abs(u) * self._dt_dx
+        number += np.abs(v) * self._dt_dy
         cfl = float(number.max())
         if not math.isfinite(cfl):
             raise SolverDivergedError(state.step_index, state.t, "velocity")
@@ -407,12 +407,12 @@ class ChannelFlowSolver:
     def _step_ns(self, state: FlowState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dt, Re, F = self.config.dt, self.params.Re, self._force
 
-        N_n, aux_n = self._nonlinear(x)
-        self._check_cfl(aux_n, state)
+        N_n, u, v = self._nonlinear(x)
+        self._check_cfl(u, v, state)
 
         # wall data that depends only on the step start, (top, bottom); each
         # stage reads it from the two tau rows of its right-hand side
-        slip_n = aux_n["slip"]
+        slip_n = wall_slip(u[[0, -1]])
         q = self.wall.drive(state.g, slip_n)
         qhat = (q @ self._fourier[2]).view(np.complex128)
 
@@ -420,7 +420,7 @@ class ChannelFlowSolver:
         rhs[-2:] = qhat
         x_star = apply_modes(self._stage_p, rhs)
 
-        N_s, _ = self._nonlinear(x_star)
+        N_s = self._nonlinear(x_star)[0]
         rhs = (
             2.0 * Re / dt * x - self._ksq * x + real_matmul(self._D2, x)
             + Re * (N_n + N_s + 2.0 * F)
@@ -434,9 +434,9 @@ class ChannelFlowSolver:
 
     def _step_euler(self, state: FlowState, x: np.ndarray) -> np.ndarray:
         dt, F = self.config.dt, self._force
-        N_n, aux_n = self._nonlinear(x)
-        self._check_cfl(aux_n, state)
-        N_s, _ = self._nonlinear(x + dt * (N_n + F))
+        N_n, u, v = self._nonlinear(x)
+        self._check_cfl(u, v, state)
+        N_s = self._nonlinear(x + dt * (N_n + F))[0]
         return x + 0.5 * dt * (N_n + N_s + 2.0 * F)
 
     def run(self, state: FlowState, t_end: float | None = None, callback=None) -> FlowState:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .micro import SpringPotential, StressMoments
+from .micro import SpringPotential
 from .params import PhysicalParams
 
 
@@ -126,34 +126,6 @@ class FPResult:
     steps: int
 
 
-def fp_moments(
-    fpgrid: FPGrid,
-    density: np.ndarray,
-    potential: SpringPotential,
-    phys: PhysicalParams,
-) -> StressMoments:
-    """Kramers moments of a density whose mass plays the role of N_P."""
-    pts = fpgrid.center_points()
-    g = potential.grad(pts)
-    pref = phys.kB_T / phys.rho * fpgrid.cell_area
-    tn = pref * float(np.sum(pts[..., 0] * g[..., 1] * density))
-    nn = pref * float(np.sum(pts[..., 1] * g[..., 1] * density))
-    return StressMoments(sigma_tn=tn, sigma_nn=nn)
-
-
-def wall_tangential_flux_moment(
-    fpgrid: FPGrid, density: np.ndarray, phys: PhysicalParams
-) -> float:
-    """D * integral of m_t f(m_t, 0) dm_t, estimated from the wall row.
-
-    This is the boundary term the closed tangential moment equation omits;
-    exposed as a diagnostic of the closure defect.
-    """
-    xc, _ = fpgrid.centers()
-    D = phys.kB_T / phys.zeta
-    return D * float(np.sum(xc * density[:, 0]) * fpgrid.h_t)
-
-
 def stable_dt(
     fpgrid: FPGrid,
     potential: SpringPotential,
@@ -205,9 +177,8 @@ def fokker_planck_solve(
     is accepted.  The steps are then evened out to t_end.
     ``u_slip`` may be a constant or a callable of time.  A callable's dt
     comes from 64 samples of it; FPError is raised if the slip at a step
-    time makes that dt unstable.  The result holds the density at t_end;
-    ``fp_moments`` gives its Kramers moments, and a later start is a
-    further solve from ``f0=result.density``.
+    time makes that dt unstable.  The result holds the density at t_end,
+    and a later start is a further solve from ``f0=result.density``.
     """
     if not 0.0 <= t_end < math.inf:
         raise FPError(f"t_end={t_end} must be finite and nonnegative")
@@ -280,20 +251,3 @@ def fokker_planck_solve(
 
     return FPResult(grid=fpgrid, density=f, t=t, mass_initial=mass0,
                     mass_final=density_mass(fpgrid, f), dt=dt, steps=n_steps)
-
-
-def free_energy(
-    density: np.ndarray, fpgrid: FPGrid, potential: SpringPotential
-) -> float:
-    """Relative entropy of a cell density against Gibbs at equal mass.
-
-    Nonnegative, zero exactly at Gibbs, and empty cells follow the
-    0 log 0 = 0 convention.
-    """
-    mass = density_mass(fpgrid, density)
-    if mass <= 0:
-        raise FPError("density must carry positive mass")
-    g = gibbs_density(fpgrid, potential, mass=mass)
-    pos = density > 0
-    ratio = density[pos] / g[pos]
-    return float(np.sum(density[pos] * np.log(ratio)) * fpgrid.cell_area)

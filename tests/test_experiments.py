@@ -12,7 +12,9 @@ import pytest
 
 from nspb import experiments
 from nspb.config import parse_config
+from nspb.diagnostics import momentum_audit
 from nspb.experiments import execute
+from test_diagnostics import read_records
 
 TINY_SWEEP = (
     "kind = sweep_re\n"
@@ -73,6 +75,22 @@ def test_summary_json_matches_in_memory(tiny_sweep):
     assert on_disk == summary.to_json_dict()
     assert on_disk["exit_code"] == summary.exit_code
     assert "summary.json" in on_disk["outputs"]
+
+
+def test_sweep_re_reports_the_forced_momentum_balance(tiny_sweep):
+    # reported beside friction_trace_mean, not judged: no check reads it
+    out, _ = tiny_sweep
+    lx = parse_config(TINY_SWEEP).grid().lx
+    points = json.loads((out / "summary.json").read_text())["points"]
+    assert len(points) == 3
+    for point in points:
+        audit = point["momentum_audit"]
+        recs = read_records(out / f"records_re{point['re']:g}_forced.csv")
+        assert audit["n_intervals"] == len(recs) - 1 > 0
+        assert math.isfinite(audit["max_residual"])
+        assert math.isfinite(audit["final_residual"])
+        # the audit of the written forced records under the point's own forcing
+        assert audit == momentum_audit(recs, lx, point["forcing_amplitude"])
 
 
 def test_sweep_re_decay_phase_is_unforced(tmp_path):

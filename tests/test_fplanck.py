@@ -12,14 +12,59 @@ from nspb.fplanck import (
     _bernoulli,
     density_mass,
     fokker_planck_solve,
-    fp_moments,
-    free_energy,
     gibbs_density,
     stable_dt,
-    wall_tangential_flux_moment,
 )
-from nspb.micro import SpringPotential, closure_ode_step
+from nspb.micro import SpringPotential, StressMoments, closure_ode_step
 from nspb.params import ParameterError, PhysicalParams
+
+
+# ---- a density's moments and free energy, read by the checks below ----
+
+
+def fp_moments(
+    fpgrid: FPGrid,
+    density: np.ndarray,
+    potential: SpringPotential,
+    phys: PhysicalParams,
+) -> StressMoments:
+    """Kramers moments of a density whose mass plays the role of N_P."""
+    pts = fpgrid.center_points()
+    g = potential.grad(pts)
+    pref = phys.kB_T / phys.rho * fpgrid.cell_area
+    tn = pref * float(np.sum(pts[..., 0] * g[..., 1] * density))
+    nn = pref * float(np.sum(pts[..., 1] * g[..., 1] * density))
+    return StressMoments(sigma_tn=tn, sigma_nn=nn)
+
+
+def wall_tangential_flux_moment(
+    fpgrid: FPGrid, density: np.ndarray, phys: PhysicalParams
+) -> float:
+    """D * integral of m_t f(m_t, 0) dm_t, estimated from the wall row.
+
+    This is the boundary term the closed tangential moment equation omits;
+    exposed as a diagnostic of the closure defect.
+    """
+    xc, _ = fpgrid.centers()
+    D = phys.kB_T / phys.zeta
+    return D * float(np.sum(xc * density[:, 0]) * fpgrid.h_t)
+
+
+def free_energy(
+    density: np.ndarray, fpgrid: FPGrid, potential: SpringPotential
+) -> float:
+    """Relative entropy of a cell density against Gibbs at equal mass.
+
+    Nonnegative, zero exactly at Gibbs, and empty cells follow the
+    0 log 0 = 0 convention.
+    """
+    mass = density_mass(fpgrid, density)
+    if mass <= 0:
+        raise FPError("density must carry positive mass")
+    g = gibbs_density(fpgrid, potential, mass=mass)
+    pos = density > 0
+    ratio = density[pos] / g[pos]
+    return float(np.sum(density[pos] * np.log(ratio)) * fpgrid.cell_area)
 
 
 @pytest.fixture()

@@ -56,7 +56,7 @@ def test_quadrature_weights_integrate_polynomials(grid):
 
 
 def test_integrate_separable(grid):
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y)
     f = np.sin(X) ** 2 * np.ones_like(Y)
     assert grid.integrate(f) == pytest.approx(2.0 * math.pi, rel=1e-12)
     g = 1.0 - Y**2
@@ -64,7 +64,7 @@ def test_integrate_separable(grid):
 
 
 def test_pure_mode_transform(grid):
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(grid.x, grid.y)
     c = grid.phys_to_spec(np.cos(X) * (2.0 * Y**2 - 1.0))
     nz = np.argwhere(np.abs(c) > 1e-12)
     assert nz.tolist() == [[2, 1]]
@@ -170,20 +170,20 @@ def test_fourier_matrices_match_the_fft(nx, lx):
 
 
 def test_ddy_cubic(grid):
-    _, Y = grid.meshgrid()
+    _, Y = np.meshgrid(grid.x, grid.y)
     D, _ = cheb_diff_matrices(grid.ny)
     dy = grid.spec_to_phys(real_matmul(D, grid.phys_to_spec(Y**3)))
     assert np.max(np.abs(dy - 3.0 * Y**2)) < 1e-12
 
 
 def test_ddx_cosine(grid):
-    X, _ = grid.meshgrid()
+    X, _ = np.meshgrid(grid.x, grid.y)
     dx = grid.spec_to_phys(grid.phys_to_spec(np.cos(X)) * (1j * grid.kx))
     assert np.max(np.abs(dx + np.sin(X))) < 1e-12
 
 
 def test_wall_values_orientation(grid):
-    _, Y = grid.meshgrid()
+    _, Y = np.meshgrid(grid.x, grid.y)
     # row 0 of a physical array is the top wall, also after the transforms
     f = grid.spec_to_phys(grid.phys_to_spec(Y.copy()))
     assert np.allclose(f[0], 1.0)
