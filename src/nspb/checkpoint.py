@@ -7,8 +7,8 @@ padded), forcing_amplitude f64, and last a CRC32 u32 of every other byte
 of the file.  Payload, row-major f64 arrays: fluctuation vorticity at the
 grid nodes (ny*nx; its x-mean lives in the mean profile, and only its
 Fourier modes 1..J below the 2/3 cut are read back), mean profile (ny),
-wall stress g (2*nx, top wall then bottom).  Any other version is a
-``CheckpointError``.
+wall stress g (2*nx, top wall then bottom; modes 0..J are read back).  Any
+other version, or a mode or forcing that is not ASCII, is a ``CheckpointError``.
 
 The header is the record of the run: every value it stores besides t is
 one entry of ``run_record``, which ``write_checkpoint`` packs and
@@ -17,11 +17,11 @@ one entry of ``run_record``, which ``write_checkpoint`` packs and
 A ``FlowState`` holds coefficients, and the file holds node values: the
 conversion happens here and nowhere else.  ``write_checkpoint`` sets the
 vorticity's modes 1..J in an all-mode spectrum and synthesizes it with
-``grid.spec_to_phys``, and the mean profile with ``cheb_inverse``;
-``read_checkpoint`` takes them back with ``grid.phys_to_spec``, keeping
-modes 1..J, and ``cheb_forward``.  A header whose grid, t or dt no solver
-state can have, or whose t is not a whole number of dt steps, is a
-``CheckpointError``.
+``grid.spec_to_phys``, the mean profile with ``cheb_inverse`` and g with S
+of ``grid.fourier_matrices``; ``read_checkpoint`` takes them back with
+``grid.phys_to_spec`` (keeping modes 1..J), ``cheb_forward`` and A.  A
+header whose grid, t or dt no solver state can have, or whose t is not a
+whole number of dt steps, is a ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import FlowState, SolverConfig, forcing_name, whole_steps
-from .grid import ChannelGrid, GridError, cheb_forward, cheb_inverse
+from .grid import ChannelGrid, GridError, cheb_forward, cheb_inverse, fourier_matrices
 from .params import SimParams
 
 MAGIC = b"NSPB"
@@ -89,6 +89,8 @@ def write_checkpoint(path, state: FlowState, params: SimParams, config: SolverCo
     grid = state.grid
     omega = np.zeros((grid.ny, grid.nkx), dtype=complex)
     omega[:, 1 : grid.dealias_kx + 1] = state.omega
+    S = fourier_matrices(grid.nx, grid.dealias_kx, grid.lx)[0]
+    g = np.ascontiguousarray(state.g).view(np.float64) @ S
     nx, ny, dt, *physics = run_record(grid, params, config).values()
     header = _HEADER.pack(
         MAGIC, VERSION, nx, ny, state.t, dt,
@@ -96,7 +98,7 @@ def write_checkpoint(path, state: FlowState, params: SimParams, config: SolverCo
     )
     payload = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for arr in (grid.spec_to_phys(omega), cheb_inverse(state.mean), state.g)
+        for arr in (grid.spec_to_phys(omega), cheb_inverse(state.mean), g)
     )
     crc = _CRC.pack(zlib.crc32(payload, zlib.crc32(header)))
     write_atomic(path, header + crc + payload)
@@ -122,6 +124,8 @@ def read_checkpoint(path) -> Checkpoint:
     (crc,) = _CRC.unpack_from(raw, _HEADER.size)
     if crc != zlib.crc32(raw[body:], zlib.crc32(raw[: _HEADER.size])):
         raise CheckpointError(f"{path}: CRC32 mismatch, the file is corrupt")
+    if not all(s.isascii() for s in physics[6:8]):
+        raise CheckpointError(f"{path}: mode or forcing is not ASCII text")
     physics[6:8] = [s.rstrip(b"\0").decode("ascii") for s in physics[6:8]]
     run = dict(zip(RUN_KEYS, (nx, ny, dt, *physics)))
     try:
@@ -142,7 +146,7 @@ def read_checkpoint(path) -> Checkpoint:
         grid=grid,
         omega=omega.copy(),
         mean=cheb_forward(mean_vals),
-        g=g.reshape(2, nx).copy(),
+        g=(g.reshape(2, nx) @ fourier_matrices(nx, grid.dealias_kx, grid.lx)[2]).view(complex),
         t=t,
         step_index=steps,
     )

@@ -19,11 +19,11 @@ the set-up and ``euler_error`` use too, and one matmul with the shared
 of u_y and v_y.  The integrals are discrete Parseval in x (weight lx at
 k = 0 and 2 lx at k = 1..J, times k^2 for an x-derivative) and
 Clenshaw-Curtis in y, so the kinetic energy and the dissipation are one
-weighted reduction each, and the x-means come from the k = 0 column.  One
-matmul with the value matrix of ``grid.fourier_matrices`` takes the total
-vorticity and the two walls' u to the x-nodes for the sup norms and the
-wall sums.  With 1 BLAS thread a record takes 89 us at 32x33 and 230 us
-at 64x65 (median of 7 runs, each the best of 7; README "Solver layout").
+weighted reduction each; so are the wall integrals of |g|^2 and |u_tau|^2
+over the modes of g and of the walls' u.  The x-means come from the k = 0
+column.  Only the sup norms need the total vorticity at the x-nodes, from
+``grid.fourier_matrices``.  With 1 BLAS thread a record takes 89 us at 32x33
+and 230 us at 64x65 (median of 7 runs, each the best of 7; README "Solver layout").
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     """
     grid = state.grid
     Re = params.Re
-    dx = grid.dx
     ny, J = grid.ny, grid.dealias_kx
     D, _ = cheb_diff_matrices(ny)
     k = grid.kx[: J + 1]
@@ -104,15 +103,14 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     power = mean_force * momentum_x
     f_trace = -(1.0 / (2.0 * Re)) * (uy_mean[0] - uy_mean[-1])
 
-    # total vorticity at the nodes and u on both walls, in physical space
-    spec = np.concatenate([vals[:ny, 2 * J + 2 :], vals[[0, ny - 1], : J + 1]])
-    phys = spec.view(np.float64) @ fourier_matrices(grid.nx, J, grid.lx)[0]
-    om_row_max = np.abs(phys[:ny]).max(axis=1)
-    u_wall = phys[ny:]
+    # total vorticity at the nodes, for the sup norms
+    om_modes = vals[:ny, 2 * J + 2 :].view(np.float64)  # at the y-nodes
+    om_row_max = np.abs(om_modes @ fourier_matrices(grid.nx, J, grid.lx)[0]).max(axis=1)
 
-    g = state.g
-    wall_g_sq = float(np.vdot(g, g)) * dx
-    wall_slip_sq = float(np.vdot(u_wall, u_wall)) * dx  # |u_tau| = |u| on a wall
+    # wall integrals by Parseval over both walls' modes 0..J
+    g, u_wall = state.g, vals[[0, ny - 1], : J + 1]
+    wall_g_sq = float(cx @ (g.real**2 + g.imag**2).sum(axis=0))
+    wall_slip_sq = float(cx @ (u_wall.real**2 + u_wall.imag**2).sum(axis=0))  # |u_tau| = |u|
     e_g, d_relax = wall_stress_terms(params, wall_g_sq)
     d_slip = params.alpha / (2.0 * Re) * wall_slip_sq
     # the generalized trace identity feeds 2*kappa*u_tau back into the wall
@@ -120,8 +118,9 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     # positivity of that combination is the alpha > 4*kappa admissibility rule
     d_curv = -(2.0 * params.kappa / Re) * wall_slip_sq
 
-    om_wall_sum = (g + params.beta * wall_slip(u_wall)).sum(axis=1)
-    f_tang = (1.0 / (Re * 2.0 * grid.lx)) * (om_wall_sum[0] - om_wall_sum[1]) * dx
+    # the x-mean wall vorticity g + beta*u_tau of each wall is its k = 0 mode
+    om_wall_mean = (g[:, 0] + params.beta * wall_slip(u_wall)[:, 0]).real
+    f_tang = (1.0 / (2.0 * Re)) * (om_wall_mean[0] - om_wall_mean[1])
 
     return DiagnosticsRecord(
         t=state.t,

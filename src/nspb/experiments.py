@@ -741,13 +741,12 @@ def _drive_energy_audit(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     # monotone decay is judged on the finest run
     energies = [total_energy(r) for r in records]
     max_rise = max(b - a for a, b in zip(energies, energies[1:]))
-    if params.kappa == 0.0:
-        summary.add_check(
-            "energy_monotone_decay",
-            max_rise <= ENERGY_RISE_TOL * energies[0],
-            max_rise,
-            "total energy non-increasing on the unforced run",
-        )
+    summary.add_check(
+        "energy_monotone_decay",
+        max_rise <= ENERGY_RISE_TOL * energies[0],
+        max_rise,
+        "total energy non-increasing on the unforced run",
+    )
 
     orders = [
         float(np.log2(residuals[i] / residuals[i + 1])) for i in range(len(residuals) - 1)

@@ -126,9 +126,10 @@ class FlowState:
     (``grid.kx[1:J+1]``, J = ``grid.dealias_kx``, the 2/3 rule); the x-mean
     lives in ``mean`` and no mode above J is stored.  ``mean`` holds the
     (ny,) real Chebyshev coefficients of the mean profile U0(y).  ``g`` is
-    the (2, nx) wall stress at the grid nodes, row 0 the top wall and row 1
-    the bottom, in the order of the physical grid rows.  A field of another
-    shape is a ``GridError`` that names it.
+    the (2, J+1) complex wall stress on Fourier modes 0..J, normalized as
+    ``grid.fourier_matrices`` (``rfft(norm="forward")``), row 0 the top wall
+    and row 1 the bottom, in the order of the physical grid rows.  A field
+    of another shape is a ``GridError`` that names it.
     """
 
     grid: ChannelGrid
@@ -143,7 +144,7 @@ class FlowState:
         for name, want in (
             ("omega", (grid.ny, grid.dealias_kx)),
             ("mean", (grid.ny,)),
-            ("g", (2, grid.nx)),
+            ("g", (2, grid.dealias_kx + 1)),
         ):
             got = np.shape(getattr(self, name))
             if got != want:
@@ -164,7 +165,7 @@ def total_velocity(
 
 
 def wall_slip(u_wall: np.ndarray) -> np.ndarray:
-    """Slip u_tau from u on the (top, bottom) walls, both (2, nx) arrays.
+    """Slip u_tau from u on the (top, bottom) walls, rows 0 and 1 of a (2, ...) array.
 
     The top wall's tangent points in -x, so its slip is -u.
     """
@@ -197,12 +198,10 @@ def initial_state(grid: ChannelGrid, params: SimParams, u=None, v=None) -> FlowS
     omega = v_hat[:, modes] * (1j * grid.kx[modes]) - real_matmul(D, u_hat[:, modes])
     mean = u_hat[:, 0].real.copy()
 
-    # u and the total vorticity (the mean's -U0' at k = 0) on both walls
+    # u and the total vorticity (the mean's -U0' at k = 0) on both walls, modes 0..J
     u_rec, _ = total_velocity(grid, omega, mean)
     om_tot = np.column_stack([-(D @ mean), omega])
-    walls = real_matmul(_wall_rows(grid.ny), np.stack([u_rec, om_tot]))
-    S = fourier_matrices(grid.nx, grid.dealias_kx, grid.lx)[0]
-    u_wall, om_wall = walls.view(np.float64) @ S
+    u_wall, om_wall = real_matmul(_wall_rows(grid.ny), np.stack([u_rec, om_tot]))
     return FlowState(
         grid=grid, omega=omega, mean=mean, g=om_wall - params.beta * wall_slip(u_wall)
     )
@@ -371,9 +370,8 @@ class ChannelFlowSolver:
             raise CFLError(cfl, self.config.cfl_max, state.t, node)
 
     def _wall_slip(self, x: np.ndarray) -> np.ndarray:
-        """(2, nx) slip u_tau on the (top, bottom) walls of a packed x: u-traces times S."""
-        traces = np.ascontiguousarray(apply_modes(self._traces, x))
-        return wall_slip(traces.view(np.float64) @ self._fourier[0])
+        """(2, J+1) slip u_tau on the (top, bottom) walls of a packed x, modes 0..J."""
+        return wall_slip(apply_modes(self._traces, x))
 
     # ---- stepping ----
 
@@ -410,14 +408,13 @@ class ChannelFlowSolver:
         N_n, u, v = self._nonlinear(x)
         self._check_cfl(u, v, state)
 
-        # wall data that depends only on the step start, (top, bottom); each
-        # stage reads it from the two tau rows of its right-hand side
-        slip_n = wall_slip(u[[0, -1]])
+        # wall data that depends only on the step start, (top, bottom) on modes
+        # 0..J; each stage reads it from the two tau rows of its right-hand side
+        slip_n = self._wall_slip(x)
         q = self.wall.drive(state.g, slip_n)
-        qhat = (q @ self._fourier[2]).view(np.complex128)
 
         rhs = Re / dt * x + Re * (N_n + F)
-        rhs[-2:] = qhat
+        rhs[-2:] = q
         x_star = apply_modes(self._stage_p, rhs)
 
         N_s = self._nonlinear(x_star)[0]
@@ -425,7 +422,7 @@ class ChannelFlowSolver:
             2.0 * Re / dt * x - self._ksq * x + real_matmul(self._D2, x)
             + Re * (N_n + N_s + 2.0 * F)
         )
-        rhs[-2:] = qhat
+        rhs[-2:] = q
         x_new = apply_modes(self._stage_c, rhs)
 
         # final slip traces close the boundary-stress update
@@ -460,5 +457,6 @@ class ChannelFlowSolver:
     # ---- reconstruction ----
 
     def slip_traces(self, state: FlowState) -> np.ndarray:
-        """Slip u_tau along the (top, bottom) walls as a (2, nx) array."""
-        return self._wall_slip(self._pack(state))
+        """Slip u_tau along the (top, bottom) walls at the x-nodes, a (2, nx) array."""
+        slip = np.ascontiguousarray(self._wall_slip(self._pack(state)))
+        return slip.view(np.float64) @ self._fourier[0]

@@ -51,9 +51,9 @@ class MaxwellWall:
 def step_boundary_ode(g, u_tau, wall: MaxwellWall, u_tau_end):
     """Advance g over one step of ``wall`` by the exact exponential integrator.
 
-    g and the slips are arrays of one shape, (2, nx) in the solver (row 0 the
-    top wall).  The slip runs linearly from ``u_tau`` to ``u_tau_end`` over the
-    step (the exponential trapezoid, second order).  The algebraically equal
+    g and the slips are arrays of one shape, in the solver the (2, J+1) Fourier
+    modes 0..J of both walls (row 0 the top wall).  The slip runs linearly from
+    ``u_tau`` to ``u_tau_end`` over the step (the exponential trapezoid).  The algebraically equal
     ``wall.drive(g, u_tau) - wall.b * u_tau_end`` would change g's last bits.
     """
     return wall.E * g - wall.coef * (wall.w0 * u_tau + wall.w1 * u_tau_end)

@@ -315,6 +315,16 @@ def test_cli_rejected_checkpoint_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()  # a rejected restart writes nothing
 
 
+def test_cli_restart_from_a_non_ascii_header_exits_2(tmp_path, capsys):
+    from test_flow import crafted_checkpoint
+
+    ckpt = crafted_checkpoint(tmp_path / "text.ckpt", mode=b"navier_\xffstokes")
+    cfg = write_cfg(tmp_path, TINY)
+    assert main(["restart", str(ckpt), "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "checkpoint error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_restart_matches_uninterrupted(tmp_path):
     cfg = write_cfg(tmp_path, TINY)
     full = tmp_path / "full"

@@ -243,7 +243,7 @@ def reference_record(state, params, mean_force):
     u, v = phys(u_spec), phys(v_spec)
     ux, vx = phys(u_spec * ik), phys(v_spec * ik)
     uy, vy = phys(cheb_derivative_coeffs(u_spec)), phys(cheb_derivative_coeffs(v_spec))
-    g_top, g_bot = state.g
+    g_top, g_bot = np.fft.irfft(state.g, n=grid.nx, norm="forward")
     wall_g_sq = (np.sum(g_top**2) + np.sum(g_bot**2)) * dx
     u_tau_top, u_tau_bot = -u[0], u[-1]
     wall_slip_sq = (np.sum(u_tau_top**2) + np.sum(u_tau_bot**2)) * dx
@@ -312,7 +312,8 @@ def test_compute_record_matches_closed_form(nx, ny, lx, m):
     omega[: len(om_y), m - 1] = 0.5 * om_y
     mean = np.zeros(grid.ny)
     mean[:3] = np.polynomial.chebyshev.poly2cheb(U.coef)
-    state = FlowState(grid=grid, omega=omega, mean=mean, g=np.zeros((2, grid.nx)))
+    g = np.zeros((2, grid.dealias_kx + 1), dtype=complex)
+    state = FlowState(grid=grid, omega=omega, mean=mean, g=g)
     rec = compute_record(state, params, mean_force=0.0)
 
     def integral(p):

@@ -219,6 +219,16 @@ def test_energy_audit_tiny(tmp_path):
         assert (tmp_path / f"records_dt{label}.csv").is_file()
 
 
+def test_energy_audit_judges_monotone_decay_at_nonzero_kappa(tmp_path):
+    # alpha > 4*kappa keeps the wall law dissipative, so the decay is judged
+    # at every admissible kappa, not only on the flat wall
+    text = "kind = energy_audit\nnx = 16\nny = 17\nt_end = 0.04\nkappa = 0.2\n"
+    summary = execute(parse_config(text).with_output(tmp_path))
+    check = check_map(summary)["energy_monotone_decay"]
+    assert check.passed
+    assert check.value < 0.0
+
+
 def test_inviscid_tiny(tmp_path):
     summary = execute(parse_config(INVISCID_TINY).with_output(tmp_path))
     assert "inviscid_error_slope" in check_map(summary)

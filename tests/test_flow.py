@@ -79,6 +79,13 @@ def node_values(state):
     return grid.spec_to_phys(all_modes(grid, state.omega)), cheb_inverse(state.mean)
 
 
+def g_nodes(state):
+    """A state's wall stress at the x-nodes, (2, nx): its modes 0..J through S."""
+    grid = state.grid
+    S = nspb.grid.fourier_matrices(grid.nx, grid.dealias_kx, grid.lx)[0]
+    return np.ascontiguousarray(state.g).view(np.float64) @ S
+
+
 def total_vorticity(state):
     """Total vorticity of a state at the grid nodes: fluctuation plus mean."""
     D, _ = cheb_diff_matrices(state.grid.ny)
@@ -127,10 +134,11 @@ def test_initial_state_seeds_g_on_the_trace_identity(grid, params):
     st = initial_state(grid, params, u=u, v=v)
     sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0))
     traces = sol.slip_traces(st)
-    om = total_vorticity(st)
-    assert st.g.shape == traces.shape == (2, grid.nx)
-    np.testing.assert_allclose(st.g[0], om[0] - params.beta * traces[0], rtol=0, atol=1e-11)
-    np.testing.assert_allclose(st.g[1], om[-1] - params.beta * traces[1], rtol=0, atol=1e-11)
+    om, g = total_vorticity(st), g_nodes(st)
+    assert st.g.shape == (2, grid.dealias_kx + 1)
+    assert g.shape == traces.shape == (2, grid.nx)
+    np.testing.assert_allclose(g[0], om[0] - params.beta * traces[0], rtol=0, atol=1e-11)
+    np.testing.assert_allclose(g[1], om[-1] - params.beta * traces[1], rtol=0, atol=1e-11)
 
 
 def test_stepped_state_keeps_g_on_the_trace_identity():
@@ -144,9 +152,9 @@ def test_stepped_state_keeps_g_on_the_trace_identity():
     st = sol.run(initial_state(grid, params, u=u, v=v), t_end=10 * 3e-3)
     assert st.step_index == 10
     traces = sol.slip_traces(st)
-    om = total_vorticity(st)
-    np.testing.assert_allclose(st.g[0], om[0] - params.beta * traces[0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(st.g[1], om[-1] - params.beta * traces[1], rtol=0, atol=1e-12)
+    om, g = total_vorticity(st), g_nodes(st)
+    np.testing.assert_allclose(g[0], om[0] - params.beta * traces[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g[1], om[-1] - params.beta * traces[1], rtol=0, atol=1e-12)
 
 
 def test_mean_vorticity_of_a_cubic_profile(grid, params):
@@ -166,15 +174,17 @@ def test_initial_state_rejects_wrong_shape(grid, params):
 
 
 def test_flow_state_rejects_fields_of_another_shape(grid, params):
-    # a state stores vorticity modes 1..J only; an all-mode (ny, nkx) array,
-    # as states held before, is refused by name instead of failing in a reshape
+    # a state stores vorticity modes 1..J and g's modes 0..J only; an all-mode
+    # (ny, nkx) omega or a (2, nx) node g, as states held before, is refused
+    # by name instead of failing in a reshape
     st = initial_state(grid, params)
     J = grid.dealias_kx
     assert st.omega.shape == (grid.ny, J)
+    assert st.g.shape == (2, J + 1)
     for field, value, shown in [
         ("omega", np.zeros((grid.ny, grid.nkx), dtype=complex), (grid.ny, grid.nkx)),
         ("mean", np.zeros(grid.ny + 1), (grid.ny + 1,)),
-        ("g", np.zeros((2, grid.nx + 2)), (2, grid.nx + 2)),
+        ("g", np.zeros((2, grid.nx)), (2, grid.nx)),
     ]:
         with pytest.raises(GridError) as err:
             replace(st, **{field: value})
@@ -195,6 +205,20 @@ def test_slip_poiseuille_is_a_discrete_fixed_point(grid, kappa):
     assert np.max(np.abs(end.g[1] - st.g[1])) < 1e-12
     prof = slip_poiseuille_profile(params, F, grid.y)
     np.testing.assert_allclose(mean_end, prof, rtol=0, atol=1e-12)
+
+
+def test_forced_run_from_the_steady_state_keeps_the_fluctuation_exactly_zero():
+    # the wall law acts on g's Fourier modes, so the x-constant wall drive of
+    # the steady state reaches no mode above 0: not even roundoff enters the
+    # fluctuation, and the forced run steps the exact fixed point
+    grid = ChannelGrid(nx=16, ny=17)
+    params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
+    F = 1.0 / params.Re
+    cfg = SolverConfig(dt=5e-3, t_end=20 * 5e-3, forcing_amplitude=F)
+    end = ChannelFlowSolver(grid, params, cfg).run(steady_channel_state(grid, params, F))
+    assert end.step_index == 20
+    assert np.all(end.omega == 0.0)
+    assert np.all(end.g[:, 1:] == 0.0)
 
 
 def test_second_order_self_convergence(grid, params):
@@ -555,14 +579,18 @@ def test_read_checkpoint_restores_the_state_invariant(params, tmp_path):
     assert restored.omega.shape == st.omega.shape == (grid.ny, grid.dealias_kx)
     assert _rel(restored.omega, st.omega) <= 1e-13
     assert _rel(restored.mean, st.mean) <= 1e-13
+    assert restored.g.shape == st.g.shape == (2, grid.dealias_kx + 1)
+    assert _rel(restored.g, st.g) <= 1e-13
 
 
-def crafted_checkpoint(path, nx=16, ny=17, t=0.0, dt=1e-3):
+def crafted_checkpoint(
+    path, nx=16, ny=17, t=0.0, dt=1e-3, mode=b"navier_stokes", forcing=b"zero"
+):
     """A version 2 file with a zero payload and a recomputed CRC32, so that
     crafted header values reach the header checks."""
     header = struct.pack(
         "<4sIIIdd6d32s32sd", b"NSPB", 2, nx, ny, t, dt,
-        2.0 * np.pi, 50.0, 1.0, 20.0, 1.0, 0.0, b"navier_stokes", b"zero", 0.0,
+        2.0 * np.pi, 50.0, 1.0, 20.0, 1.0, 0.0, mode, forcing, 0.0,
     )
     payload = np.zeros(ny * nx + ny + 2 * nx, dtype="<f8").tobytes()
     crc = struct.pack("<I", zlib.crc32(payload, zlib.crc32(header)))
@@ -579,6 +607,17 @@ def test_read_checkpoint_rejects_t_off_the_step_grid(tmp_path):
     assert str(err.value) == f"{path}: t = 0.0105 is not a whole number of steps of dt = 0.001"
     # roundoff in t within ChannelFlowSolver.run's tolerance still loads
     assert read_checkpoint(crafted_checkpoint(path, t=0.3 * (1 + 1e-12))).state.step_index == 300
+
+
+@pytest.mark.parametrize("field", ["mode", "forcing"])
+def test_read_checkpoint_rejects_a_non_ascii_header_field(tmp_path, field):
+    # a CRC-valid file whose text field is not ASCII is a corrupt file, named
+    # at load, not a decode error mid-restart
+    path = tmp_path / "text.ckpt"
+    text = {"mode": b"navier_\xffstokes", "forcing": b"z\xe9ro"}[field]
+    with pytest.raises(CheckpointError) as err:
+        read_checkpoint(crafted_checkpoint(path, **{field: text}))
+    assert str(err.value) == f"{path}: mode or forcing is not ASCII text"
 
 
 def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
@@ -723,12 +762,15 @@ def random_modes(grid, rng):
 
 
 def random_solver_state(grid, rng):
-    """White-noise state: vorticity modes 1..J, mean profile, wall stress."""
+    """White-noise state: vorticity modes 1..J, mean profile, wall stress modes 0..J."""
+    shape = (2, grid.dealias_kx + 1)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g[:, 0] = g[:, 0].real  # a real field's k = 0 mode
     return FlowState(
         grid=grid,
         omega=random_modes(grid, rng),
         mean=rng.standard_normal(grid.ny),
-        g=rng.standard_normal((2, grid.nx)),
+        g=g,
     )
 
 

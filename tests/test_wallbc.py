@@ -179,8 +179,15 @@ def test_law_arithmetic_is_bitwise_the_inline_formulas(Re, alpha):
     solver = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=1.0))
     assert solver.c2 == params.beta - params.alpha * params.Re / params.tau * w1
 
+    # a state's g is the (2, J+1) Fourier modes 0..J of both walls, and the
+    # record integrates |g|^2 over them by Parseval: lx at k = 0, 2 lx above
+    J = grid.dealias_kx
+    g = rng.standard_normal((2, J + 1)) + 1j * rng.standard_normal((2, J + 1))
+    g[:, 0] = g[:, 0].real
     rec = compute_record(replace(initial_state(grid, params), g=g), params)
-    wall_g_sq = float(np.vdot(g, g)) * grid.dx
+    cx = np.full(J + 1, 2.0 * grid.lx)
+    cx[0] = grid.lx
+    wall_g_sq = float(cx @ (g.real**2 + g.imag**2).sum(axis=0))
     assert rec.boundary_stress_energy == params.tau / (2.0 * params.alpha * Re**2) * wall_g_sq
     assert rec.boundary_relaxation_dissipation == (
         params.tau / (params.alpha * Re**2 * params.Wi) * wall_g_sq
