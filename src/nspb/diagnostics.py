@@ -11,35 +11,53 @@ with |.|^2_wall integrating over both walls; the kappa part is reported
 separately as curvature_term (zero for the flat-wall default).  Records
 are written to CSV in a frozen, versioned column order.
 
-``compute_record`` works on Fourier modes 0..J and forms no physical
-velocity field.  It takes u and v from ``flow.total_velocity``, the map
-the set-up and ``euler_error`` use too, and one matmul with the shared
-``grid.cheb_synthesis_matrix`` ``[C^-1; C^-1 D]`` takes the side-by-side
-[u | v | omega] coefficient columns to node values and to the node values
-of u_y and v_y.  The integrals are discrete Parseval in x (weight lx at
-k = 0 and 2 lx at k = 1..J, times k^2 for an x-derivative) and
-Clenshaw-Curtis in y, so the kinetic energy and the dissipation are one
-weighted reduction each; so are the wall integrals of |g|^2 and |u_tau|^2
-over the modes of g and of the walls' u.  The x-means come from the k = 0
-column.  Only the sup norms need the total vorticity at the x-nodes, from
-``grid.fourier_matrices``.  With 1 BLAS thread a record takes 89 us at 32x33
-and 230 us at 64x65 (median of 7 runs, each the best of 7; README "Solver layout").
+``compute_records`` takes a block of states on one grid at once and works
+on Fourier modes 0..J; it forms no physical velocity field, and
+``compute_record`` is ``compute_records`` of one state.  u and v of every
+state come from one ``flow.total_velocity`` call, the map the set-up and
+``euler_error`` use too, whose one streamfunction matmul covers all the
+states.  One matmul with the shared ``grid.cheb_synthesis_matrix``
+``[C^-1; C^-1 D]`` takes the side-by-side [u | v] coefficient columns of
+every state to node values and to the node values of u_y and v_y.  The
+integrals are discrete Parseval in x (weight lx at k = 0 and 2 lx at
+k = 1..J, times k^2 for an x-derivative) and Clenshaw-Curtis in y, so the
+kinetic energies and the dissipations of a block are one weighted
+reduction each; so are the wall integrals of |g|^2 and |u_tau|^2 over the
+modes of g and of the walls' u.  The x-means come from each state's k = 0
+column.  Only the sup norms need the total vorticity at the nodes, from
+the synthesis matrix's values rows and ``grid.fourier_matrices``.  A
+block holds the states whose temporaries fit in ``_RECORD_BLOCK_BYTES``
+(``record_block``: 16 at 32x33, 4 at 64x65).  With 1 BLAS thread a record
+inside a full block takes 31 us at 32x33 and 133 us at 64x65, a block of
+one state 140 and 224 us (median of 7 runs, each the best of 7; README
+"Solver layout").
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .flow import FlowState, total_velocity, wall_slip
-from .grid import cheb_diff_matrices, cheb_synthesis_matrix, fourier_matrices, real_matmul
+from .flow import FlowState, modes_from_zero, total_velocity, wall_slip
+from .grid import (
+    ChannelGrid,
+    cheb_diff_matrices,
+    cheb_synthesis_matrix,
+    fourier_matrices,
+    real_matmul,
+)
 from .params import SimParams
 from .wallbc import wall_stress_terms
 
 CSV_VERSION = "nspb-records-v1"
+
+# compute_records holds at most this many bytes of temporaries per state
+# and coefficient of its ny x (J+1) modes (tracemalloc peak: 121-145 from
+# 128x129 to 32x33); a block of states keeps them within _RECORD_BLOCK_BYTES
+_RECORD_TEMP_BYTES = 128
+_RECORD_BLOCK_BYTES = 768 << 10
 
 
 @dataclass(frozen=True)
@@ -68,49 +86,80 @@ class DiagnosticsRecord:
 _COLUMNS = [f.name for f in fields(DiagnosticsRecord)]
 
 
+def record_block(grid: ChannelGrid) -> int:
+    """States per ``compute_records`` call that keep its temporaries within
+    ``_RECORD_BLOCK_BYTES``: 16 at 32x33 and 4 at 64x65."""
+    per_state = _RECORD_TEMP_BYTES * grid.ny * (grid.dealias_kx + 1)
+    return max(1, _RECORD_BLOCK_BYTES // per_state)
+
+
 def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0) -> DiagnosticsRecord:
-    """Instantaneous diagnostics (budget_residual is NaN; see energy_audit).
+    """Instantaneous diagnostics of one state: ``compute_records`` of [state]."""
+    return compute_records([state], params, mean_force)[0]
 
-    Everything is read from Fourier modes 0..J (J = ``dealias_kx``): the
-    state's vorticity modes 1..J, with the mean's -U0' as the total
-    vorticity's k = 0 column.
+
+def compute_records(
+    states, params: SimParams, mean_force: float = 0.0
+) -> list[DiagnosticsRecord]:
+    """Instantaneous diagnostics of each state (budget_residual is NaN; see energy_audit).
+
+    Everything is read from Fourier modes 0..J (J = ``dealias_kx``): each
+    state's vorticity modes 1..J, with its mean's -U0' as the total
+    vorticity's k = 0 column.  The states, all on one grid, ride side by
+    side through every map, one block of modes 0..J per state; each record
+    equals that of its state alone to 1e-14 relative (tests/test_diagnostics.py).
+    A block of ``record_block(grid)`` states keeps the temporaries within
+    ``_RECORD_BLOCK_BYTES``.
     """
-    grid = state.grid
+    states = list(states)
+    if not states:
+        return []
+    grid = states[0].grid
+    for i, s in enumerate(states):
+        if s.grid != grid:
+            raise ValueError(f"grid mismatch at index {i}: {s.grid} vs {grid}")
     Re = params.Re
-    ny, J = grid.ny, grid.dealias_kx
+    ny, J, n = grid.ny, grid.dealias_kx, len(states)
+    P = J + 1
     D, _ = cheb_diff_matrices(ny)
-    k = grid.kx[: J + 1]
-
-    # [u | v | omega] coefficients of modes 0..J, the mean in each k = 0 column
-    u, v = total_velocity(grid, state.omega, state.mean)
-    cols = np.concatenate([u, v, -(D @ state.mean)[:, None], state.omega], axis=1)
-    vals = real_matmul(cheb_synthesis_matrix(ny), cols)
-
-    # x by discrete Parseval (a real field's modes 1..J count twice), y by
-    # Clenshaw-Curtis: per mode, the integrals of |u|^2 + |v|^2 (a) and of
-    # |u_y|^2 + |v_y|^2 (b); the x-derivatives bring k^2
-    uv_sq = vals[:, : 2 * (J + 1)].view(np.float64) ** 2
+    k = grid.kx[:P]
     wy = grid.quad_weights_y
-    a, b = (wy @ uv_sq.reshape(2, ny, -1)).reshape(2, 2, J + 1, 2).sum(axis=(1, 3))
-    cx = np.full(J + 1, 2.0 * grid.lx)
+    cx = np.full(P, 2.0 * grid.lx)
     cx[0] = grid.lx
-    ke = 0.5 * float(cx @ a)
-    dissipation = (1.0 / Re) * float(cx @ (k**2 * a + b))
 
-    # the k = 0 column is the x-mean of u and of u_y
-    u_mean, uy_mean = vals[:ny, 0].real, vals[ny:, 0].real
-    momentum_x = float(wy @ u_mean) * grid.lx
+    # node values and d/dy node values of every state's [u | v] on modes
+    # 0..J, the mean in each k = 0 column of u
+    omega = np.concatenate([s.omega for s in states], axis=1)
+    mean = np.column_stack([s.mean for s in states])
+    synth = cheb_synthesis_matrix(ny)
+    uv = real_matmul(synth, np.concatenate(total_velocity(grid, omega, mean), axis=1))
+
+    # each state's k = 0 column is the x-mean of u and of u_y
+    u_mean, uy_mean = uv[:ny, : n * P : P].real, uv[ny:, : n * P : P].real
+    momentum_x = (wy @ u_mean) * grid.lx
     power = mean_force * momentum_x
     f_trace = -(1.0 / (2.0 * Re)) * (uy_mean[0] - uy_mean[-1])
+    u_top, u_bottom = u_mean[[0, -1]]
+    u_wall = uv[[0, ny - 1], : n * P].reshape(2, n, P)
 
-    # total vorticity at the nodes, for the sup norms
-    om_modes = vals[:ny, 2 * J + 2 :].view(np.float64)  # at the y-nodes
-    om_row_max = np.abs(om_modes @ fourier_matrices(grid.nx, J, grid.lx)[0]).max(axis=1)
+    # x by discrete Parseval (a real field's modes 1..J count twice), y by
+    # Clenshaw-Curtis: per state and mode, the integrals of |u|^2 + |v|^2 (a)
+    # and of |u_y|^2 + |v_y|^2 (b); the x-derivatives bring k^2.  The squares
+    # overwrite uv, so all read from it above is a copy or already reduced
+    uv_sq = np.square(uv.view(np.float64), out=uv.view(np.float64))
+    a, b = (wy @ uv_sq.reshape(2, ny, -1)).reshape(2, 2, n, P, 2).sum(axis=(1, 4))
+    ke = 0.5 * (a @ cx)
+    dissipation = (1.0 / Re) * ((k**2 * a + b) @ cx)
 
-    # wall integrals by Parseval over both walls' modes 0..J
-    g, u_wall = state.g, vals[[0, ny - 1], : J + 1]
-    wall_g_sq = float(cx @ (g.real**2 + g.imag**2).sum(axis=0))
-    wall_slip_sq = float(cx @ (u_wall.real**2 + u_wall.imag**2).sum(axis=0))  # |u_tau| = |u|
+    # total vorticity at the nodes, for the sup norms: (ny, n) row maxima
+    om = real_matmul(synth[:ny], modes_from_zero(-(D @ mean), omega)).view(np.float64)
+    om_nodes = om.reshape(ny * n, 2 * P) @ fourier_matrices(grid.nx, J, grid.lx)[0]
+    om_row_max = np.abs(om_nodes, out=om_nodes).max(axis=1).reshape(ny, n)
+
+    # wall integrals by Parseval over both walls' modes 0..J, (2, n, P) arrays
+    g = np.stack([s.g for s in states], axis=1)
+    wall_g_sq = (g.real**2 + g.imag**2).sum(axis=0) @ cx
+    wall_slip_sq = (u_wall.real**2 + u_wall.imag**2).sum(axis=0) @ cx  # |u_tau| = |u|
     e_g, d_relax = wall_stress_terms(params, wall_g_sq)
     d_slip = params.alpha / (2.0 * Re) * wall_slip_sq
     # the generalized trace identity feeds 2*kappa*u_tau back into the wall
@@ -119,27 +168,31 @@ def compute_record(state: FlowState, params: SimParams, mean_force: float = 0.0)
     d_curv = -(2.0 * params.kappa / Re) * wall_slip_sq
 
     # the x-mean wall vorticity g + beta*u_tau of each wall is its k = 0 mode
-    om_wall_mean = (g[:, 0] + params.beta * wall_slip(u_wall)[:, 0]).real
+    om_wall_mean = (g[:, :, 0] + params.beta * wall_slip(u_wall[:, :, 0])).real
     f_tang = (1.0 / (2.0 * Re)) * (om_wall_mean[0] - om_wall_mean[1])
 
-    return DiagnosticsRecord(
-        t=state.t,
-        kinetic_energy=ke,
-        boundary_stress_energy=e_g,
-        dissipation_rate=dissipation,
-        wall_slip_dissipation=d_slip,
-        boundary_relaxation_dissipation=d_relax,
-        forcing_power=power,
-        curvature_term=d_curv,
-        budget_residual=float("nan"),
-        omega_inf_norm=float(om_row_max.max()),
-        omega_wall_inf_norm=float(max(om_row_max[0], om_row_max[-1])),
-        friction_trace=float(f_trace),
-        friction_tangential=float(f_tang),
-        momentum_x=momentum_x,
-        wall_u_top_mean=float(u_mean[0]),
-        wall_u_bottom_mean=float(u_mean[-1]),
+    columns = np.stack(
+        [
+            [s.t for s in states],
+            ke,
+            e_g,
+            dissipation,
+            d_slip,
+            d_relax,
+            power,
+            d_curv,
+            np.full(n, np.nan),  # budget_residual
+            om_row_max.max(axis=0),
+            np.maximum(om_row_max[0], om_row_max[-1]),
+            f_trace,
+            f_tang,
+            momentum_x,
+            u_top,
+            u_bottom,
+        ],
+        axis=1,
     )
+    return [DiagnosticsRecord(*row) for row in columns.tolist()]
 
 
 def total_energy(rec: DiagnosticsRecord) -> float:
@@ -173,12 +226,14 @@ def energy_audit(
 
 
 def write_records(path, records) -> None:
+    """The version line, then the header and one row of float reprs per record.
+
+    The bytes are those ``csv.writer`` wrote for v1: the header and rows end
+    in CRLF, and no repr of a float needs quoting.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write(f"# {CSV_VERSION}\n")
-        w = csv.writer(fh)
-        w.writerow(_COLUMNS)
-        for r in records:
-            w.writerow(r.row())
+        fh.write(f"# {CSV_VERSION}\n" + ",".join(_COLUMNS) + "\r\n")
+        fh.writelines(",".join(r.row()) + "\r\n" for r in records)
 
 
 def time_average(records, field: str, t_start: float = 0.0) -> float:

@@ -119,7 +119,17 @@ def streamfunction_operator(grid: ChannelGrid) -> np.ndarray:
 
 
 def biot_savart(grid: ChannelGrid, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) coefficients, (ny, J) each, induced by vorticity modes 1..J."""
-    psi = apply_modes(streamfunction_operator(grid), omega)
-    D, _ = cheb_diff_matrices(grid.ny)
-    return -real_matmul(D, psi), psi * (1j * grid.kx[1 : grid.dealias_kx + 1])
+    """(u, v) coefficients induced by vorticity modes 1..J, shaped as omega.
+
+    omega is one state's (ny, J) modes or n states' side by side, (ny, n J);
+    every state rides in one matmul with the streamfunction stack, the n
+    states as n more right-hand side columns of each mode's matrix (for
+    n = 1 the layout of ``apply_modes``).
+    """
+    ny, J = grid.ny, grid.dealias_kx
+    n = omega.shape[1] // J
+    rhs = np.ascontiguousarray(omega.reshape(ny, n, J).transpose(2, 0, 1), dtype=complex)
+    psi = streamfunction_operator(grid) @ rhs.view(np.float64)  # (J, ny, 2 n)
+    psi = psi.view(np.complex128).transpose(1, 2, 0).reshape(ny, n * J)
+    D, _ = cheb_diff_matrices(ny)
+    return -real_matmul(D, psi), psi * np.tile(1j * grid.kx[1 : J + 1], n)

@@ -23,11 +23,12 @@ import numpy as np
 from .checkpoint import read_checkpoint, run_record, write_atomic, write_checkpoint
 from .config import FORCED_PHASE_SPAN, INVISCID_SAMPLE_SPACING, ConfigError, ExperimentPlan
 from .diagnostics import (
-    compute_record,
+    compute_records,
     energy_audit,
     euler_error,
     fit_scaling,
     momentum_audit,
+    record_block,
     time_average,
     total_energy,
     write_records,
@@ -191,21 +192,33 @@ def _bulk_drive(plan: ExperimentPlan) -> float:
 def _trajectory(solver, state, every, take, on_step=None):
     """Run solver from state to its t_end; return the final state and samples.
 
-    ``take`` maps to a sample the start state, every state whose step_index is
-    a multiple of ``every`` and the final state if no sample landed on it.
-    ``on_step``, if given, sees every stepped state.
+    The samples are those of the start state, of every state whose
+    step_index is a multiple of ``every`` and of the final state if no sample
+    landed on it, in that order.  Sampled states wait in a block of
+    ``record_block(grid)`` states; ``take`` maps each full block, and the
+    last one at the end, to its samples, one per state.  ``on_step``, if
+    given, sees every stepped state as it is stepped.
     """
-    samples = [take(state)]
+    block = record_block(solver.grid)
+    samples, pending = [], [state]
+
+    def flush():
+        samples.extend(take(pending))
+        pending.clear()
 
     def cb(s):
         if s.step_index % every == 0:
-            samples.append(take(s))
+            pending.append(s)
+            if len(pending) == block:
+                flush()
         if on_step is not None:
             on_step(s)
 
     final = solver.run(state, callback=cb)
     if final is not state and final.step_index % every != 0:
-        samples.append(take(final))
+        pending.append(final)
+    if pending:
+        flush()
     return final, samples
 
 
@@ -220,8 +233,8 @@ def _higher_cfl(*peaks: dict) -> dict:
 
 
 def _recorder(solver):
-    """Sample a state as its diagnostics record under the solver's physics."""
-    return lambda s: compute_record(s, solver.params, solver.config.forcing_amplitude)
+    """Sample a block of states as their diagnostics records under the solver's physics."""
+    return lambda states: compute_records(states, solver.params, solver.config.forcing_amplitude)
 
 
 def _sweep_points(summary: RunSummary, key: str, values, run_point) -> list:
@@ -773,7 +786,7 @@ def _drive_inviscid_limit(plan: ExperimentPlan, outdir: Path, summary: RunSummar
     def states_of(params, mode):
         solver = ChannelFlowSolver(grid, params, replace(plan.solver, mode=mode))
         state = couette_perturbed_state(grid, params)
-        final, states = _trajectory(solver, state, every, lambda s: s)
+        final, states = _trajectory(solver, state, every, list)
         summary.total_steps += final.step_index
         return states, _cfl_peak(solver, mode)
 

@@ -158,10 +158,26 @@ def total_velocity(
 
     The fluctuation's velocity from ``biot_savart``, with the mean profile's
     Chebyshev coefficients in u's k = 0 column and 0 in v's; the matrices of
-    ``grid.fourier_matrices`` take such columns to node values in x.
+    ``grid.fourier_matrices`` take such columns to node values in x.  Of n
+    states side by side, omega (ny, n J) and mean_coeffs (ny, n), each is
+    (ny, n (J+1)), one block of modes 0..J per state.
     """
     u, v = biot_savart(grid, omega)
-    return np.column_stack([mean_coeffs, u]), np.column_stack([np.zeros(grid.ny), v])
+    mean = np.reshape(mean_coeffs, (grid.ny, -1))
+    return modes_from_zero(mean, u), modes_from_zero(np.zeros(mean.shape), v)
+
+
+def modes_from_zero(col0: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """Each state's k = 0 column, col0 (ny, n), put before its modes 1..J.
+
+    modes holds n states' modes 1..J side by side, (ny, n J); the result
+    holds their modes 0..J, (ny, n (J+1)).
+    """
+    ny, n = col0.shape
+    out = np.empty((ny, n, modes.shape[1] // n + 1), dtype=complex)
+    out[:, :, 0] = col0
+    out[:, :, 1:] = modes.reshape(ny, n, -1)
+    return out.reshape(ny, -1)
 
 
 def wall_slip(u_wall: np.ndarray) -> np.ndarray:
@@ -236,6 +252,12 @@ class ChannelFlowSolver:
 
     ``cfl_peak`` is the largest directional CFL number the solver has checked
     and the t of the step start where it occurred; (0.0, None) before a step.
+
+    A Navier-Stokes step ends with the wall slip of its new state, which is
+    the next step's starting slip.  The solver keeps it with the state it
+    returned and reuses it when that same object is stepped next (states are
+    not changed in place); any other state (a restart, a caller's state) has
+    its slip recomputed.
     """
 
     def __init__(self, grid: ChannelGrid, params: SimParams, config: SolverConfig):
@@ -271,6 +293,7 @@ class ChannelFlowSolver:
         self._dt_dx = dt / grid.dx
         self._dt_dy = (dt / grid.dy_local)[:, None]
         self.cfl_peak = (0.0, None)
+        self._end_slip = (None, None)  # (state returned by step, its wall slip)
 
         if config.mode == "navier_stokes":
             self._stage_p = self._stage_operators(Re / dt)
@@ -400,6 +423,8 @@ class ChannelFlowSolver:
         for name in ("omega", "mean", "g"):
             if not np.isfinite(getattr(new, name)).all():
                 raise SolverDivergedError(new.step_index, new.t, name)
+        # the end slip _step_ns left is the new state's (None in euler mode)
+        self._end_slip = (new, self._end_slip[1])
         return new
 
     def _step_ns(self, state: FlowState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -410,7 +435,9 @@ class ChannelFlowSolver:
 
         # wall data that depends only on the step start, (top, bottom) on modes
         # 0..J; each stage reads it from the two tau rows of its right-hand side
-        slip_n = self._wall_slip(x)
+        last, slip_n = self._end_slip
+        if last is not state:
+            slip_n = self._wall_slip(x)
         q = self.wall.drive(state.g, slip_n)
 
         rhs = Re / dt * x + Re * (N_n + F)
@@ -426,7 +453,9 @@ class ChannelFlowSolver:
         x_new = apply_modes(self._stage_c, rhs)
 
         # final slip traces close the boundary-stress update
-        g = step_boundary_ode(state.g, slip_n, self.wall, u_tau_end=self._wall_slip(x_new))
+        slip_new = self._wall_slip(x_new)
+        self._end_slip = (None, slip_new)  # step keys it to the state it returns
+        g = step_boundary_ode(state.g, slip_n, self.wall, u_tau_end=slip_new)
         return x_new, g
 
     def _step_euler(self, state: FlowState, x: np.ndarray) -> np.ndarray:

@@ -42,6 +42,17 @@ def test_next_traced_layer_resolves():
     assert callable(ChannelFlowSolver.__dict__.get("_nonlinear"))
 
 
+def test_next_traced_records_layer_resolves():
+    # the drivers take their records in blocks through compute_records, so
+    # the traced diagnostics.compute_record layer sees only single-state
+    # calls; the next benchmark change traces compute_records in its place,
+    # patched through the drivers' module-level binding of it
+    diagnostics = importlib.import_module("nspb.diagnostics")
+    experiments = importlib.import_module("nspb.experiments")
+    assert callable(getattr(diagnostics, "compute_records", None))
+    assert experiments.compute_records is diagnostics.compute_records
+
+
 def test_next_traced_micro_step_resolves():
     # micro_verify walks its Hookean ensembles with the exact-in-law walk, so
     # the next benchmark change traces it in place of sde_step and counts

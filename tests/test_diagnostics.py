@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,14 @@ from nspb.diagnostics import (
     CSV_VERSION,
     DiagnosticsRecord,
     _COLUMNS,
+    _RECORD_BLOCK_BYTES,
+    _RECORD_TEMP_BYTES,
     budget_rhs,
     compute_record,
+    compute_records,
     euler_error,
     fit_scaling,
+    record_block,
     time_average,
     total_energy,
     write_records,
@@ -115,6 +120,36 @@ def test_records_csv_round_trip_bitwise(tmp_path):
     assert back == recs
     write_records(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def csv_writer_records(path, records) -> None:
+    """write_records as v1 wrote it: the version line, then csv.writer rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {CSV_VERSION}\n")
+        w = csv.writer(fh)
+        w.writerow(_COLUMNS)
+        for r in records:
+            w.writerow([repr(float(getattr(r, c))) for c in _COLUMNS])
+
+
+def test_write_records_keeps_the_csv_writer_bytes(tmp_path):
+    # LF after the version line, CRLF after the header and every row, and
+    # the repr of every value, including the ones with a sign, an exponent
+    # or no digits at all
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308,
+           0.30000000000000004, 1.0 / 3.0, -1.2345678901234567e-17, 1e22, 123456789.12345678]
+    recs = [
+        make_record(0.1 * i, **{c: odd[(i + j) % len(odd)] for j, c in enumerate(_COLUMNS[1:])})
+        for i in range(len(odd))
+    ]
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    write_records(ours, recs)
+    csv_writer_records(theirs, recs)
+    assert ours.read_bytes() == theirs.read_bytes()
+    assert ours.read_bytes().count(b"\r\n") == len(recs) + 1
+    write_records(ours, [])
+    csv_writer_records(theirs, [])
+    assert ours.read_bytes() == theirs.read_bytes()
 
 
 def test_records_csv_header_versioned(tmp_path):
@@ -273,17 +308,85 @@ def reference_record(state, params, mean_force):
 
 
 @settings(max_examples=20, deadline=None)
-@given(grid=grids, params=sim_params, seed=seeds, mean_force=st.floats(-1.0, 1.0))
-def test_compute_record_matches_reference(grid, params, seed, mean_force):
-    state = random_solver_state(grid, np.random.default_rng(seed))
-    rec = compute_record(state, params, mean_force)
-    ref = reference_record(state, params, mean_force)
-    assert math.isnan(rec.budget_residual)
-    for col in _COLUMNS:
-        if col == "budget_residual":
-            continue
-        got, want = getattr(rec, col), getattr(ref, col)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), col
+@given(
+    grid=grids, params=sim_params, seed=seeds, mean_force=st.floats(-1.0, 1.0),
+    n=st.integers(2, 5),
+)
+def test_compute_record_matches_reference(grid, params, seed, mean_force, n):
+    # one state alone, and each of n states in one compute_records block
+    rng = np.random.default_rng(seed)
+    states = [replace(random_solver_state(grid, rng), t=0.25 * i) for i in range(n)]
+    single = compute_record(states[0], params, mean_force)
+    block = compute_records(states, params, mean_force)
+    assert len(block) == n
+    for rec, state in [(single, states[0])] + list(zip(block, states)):
+        ref = reference_record(state, params, mean_force)
+        assert math.isnan(rec.budget_residual)
+        for col in _COLUMNS:
+            if col == "budget_residual":
+                continue
+            got, want = getattr(rec, col), getattr(ref, col)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), col
+
+
+@pytest.mark.parametrize("nx", [16, 32, 64])
+def test_compute_records_equal_per_state_calls(nx):
+    # a block's matmuls and reductions run over more columns than one
+    # state's, so BLAS may sum in another order: each record is its state's
+    # own to 1e-14 relative (measured up to 3.2e-15), t exactly
+    grid = ChannelGrid(nx=nx, ny=nx + 1, lx=3.0)
+    params = SimParams(Re=80.0, Wi=0.7, tau=3.0, alpha=2.0, kappa=0.3)
+    rng = np.random.default_rng(nx)
+    states = [replace(random_solver_state(grid, rng), t=0.1 * i) for i in range(9)]
+    block = compute_records(states, params, 0.4)
+    assert [r.t for r in block] == [s.t for s in states]
+    for rec, state in zip(block, states):
+        alone = compute_record(state, params, 0.4)
+        for col in _COLUMNS:
+            got, want = getattr(rec, col), getattr(alone, col)
+            if col == "budget_residual":
+                assert math.isnan(got) and math.isnan(want)
+                continue
+            assert abs(got - want) <= 1e-14 * abs(want), col
+
+
+def test_compute_records_of_no_state_and_of_mixed_grids():
+    params = SimParams(Re=100.0, Wi=1.0, tau=1.0, alpha=1.0)
+    assert compute_records([], params) == []
+    a = initial_state(ChannelGrid(nx=16, ny=17), params)
+    b = initial_state(ChannelGrid(nx=16, ny=25), params)
+    with pytest.raises(ValueError, match="grid mismatch at index 2"):
+        compute_records([a, a, b], params)
+
+
+def test_record_block_keeps_the_temporaries_within_the_byte_budget():
+    # 16 states at 32x33 and 4 at 64x65, never fewer than one
+    assert record_block(ChannelGrid(nx=32, ny=33)) == 16
+    assert record_block(ChannelGrid(nx=64, ny=65)) == 4
+    assert record_block(ChannelGrid(nx=512, ny=513)) == 1
+    for nx in (16, 32, 48, 64, 96, 128):
+        grid = ChannelGrid(nx=nx, ny=nx + 1)
+        n = record_block(grid)
+        per_state = _RECORD_TEMP_BYTES * grid.ny * (grid.dealias_kx + 1)
+        assert n == 1 or n * per_state <= _RECORD_BLOCK_BYTES < (n + 1) * per_state
+
+
+def test_a_full_record_block_stays_within_the_byte_budget():
+    # what compute_records allocates for a full block, records included, at
+    # the shipped 32x33 and 64x65 grids (tracemalloc counts numpy's buffers)
+    params = SimParams(Re=100.0, Wi=1.0, tau=1.0, alpha=1.0)
+    for nx in (32, 64):
+        grid = ChannelGrid(nx=nx, ny=nx + 1)
+        rng = np.random.default_rng(nx)
+        states = [random_solver_state(grid, rng) for _ in range(record_block(grid))]
+        compute_records(states, params)  # builds the cached operators
+        tracemalloc.start()
+        try:
+            compute_records(states, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _RECORD_BLOCK_BYTES, nx
 
 
 # ---- closed-form record ----

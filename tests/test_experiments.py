@@ -11,10 +11,15 @@ import numpy as np
 import pytest
 
 from nspb import experiments
+from nspb.checkpoint import read_checkpoint, write_checkpoint
 from nspb.config import parse_config
-from nspb.diagnostics import momentum_audit
-from nspb.experiments import execute
+from nspb.diagnostics import _COLUMNS, compute_record, momentum_audit
+from nspb.experiments import _recorder, _trajectory, execute, shear_decay_state
+from nspb.flow import ChannelFlowSolver, SolverConfig
+from nspb.grid import ChannelGrid
+from nspb.params import SimParams
 from test_diagnostics import read_records
+from test_flow import node_values
 
 TINY_SWEEP = (
     "kind = sweep_re\n"
@@ -443,3 +448,102 @@ def test_restart_at_final_time_is_a_no_op(tmp_path):
     )
     assert summary.total_steps == 0
     assert summary.exit_code == 0
+
+
+def test_restart_from_a_perturbed_checkpoint_matches_the_uninterrupted_run(tmp_path):
+    # the checkpoint holds nonzero omega, mean and g, so a reader that
+    # dropped any of them would take the restarted run off the uninterrupted one
+    text = (
+        "re = 50\nwi = 1\ntau = 20\nalpha = 1\nnx = 16\nny = 17\n"
+        "dt = 2e-3\nt_end = 0.04\nforcing_amplitude = 0.02\n"
+    )
+    plan = parse_config(text).with_output(tmp_path / "resumed")
+    grid = plan.grid()
+    solver = ChannelFlowSolver(grid, plan.sim, plan.solver)
+    start = shear_decay_state(grid, plan.sim)
+    mid = solver.run(start, t_end=0.02)
+    for field in (mid.omega, mid.mean, mid.g[:, 0], mid.g[:, 1:]):
+        assert np.abs(field).max() > 1e-6
+    ckpt = tmp_path / "mid.ckpt"
+    write_checkpoint(ckpt, mid, plan.sim, plan.solver)
+
+    summary = execute(plan, checkpoint=ckpt)
+    assert summary.exit_code == 0 and summary.total_steps == 10
+    full = solver.run(start)
+    rerun = read_checkpoint(tmp_path / "resumed" / "checkpoints" / "final.ckpt").state
+    assert rerun.t == pytest.approx(full.t, abs=1e-15)
+    (om_a, mean_a), (om_b, mean_b) = node_values(full), node_values(rerun)
+    assert np.max(np.abs(om_a - om_b)) < 1e-12
+    assert np.max(np.abs(mean_a - mean_b)) < 1e-12
+    assert np.max(np.abs(full.g[0] - rerun.g[0])) < 1e-12
+    assert np.max(np.abs(full.g[1] - rerun.g[1])) < 1e-12
+
+
+# ---- sampled trajectories in blocks ----
+
+
+def _expected_steps(n_steps, every):
+    """The step indices _trajectory samples: the start, multiples of every, the end."""
+    want = [k for k in range(n_steps + 1) if k % every == 0]
+    return want if want[-1] == n_steps else want + [n_steps]
+
+
+@pytest.mark.parametrize("with_on_step", [False, True])
+@pytest.mark.parametrize(
+    "n_steps, every",
+    [
+        (2, 1),  # 3 samples: shorter than a block of 4
+        (7, 1),  # 8 samples: ends on a block boundary
+        (9, 2),  # 6 samples: ends mid-block, the final state off the multiples
+        (12, 3),  # 5 samples: one full block and one more
+        (0, 1),  # no step: the start state alone
+    ],
+)
+def test_trajectory_samples_in_blocks_in_order(monkeypatch, n_steps, every, with_on_step):
+    monkeypatch.setattr(experiments, "record_block", lambda grid: 4)
+    grid = ChannelGrid(nx=16, ny=17)
+    params = SimParams(Re=50.0, Wi=1.0, tau=20.0, alpha=1.0)
+    solver = ChannelFlowSolver(grid, params, SolverConfig(dt=2e-3, t_end=2e-3 * n_steps))
+    start = shear_decay_state(grid, params)
+    stepped, blocks = [], []
+
+    def take(states):
+        blocks.append(len(states))
+        return [(s, i) for i, s in enumerate(states)]
+
+    final, samples = _trajectory(
+        solver, start, every, take, stepped.append if with_on_step else None
+    )
+    assert [s.step_index for s, _ in samples] == _expected_steps(n_steps, every)
+    assert samples[0][0] is start and samples[-1][0] is final
+    if with_on_step:
+        assert [s.step_index for s in stepped] == list(range(1, n_steps + 1))
+        by_step = {s.step_index: s for s in stepped}
+        assert all(s is by_step[s.step_index] for s, _ in samples[1:])
+    # full blocks of 4 and then what is left, each state sampled once
+    assert blocks == [4] * (len(samples) // 4) + ([len(samples) % 4] if len(samples) % 4 else [])
+    assert [i for _, i in samples] == [k % 4 for k in range(len(samples))]
+
+
+def test_trajectory_records_equal_per_state_records():
+    # the driver's recorder maps each block to the records of its states,
+    # each within 1e-14 of the state's own compute_record, relative to values
+    # above 1 (forcing_power and momentum_x start at the roundoff of an
+    # integral of u that cancels to 0)
+    grid = ChannelGrid(nx=32, ny=33)
+    params = SimParams(Re=50.0, Wi=1.0, tau=20.0, alpha=1.0)
+    cfg = SolverConfig(dt=2e-3, t_end=0.07, forcing_amplitude=0.01)
+    solver = ChannelFlowSolver(grid, params, cfg)
+    start = shear_decay_state(grid, params)
+    final, states = _trajectory(solver, start, 2, list)
+    _, recs = _trajectory(solver, start, 2, _recorder(solver))
+    assert len(states) == len(recs) == 19 > experiments.record_block(grid)
+    alone = [compute_record(state, params, 0.01) for state in states]
+    assert [r.t for r in recs] == [r.t for r in alone]
+    for col in _COLUMNS[1:]:
+        got = np.array([getattr(r, col) for r in recs])
+        want = np.array([getattr(r, col) for r in alone])
+        if col == "budget_residual":
+            assert np.isnan(got).all() and np.isnan(want).all()
+            continue
+        assert (np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))).all(), col

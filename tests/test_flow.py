@@ -901,3 +901,36 @@ def test_step_names_each_non_finite_field(grid, params, monkeypatch, field):
     monkeypatch.setattr(sol, "_step_ns", poisoned)
     with pytest.raises(SolverDivergedError, match=f"non-finite {field} at step 1 "):
         sol.step(initial_state(grid, params))
+
+
+def test_step_carries_its_end_slip_to_the_next_step(grid, params, monkeypatch):
+    # a step ends with its new state's wall slip, which starts the next step
+    # of that same state; any other state (here a copy of it) has the slip
+    # recomputed.  Both runs give the same bytes over 50 steps
+    u, v = perturbed_shear(grid)
+    start = initial_state(grid, params, u=u, v=v)
+    cfg = SolverConfig(dt=1e-3, t_end=0.05, forcing_amplitude=0.01)
+    carried = ChannelFlowSolver(grid, params, cfg)
+    fresh = ChannelFlowSolver(grid, params, cfg)
+    calls = {"carried": 0, "fresh": 0}
+    for name, sol in (("carried", carried), ("fresh", fresh)):
+
+        def counted(x, name=name, slip=sol._wall_slip):
+            calls[name] += 1
+            return slip(x)
+
+        monkeypatch.setattr(sol, "_wall_slip", counted)
+    a = b = start
+    for _ in range(50):
+        a = carried.step(a)
+        b = fresh.step(replace(b))
+    assert calls == {"carried": 51, "fresh": 100}
+    assert (a.t, a.step_index) == (b.t, b.step_index)
+    for name in ("omega", "mean", "g"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert not np.array_equal(a.g, start.g) and np.abs(a.omega).max() > 0.0
+    # a state the solver did not just return steps as on a new solver
+    other = initial_state(grid, params, u=2.0 * u, v=v)
+    one, new = carried.step(other), ChannelFlowSolver(grid, params, cfg).step(other)
+    for name in ("omega", "mean", "g"):
+        assert getattr(one, name).tobytes() == getattr(new, name).tobytes(), name
