@@ -13,6 +13,7 @@ import nspb
 from nspb.checkpoint import run_record
 from nspb.cli import main
 from nspb.config import _SCHEMA, KIND_KEYS, KINDS, ConfigError, load_config, parse_config
+from nspb.flow import forcing_name
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -213,10 +214,13 @@ def test_every_shipped_config_loads():
 
 
 def test_forcing_follows_the_amplitude():
+    # the forcing is forcing_name of the amplitude, so the run record, which
+    # a restart checks, stores the amplitude alone
     for amplitude, forcing in ((0.004, "steady_pressure_gradient"), (0.0, "zero")):
         plan = parse_config(f"forcing_amplitude = {amplitude}\n")
         run = run_record(plan.grid(), plan.sim, plan.solver)
-        assert (run["forcing"], run["forcing_amplitude"]) == (forcing, amplitude)
+        assert forcing_name(plan.solver.forcing_amplitude) == forcing
+        assert "forcing" not in run and run["forcing_amplitude"] == amplitude
 
 
 def test_force_kind_inherits_and_conflicts():
@@ -334,16 +338,11 @@ def test_cli_restart_matches_uninterrupted(tmp_path):
     assert main(["restart", str(ckpt), "--config", cfg, "--out", str(resumed)]) == 0
 
     from nspb.checkpoint import read_checkpoint
-    from test_flow import node_values
+    from test_flow import assert_same_state
 
     a = read_checkpoint(full / "checkpoints" / "final.ckpt").state
     b = read_checkpoint(resumed / "checkpoints" / "final.ckpt").state
-    assert a.t == pytest.approx(b.t, abs=1e-15)
-    (om_a, mean_a), (om_b, mean_b) = node_values(a), node_values(b)
-    assert np.max(np.abs(om_a - om_b)) < 1e-12
-    assert np.max(np.abs(mean_a - mean_b)) < 1e-12
-    assert np.max(np.abs(a.g[0] - b.g[0])) < 1e-12
-    assert np.max(np.abs(a.g[1] - b.g[1])) < 1e-12
+    assert_same_state(a, b)
 
 
 @pytest.mark.parametrize(
@@ -359,7 +358,7 @@ def test_cli_restart_matches_uninterrupted(tmp_path):
         ("ny", TINY.replace("ny = 17\n", "ny = 25\n")),
         ("dt", TINY.replace("dt = 2e-3\n", "dt = 1e-3\n")),
         # a nonzero amplitude makes the run forced, which the unforced checkpoint was not
-        ("forcing", TINY + "forcing_amplitude = 0.004\n"),
+        ("forcing_amplitude", TINY + "forcing_amplitude = 0.004\n"),
     ],
 )
 def test_cli_restart_under_other_physics_exits_2(tmp_path, capsys, key, text):
@@ -379,11 +378,12 @@ def test_cli_restart_from_version_1_exits_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(full)]) == 0
     raw = (full / "checkpoints" / "step00000005.ckpt").read_bytes()
     # v1 kept the first 32 header bytes (version aside), had no physics or
-    # CRC32 and appended two slip accumulators: a run no restart can check
+    # CRC32, stored node values and appended two slip accumulators: a run no
+    # restart can check
     nx, ny = struct.unpack_from("<II", raw, 8)
-    body = 156
-    v1 = raw[:4] + struct.pack("<I", 1) + raw[8:32] + raw[body:] + bytes(16 * nx)
-    assert len(raw) == body + 8 * (ny * nx + ny + 2 * nx)
+    body, J = 124, nx // 3
+    assert len(raw) == body + 16 * ny * J + 8 * ny + 32 * (J + 1)
+    v1 = raw[:4] + struct.pack("<I", 1) + raw[8:32] + bytes(8 * (ny * nx + ny + 4 * nx))
     ckpt = tmp_path / "v1.ckpt"
     ckpt.write_bytes(v1)
     resumed = tmp_path / "resumed"

@@ -79,6 +79,13 @@ def node_values(state):
     return grid.spec_to_phys(all_modes(grid, state.omega)), cheb_inverse(state.mean)
 
 
+def assert_same_state(a, b):
+    """a and b are the same state bit for bit: the restart contract."""
+    assert (a.t, a.step_index) == (b.t, b.step_index)
+    for name in ("omega", "mean", "g"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def g_nodes(state):
     """A state's wall stress at the x-nodes, (2, nx): its modes 0..J through S."""
     grid = state.grid
@@ -555,21 +562,15 @@ def test_checkpoint_restart_matches_uninterrupted(grid, params, tmp_path):
         "nx": grid.nx, "ny": grid.ny, "dt": 1e-3,
         "lx": grid.lx, "re": params.Re, "wi": params.Wi, "tau": params.tau,
         "alpha": params.alpha, "kappa": params.kappa, "mode": "navier_stokes",
-        "forcing": "zero", "forcing_amplitude": 0.0,
+        "forcing_amplitude": 0.0,
     }
     sol2 = ChannelFlowSolver(restored.grid, params, SolverConfig(dt=run["dt"], t_end=0.04))
-    s40b = sol2.run(restored, t_end=0.04)
-
-    (om_a, mean_a), (om_b, mean_b) = node_values(s40), node_values(s40b)
-    assert np.max(np.abs(om_a - om_b)) < 1e-12
-    assert np.max(np.abs(mean_a - mean_b)) < 1e-12
-    assert np.max(np.abs(s40.g[0] - s40b.g[0])) < 1e-12
-    assert np.max(np.abs(s40.g[1] - s40b.g[1])) < 1e-12
+    assert_same_state(s40, sol2.run(restored, t_end=0.04))
 
 
 def test_read_checkpoint_restores_the_state_invariant(params, tmp_path):
-    # the file holds node values of every mode; reading keeps modes 1..J,
-    # the ones a state stores, and drops the roundoff at k = 0 and above J
+    # the file holds the state's own modal arrays, so reading them back
+    # changes no bit, and the arrays are the reader's own, not file bytes
     grid = ChannelGrid(nx=64, ny=65)
     u, v = perturbed_shear(grid)
     cfg = SolverConfig(dt=2e-4, t_end=4e-4)
@@ -577,22 +578,42 @@ def test_read_checkpoint_restores_the_state_invariant(params, tmp_path):
     write_checkpoint(tmp_path / "s.ckpt", st, params, cfg)
     restored = read_checkpoint(tmp_path / "s.ckpt").state
     assert restored.omega.shape == st.omega.shape == (grid.ny, grid.dealias_kx)
-    assert _rel(restored.omega, st.omega) <= 1e-13
-    assert _rel(restored.mean, st.mean) <= 1e-13
     assert restored.g.shape == st.g.shape == (2, grid.dealias_kx + 1)
-    assert _rel(restored.g, st.g) <= 1e-13
+    assert_same_state(restored, st)
+    for arr in (restored.omega, restored.mean, restored.g):
+        assert arr.flags.owndata and arr.flags.writeable
 
 
-def crafted_checkpoint(
-    path, nx=16, ny=17, t=0.0, dt=1e-3, mode=b"navier_stokes", forcing=b"zero"
-):
-    """A version 2 file with a zero payload and a recomputed CRC32, so that
+def test_checkpoint_payload_follows_the_documented_layout(params, tmp_path):
+    # the README's version 3 layout: a 120-byte header, its CRC32, then
+    # omega (ny, J) <c16, the mean (ny,) <f8 and g (2, J+1) <c16 from byte 124
+    grid = ChannelGrid(nx=16, ny=17)
+    u, v = perturbed_shear(grid)
+    cfg = SolverConfig(dt=1e-3, t_end=2e-3)
+    st = ChannelFlowSolver(grid, params, cfg).run(initial_state(grid, params, u=u, v=v))
+    write_checkpoint(tmp_path / "s.ckpt", st, params, cfg)
+    raw = (tmp_path / "s.ckpt").read_bytes()
+    ny, J = grid.ny, grid.dealias_kx
+    assert struct.unpack_from("<4sIIIdd", raw) == (b"NSPB", 3, grid.nx, ny, st.t, cfg.dt)
+    assert struct.unpack_from("<I", raw, 120)[0] == zlib.crc32(raw[:120] + raw[124:])
+    omega = np.frombuffer(raw, "<c16", ny * J, 124).reshape(ny, J)
+    mean = np.frombuffer(raw, "<f8", ny, 124 + 16 * ny * J)
+    g = np.frombuffer(raw, "<c16", 2 * (J + 1), 124 + 16 * ny * J + 8 * ny).reshape(2, J + 1)
+    assert len(raw) == 124 + 16 * ny * J + 8 * ny + 32 * (J + 1)
+    assert np.array_equal(omega, st.omega)
+    assert np.array_equal(mean, st.mean)
+    assert np.array_equal(g, st.g)
+
+
+def crafted_checkpoint(path, nx=16, ny=17, t=0.0, dt=1e-3, mode=b"navier_stokes"):
+    """A version 3 file with a zero payload and a recomputed CRC32, so that
     crafted header values reach the header checks."""
     header = struct.pack(
-        "<4sIIIdd6d32s32sd", b"NSPB", 2, nx, ny, t, dt,
-        2.0 * np.pi, 50.0, 1.0, 20.0, 1.0, 0.0, mode, forcing, 0.0,
+        "<4sIIIdd6d32sd", b"NSPB", 3, nx, ny, t, dt,
+        2.0 * np.pi, 50.0, 1.0, 20.0, 1.0, 0.0, mode, 0.0,
     )
-    payload = np.zeros(ny * nx + ny + 2 * nx, dtype="<f8").tobytes()
+    J = nx // 3
+    payload = bytes(16 * ny * J + 8 * ny + 32 * (J + 1))
     crc = struct.pack("<I", zlib.crc32(payload, zlib.crc32(header)))
     path.write_bytes(header + crc + payload)
     return path
@@ -609,15 +630,13 @@ def test_read_checkpoint_rejects_t_off_the_step_grid(tmp_path):
     assert read_checkpoint(crafted_checkpoint(path, t=0.3 * (1 + 1e-12))).state.step_index == 300
 
 
-@pytest.mark.parametrize("field", ["mode", "forcing"])
-def test_read_checkpoint_rejects_a_non_ascii_header_field(tmp_path, field):
+def test_read_checkpoint_rejects_a_non_ascii_mode(tmp_path):
     # a CRC-valid file whose text field is not ASCII is a corrupt file, named
     # at load, not a decode error mid-restart
     path = tmp_path / "text.ckpt"
-    text = {"mode": b"navier_\xffstokes", "forcing": b"z\xe9ro"}[field]
     with pytest.raises(CheckpointError) as err:
-        read_checkpoint(crafted_checkpoint(path, **{field: text}))
-    assert str(err.value) == f"{path}: mode or forcing is not ASCII text"
+        read_checkpoint(crafted_checkpoint(path, mode=b"navier_\xffstokes"))
+    assert str(err.value) == f"{path}: mode is not ASCII text"
 
 
 def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
@@ -636,6 +655,11 @@ def test_checkpoint_rejects_corrupt_files(grid, params, tmp_path):
     v1.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
     with pytest.raises(CheckpointError, match="unsupported version 1"):
         read_checkpoint(v1)
+    # version 2 stored node values, which no restart reads back bit for bit
+    v2 = tmp_path / "v2.ckpt"
+    v2.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+    with pytest.raises(CheckpointError, match="unsupported version 2"):
+        read_checkpoint(v2)
 
     truncated = tmp_path / "short.ckpt"
     truncated.write_bytes(raw[: len(raw) // 2])
