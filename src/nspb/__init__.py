@@ -5,22 +5,8 @@ a periodic channel whose wall vorticity obeys a relaxation law driven by the
 slip velocity.  The micro side is a reflected-dumbbell ensemble (SDE and
 Fokker-Planck) whose Kramers stress moments connect to the same wall law.
 
-The package root exports only the config-to-execute entry points; import
-everything else from its submodule (``nspb.grid``, ``nspb.flow``,
-``nspb.diagnostics``, ``nspb.micro``, ...).
+The package root imports nothing, so ``import nspb.cli`` loads only the
+standard library and ``--threads`` can cap the BLAS pools before numpy
+loads.  Import each name from the submodule that defines it
+(``nspb.config``, ``nspb.experiments``, ``nspb.flow``, ``nspb.micro``, ...).
 """
-
-from .config import ConfigError, ExperimentPlan, load_config, parse_config
-from .experiments import RunSummary, execute
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "load_config",
-    "parse_config",
-    "ExperimentPlan",
-    "ConfigError",
-    "execute",
-    "RunSummary",
-    "__version__",
-]

@@ -1,8 +1,9 @@
 """Command-line front door for the channel and polymer experiment drivers.
 
-Only the standard library is imported at module level so that ``--threads``
-can cap the BLAS/OpenMP pools through the environment before numpy first
-loads; everything heavy is imported inside main().
+Only the standard library is imported at module level, and the package root
+imports nothing, so ``import nspb.cli`` loads no numpy and ``--threads`` caps
+the BLAS/OpenMP pools through the environment before numpy first loads;
+everything heavy is imported inside main().
 
 Exit codes: 0 all checks passed, 1 a physics acceptance check failed,
 2 configuration error or a restart checkpoint the reader rejects,

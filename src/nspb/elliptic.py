@@ -61,7 +61,7 @@ def apply_modes(ops: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 class TauSolver:
-    """LU-factorized (lam + k^2 - d^2/dy^2) systems, one per rfft mode.
+    """(lam + k^2 - d^2/dy^2) tau systems, one per rfft mode.
 
     The last two coefficient equations are replaced by boundary rows
     a*u + b*u' = c at the top and bottom wall.
@@ -74,7 +74,6 @@ class TauSolver:
         bc_top: tuple[float, float],
         bc_bottom: tuple[float, float],
     ):
-        import scipy.linalg  # only the tests' per-mode reference needs scipy
         if bc_top == (0.0, 0.0) or bc_bottom == (0.0, 0.0):
             raise SolverError("boundary rows need (a, b) != (0, 0)")
         self.grid = grid
@@ -83,22 +82,17 @@ class TauSolver:
         self.bc_bottom = bc_bottom
         ny = grid.ny
         rows = np.stack([_bc_row(ny, "top", *bc_top), _bc_row(ny, "bottom", *bc_bottom)])
-        A = tau_matrices(ny, self.lam + grid.kx**2, rows)
-        self._lu = []
-        for k, A_k in zip(grid.kx, A):
-            try:
-                self._lu.append(scipy.linalg.lu_factor(A_k))
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SolverError(f"singular tau system at k={k}") from exc
+        self._A = tau_matrices(ny, self.lam + grid.kx**2, rows)
 
     def solve_mode(self, j: int, rhs_coeffs: np.ndarray, c_top=0.0, c_bottom=0.0) -> np.ndarray:
-        import scipy.linalg
         b = np.array(rhs_coeffs, dtype=complex)
         b[-2] = c_top
         b[-1] = c_bottom
-        lu = self._lu[j]
-        x = scipy.linalg.lu_solve(lu, b.real) + 1j * scipy.linalg.lu_solve(lu, b.imag)
-        return x
+        try:
+            x = np.linalg.solve(self._A[j], np.column_stack([b.real, b.imag]))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular tau system at k={self.grid.kx[j]}") from exc
+        return x[:, 0] + 1j * x[:, 1]
 
 
 @lru_cache(maxsize=8)

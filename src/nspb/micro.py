@@ -106,7 +106,8 @@ _WALK_BLOCK = 16384  # rows per block of hookean_exact_walk: the block's buffers
 
 
 def _philox(seed: int, label: int) -> np.random.Generator:
-    key = [np.uint64(seed), np.uint64(label) * np.uint64(_STREAMS_PER_LABEL)]
+    # modulo 2^64, so a driver's seed + offset near the top of the range wraps
+    key = [np.uint64(seed % 2**64), np.uint64(label) * np.uint64(_STREAMS_PER_LABEL)]
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nspb import execute, experiments, load_config
+from nspb import experiments
 from nspb.checkpoint import read_checkpoint
-from nspb.config import parse_config
+from nspb.config import load_config, parse_config
 from nspb.experiments import (
     DISSIPATION_R2_MIN,
     DISSIPATION_SLOPE_WINDOW,
@@ -26,6 +26,7 @@ from nspb.experiments import (
     INVISCID_SLOPE_WINDOW,
     SLIP_TREND_TOL,
     VORTICITY_SUP_RATIO_MAX,
+    execute,
     perturbation_velocity,
 )
 from nspb.flow import ChannelFlowSolver, SolverConfig, initial_state
@@ -107,7 +108,7 @@ def test_forced_steady_profile_matches_slip_poiseuille():
     F = 0.2  # Re*F = 1
     grid = ChannelGrid(nx=16, ny=33)
     cfg = SolverConfig(
-        dt=2e-3,
+        dt=1e-2,
         t_end=50.0,
         forcing_amplitude=F,
         record_every=10_000,

@@ -11,7 +11,7 @@ import pytest
 
 import nspb
 from nspb.checkpoint import run_record
-from nspb.cli import main
+from nspb.cli import _THREAD_ENV_VARS, main
 from nspb.config import _SCHEMA, KIND_KEYS, KINDS, ConfigError, load_config, parse_config
 from nspb.flow import forcing_name
 
@@ -256,18 +256,55 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return str(p)
 
 
+def fresh_python(code: str) -> str:
+    """Stdout of code run in a new interpreter with no thread caps set."""
+    path = [str(Path(nspb.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_ENV_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_cli_import_loads_no_scipy():
     # the run-time package is numpy only: scipy serves the tests alone
     code = (
         "import sys, nspb.cli, nspb.experiments; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    path = [str(Path(nspb.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+def test_cli_threads_flag_caps_numpy_blas_pool(tmp_path):
+    # --threads works only if numpy first loads after main() sets the caps;
+    # the pool size is what numpy's bundled OpenBLAS reports
+    cfg = write_cfg(tmp_path, "t_end = 0\nnx = 16\nny = 17\n")
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1"]
+    script = f"""
+import ctypes, pathlib, sys, nspb.cli
+numpy_early = "numpy" in sys.modules
+exit_code = nspb.cli.main({argv!r})
+import numpy
+libdir = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
+threads = None
+for lib in sorted(libdir.glob("*openblas*.so*")) if libdir.is_dir() else ():
+    handle = ctypes.CDLL(str(lib))
+    for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(handle, sym, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            threads = fn()
+            break
+print(numpy_early, exit_code, threads)
+"""
+    numpy_early, exit_code, threads = fresh_python(script).splitlines()[-1].split()
+    assert numpy_early == "False"
+    assert exit_code == "0"
+    if threads == "None":
+        pytest.skip("numpy's OpenBLAS reports no thread count")
+    assert threads == "1"
 
 
 def test_cli_run_produces_outputs(tmp_path):

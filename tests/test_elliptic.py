@@ -119,6 +119,13 @@ def test_helmholtz_rejects_empty_boundary_row(grid):
         TauSolver(grid, 1.0, (0.0, 0.0), (1.0, 0.0))
 
 
+def test_singular_tau_system_is_a_solver_error(grid):
+    # Neumann rows at lam = k = 0 leave the constants in the null space
+    solver = TauSolver(grid, 0.0, (0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(SolverError, match="singular tau system at k=0"):
+        solver.solve_mode(0, np.zeros(grid.ny))
+
+
 def _dirichlet_error(ny: int) -> float:
     grid = ChannelGrid(nx=8, ny=ny)
     X, Y = np.meshgrid(grid.x, grid.y)

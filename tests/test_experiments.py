@@ -17,6 +17,7 @@ from nspb.diagnostics import _COLUMNS, compute_record, momentum_audit
 from nspb.experiments import _recorder, _trajectory, execute, shear_decay_state
 from nspb.flow import ChannelFlowSolver, SolverConfig, steady_channel_state
 from nspb.grid import ChannelGrid
+from nspb.micro import SpringPotential, equilibrium_ensemble
 from nspb.params import SimParams
 from test_diagnostics import read_records
 from test_flow import assert_same_state
@@ -297,6 +298,18 @@ def test_micro_verify_fails_the_checks_of_non_finite_stresses(tmp_path, monkeypa
             check = checks[f"{band}_{scen}"]
             assert not check.passed
             assert math.isnan(check.value)
+
+
+def test_micro_verify_runs_at_the_largest_seed(tmp_path, monkeypatch):
+    # the scenarios are seeded plan.seed + 0, 1, 2: their Philox keys wrap modulo 2^64
+    _tiny_micro(monkeypatch)
+    plan = parse_config("kind = micro_verify\n").with_output(tmp_path, seed=2**64 - 1)
+    summary = execute(plan)
+    assert summary.runtime_failures == 0
+    assert check_map(summary)["micro_seed_bitwise"].passed
+    pot = SpringPotential.hookean(H=1.0)
+    wrapped = equilibrium_ensemble(10, pot, seed=2**64 + 1)
+    assert np.array_equal(wrapped.members, equilibrium_ensemble(10, pot, seed=1).members)
 
 
 def test_micro_verify_stops_on_a_non_finite_slip(tmp_path, monkeypatch):
