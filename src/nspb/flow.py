@@ -15,6 +15,13 @@ two wall rows in place of the influence-matrix closure.  Every map of a
 step is linear and fixed for given (dt, Re, grid), so the solver builds
 each one once as an operator stack over modes 0..J (see
 ``elliptic.apply_modes``) and applies it as one matmul per stage.
+
+An x-independent ("parallel") field has no advection: when the packed
+array an evaluation reads has modes 1..J all exactly 0, ``_nonlinear``
+returns zero terms without a transform.  The predictor and the corrector
+each decide on their own array.  Every evaluation of single_run and
+sweep_alpha takes this path, as do a fifth of sweep_re's (its forced
+phase); no evaluation of energy_audit or inviscid_limit does.
 """
 
 from __future__ import annotations
@@ -338,9 +345,20 @@ class ChannelFlowSolver:
 
         Returns (N, u, v): N is (ny, J+1), the mean-momentum source R(y) (the
         x-mean of v*omega) in column 0 and N = -(u.grad omega) on modes
-        1..J; u and v are the total velocity at the (ny, nx) nodes.
+        1..J; u and v are the total velocity at the (ny, nx) nodes, or
+        (ny, 1) columns that hold for every x when x is x-independent.
 
-        One real matmul takes [mean | psi | mean vorticity | omega]
+        x is x-independent when its modes 1..J are all exactly 0 (the forced
+        runs of single_run, sweep_alpha and sweep_re's forced phase).  Then
+        v = psi_x = 0 and omega_x = 0, so u.grad(omega) and <v omega> vanish
+        identically: N = 0 and v = 0 with no transform, and u is the mean
+        profile's node values: column 0 of the ``_synth`` value rows applied
+        to all of x, which has the general path's bits on every grid from
+        nx = 8 to 128 (a matrix-vector product of column 0 alone differs in
+        the last bits and would move ``cfl_peak``).  The scalar test first
+        spares a general x the full count.
+
+        Otherwise one real matmul takes [mean | psi | mean vorticity | omega]
         coefficients to node values and d/dy node values.  ``grid.fourier_matrices``
         does every x-transform: S gives u, omega and omega_y, Sx (d/dx folded in)
         v and omega_x, and A takes u.grad(omega) to modes 1..J and v*omega to its
@@ -348,6 +366,9 @@ class ChannelFlowSolver:
         """
         ny, nx, J = self.grid.ny, self.grid.nx, self.jmax
         modes = slice(1, J + 1)
+        if x[0, 1] == 0 and not np.count_nonzero(x[:, modes]):
+            u = real_matmul(self._synth[:ny], x)[:, :1].real
+            return np.zeros((ny, J + 1), dtype=complex), u, np.zeros((ny, 1))
         S, Sx, A = self._fourier
         cols = np.empty((ny, 2 * (J + 1)), dtype=complex)
         cols[:, 0] = x[:, 0]

@@ -228,6 +228,150 @@ def test_forced_run_from_the_steady_state_keeps_the_fluctuation_exactly_zero():
     assert np.all(end.g[:, 1:] == 0.0)
 
 
+class ReportsNonzero(np.ndarray):
+    """The same numbers, but a count of its nonzero entries is never 0.
+
+    A packed array viewed as this class takes ``_nonlinear``'s general path
+    even when its modes 1..J are all 0.
+    """
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.count_nonzero:
+            return 1
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def parallel_states(grid, params):
+    """x-independent states: the forced steady state, rest, a random profile."""
+    prof = np.random.default_rng(5).standard_normal(grid.ny)
+    return {
+        "steady": steady_channel_state(grid, params, 0.01),
+        "rest": initial_state(grid, params),
+        "random": initial_state(grid, params, u=np.repeat(prof[:, None], grid.nx, axis=1)),
+    }
+
+
+@pytest.mark.parametrize("name", ["steady", "rest", "random"])
+def test_nonlinear_of_a_parallel_state_is_exactly_zero(grid, params, name):
+    # an x-independent field has v = psi_x = 0 and omega_x = 0, so both
+    # advection terms vanish; u is the mean profile with the general path's bits
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0))
+    x = sol._pack(parallel_states(grid, params)[name])
+    N, u, v = sol._nonlinear(x)
+    _, u_gen, v_gen = sol._nonlinear(x.view(ReportsNonzero))
+    assert u_gen.shape == v_gen.shape == (grid.ny, grid.nx)
+    assert u.shape == v.shape == (grid.ny, 1)
+    assert N.shape == (grid.ny, grid.dealias_kx + 1)
+    assert np.all(N == 0.0) and np.all(v == 0.0)
+    assert np.broadcast_to(u, u_gen.shape).tobytes() == u_gen.tobytes()
+
+
+def test_forced_run_from_the_steady_state_makes_no_transform(monkeypatch):
+    # neither stage of a parallel step applies the streamfunction stack or
+    # touches a Fourier matrix, and the run keeps its bytes
+    grid = ChannelGrid(nx=16, ny=17)
+    params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
+    F = 1.0 / params.Re
+    cfg = SolverConfig(dt=5e-3, t_end=20 * 5e-3, forcing_amplitude=F)
+    steady = steady_channel_state(grid, params, F)
+    general = initial_state(grid, params, *perturbed_shear(grid))
+    want = [ChannelFlowSolver(grid, params, cfg).run(st) for st in (steady, general)]
+    calls = {}
+
+    class Counted:
+        """A Fourier matrix that counts the matmuls and slices made of it."""
+
+        __array_ufunc__ = None  # numpy defers a @ Counted to __rmatmul__
+
+        def __init__(self, M):
+            self.M = M
+
+        def __matmul__(self, other):
+            calls["fourier"] += 1
+            return self.M @ other
+
+        def __rmatmul__(self, other):
+            calls["fourier"] += 1
+            return other @ self.M
+
+        def __getitem__(self, key):
+            calls["fourier"] += 1
+            return self.M[key]
+
+    apply = nspb.flow.apply_modes
+    got = []
+    for st in (steady, general):
+        sol = ChannelFlowSolver(grid, params, cfg)
+        sol._fourier = tuple(Counted(M) for M in sol._fourier)
+
+        def counted_apply(ops, cols, psi=sol._psi_ops):
+            calls["psi"] += ops is psi
+            return apply(ops, cols)
+
+        monkeypatch.setattr(nspb.flow, "apply_modes", counted_apply)
+        calls.update(psi=0, fourier=0)
+        got.append((sol.run(st), dict(calls)))
+    (steady_end, steady_calls), (general_end, general_calls) = got
+    assert steady_calls == {"psi": 0, "fourier": 0}
+    # the counters see a general run's two evaluations per step
+    assert general_calls["psi"] == 40 and general_calls["fourier"] > 40
+    assert_same_state(steady_end, want[0])
+    assert_same_state(general_end, want[1])
+
+
+def test_zero_vorticity_with_a_wall_fluctuation_takes_the_shortcut_once(grid, params):
+    # the start of a step is x-independent, but the wall data on g's modes
+    # 1..J puts a fluctuation into the predictor's x_star, and from there on
+    # into every state
+    g = initial_state(grid, params).g.copy()
+    g[:, 1:3] = [[0.3, -0.2j], [0.1 + 0.1j, 0.2]]
+    st = replace(initial_state(grid, params), g=g)
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=1e-3, t_end=1.0))
+    evaluate = sol._nonlinear
+    took = []
+
+    def recorded(x):
+        out = evaluate(x)
+        took.append(out[1].shape[1] == 1)
+        return out
+
+    sol._nonlinear = recorded
+    sol.run(st, t_end=3e-3)
+    assert took == [True] + [False] * 5
+
+
+@pytest.mark.parametrize("mode", ["navier_stokes", "euler"])
+def test_nan_in_a_parallel_mean_is_a_diverged_velocity(mode):
+    grid = ChannelGrid(nx=16, ny=17)
+    params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
+    F = 1.0 / params.Re
+    cfg = SolverConfig(dt=5e-3, t_end=1.0, mode=mode, forcing_amplitude=F)
+    sol = ChannelFlowSolver(grid, params, cfg)
+    mid = sol.run(steady_channel_state(grid, params, F), t_end=5 * 5e-3)
+    assert np.all(mid.omega == 0.0)
+    mean = mid.mean.copy()
+    mean[3] = np.nan
+    with pytest.raises(SolverDivergedError, match="non-finite velocity at step 5 ") as info:
+        sol.run(replace(mid, mean=mean))
+    assert (info.value.field, info.value.step) == ("velocity", 5)
+
+
+def test_cfl_error_of_a_parallel_profile_names_its_peak_row(grid, params):
+    # a parallel flow only crosses x cells: the number is dt*max|U0|/dx, and
+    # the guard names the node (row of max|U0|, 0)
+    prof = 20.0 * (1.0 - grid.y**2) * (1.0 + 0.5 * grid.y)
+    st = initial_state(grid, params, u=np.repeat(prof[:, None], grid.nx, axis=1))
+    dt = 2e-3
+    sol = ChannelFlowSolver(grid, params, SolverConfig(dt=dt, t_end=1.0, cfl_max=0.1))
+    with pytest.raises(CFLError) as err:
+        sol.step(st)
+    row = int(np.argmax(np.abs(prof)))
+    assert 0 < row < grid.ny - 1
+    assert err.value.node == (row, 0)
+    assert err.value.cfl == pytest.approx(dt * np.max(np.abs(prof)) / grid.dx, rel=1e-12)
+    assert f"(row, column) = ({row}, 0)" in str(err.value)
+
+
 def test_second_order_self_convergence(grid, params):
     u, v = perturbed_shear(grid)
     T = 0.2
