@@ -18,10 +18,12 @@ each one once as an operator stack over modes 0..J (see
 
 An x-independent ("parallel") field has no advection: when the packed
 array an evaluation reads has modes 1..J all exactly 0, ``_nonlinear``
-returns zero terms without a transform.  The predictor and the corrector
-each decide on their own array.  Every evaluation of single_run and
-sweep_alpha takes this path, as do a fifth of sweep_re's (its forced
-phase); no evaluation of energy_audit or inviscid_limit does.
+returns zero terms without a transform.  A parallel state, whose wall
+stress g is 0 on modes 1..J too, stays parallel, so its step applies only
+the k = 0 maps and runs no predictor (see ``_step_ns``), with the bytes of
+the full-width step.  Every Navier-Stokes step of single_run and
+sweep_alpha is parallel, as is a fifth of sweep_re's (its forced phase);
+no step of energy_audit or inviscid_limit is.
 """
 
 from __future__ import annotations
@@ -255,13 +257,14 @@ class ChannelFlowSolver:
     the vorticity modes, packed from the ``FlowState`` at the start of the
     step and unpacked at its end.  The mean is the k = 0 column of every
     map: each implicit stage is one (J+1, ny, ny) stack and the wall-trace
-    map one (J+1, 2, ny) stack, whose k = 0 entries act on the mean.
+    map one (J+1, 2, ny) stack, whose k = 0 entries act on the mean.  A
+    step of a parallel state applies only those k = 0 entries.
 
     ``cfl_peak`` is the largest directional CFL number the solver has checked
     and the t of the step start where it occurred; (0.0, None) before a step.
 
-    A Navier-Stokes step ends with the wall slip of its new state, which is
-    the next step's starting slip.  The solver keeps it with the state it
+    A Navier-Stokes step ends with the (2, J+1) wall slip of its new state,
+    which is the next step's starting slip.  The solver keeps it with the state it
     returned and reuses it when that same object is stepped next (states are
     not changed in place); any other state (a restart, a caller's state) has
     its slip recomputed.
@@ -413,9 +416,24 @@ class ChannelFlowSolver:
             node = tuple(int(i) for i in np.unravel_index(number.argmax(), number.shape))
             raise CFLError(cfl, self.config.cfl_max, state.t, node)
 
+    def _apply_leading(self, ops: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """apply_modes of a (J+1, p, ny) stack's leading w maps to the w columns cols.
+
+        Returns (p, J+1) in the column-major layout of ``_pack``, with columns
+        w..J +0.0.  The k = 0 item of a one-map apply is bitwise that of the
+        whole stack's.
+        """
+        w = cols.shape[1]
+        if w == len(ops):
+            return apply_modes(ops, cols)
+        out = np.zeros((ops.shape[1], len(ops)), dtype=complex, order="F")
+        out[:, :w] = apply_modes(ops[:w], cols)
+        return out
+
     def _wall_slip(self, x: np.ndarray) -> np.ndarray:
-        """(2, J+1) slip u_tau on the (top, bottom) walls of a packed x, modes 0..J."""
-        return wall_slip(apply_modes(self._traces, x))
+        """(2, J+1) slip u_tau on the (top, bottom) walls, modes 0..J, of the
+        leading w columns of a packed x, modes w..J being 0."""
+        return wall_slip(self._apply_leading(self._traces, x))
 
     # ---- stepping ----
 
@@ -449,32 +467,49 @@ class ChannelFlowSolver:
         return new
 
     def _step_ns(self, state: FlowState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One predictor-corrector step on the leading w columns of x.
+
+        A parallel state, modes 1..J of x and of g all exactly 0, has w = 1:
+        every right-hand side, the wall drive q in its tau rows included, is
+        0 on modes 1..J, so x_star, x_new and the end slip stay parallel and
+        N(x_star) = 0.  The step then applies only the k = 0 maps and runs
+        no predictor, whose only output is N(x_star).  Any other state has
+        w = J+1.  The wall law stays full width, so g keeps the signed zeros
+        of a full-width step.
+        """
         dt, Re, F = self.config.dt, self.params.Re, self._force
 
         N_n, u, v = self._nonlinear(x)
         self._check_cfl(u, v, state)
+        # _nonlinear returns v as one column exactly when x is parallel
+        parallel = v.shape[1] == 1 and not np.count_nonzero(state.g[:, 1:])
+        w = 1 if parallel else self.jmax + 1
 
         # wall data that depends only on the step start, (top, bottom) on modes
         # 0..J; each stage reads it from the two tau rows of its right-hand side
         last, slip_n = self._end_slip
         if last is not state:
-            slip_n = self._wall_slip(x)
+            slip_n = self._wall_slip(x[:, :w])
         q = self.wall.drive(state.g, slip_n)
 
-        rhs = Re / dt * x + Re * (N_n + F)
-        rhs[-2:] = q
-        x_star = apply_modes(self._stage_p, rhs)
-
-        N_s = self._nonlinear(x_star)[0]
+        if parallel:
+            N_s = N_n  # both 0
+        else:
+            rhs = Re / dt * x + Re * (N_n + F)
+            rhs[-2:] = q
+            x_star = apply_modes(self._stage_p, rhs)
+            N_s = self._nonlinear(x_star)[0]
+        # D2 @ x at full width: its column 0 alone differs in the last bits
+        xw = x[:, :w]
         rhs = (
-            2.0 * Re / dt * x - self._ksq * x + real_matmul(self._D2, x)
-            + Re * (N_n + N_s + 2.0 * F)
+            2.0 * Re / dt * xw - self._ksq[:w] * xw + real_matmul(self._D2, x)[:, :w]
+            + Re * (N_n[:, :w] + N_s[:, :w] + 2.0 * F[:, :w])
         )
-        rhs[-2:] = q
-        x_new = apply_modes(self._stage_c, rhs)
+        rhs[-2:] = q[:, :w]
+        x_new = self._apply_leading(self._stage_c, rhs)
 
         # final slip traces close the boundary-stress update
-        slip_new = self._wall_slip(x_new)
+        slip_new = self._wall_slip(x_new[:, :w])
         self._end_slip = (None, slip_new)  # step keys it to the state it returns
         g = step_boundary_ode(state.g, slip_n, self.wall, u_tau_end=slip_new)
         return x_new, g

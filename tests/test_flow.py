@@ -266,9 +266,31 @@ def test_nonlinear_of_a_parallel_state_is_exactly_zero(grid, params, name):
     assert np.broadcast_to(u, u_gen.shape).tobytes() == u_gen.tobytes()
 
 
+@pytest.mark.parametrize("nx, ny", [(16, 17), (64, 65)])
+@pytest.mark.parametrize("name", ["steady", "rest", "random"])
+def test_parallel_step_is_bitwise_the_full_width_step(params, nx, ny, name):
+    # a parallel state steps on its k = 0 column alone; a g whose count of
+    # nonzero modes reads 1 takes the full-width step, predictor included.
+    # Over 20 chained steps both give the same x, g and kept end slip
+    grid = ChannelGrid(nx=nx, ny=ny)
+    cfg = SolverConfig(dt=1e-3, t_end=1.0, forcing_amplitude=0.01)
+    start = parallel_states(grid, params)[name]
+    narrow, full = ChannelFlowSolver(grid, params, cfg), ChannelFlowSolver(grid, params, cfg)
+    a, b = start, replace(start, g=start.g.view(ReportsNonzero))
+    for _ in range(20):
+        a, b = narrow.step(a), full.step(b)
+        assert type(b.g) is ReportsNonzero and type(a.g) is np.ndarray
+        for field in ("omega", "mean", "g"):
+            assert getattr(a, field).tobytes() == np.asarray(getattr(b, field)).tobytes(), field
+        assert narrow._end_slip[1].tobytes() == np.asarray(full._end_slip[1]).tobytes()
+    assert np.all(a.omega == 0.0) and np.all(a.g[:, 1:] == 0.0)
+    assert not np.array_equal(a.mean, start.mean)
+
+
 def test_forced_run_from_the_steady_state_makes_no_transform(monkeypatch):
-    # neither stage of a parallel step applies the streamfunction stack or
-    # touches a Fourier matrix, and the run keeps its bytes
+    # a parallel step applies no streamfunction stack, touches no Fourier
+    # matrix, runs no predictor stage and applies no stack beyond its k = 0
+    # map, and the run keeps its bytes
     grid = ChannelGrid(nx=16, ny=17)
     params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
     F = 1.0 / params.Re
@@ -304,25 +326,32 @@ def test_forced_run_from_the_steady_state_makes_no_transform(monkeypatch):
         sol = ChannelFlowSolver(grid, params, cfg)
         sol._fourier = tuple(Counted(M) for M in sol._fourier)
 
-        def counted_apply(ops, cols, psi=sol._psi_ops):
+        def counted_apply(ops, cols, psi=sol._psi_ops, pred=sol._stage_p):
             calls["psi"] += ops is psi
+            calls["predictor"] += np.shares_memory(ops, pred)
+            calls["wide" if len(ops) > 1 else "k0"] += 1
             return apply(ops, cols)
 
         monkeypatch.setattr(nspb.flow, "apply_modes", counted_apply)
-        calls.update(psi=0, fourier=0)
+        calls.update(psi=0, fourier=0, predictor=0, wide=0, k0=0)
         got.append((sol.run(st), dict(calls)))
     (steady_end, steady_calls), (general_end, general_calls) = got
-    assert steady_calls == {"psi": 0, "fourier": 0}
-    # the counters see a general run's two evaluations per step
+    # a corrector and an end slip per step, and the first step's start slip
+    assert steady_calls == {"psi": 0, "fourier": 0, "predictor": 0, "wide": 0, "k0": 41}
+    # the counters see a general run's two evaluations and its predictor per step
     assert general_calls["psi"] == 40 and general_calls["fourier"] > 40
+    assert general_calls["predictor"] == 20
+    assert (general_calls["wide"], general_calls["k0"]) == (40 + 20 + 20 + 21, 0)
     assert_same_state(steady_end, want[0])
     assert_same_state(general_end, want[1])
 
 
-def test_zero_vorticity_with_a_wall_fluctuation_takes_the_shortcut_once(grid, params):
+def test_zero_vorticity_with_a_wall_fluctuation_takes_the_shortcut_once(
+    grid, params, monkeypatch
+):
     # the start of a step is x-independent, but the wall data on g's modes
     # 1..J puts a fluctuation into the predictor's x_star, and from there on
-    # into every state
+    # into every state: each step, the first included, is full width
     g = initial_state(grid, params).g.copy()
     g[:, 1:3] = [[0.3, -0.2j], [0.1 + 0.1j, 0.2]]
     st = replace(initial_state(grid, params), g=g)
@@ -336,8 +365,18 @@ def test_zero_vorticity_with_a_wall_fluctuation_takes_the_shortcut_once(grid, pa
         return out
 
     sol._nonlinear = recorded
+    apply = nspb.flow.apply_modes
+    stages = []
+
+    def recorded_apply(ops, cols):
+        if np.shares_memory(ops, sol._stage_p) or np.shares_memory(ops, sol._stage_c):
+            stages.append(len(ops))
+        return apply(ops, cols)
+
+    monkeypatch.setattr(nspb.flow, "apply_modes", recorded_apply)
     sol.run(st, t_end=3e-3)
     assert took == [True] + [False] * 5
+    assert stages == [grid.dealias_kx + 1] * 6
 
 
 @pytest.mark.parametrize("mode", ["navier_stokes", "euler"])
@@ -354,6 +393,24 @@ def test_nan_in_a_parallel_mean_is_a_diverged_velocity(mode):
     with pytest.raises(SolverDivergedError, match="non-finite velocity at step 5 ") as info:
         sol.run(replace(mid, mean=mean))
     assert (info.value.field, info.value.step) == ("velocity", 5)
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_nan_in_the_wall_modes_of_a_parallel_state_stops_the_full_width_step(row):
+    # a NaN counts as nonzero, so the state takes the full-width step, whose
+    # tau rows carry the NaN into the new vorticity, checked before g
+    grid = ChannelGrid(nx=16, ny=17)
+    params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
+    F = 1.0 / params.Re
+    cfg = SolverConfig(dt=5e-3, t_end=1.0, forcing_amplitude=F)
+    sol = ChannelFlowSolver(grid, params, cfg)
+    mid = sol.run(steady_channel_state(grid, params, F), t_end=5 * 5e-3)
+    assert np.all(mid.omega == 0.0) and np.all(mid.g[:, 1:] == 0.0)
+    g = mid.g.copy()
+    g[row, 1] = np.nan
+    with pytest.raises(SolverDivergedError, match="non-finite omega at step 6 ") as info:
+        sol.run(replace(mid, g=g))
+    assert (info.value.field, info.value.step) == ("omega", 6)
 
 
 def test_cfl_error_of_a_parallel_profile_names_its_peak_row(grid, params):
