@@ -14,7 +14,12 @@ stage as every vorticity mode, with the Robin form of the wall law in its
 two wall rows in place of the influence-matrix closure.  Every map of a
 step is linear and fixed for given (dt, Re, grid), so the solver builds
 each one once as an operator stack over modes 0..J (see
-``elliptic.apply_modes``) and applies it as one matmul per stage.
+``elliptic.apply_modes``) and applies it as one matmul per stage.  A
+stage's Dirichlet inverses on modes 1..J read only the grid and
+lam = Re/dt or 2 Re/dt, so they are built once per process
+(``elliptic.dirichlet_stage_inverses``, the last two (grid, lam) keys,
+0.7 MB each at 64x65) and shared by every solver at that key; the k = 0
+Robin map and the wall closure, which read alpha, are each solver's own.
 
 An x-independent ("parallel") field has no advection: when the packed
 array an evaluation reads has modes 1..J all exactly 0, ``_nonlinear``
@@ -39,6 +44,7 @@ from .elliptic import (
     _wall_rows,
     apply_modes,
     biot_savart,
+    dirichlet_stage_inverses,
     streamfunction_operator,
     tau_matrices,
 )
@@ -322,13 +328,20 @@ class ChannelFlowSolver:
 
             out = A^-1 P b + A^-1 E K^-1 (E^T b + S T A^-1 P b),
             K = I - S T A^-1 E,  S = diag(-c2, c2),  T = wall u-traces.
+
+        The Dirichlet inverses A^-1 read neither alpha nor the mean, so they
+        come from the per-process ``dirichlet_stage_inverses`` and are
+        copied before the closure is added; the Robin map and the closure
+        are the solver's own.
         """
         ny, c2 = self.grid.ny, self.c2
-        A = tau_matrices(ny, lam + self._ksq, _wall_rows(ny))
-        A[0, ny - 2 :] = [_bc_row(ny, "top", c2, -1.0), _bc_row(ny, "bottom", -c2, -1.0)]
-        ops = np.linalg.inv(A)
+        robin = np.stack([_bc_row(ny, "top", c2, -1.0), _bc_row(ny, "bottom", -c2, -1.0)])
+        dirichlet = dirichlet_stage_inverses(self.grid, lam)  # shared: never written
+        ops = np.empty((self.jmax + 1, ny, ny))
+        ops[0] = np.linalg.inv(tau_matrices(ny, [lam], robin))[0]
+        ops[1:] = dirichlet
         modes, traces = ops[1:], self._traces[1:]
-        unit = modes[:, :, ny - 2 :].copy()
+        unit = dirichlet[:, :, ny - 2 :]
         modes[:, :, ny - 2 :] = 0.0
         S = np.diag([-c2, c2])
         K = np.eye(2) - S @ traces @ unit
@@ -445,7 +458,16 @@ class ChannelFlowSolver:
         return x
 
     def step(self, state: FlowState) -> FlowState:
-        """Advance one step; SolverDivergedError names the first non-finite field."""
+        """Advance one step; SolverDivergedError names the first non-finite field.
+
+        A state this solver did not return has its wall stress checked first,
+        at its own step index: the tau rows would carry a non-finite g into
+        the new vorticity and have it named omega.  The new state's fields
+        are checked after the step in the order omega, mean, g, since a
+        blow-up reaches g through the end slip.
+        """
+        if self._end_slip[0] is not state and not np.isfinite(state.g).all():
+            raise SolverDivergedError(state.step_index, state.t, "g")
         x = self._pack(state)
         if self.config.mode == "euler":
             x, g = self._step_euler(state, x), state.g

@@ -19,7 +19,7 @@ from nspb.diagnostics import (
 )
 import nspb.flow
 import nspb.grid
-from nspb.elliptic import TauSolver, apply_modes, biot_savart
+from nspb.elliptic import TauSolver, apply_modes, biot_savart, dirichlet_stage_inverses
 from nspb.experiments import couette_perturbed_state
 from nspb.flow import (
     CFLError,
@@ -397,8 +397,9 @@ def test_nan_in_a_parallel_mean_is_a_diverged_velocity(mode):
 
 @pytest.mark.parametrize("row", [0, 1])
 def test_nan_in_the_wall_modes_of_a_parallel_state_stops_the_full_width_step(row):
-    # a NaN counts as nonzero, so the state takes the full-width step, whose
-    # tau rows carry the NaN into the new vorticity, checked before g
+    # the solver did not return this state, so its g is checked before the
+    # step and named at the state's own step index; unchecked, the tau rows
+    # of the full-width step would carry the NaN into the new vorticity
     grid = ChannelGrid(nx=16, ny=17)
     params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
     F = 1.0 / params.Re
@@ -408,9 +409,9 @@ def test_nan_in_the_wall_modes_of_a_parallel_state_stops_the_full_width_step(row
     assert np.all(mid.omega == 0.0) and np.all(mid.g[:, 1:] == 0.0)
     g = mid.g.copy()
     g[row, 1] = np.nan
-    with pytest.raises(SolverDivergedError, match="non-finite omega at step 6 ") as info:
+    with pytest.raises(SolverDivergedError, match="non-finite g at step 5 ") as info:
         sol.run(replace(mid, g=g))
-    assert (info.value.field, info.value.step) == ("omega", 6)
+    assert (info.value.field, info.value.step) == ("g", 5)
 
 
 def test_cfl_error_of_a_parallel_profile_names_its_peak_row(grid, params):
@@ -1041,6 +1042,58 @@ def test_batched_operators_match_per_mode_reference(grid, params, dt, seed):
         assert np.all(out[:, 0].imag == 0.0)
 
 
+def test_solvers_at_one_re_and_dt_share_the_dirichlet_inverses(monkeypatch):
+    # modes 1..J of each stage start from the Dirichlet inverses of
+    # (lam + k^2 - D^2), which read neither alpha nor the mean: solvers at one
+    # grid, Re and dt invert them once per process, and each keeps the bytes
+    # of a cold build, stacks and steps alike
+    grid = ChannelGrid(nx=16, ny=17)
+    config = SolverConfig(dt=5e-3, t_end=1.0)
+    Re, alphas = 250.0, (10.0, 1000.0, 10.0)
+    lams = (Re / config.dt, 2.0 * Re / config.dt)
+    u, v = perturbed_shear(grid)
+
+    def build(alpha):
+        params = SimParams(Re=Re, Wi=1.0, tau=100.0, alpha=alpha)
+        return ChannelFlowSolver(grid, params, config), initial_state(grid, params, u=u, v=v)
+
+    def chained(sol, state):
+        states = [state]
+        for _ in range(5):
+            states.append(sol.step(states[-1]))
+        return [(s.omega.tobytes(), s.mean.tobytes(), s.g.tobytes()) for s in states[1:]]
+
+    cold = {}
+    for alpha in alphas[:2]:
+        dirichlet_stage_inverses.cache_clear()
+        sol, state = build(alpha)
+        cold[alpha] = (sol._stage_p.tobytes(), sol._stage_c.tobytes(), chained(sol, state))
+
+    dirichlet_stage_inverses.cache_clear()
+    inverted = []
+    inv = np.linalg.inv
+
+    def counted_inv(a):
+        if len(a) > 1:  # a stack of Dirichlet matrices, not a k = 0 Robin matrix
+            inverted.append(len(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    shared = None
+    for alpha in alphas:
+        sol, state = build(alpha)
+        if shared is None:
+            shared = [dirichlet_stage_inverses(grid, lam) for lam in lams]
+            before = [a.tobytes() for a in shared]
+        stages = (sol._stage_p.tobytes(), sol._stage_c.tobytes())
+        assert stages == cold[alpha][:2]
+        assert chained(sol, state) == cold[alpha][2]
+    assert inverted == [grid.dealias_kx] * 2
+    for a, lam, b in zip(shared, lams, before):
+        assert not a.flags.writeable
+        assert dirichlet_stage_inverses(grid, lam) is a and a.tobytes() == b
+
+
 def reference_nonlinear(grid, omega, mean_coeffs):
     """_nonlinear's earlier arithmetic: five single-field spec_to_phys and
     two full phys_to_spec calls, truncated to the dealiased rows and modes."""
@@ -1084,8 +1137,8 @@ def test_nonlinear_matches_reference(grid, params, seed):
     [
         ("navier_stokes", "omega", ("velocity", 5)),
         ("euler", "omega", ("velocity", 5)),
-        ("navier_stokes", "g_top", ("omega", 6)),
-        ("navier_stokes", "g_bottom", ("omega", 6)),
+        ("navier_stokes", "g_top", ("g", 5)),
+        ("navier_stokes", "g_bottom", ("g", 5)),
     ],
 )
 def test_nan_stops_the_run_with_a_named_error(grid, params, mode, field, detected):
