@@ -137,12 +137,17 @@ def biot_savart(grid: ChannelGrid, omega: np.ndarray) -> tuple[np.ndarray, np.nd
     omega is one state's (ny, J) modes or n states' side by side, (ny, n J);
     every state rides in one matmul with the streamfunction stack, the n
     states as n more right-hand side columns of each mode's matrix (for
-    n = 1 the layout of ``apply_modes``).
+    n = 1 the layout of ``apply_modes``).  An omega of zeros alone (the
+    parallel states of the forced runs) has psi = +0.0, the stack's bits for
+    any signs of its zeros, without building the stack.
     """
     ny, J = grid.ny, grid.dealias_kx
     n = omega.shape[1] // J
-    rhs = np.ascontiguousarray(omega.reshape(ny, n, J).transpose(2, 0, 1), dtype=complex)
-    psi = streamfunction_operator(grid) @ rhs.view(np.float64)  # (J, ny, 2 n)
-    psi = psi.view(np.complex128).transpose(1, 2, 0).reshape(ny, n * J)
+    if not np.count_nonzero(omega):
+        psi = np.zeros((ny, n * J), dtype=complex)
+    else:
+        rhs = np.ascontiguousarray(omega.reshape(ny, n, J).transpose(2, 0, 1), dtype=complex)
+        psi = streamfunction_operator(grid) @ rhs.view(np.float64)  # (J, ny, 2 n)
+        psi = psi.view(np.complex128).transpose(1, 2, 0).reshape(ny, n * J)
     D, _ = cheb_diff_matrices(ny)
     return -real_matmul(D, psi), psi * np.tile(1j * grid.kx[1 : J + 1], n)

@@ -28,7 +28,13 @@ stress g is 0 on modes 1..J too, stays parallel, so its step applies only
 the k = 0 maps and runs no predictor (see ``_step_ns``), with the bytes of
 the full-width step.  Every Navier-Stokes step of single_run and
 sweep_alpha is parallel, as is a fifth of sweep_re's (its forced phase);
-no step of energy_audit or inviscid_limit is.
+no step of energy_audit or inviscid_limit is.  So a solver builds only its
+k = 0 maps (the corrector's Robin map and the mean's wall rows) when it is
+made, and the maps of modes 1..J (the streamfunction stack, their wall
+traces, the predictor stack and the corrector's modes) the first time it
+meets a general state (``ChannelFlowSolver._build_mode_maps``): a run that
+stays parallel never builds them, and its slip traces and records read
+none of them either.
 """
 
 from __future__ import annotations
@@ -264,7 +270,11 @@ class ChannelFlowSolver:
     step and unpacked at its end.  The mean is the k = 0 column of every
     map: each implicit stage is one (J+1, ny, ny) stack and the wall-trace
     map one (J+1, 2, ny) stack, whose k = 0 entries act on the mean.  A
-    step of a parallel state applies only those k = 0 entries.
+    step of a parallel state applies only those k = 0 entries, so they are
+    all ``__init__`` builds: the corrector's Robin map ``_stage_c[0]`` and
+    the wall rows ``_traces[0]``.  The first step, evaluation or slip of a
+    general state, in either mode, builds the rest (``_build_mode_maps``);
+    a build that fails raises again at the next such call.
 
     ``cfl_peak`` is the largest directional CFL number the solver has checked
     and the t of the step start where it occurred; (0.0, None) before a step.
@@ -289,18 +299,19 @@ class ChannelFlowSolver:
         self.wall = MaxwellWall(params, dt)
         self.c2 = params.beta - self.wall.b
 
-        # (J, ny, ny): vorticity modes 1..J to streamfunction coefficients
-        self._psi_ops = streamfunction_operator(grid)
         # k^2 of the packed columns, 0 for the mean
         self._ksq = grid.kx[: J + 1] ** 2
         # the mean-momentum forcing F times T_0, the mean's constant coefficient
         self._force = np.zeros((ny, J + 1), dtype=complex)
         self._force[0, 0] = config.forcing_amplitude
         # (J+1, 2, ny): u at the (top, bottom) wall of each packed column, the
-        # mean's own values at k = 0 and those each vorticity mode induces after
+        # mean's own values at k = 0 and, from _build_mode_maps, those each
+        # vorticity mode induces after
         self._traces = np.empty((J + 1, 2, ny))
         self._traces[0] = _wall_rows(ny)
-        self._traces[1:] = -(self._traces[0] @ self._D) @ self._psi_ops
+        # (J, ny, ny) vorticity modes 1..J to streamfunction coefficients, set
+        # last by _build_mode_maps: None until every mode-1..J map is built
+        self._psi_ops = None
         self._synth = cheb_synthesis_matrix(ny)
         self._fourier = fourier_matrices(grid.nx, J, grid.lx)
         # node values to the Chebyshev coefficients a dealiased product keeps
@@ -312,19 +323,53 @@ class ChannelFlowSolver:
         self._end_slip = (None, None)  # (state returned by step, its wall slip)
 
         if config.mode == "navier_stokes":
-            self._stage_p = self._stage_operators(Re / dt)
-            self._stage_c = self._stage_operators(2.0 * Re / dt)
+            # the corrector's k = 0 map; _build_mode_maps fills modes 1..J
+            self._stage_c = self._robin_stage(2.0 * Re / dt)
 
-    def _stage_operators(self, lam: float) -> np.ndarray:
-        """(J+1, ny, ny) maps of one implicit stage (lam + k^2 - D^2), wall law closed.
+    def _robin_stage(self, lam: float) -> np.ndarray:
+        """A (J+1, ny, ny) stage stack with only its k = 0 map built, modes 1..J unset.
 
-        Each map reads the wall data (q_top, q_bottom) from the two tau rows
-        of its right-hand side column.  The mean's (k = 0) rows are the Robin
-        form c2*u - u' = q_top, -c2*u - u' = q_bottom.  Each fluctuation mode
-        is a Dirichlet tau solve A^-1 P plus the two unit-boundary profiles
-        A^-1 E, weighted by the 2x2 influence matrix K (Kleiser & Schumann
-        1980) so that the wall vorticity equals g + beta*u_tau for the slip
-        the new field induces:
+        The mean's (k = 0) map inverts the tau matrix of lam - D^2 whose two
+        rows read the wall data (q_top, q_bottom) in the Robin form
+        c2*u - u' = q_top, -c2*u - u' = q_bottom (``inv`` of a one-matrix
+        stack, bitwise entry 0 of a batched inverse).
+        """
+        ny, c2 = self.grid.ny, self.c2
+        robin = np.stack([_bc_row(ny, "top", c2, -1.0), _bc_row(ny, "bottom", -c2, -1.0)])
+        ops = np.empty((self.jmax + 1, ny, ny))
+        ops[0] = np.linalg.inv(tau_matrices(ny, [lam], robin))[0]
+        return ops
+
+    def _build_mode_maps(self):
+        """Build the mode-1..J maps, once, the first time a step or a slip reads them.
+
+        They are the streamfunction stack, the wall traces ``_traces[1:]``
+        and, in Navier-Stokes mode, the predictor stack ``_stage_p`` and the
+        corrector's modes ``_stage_c[1:]``.  A parallel state reads none of
+        them, so a run that stays parallel never builds them.  ``_psi_ops``
+        is set last: a build that raises leaves the solver unbuilt, and the
+        next call builds, and raises, again.
+        """
+        if self._psi_ops is not None:
+            return
+        psi_ops = streamfunction_operator(self.grid)
+        self._traces[1:] = -(self._traces[0] @ self._D) @ psi_ops
+        if self.config.mode == "navier_stokes":
+            lam = self.params.Re / self.config.dt
+            self._stage_p = self._stage_operators(lam, self._robin_stage(lam))
+            self._stage_operators(2.0 * lam, self._stage_c)
+        self._psi_ops = psi_ops
+
+    def _stage_operators(self, lam: float, ops: np.ndarray) -> np.ndarray:
+        """Fill modes 1..J of a ``_robin_stage(lam)`` stack, the wall law closed; returns ops.
+
+        The stack holds the (J+1, ny, ny) maps of one implicit stage
+        (lam + k^2 - D^2), and each map reads the wall data (q_top, q_bottom)
+        from the two tau rows of its right-hand side column.  Each
+        fluctuation mode is a Dirichlet tau solve A^-1 P plus the two
+        unit-boundary profiles A^-1 E, weighted by the 2x2 influence matrix K
+        (Kleiser & Schumann 1980) so that the wall vorticity equals
+        g + beta*u_tau for the slip the new field induces:
 
             out = A^-1 P b + A^-1 E K^-1 (E^T b + S T A^-1 P b),
             K = I - S T A^-1 E,  S = diag(-c2, c2),  T = wall u-traces.
@@ -332,13 +377,11 @@ class ChannelFlowSolver:
         The Dirichlet inverses A^-1 read neither alpha nor the mean, so they
         come from the per-process ``dirichlet_stage_inverses`` and are
         copied before the closure is added; the Robin map and the closure
-        are the solver's own.
+        are the solver's own.  T is ``_traces[1:]``, so ``_build_mode_maps``
+        fills it first.
         """
         ny, c2 = self.grid.ny, self.c2
-        robin = np.stack([_bc_row(ny, "top", c2, -1.0), _bc_row(ny, "bottom", -c2, -1.0)])
         dirichlet = dirichlet_stage_inverses(self.grid, lam)  # shared: never written
-        ops = np.empty((self.jmax + 1, ny, ny))
-        ops[0] = np.linalg.inv(tau_matrices(ny, [lam], robin))[0]
         ops[1:] = dirichlet
         modes, traces = ops[1:], self._traces[1:]
         unit = dirichlet[:, :, ny - 2 :]
@@ -349,7 +392,7 @@ class ChannelFlowSolver:
         weights[:, :, ny - 2 :] = np.eye(2)
         try:
             closure = np.linalg.solve(K, weights)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
+        except np.linalg.LinAlgError as exc:
             raise SolverError("singular wall influence matrix") from exc
         modes += unit @ closure
         return ops
@@ -385,6 +428,7 @@ class ChannelFlowSolver:
         if x[0, 1] == 0 and not np.count_nonzero(x[:, modes]):
             u = real_matmul(self._synth[:ny], x)[:, :1].real
             return np.zeros((ny, J + 1), dtype=complex), u, np.zeros((ny, 1))
+        self._build_mode_maps()
         S, Sx, A = self._fourier
         cols = np.empty((ny, 2 * (J + 1)), dtype=complex)
         cols[:, 0] = x[:, 0]
@@ -446,6 +490,8 @@ class ChannelFlowSolver:
     def _wall_slip(self, x: np.ndarray) -> np.ndarray:
         """(2, J+1) slip u_tau on the (top, bottom) walls, modes 0..J, of the
         leading w columns of a packed x, modes w..J being 0."""
+        if x.shape[1] > 1:
+            self._build_mode_maps()
         return wall_slip(self._apply_leading(self._traces, x))
 
     # ---- stepping ----
@@ -506,6 +552,8 @@ class ChannelFlowSolver:
         # _nonlinear returns v as one column exactly when x is parallel
         parallel = v.shape[1] == 1 and not np.count_nonzero(state.g[:, 1:])
         w = 1 if parallel else self.jmax + 1
+        if not parallel:
+            self._build_mode_maps()
 
         # wall data that depends only on the step start, (top, bottom) on modes
         # 0..J; each stage reads it from the two tau rows of its right-hand side
@@ -564,6 +612,11 @@ class ChannelFlowSolver:
     # ---- reconstruction ----
 
     def slip_traces(self, state: FlowState) -> np.ndarray:
-        """Slip u_tau along the (top, bottom) walls at the x-nodes, a (2, nx) array."""
-        slip = np.ascontiguousarray(self._wall_slip(self._pack(state)))
+        """Slip u_tau along the (top, bottom) walls at the x-nodes, a (2, nx) array.
+
+        Of a parallel state, omega all 0, only the mean's k = 0 traces apply.
+        """
+        x = self._pack(state)
+        w = self.jmax + 1 if np.count_nonzero(state.omega) else 1
+        slip = np.ascontiguousarray(self._wall_slip(x[:, :w]))
         return slip.view(np.float64) @ self._fourier[0]

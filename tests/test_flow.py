@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nspb.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from nspb.diagnostics import (
     compute_record,
+    compute_records,
     energy_audit,
     euler_error,
     momentum_audit,
@@ -19,7 +20,14 @@ from nspb.diagnostics import (
 )
 import nspb.flow
 import nspb.grid
-from nspb.elliptic import TauSolver, apply_modes, biot_savart, dirichlet_stage_inverses
+from nspb.elliptic import (
+    SolverError,
+    TauSolver,
+    apply_modes,
+    biot_savart,
+    dirichlet_stage_inverses,
+    streamfunction_operator,
+)
 from nspb.experiments import couette_perturbed_state
 from nspb.flow import (
     CFLError,
@@ -290,7 +298,8 @@ def test_parallel_step_is_bitwise_the_full_width_step(params, nx, ny, name):
 def test_forced_run_from_the_steady_state_makes_no_transform(monkeypatch):
     # a parallel step applies no streamfunction stack, touches no Fourier
     # matrix, runs no predictor stage and applies no stack beyond its k = 0
-    # map, and the run keeps its bytes
+    # map, and the run keeps its bytes; the counters read the solver's mode
+    # maps when a stack is applied, since a general step builds them then
     grid = ChannelGrid(nx=16, ny=17)
     params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
     F = 1.0 / params.Re
@@ -326,9 +335,10 @@ def test_forced_run_from_the_steady_state_makes_no_transform(monkeypatch):
         sol = ChannelFlowSolver(grid, params, cfg)
         sol._fourier = tuple(Counted(M) for M in sol._fourier)
 
-        def counted_apply(ops, cols, psi=sol._psi_ops, pred=sol._stage_p):
-            calls["psi"] += ops is psi
-            calls["predictor"] += np.shares_memory(ops, pred)
+        def counted_apply(ops, cols, sol=sol):
+            pred = getattr(sol, "_stage_p", None)
+            calls["psi"] += ops is sol._psi_ops
+            calls["predictor"] += pred is not None and np.shares_memory(ops, pred)
             calls["wide" if len(ops) > 1 else "k0"] += 1
             return apply(ops, cols)
 
@@ -1063,11 +1073,13 @@ def test_solvers_at_one_re_and_dt_share_the_dirichlet_inverses(monkeypatch):
             states.append(sol.step(states[-1]))
         return [(s.omega.tobytes(), s.mean.tobytes(), s.g.tobytes()) for s in states[1:]]
 
+    # a general step builds the stacks, so each is read after the steps
     cold = {}
     for alpha in alphas[:2]:
         dirichlet_stage_inverses.cache_clear()
         sol, state = build(alpha)
-        cold[alpha] = (sol._stage_p.tobytes(), sol._stage_c.tobytes(), chained(sol, state))
+        steps = chained(sol, state)
+        cold[alpha] = (sol._stage_p.tobytes(), sol._stage_c.tobytes(), steps)
 
     dirichlet_stage_inverses.cache_clear()
     inverted = []
@@ -1082,16 +1094,121 @@ def test_solvers_at_one_re_and_dt_share_the_dirichlet_inverses(monkeypatch):
     shared = None
     for alpha in alphas:
         sol, state = build(alpha)
+        steps = chained(sol, state)
         if shared is None:
             shared = [dirichlet_stage_inverses(grid, lam) for lam in lams]
             before = [a.tobytes() for a in shared]
         stages = (sol._stage_p.tobytes(), sol._stage_c.tobytes())
         assert stages == cold[alpha][:2]
-        assert chained(sol, state) == cold[alpha][2]
+        assert steps == cold[alpha][2]
     assert inverted == [grid.dealias_kx] * 2
     for a, lam, b in zip(shared, lams, before):
         assert not a.flags.writeable
         assert dirichlet_stage_inverses(grid, lam) is a and a.tobytes() == b
+
+
+def test_a_parallel_only_run_builds_no_mode_map(monkeypatch):
+    # forced runs from the steady state, as sweep_alpha's points, with the
+    # slip traces and records of every state: each solver inverts its
+    # corrector's k = 0 Robin matrix and builds no map of modes 1..J
+    grid = ChannelGrid(nx=16, ny=17)
+    streamfunction_operator.cache_clear()
+    dirichlet_stage_inverses.cache_clear()
+    inverted = []
+    inv = np.linalg.inv
+
+    def counted_inv(a):
+        inverted.append(np.shape(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    for alpha in (10.0, 1000.0):
+        params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=alpha)
+        F = 1.0 / params.Re
+        cfg = SolverConfig(dt=5e-3, t_end=0.1, forcing_amplitude=F)
+        sol = ChannelFlowSolver(grid, params, cfg)
+        states = [steady_channel_state(grid, params, F)]
+        sol.run(states[0], callback=states.append)
+        slips = [sol.slip_traces(s) for s in states]
+        records = compute_records(states, params, F)
+        assert len(slips) == len(records) == 21
+        assert all(np.isfinite(s).all() for s in slips)
+        assert sol._psi_ops is None and not hasattr(sol, "_stage_p")
+    assert inverted == [(1, grid.ny, grid.ny)] * 2
+    assert streamfunction_operator.cache_info().misses == 0
+    assert dirichlet_stage_inverses.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("mode", ["navier_stokes", "euler"])
+def test_a_deferred_mode_map_build_is_bitwise_an_eager_one(mode):
+    # a solver that stepped parallel states builds its mode maps at the first
+    # general state; its stacks, its slip traces and 5 chained steps equal
+    # those of a solver that built them before its first step.  The slip
+    # traces of a parallel state, k = 0 alone, are the full-width ones
+    grid = ChannelGrid(nx=16, ny=17)
+    params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
+    F = 1.0 / params.Re
+    cfg = SolverConfig(dt=5e-3, t_end=1.0, mode=mode, forcing_amplitude=F)
+    general = initial_state(grid, params, *perturbed_shear(grid))
+    lazy = ChannelFlowSolver(grid, params, cfg)
+    end = lazy.run(steady_channel_state(grid, params, F), t_end=3 * 5e-3)
+    narrow = lazy.slip_traces(end)
+    assert lazy._psi_ops is None
+    eager = ChannelFlowSolver(grid, params, cfg)
+    eager._build_mode_maps()
+    full = eager.slip_traces(replace(end, omega=end.omega.view(ReportsNonzero)))
+    assert narrow.tobytes() == full.tobytes()
+    runs = []
+    for sol in (lazy, eager):
+        states = [general]
+        for _ in range(5):
+            states.append(sol.step(states[-1]))
+        runs.append([getattr(s, f).tobytes() for s in states[1:] for f in ("omega", "mean", "g")])
+        runs[-1].append(sol.slip_traces(general).tobytes())
+    assert runs[0] == runs[1]
+    stacks = ("_psi_ops", "_traces") + (("_stage_p", "_stage_c") if mode == "navier_stokes" else ())
+    for name in stacks:
+        assert getattr(lazy, name).tobytes() == getattr(eager, name).tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_biot_savart_of_zero_vorticity_has_the_full_path_bits(n):
+    # an omega of zeros, of either sign, takes no streamfunction stack and
+    # gives the bits of the general path, forced by a count that never reads 0
+    grid = ChannelGrid(nx=16, ny=17)
+    signs = np.random.default_rng(n).random((2, grid.ny, n * grid.dealias_kx)) < 0.5
+    for omega in (
+        np.zeros((grid.ny, n * grid.dealias_kx), dtype=complex),
+        np.where(signs[0], 0.0, -0.0) + 1j * np.where(signs[1], 0.0, -0.0),
+    ):
+        fast = biot_savart(grid, omega)
+        full = biot_savart(grid, omega.view(ReportsNonzero))
+        for a, b in zip(fast, full):
+            assert a.tobytes() == np.asarray(b).tobytes()
+
+
+def test_a_failed_mode_map_build_raises_at_every_step(monkeypatch):
+    # a singular wall influence matrix stops the first general step, and the
+    # next step builds, and fails, again rather than stepping on unset stacks
+    grid = ChannelGrid(nx=16, ny=17)
+    params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
+    cfg = SolverConfig(dt=5e-3, t_end=1.0)
+    state = initial_state(grid, params, *perturbed_shear(grid))
+    want = ChannelFlowSolver(grid, params, cfg).step(state)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    sol = ChannelFlowSolver(grid, params, cfg)
+    for _ in range(2):
+        with pytest.raises(SolverError, match="singular wall influence matrix"):
+            sol.step(state)
+        assert sol._psi_ops is None
+    monkeypatch.undo()
+    got = sol.step(state)
+    for name in ("omega", "mean", "g"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def reference_nonlinear(grid, omega, mean_coeffs):
