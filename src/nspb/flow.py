@@ -12,35 +12,33 @@ off and the same advection terms are advanced explicitly (Heun).
 The mean profile is the k = 0 column of a step: it obeys the same implicit
 stage as every vorticity mode, with the Robin form of the wall law in its
 two wall rows in place of the influence-matrix closure.  Every map of a
-step is linear and fixed for given (dt, Re, grid), so the solver builds
-each one once as an operator stack over modes 0..J (see
-``elliptic.apply_modes``) and applies it as one matmul per stage.  A
-stage's Dirichlet inverses on modes 1..J read only the grid and
-lam = Re/dt or 2 Re/dt, so they are built once per process
-(``elliptic.dirichlet_stage_inverses``, the last two (grid, lam) keys,
-0.7 MB each at 64x65) and shared by every solver at that key; the k = 0
-Robin map and the wall closure, which read alpha, are each solver's own.
+step is linear and fixed for given (dt, Re, grid), so it is an operator
+stack over the packed columns (see ``elliptic.apply_modes``), applied as
+one matmul per stage.  A stage's Dirichlet inverses on modes 1..J read
+only the grid and lam = Re/dt or 2 Re/dt, so they are built once per
+process (``elliptic.dirichlet_stage_inverses``) and shared by every
+solver at that key; the k = 0 Robin map and the wall closure, which read
+alpha, are each solver's own.
 
 An x-independent ("parallel") field has no advection: when the packed
 array an evaluation reads has modes 1..J all exactly 0, ``_nonlinear``
 returns zero terms without a transform.  A parallel state, whose wall
 stress g is 0 on modes 1..J too, stays parallel, so its step applies only
 the k = 0 maps and runs no predictor (see ``_step_ns``), with the bytes of
-the full-width step.  Every Navier-Stokes step of single_run and
-sweep_alpha is parallel, as is a fifth of sweep_re's (its forced phase);
-no step of energy_audit or inviscid_limit is.  So a solver builds only its
-k = 0 maps (the corrector's Robin map and the mean's wall rows) when it is
-made, and the maps of modes 1..J (the streamfunction stack, their wall
-traces, the predictor stack and the corrector's modes) the first time it
-meets a general state (``ChannelFlowSolver._build_mode_maps``): a run that
-stays parallel never builds them, and its slip traces and records read
-none of them either.
+the full-width step.  So a solver keeps two whole sets of maps: the k = 0
+set ``_mean_maps`` (the mean's wall rows and the corrector's Robin map),
+built when it is made, and the full set ``_modes`` of modes 0..J, built
+the first time a general state is stepped, evaluated or traced.  A build
+that raises keeps nothing, so the next general state raises again, and a
+run that stays parallel never builds ``_modes``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -261,6 +259,21 @@ def steady_channel_state(grid: ChannelGrid, params: SimParams, F: float) -> Flow
     return initial_state(grid, params, u=u)
 
 
+class _Maps(NamedTuple):
+    """One set of a solver's linear maps, stacks over the leading n packed columns.
+
+    ``traces`` (n, 2, ny) takes a column to u at the (top, bottom) wall;
+    ``stage_c`` and ``stage_p`` (n, ny, ny) are the corrector's and the
+    predictor's implicit stages; ``psi`` (n - 1, ny, ny) takes vorticity
+    modes 1..J to streamfunction coefficients.  A map the set lacks is None.
+    """
+
+    traces: np.ndarray
+    stage_c: np.ndarray | None
+    stage_p: np.ndarray | None = None
+    psi: np.ndarray | None = None
+
+
 class ChannelFlowSolver:
     """Time stepper for the channel with the dynamic wall law.
 
@@ -268,13 +281,15 @@ class ChannelFlowSolver:
     holds the mean profile's real Chebyshev coefficients and columns 1..J
     the vorticity modes, packed from the ``FlowState`` at the start of the
     step and unpacked at its end.  The mean is the k = 0 column of every
-    map: each implicit stage is one (J+1, ny, ny) stack and the wall-trace
-    map one (J+1, 2, ny) stack, whose k = 0 entries act on the mean.  A
-    step of a parallel state applies only those k = 0 entries, so they are
-    all ``__init__`` builds: the corrector's Robin map ``_stage_c[0]`` and
-    the wall rows ``_traces[0]``.  The first step, evaluation or slip of a
-    general state, in either mode, builds the rest (``_build_mode_maps``);
-    a build that fails raises again at the next such call.
+    map.  The solver holds its maps as two ``_Maps`` sets, each built whole
+    and never written after.  ``_mean_maps``, built in ``__init__``, holds
+    the (1, 2, ny) mean wall rows and, in Navier-Stokes mode, the
+    (1, ny, ny) corrector Robin map: all that a parallel state's step,
+    evaluation or slip reads.  ``_modes`` holds the streamfunction stack,
+    the (J+1, 2, ny) wall traces and the two (J+1, ny, ny) stage stacks
+    (None in Euler mode); it is built the first time a general state is
+    stepped, evaluated or traced, in either mode.  A build that raises
+    keeps nothing, so every later general state builds, and raises, again.
 
     ``cfl_peak`` is the largest directional CFL number the solver has checked
     and the t of the step start where it occurred; (0.0, None) before a step.
@@ -295,7 +310,6 @@ class ChannelFlowSolver:
         self._D, self._D2 = cheb_diff_matrices(ny)
 
         dt = config.dt
-        Re = params.Re
         self.wall = MaxwellWall(params, dt)
         self.c2 = params.beta - self.wall.b
 
@@ -304,14 +318,6 @@ class ChannelFlowSolver:
         # the mean-momentum forcing F times T_0, the mean's constant coefficient
         self._force = np.zeros((ny, J + 1), dtype=complex)
         self._force[0, 0] = config.forcing_amplitude
-        # (J+1, 2, ny): u at the (top, bottom) wall of each packed column, the
-        # mean's own values at k = 0 and, from _build_mode_maps, those each
-        # vorticity mode induces after
-        self._traces = np.empty((J + 1, 2, ny))
-        self._traces[0] = _wall_rows(ny)
-        # (J, ny, ny) vorticity modes 1..J to streamfunction coefficients, set
-        # last by _build_mode_maps: None until every mode-1..J map is built
-        self._psi_ops = None
         self._synth = cheb_synthesis_matrix(ny)
         self._fourier = fourier_matrices(grid.nx, J, grid.lx)
         # node values to the Chebyshev coefficients a dealiased product keeps
@@ -320,70 +326,60 @@ class ChannelFlowSolver:
         self._dt_dx = dt / grid.dx
         self._dt_dy = (dt / grid.dy_local)[:, None]
         self.cfl_peak = (0.0, None)
-        self._end_slip = (None, None)  # (state returned by step, its wall slip)
+        self._end_slip = (None, None)  # (state returned by step, its wall slip or None)
 
-        if config.mode == "navier_stokes":
-            # the corrector's k = 0 map; _build_mode_maps fills modes 1..J
-            self._stage_c = self._robin_stage(2.0 * Re / dt)
+        robin = self._robin_map(2.0 * params.Re / dt) if config.mode == "navier_stokes" else None
+        self._mean_maps = _Maps(_wall_rows(ny)[None], robin)
 
-    def _robin_stage(self, lam: float) -> np.ndarray:
-        """A (J+1, ny, ny) stage stack with only its k = 0 map built, modes 1..J unset.
+    @cached_property
+    def _modes(self) -> _Maps:
+        """The maps of modes 0..J; the wall traces of modes 1..J are the u each
+        vorticity mode induces.  The predictor's stage (lam = Re/dt) is built
+        before the corrector's (2 lam), so the next solver of a sweep that
+        doubles Re/dt finds its own lam, this 2 lam, in the two-entry cache
+        of ``dirichlet_stage_inverses``."""
+        psi = streamfunction_operator(self.grid)
+        rows = self._mean_maps.traces
+        traces = np.concatenate([rows, -(rows[0] @ self._D) @ psi])
+        if self.config.mode == "euler":
+            return _Maps(traces, None, psi=psi)
+        lam = self.params.Re / self.config.dt
+        stage_p = self._stage_operators(lam, self._robin_map(lam), traces)
+        stage_c = self._stage_operators(2.0 * lam, self._mean_maps.stage_c, traces)
+        return _Maps(traces, stage_c, stage_p, psi)
 
-        The mean's (k = 0) map inverts the tau matrix of lam - D^2 whose two
-        rows read the wall data (q_top, q_bottom) in the Robin form
-        c2*u - u' = q_top, -c2*u - u' = q_bottom (``inv`` of a one-matrix
-        stack, bitwise entry 0 of a batched inverse).
-        """
+    def _robin_map(self, lam: float) -> np.ndarray:
+        """(1, ny, ny) k = 0 map of the stage lam - D^2: the inverse of its tau
+        matrix whose two rows read the wall data (q_top, q_bottom) in the Robin
+        form c2*u - u' = q_top, -c2*u - u' = q_bottom (``inv`` of a one-matrix
+        stack, bitwise entry 0 of a batched inverse)."""
         ny, c2 = self.grid.ny, self.c2
         robin = np.stack([_bc_row(ny, "top", c2, -1.0), _bc_row(ny, "bottom", -c2, -1.0)])
-        ops = np.empty((self.jmax + 1, ny, ny))
-        ops[0] = np.linalg.inv(tau_matrices(ny, [lam], robin))[0]
-        return ops
+        return np.linalg.inv(tau_matrices(ny, [lam], robin))
 
-    def _build_mode_maps(self):
-        """Build the mode-1..J maps, once, the first time a step or a slip reads them.
+    def _stage_operators(self, lam: float, robin: np.ndarray, traces: np.ndarray) -> np.ndarray:
+        """A new (J+1, ny, ny) stack of the maps of one implicit stage (lam + k^2 - D^2).
 
-        They are the streamfunction stack, the wall traces ``_traces[1:]``
-        and, in Navier-Stokes mode, the predictor stack ``_stage_p`` and the
-        corrector's modes ``_stage_c[1:]``.  A parallel state reads none of
-        them, so a run that stays parallel never builds them.  ``_psi_ops``
-        is set last: a build that raises leaves the solver unbuilt, and the
-        next call builds, and raises, again.
-        """
-        if self._psi_ops is not None:
-            return
-        psi_ops = streamfunction_operator(self.grid)
-        self._traces[1:] = -(self._traces[0] @ self._D) @ psi_ops
-        if self.config.mode == "navier_stokes":
-            lam = self.params.Re / self.config.dt
-            self._stage_p = self._stage_operators(lam, self._robin_stage(lam))
-            self._stage_operators(2.0 * lam, self._stage_c)
-        self._psi_ops = psi_ops
-
-    def _stage_operators(self, lam: float, ops: np.ndarray) -> np.ndarray:
-        """Fill modes 1..J of a ``_robin_stage(lam)`` stack, the wall law closed; returns ops.
-
-        The stack holds the (J+1, ny, ny) maps of one implicit stage
-        (lam + k^2 - D^2), and each map reads the wall data (q_top, q_bottom)
-        from the two tau rows of its right-hand side column.  Each
-        fluctuation mode is a Dirichlet tau solve A^-1 P plus the two
-        unit-boundary profiles A^-1 E, weighted by the 2x2 influence matrix K
-        (Kleiser & Schumann 1980) so that the wall vorticity equals
-        g + beta*u_tau for the slip the new field induces:
+        Each map reads the wall data (q_top, q_bottom) from the two tau rows
+        of its right-hand side column.  The k = 0 map is ``robin``, a
+        ``_robin_map(lam)``.  Each fluctuation mode is a Dirichlet tau solve
+        A^-1 P plus the two unit-boundary profiles A^-1 E, weighted by the
+        2x2 influence matrix K (Kleiser & Schumann 1980) so that the wall
+        vorticity equals g + beta*u_tau for the slip the new field induces:
 
             out = A^-1 P b + A^-1 E K^-1 (E^T b + S T A^-1 P b),
-            K = I - S T A^-1 E,  S = diag(-c2, c2),  T = wall u-traces.
+            K = I - S T A^-1 E,  S = diag(-c2, c2),  T = traces[1:].
 
         The Dirichlet inverses A^-1 read neither alpha nor the mean, so they
         come from the per-process ``dirichlet_stage_inverses`` and are
         copied before the closure is added; the Robin map and the closure
-        are the solver's own.  T is ``_traces[1:]``, so ``_build_mode_maps``
-        fills it first.
+        are the solver's own.
         """
         ny, c2 = self.grid.ny, self.c2
         dirichlet = dirichlet_stage_inverses(self.grid, lam)  # shared: never written
-        ops[1:] = dirichlet
-        modes, traces = ops[1:], self._traces[1:]
+        ops = np.empty((self.jmax + 1, ny, ny))
+        ops[:1], ops[1:] = robin, dirichlet
+        modes, traces = ops[1:], traces[1:]
         unit = dirichlet[:, :, ny - 2 :]
         modes[:, :, ny - 2 :] = 0.0
         S = np.diag([-c2, c2])
@@ -407,8 +403,7 @@ class ChannelFlowSolver:
         1..J; u and v are the total velocity at the (ny, nx) nodes, or
         (ny, 1) columns that hold for every x when x is x-independent.
 
-        x is x-independent when its modes 1..J are all exactly 0 (the forced
-        runs of single_run, sweep_alpha and sweep_re's forced phase).  Then
+        x is x-independent when its modes 1..J are all exactly 0.  Then
         v = psi_x = 0 and omega_x = 0, so u.grad(omega) and <v omega> vanish
         identically: N = 0 and v = 0 with no transform, and u is the mean
         profile's node values: column 0 of the ``_synth`` value rows applied
@@ -428,11 +423,10 @@ class ChannelFlowSolver:
         if x[0, 1] == 0 and not np.count_nonzero(x[:, modes]):
             u = real_matmul(self._synth[:ny], x)[:, :1].real
             return np.zeros((ny, J + 1), dtype=complex), u, np.zeros((ny, 1))
-        self._build_mode_maps()
         S, Sx, A = self._fourier
         cols = np.empty((ny, 2 * (J + 1)), dtype=complex)
         cols[:, 0] = x[:, 0]
-        cols[:, modes] = apply_modes(self._psi_ops, x[:, modes])
+        cols[:, modes] = apply_modes(self._modes.psi, x[:, modes])
         cols[:, J + 1] = -(self._D @ x[:, 0].real)
         cols[:, J + 2 :] = x[:, modes]
         vals = real_matmul(self._synth, cols)
@@ -474,25 +468,23 @@ class ChannelFlowSolver:
             raise CFLError(cfl, self.config.cfl_max, state.t, node)
 
     def _apply_leading(self, ops: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """apply_modes of a (J+1, p, ny) stack's leading w maps to the w columns cols.
+        """apply_modes of a (w, p, ny) stack to the leading w columns of cols.
 
         Returns (p, J+1) in the column-major layout of ``_pack``, with columns
         w..J +0.0.  The k = 0 item of a one-map apply is bitwise that of the
         whole stack's.
         """
-        w = cols.shape[1]
-        if w == len(ops):
+        w = len(ops)
+        if w == self.jmax + 1:
             return apply_modes(ops, cols)
-        out = np.zeros((ops.shape[1], len(ops)), dtype=complex, order="F")
-        out[:, :w] = apply_modes(ops[:w], cols)
+        out = np.zeros((ops.shape[1], self.jmax + 1), dtype=complex, order="F")
+        out[:, :w] = apply_modes(ops, cols[:, :w])
         return out
 
-    def _wall_slip(self, x: np.ndarray) -> np.ndarray:
-        """(2, J+1) slip u_tau on the (top, bottom) walls, modes 0..J, of the
-        leading w columns of a packed x, modes w..J being 0."""
-        if x.shape[1] > 1:
-            self._build_mode_maps()
-        return wall_slip(self._apply_leading(self._traces, x))
+    def _wall_slip(self, traces: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(2, J+1) slip u_tau on the (top, bottom) walls, modes 0..J, of a packed
+        x through a (w, 2, ny) trace stack, modes w..J of x being 0."""
+        return wall_slip(self._apply_leading(traces, x))
 
     # ---- stepping ----
 
@@ -516,9 +508,9 @@ class ChannelFlowSolver:
             raise SolverDivergedError(state.step_index, state.t, "g")
         x = self._pack(state)
         if self.config.mode == "euler":
-            x, g = self._step_euler(state, x), state.g
+            x, g, slip = self._step_euler(state, x), state.g, None
         else:
-            x, g = self._step_ns(state, x)
+            x, g, slip = self._step_ns(state, x)
         new = FlowState(
             grid=self.grid,
             omega=x[:, 1:],
@@ -530,20 +522,19 @@ class ChannelFlowSolver:
         for name in ("omega", "mean", "g"):
             if not np.isfinite(getattr(new, name)).all():
                 raise SolverDivergedError(new.step_index, new.t, name)
-        # the end slip _step_ns left is the new state's (None in euler mode)
-        self._end_slip = (new, self._end_slip[1])
+        self._end_slip = (new, slip)
         return new
 
-    def _step_ns(self, state: FlowState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One predictor-corrector step on the leading w columns of x.
+    def _step_ns(self, state: FlowState, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One predictor-corrector step on the leading w columns of x: (x_new, g, end slip).
 
-        A parallel state, modes 1..J of x and of g all exactly 0, has w = 1:
-        every right-hand side, the wall drive q in its tau rows included, is
-        0 on modes 1..J, so x_star, x_new and the end slip stay parallel and
-        N(x_star) = 0.  The step then applies only the k = 0 maps and runs
-        no predictor, whose only output is N(x_star).  Any other state has
-        w = J+1.  The wall law stays full width, so g keeps the signed zeros
-        of a full-width step.
+        A parallel state, modes 1..J of x and of g all exactly 0, reads
+        ``_mean_maps`` (w = 1): every right-hand side, the wall drive q in its
+        tau rows included, is 0 on modes 1..J, so x_star, x_new and the end
+        slip stay parallel and N(x_star) = 0, and the step runs no predictor,
+        whose only output is N(x_star).  Any other state reads ``_modes``
+        (w = J+1).  The wall law stays full width, so g keeps the signed
+        zeros of a full-width step.
         """
         dt, Re, F = self.config.dt, self.params.Re, self._force
 
@@ -551,15 +542,14 @@ class ChannelFlowSolver:
         self._check_cfl(u, v, state)
         # _nonlinear returns v as one column exactly when x is parallel
         parallel = v.shape[1] == 1 and not np.count_nonzero(state.g[:, 1:])
-        w = 1 if parallel else self.jmax + 1
-        if not parallel:
-            self._build_mode_maps()
+        maps = self._mean_maps if parallel else self._modes
+        w = len(maps.traces)
 
         # wall data that depends only on the step start, (top, bottom) on modes
         # 0..J; each stage reads it from the two tau rows of its right-hand side
         last, slip_n = self._end_slip
         if last is not state:
-            slip_n = self._wall_slip(x[:, :w])
+            slip_n = self._wall_slip(maps.traces, x)
         q = self.wall.drive(state.g, slip_n)
 
         if parallel:
@@ -567,7 +557,7 @@ class ChannelFlowSolver:
         else:
             rhs = Re / dt * x + Re * (N_n + F)
             rhs[-2:] = q
-            x_star = apply_modes(self._stage_p, rhs)
+            x_star = apply_modes(maps.stage_p, rhs)
             N_s = self._nonlinear(x_star)[0]
         # D2 @ x at full width: its column 0 alone differs in the last bits
         xw = x[:, :w]
@@ -576,13 +566,12 @@ class ChannelFlowSolver:
             + Re * (N_n[:, :w] + N_s[:, :w] + 2.0 * F[:, :w])
         )
         rhs[-2:] = q[:, :w]
-        x_new = self._apply_leading(self._stage_c, rhs)
+        x_new = self._apply_leading(maps.stage_c, rhs)
 
         # final slip traces close the boundary-stress update
-        slip_new = self._wall_slip(x_new[:, :w])
-        self._end_slip = (None, slip_new)  # step keys it to the state it returns
+        slip_new = self._wall_slip(maps.traces, x_new)
         g = step_boundary_ode(state.g, slip_n, self.wall, u_tau_end=slip_new)
-        return x_new, g
+        return x_new, g, slip_new
 
     def _step_euler(self, state: FlowState, x: np.ndarray) -> np.ndarray:
         dt, F = self.config.dt, self._force
@@ -614,9 +603,8 @@ class ChannelFlowSolver:
     def slip_traces(self, state: FlowState) -> np.ndarray:
         """Slip u_tau along the (top, bottom) walls at the x-nodes, a (2, nx) array.
 
-        Of a parallel state, omega all 0, only the mean's k = 0 traces apply.
+        Of a parallel state, omega all 0, only ``_mean_maps`` applies.
         """
-        x = self._pack(state)
-        w = self.jmax + 1 if np.count_nonzero(state.omega) else 1
-        slip = np.ascontiguousarray(self._wall_slip(x[:, :w]))
+        maps = self._modes if np.count_nonzero(state.omega) else self._mean_maps
+        slip = np.ascontiguousarray(self._wall_slip(maps.traces, self._pack(state)))
         return slip.view(np.float64) @ self._fourier[0]

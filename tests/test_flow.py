@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -298,8 +299,8 @@ def test_parallel_step_is_bitwise_the_full_width_step(params, nx, ny, name):
 def test_forced_run_from_the_steady_state_makes_no_transform(monkeypatch):
     # a parallel step applies no streamfunction stack, touches no Fourier
     # matrix, runs no predictor stage and applies no stack beyond its k = 0
-    # map, and the run keeps its bytes; the counters read the solver's mode
-    # maps when a stack is applied, since a general step builds them then
+    # map, and the run keeps its bytes; the counters read the solver's full
+    # map set only once it is built, since reading it would build it
     grid = ChannelGrid(nx=16, ny=17)
     params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
     F = 1.0 / params.Re
@@ -336,9 +337,9 @@ def test_forced_run_from_the_steady_state_makes_no_transform(monkeypatch):
         sol._fourier = tuple(Counted(M) for M in sol._fourier)
 
         def counted_apply(ops, cols, sol=sol):
-            pred = getattr(sol, "_stage_p", None)
-            calls["psi"] += ops is sol._psi_ops
-            calls["predictor"] += pred is not None and np.shares_memory(ops, pred)
+            modes = vars(sol).get("_modes")
+            calls["psi"] += modes is not None and ops is modes.psi
+            calls["predictor"] += modes is not None and np.shares_memory(ops, modes.stage_p)
             calls["wide" if len(ops) > 1 else "k0"] += 1
             return apply(ops, cols)
 
@@ -379,7 +380,8 @@ def test_zero_vorticity_with_a_wall_fluctuation_takes_the_shortcut_once(
     stages = []
 
     def recorded_apply(ops, cols):
-        if np.shares_memory(ops, sol._stage_p) or np.shares_memory(ops, sol._stage_c):
+        modes = vars(sol)["_modes"]  # built by the first, general, step
+        if np.shares_memory(ops, modes.stage_p) or np.shares_memory(ops, modes.stage_c):
             stages.append(len(ops))
         return apply(ops, cols)
 
@@ -1035,8 +1037,9 @@ def test_batched_operators_match_per_mode_reference(grid, params, dt, seed):
     # both implicit stages, wall law closed; the mean is the k = 0 column,
     # and the stage reads the wall data from the tau rows of its right-hand side
     J = grid.dealias_kx
-    assert sol._traces.shape == (J + 1, 2, grid.ny)
-    for lam, stage in ((Re / dt, sol._stage_p), (2.0 * Re / dt, sol._stage_c)):
+    modes = sol._modes
+    assert modes.traces.shape == (J + 1, 2, grid.ny)
+    for lam, stage in ((Re / dt, modes.stage_p), (2.0 * Re / dt, modes.stage_c)):
         assert stage.shape == (J + 1, grid.ny, grid.ny)
         rhs = random_modes(grid, rng)
         mean_rhs = rng.standard_normal(grid.ny)
@@ -1079,7 +1082,7 @@ def test_solvers_at_one_re_and_dt_share_the_dirichlet_inverses(monkeypatch):
         dirichlet_stage_inverses.cache_clear()
         sol, state = build(alpha)
         steps = chained(sol, state)
-        cold[alpha] = (sol._stage_p.tobytes(), sol._stage_c.tobytes(), steps)
+        cold[alpha] = (sol._modes.stage_p.tobytes(), sol._modes.stage_c.tobytes(), steps)
 
     dirichlet_stage_inverses.cache_clear()
     inverted = []
@@ -1098,7 +1101,7 @@ def test_solvers_at_one_re_and_dt_share_the_dirichlet_inverses(monkeypatch):
         if shared is None:
             shared = [dirichlet_stage_inverses(grid, lam) for lam in lams]
             before = [a.tobytes() for a in shared]
-        stages = (sol._stage_p.tobytes(), sol._stage_c.tobytes())
+        stages = (sol._modes.stage_p.tobytes(), sol._modes.stage_c.tobytes())
         assert stages == cold[alpha][:2]
         assert steps == cold[alpha][2]
     assert inverted == [grid.dealias_kx] * 2
@@ -1133,10 +1136,31 @@ def test_a_parallel_only_run_builds_no_mode_map(monkeypatch):
         records = compute_records(states, params, F)
         assert len(slips) == len(records) == 21
         assert all(np.isfinite(s).all() for s in slips)
-        assert sol._psi_ops is None and not hasattr(sol, "_stage_p")
+        assert "_modes" not in vars(sol)
     assert inverted == [(1, grid.ny, grid.ny)] * 2
     assert streamfunction_operator.cache_info().misses == 0
     assert dirichlet_stage_inverses.cache_info().misses == 0
+
+
+def test_a_parallel_solver_allocates_less_than_one_stage_stack():
+    # a solver's construction builds only its k = 0 maps, so at sweep_alpha's
+    # 64x65 it keeps less than one (J+1, ny, ny) float64 stack; a warm-up
+    # solver first fills the per-grid caches it shares
+    grid = ChannelGrid(nx=64, ny=65)
+    params = SimParams(Re=250.0, Wi=1.0, tau=100.0, alpha=10.0)
+    cfg = SolverConfig(dt=5e-3, t_end=1.0, forcing_amplitude=1.0 / params.Re)
+    ChannelFlowSolver(grid, params, cfg)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = ChannelFlowSolver(grid, params, cfg)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    stack = (grid.dealias_kx + 1) * grid.ny**2 * 8
+    assert stack == 743_600
+    assert kept < stack
+    assert "_modes" not in vars(sol)
 
 
 @pytest.mark.parametrize("mode", ["navier_stokes", "euler"])
@@ -1153,9 +1177,9 @@ def test_a_deferred_mode_map_build_is_bitwise_an_eager_one(mode):
     lazy = ChannelFlowSolver(grid, params, cfg)
     end = lazy.run(steady_channel_state(grid, params, F), t_end=3 * 5e-3)
     narrow = lazy.slip_traces(end)
-    assert lazy._psi_ops is None
+    assert "_modes" not in vars(lazy)
     eager = ChannelFlowSolver(grid, params, cfg)
-    eager._build_mode_maps()
+    eager._modes  # reading the full set builds it
     full = eager.slip_traces(replace(end, omega=end.omega.view(ReportsNonzero)))
     assert narrow.tobytes() == full.tobytes()
     runs = []
@@ -1166,9 +1190,11 @@ def test_a_deferred_mode_map_build_is_bitwise_an_eager_one(mode):
         runs.append([getattr(s, f).tobytes() for s in states[1:] for f in ("omega", "mean", "g")])
         runs[-1].append(sol.slip_traces(general).tobytes())
     assert runs[0] == runs[1]
-    stacks = ("_psi_ops", "_traces") + (("_stage_p", "_stage_c") if mode == "navier_stokes" else ())
+    stacks = ("psi", "traces") + (("stage_p", "stage_c") if mode == "navier_stokes" else ())
     for name in stacks:
-        assert getattr(lazy, name).tobytes() == getattr(eager, name).tobytes(), name
+        assert getattr(lazy._modes, name).tobytes() == getattr(eager._modes, name).tobytes(), name
+    if mode == "euler":
+        assert lazy._modes.stage_p is lazy._modes.stage_c is None
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -1204,7 +1230,7 @@ def test_a_failed_mode_map_build_raises_at_every_step(monkeypatch):
     for _ in range(2):
         with pytest.raises(SolverError, match="singular wall influence matrix"):
             sol.step(state)
-        assert sol._psi_ops is None
+        assert "_modes" not in vars(sol)
     monkeypatch.undo()
     got = sol.step(state)
     for name in ("omega", "mean", "g"):
@@ -1286,12 +1312,12 @@ def test_step_names_each_non_finite_field(grid, params, monkeypatch, field):
     advance = sol._step_ns
 
     def poisoned(state, x):
-        x, g = advance(state, x)
+        x, g, slip = advance(state, x)
         if field == "g":
             g[1, 2] = np.nan
         else:
             x[3, 0 if field == "mean" else 2] = np.nan
-        return x, g
+        return x, g, slip
 
     monkeypatch.setattr(sol, "_step_ns", poisoned)
     with pytest.raises(SolverDivergedError, match=f"non-finite {field} at step 1 "):
@@ -1310,9 +1336,9 @@ def test_step_carries_its_end_slip_to_the_next_step(grid, params, monkeypatch):
     calls = {"carried": 0, "fresh": 0}
     for name, sol in (("carried", carried), ("fresh", fresh)):
 
-        def counted(x, name=name, slip=sol._wall_slip):
+        def counted(traces, x, name=name, slip=sol._wall_slip):
             calls[name] += 1
-            return slip(x)
+            return slip(traces, x)
 
         monkeypatch.setattr(sol, "_wall_slip", counted)
     a = b = start
