@@ -95,7 +95,10 @@ def write_checkpoint(path, state: FlowState, params: SimParams, config: SolverCo
 
 def read_checkpoint(path) -> Checkpoint:
     """Load a checkpoint: its state, and the run_record it was written with."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if len(raw) < _PREFIX.size:
         raise CheckpointError(f"{path}: truncated header")
     magic, version = _PREFIX.unpack_from(raw, 0)

@@ -252,6 +252,6 @@ def load_config(path, force_kind: str | None = None) -> ExperimentPlan:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one not UTF-8
         raise ConfigError(f"cannot read config {p}: {exc}") from None
     return parse_config(text, force_kind=force_kind)

@@ -142,32 +142,36 @@ def _label(x: float) -> str:
     return f"{float(x):g}".replace(".", "p").replace("-", "m")
 
 
-def perturbation_velocity(grid: ChannelGrid, amplitude: float = PERTURBATION_AMPLITUDE):
+def perturbation_velocity(grid: ChannelGrid):
     """Solenoidal cellular perturbation, velocity flat at both walls.
 
-    Streamfunction a*(1-y^2)^3*(cos x + 0.5 sin 2x); the sextic envelope
-    keeps both velocity components and their first derivatives zero on the
-    walls, so perturbed data stays compatible with any wall law.
+    Streamfunction a*(1-y^2)^3*(cos x + 0.5 sin 2x), a the
+    PERTURBATION_AMPLITUDE; the sextic envelope keeps both velocity
+    components and their first derivatives zero on the walls, so perturbed
+    data stays compatible with any wall law.
     """
+    a = PERTURBATION_AMPLITUDE
     X, Y = np.meshgrid(grid.x, grid.y)
     env2 = (1.0 - Y**2) ** 2
-    u = 6.0 * amplitude * Y * env2 * (np.cos(X) + 0.5 * np.sin(2 * X))
-    v = amplitude * env2 * (1.0 - Y**2) * (-np.sin(X) + np.cos(2 * X))
+    u = 6.0 * a * Y * env2 * (np.cos(X) + 0.5 * np.sin(2 * X))
+    v = a * env2 * (1.0 - Y**2) * (-np.sin(X) + np.cos(2 * X))
     return u, v
+
+
+def _cells_over(grid: ChannelGrid, params: SimParams, u) -> FlowState:
+    """The mean profile u, a (ny, 1) column, plus the cells of perturbation_velocity."""
+    up, vp = perturbation_velocity(grid)
+    return initial_state(grid, params, u=u + up, v=vp)
 
 
 def shear_decay_state(grid: ChannelGrid, params: SimParams) -> FlowState:
     """Smooth shear data for decay sweeps: half-sine profile plus cells."""
-    up, vp = perturbation_velocity(grid)
-    Y = grid.y[:, None]
-    return initial_state(grid, params, u=np.sin(np.pi * Y / 2.0) + up, v=vp)
+    return _cells_over(grid, params, np.sin(np.pi * grid.y[:, None] / 2.0))
 
 
 def couette_perturbed_state(grid: ChannelGrid, params: SimParams) -> FlowState:
     """Linear shear (an exact steady Euler flow) plus a small cell field."""
-    up, vp = perturbation_velocity(grid)
-    Y = grid.y[:, None]
-    return initial_state(grid, params, u=Y + up, v=vp)
+    return _cells_over(grid, params, grid.y[:, None])
 
 
 def _point_params(base: SimParams, Re: float) -> SimParams:
@@ -189,16 +193,21 @@ def _bulk_drive(plan: ExperimentPlan) -> float:
     return F0 * plan.sim.Re if F0 > 0 else FORCED_BULK_REF
 
 
-def _trajectory(solver, state, every, take, on_step=None):
+def _trajectory(summary: RunSummary, solver, state, every, take=None, on_step=None):
     """Run solver from state to its t_end; return the final state and samples.
 
     The samples are those of the start state, of every state whose
     step_index is a multiple of ``every`` and of the final state if no sample
     landed on it, in that order.  Sampled states wait in a block of
     ``record_block(grid)`` states; ``take`` maps each full block, and the
-    last one at the end, to its samples, one per state.  ``on_step``, if
-    given, sees every stepped state as it is stepped.
+    last one at the end, to its samples, one per state: by default their
+    diagnostics records under the solver's physics.  ``on_step``, if given,
+    sees every stepped state as it is stepped.  The steps taken are added
+    to ``summary.total_steps``.
     """
+    if take is None:
+        def take(states):
+            return compute_records(states, solver.params, solver.config.forcing_amplitude)
     block = record_block(solver.grid)
     samples, pending = [], [state]
 
@@ -219,6 +228,7 @@ def _trajectory(solver, state, every, take, on_step=None):
         pending.append(final)
     if pending:
         flush()
+    summary.total_steps += final.step_index - state.step_index
     return final, samples
 
 
@@ -230,11 +240,6 @@ def _cfl_peak(solver, run: str) -> dict:
 
 def _higher_cfl(*peaks: dict) -> dict:
     return max(peaks, key=lambda p: p["value"])
-
-
-def _recorder(solver):
-    """Sample a block of states as their diagnostics records under the solver's physics."""
-    return lambda states: compute_records(states, solver.params, solver.config.forcing_amplitude)
 
 
 def _sweep_points(summary: RunSummary, key: str, values, run_point) -> list:
@@ -273,6 +278,12 @@ def _write_table(outdir: Path, name: str, version: str, header: str, rows, summa
     summary.outputs.append(name)
 
 
+def _write_records(outdir: Path, name: str, records, summary: RunSummary) -> None:
+    """The records CSV under outdir, listed among the summary's outputs."""
+    write_records(outdir / name, records)
+    summary.outputs.append(name)
+
+
 def execute(plan: ExperimentPlan, checkpoint: str | Path | None = None) -> RunSummary:
     """Run the plan's driver, writing all outputs under plan.output_dir."""
     restart = None if checkpoint is None else _restart_state(plan, Path(checkpoint))
@@ -285,8 +296,7 @@ def execute(plan: ExperimentPlan, checkpoint: str | Path | None = None) -> RunSu
     tic = time.monotonic()
     if restart is not None:
         summary.notes.append(f"restarted from {checkpoint} at t={restart.t!r}")
-        solver = ChannelFlowSolver(restart.grid, plan.sim, plan.solver)
-        _advance_with_outputs(solver, restart, outdir, summary)
+        _drive_single_run(plan, outdir, summary, start=restart)
     else:
         driver = {
             "single_run": _drive_single_run,
@@ -304,19 +314,12 @@ def execute(plan: ExperimentPlan, checkpoint: str | Path | None = None) -> RunSu
 
 
 def _write_summary(outdir: Path, summary: RunSummary) -> None:
-    if "summary.json" not in summary.outputs:
-        summary.outputs.append("summary.json")
+    summary.outputs.append("summary.json")
     text = json.dumps(summary.to_json_dict(), indent=2) + "\n"
     write_atomic(outdir / "summary.json", text.encode("ascii"))
 
 
 # ---- single run and restart ----
-
-
-def _drive_single_run(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> None:
-    grid = plan.grid()
-    solver = ChannelFlowSolver(grid, plan.sim, plan.solver)
-    _advance_with_outputs(solver, initial_state(grid, plan.sim), outdir, summary)
 
 
 def _restart_state(plan: ExperimentPlan, ckpt: Path) -> FlowState:
@@ -337,23 +340,26 @@ def _restart_state(plan: ExperimentPlan, ckpt: Path) -> FlowState:
     return state
 
 
-def _advance_with_outputs(solver, state, outdir: Path, summary: RunSummary) -> None:
-    """Shared trajectory driver: records, periodic checkpoints, final state."""
+def _drive_single_run(
+    plan: ExperimentPlan, outdir: Path, summary: RunSummary, start: FlowState | None = None
+) -> None:
+    """One run from the plan's initial state, or from ``start`` (a restart's
+    checkpointed state): records, periodic checkpoints, final state."""
+    grid = plan.grid()
+    cfg, params = plan.solver, plan.sim
+    solver = ChannelFlowSolver(grid, params, cfg)
     ckdir = outdir / "checkpoints"
     ckdir.mkdir(exist_ok=True)
-    cfg = solver.config
-    params = solver.params
 
     def checkpoint(s):
         if s.step_index % cfg.checkpoint_every == 0:
             write_checkpoint(ckdir / f"step{s.step_index:08d}.ckpt", s, params, cfg)
 
-    final, records = _trajectory(solver, state, cfg.record_every, _recorder(solver), checkpoint)
+    state = initial_state(grid, params) if start is None else start
+    final, records = _trajectory(summary, solver, state, cfg.record_every, on_step=checkpoint)
     write_checkpoint(ckdir / "final.ckpt", final, params, cfg)
     summary.outputs.append("checkpoints/final.ckpt")
-    write_records(outdir / "records.csv", records)
-    summary.outputs.append("records.csv")
-    summary.total_steps += final.step_index - state.step_index
+    _write_records(outdir, "records.csv", records, summary)
     last = records[-1]
     summary.points.append(
         {
@@ -383,12 +389,8 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
         point["tau"] = params.tau
         # phase A: unforced decay from smooth shear data
         solver = ChannelFlowSolver(grid, params, replace(plan.solver, forcing_amplitude=0.0))
-        state = shear_decay_state(grid, params)
-        final, recs = _trajectory(solver, state, every, _recorder(solver))
-        name = f"records_re{_label(Re)}_decay.csv"
-        write_records(outdir / name, recs)
-        summary.outputs.append(name)
-        summary.total_steps += final.step_index
+        _, recs = _trajectory(summary, solver, shear_decay_state(grid, params), every)
+        _write_records(outdir, f"records_re{_label(Re)}_decay.csv", recs, summary)
         point["dissipation_average"] = time_average(recs, "dissipation_rate")
         point["omega_sup"] = max(r.omega_inf_norm for r in recs)
 
@@ -396,12 +398,8 @@ def _drive_sweep_re(plan: ExperimentPlan, outdir: Path, summary: RunSummary) -> 
         F = bulk / Re
         fcfg = replace(plan.solver, t_end=FORCED_PHASE_SPAN, forcing_amplitude=F)
         fsolver = ChannelFlowSolver(grid, params, fcfg)
-        fstate = steady_channel_state(grid, params, F)
-        ffinal, frecs = _trajectory(fsolver, fstate, every, _recorder(fsolver))
-        name = f"records_re{_label(Re)}_forced.csv"
-        write_records(outdir / name, frecs)
-        summary.outputs.append(name)
-        summary.total_steps += ffinal.step_index
+        _, frecs = _trajectory(summary, fsolver, steady_channel_state(grid, params, F), every)
+        _write_records(outdir, f"records_re{_label(Re)}_forced.csv", frecs, summary)
         point["friction_trace_mean"] = time_average(frecs, "friction_trace")
         point["momentum_audit"] = momentum_audit(frecs, grid.lx, F)
         point["friction_form_gap"] = max(
@@ -465,11 +463,8 @@ def _drive_sweep_alpha(plan: ExperimentPlan, outdir: Path, summary: RunSummary) 
         params = replace(base, alpha=alpha)
         solver = ChannelFlowSolver(grid, params, cfg)
         state = steady_channel_state(grid, params, F)
-        final, recs = _trajectory(solver, state, cfg.record_every, _recorder(solver))
-        name = f"records_alpha{_label(alpha)}.csv"
-        write_records(outdir / name, recs)
-        summary.outputs.append(name)
-        summary.total_steps += final.step_index
+        final, recs = _trajectory(summary, solver, state, cfg.record_every)
+        _write_records(outdir, f"records_alpha{_label(alpha)}.csv", recs, summary)
         point["slip_sup"] = float(np.abs(solver.slip_traces(final)).max())
         point["slip_mean_top"] = recs[-1].wall_u_top_mean
         point["cfl_peak"] = _cfl_peak(solver, "forced")
@@ -740,13 +735,10 @@ def _drive_energy_audit(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     residuals = []
     for dt in dts:
         solver = ChannelFlowSolver(grid, params, replace(plan.solver, dt=dt))
-        final, recs = _trajectory(solver, shear_decay_state(grid, params), 1, _recorder(solver))
+        _, recs = _trajectory(summary, solver, shear_decay_state(grid, params), 1)
         records = recs[:1] + [energy_audit(a, b) for a, b in zip(recs, recs[1:])]
         residuals.append(records[-1].budget_residual)
-        summary.total_steps += final.step_index
-        name = f"records_dt{_label(dt)}.csv"
-        write_records(outdir / name, records)
-        summary.outputs.append(name)
+        _write_records(outdir, f"records_dt{_label(dt)}.csv", records, summary)
         summary.points.append(
             {"dt": dt, "final_step_residual": residuals[-1], "cfl_peak": _cfl_peak(solver, "decay")}
         )
@@ -786,8 +778,7 @@ def _drive_inviscid_limit(plan: ExperimentPlan, outdir: Path, summary: RunSummar
     def states_of(params, mode):
         solver = ChannelFlowSolver(grid, params, replace(plan.solver, mode=mode))
         state = couette_perturbed_state(grid, params)
-        final, states = _trajectory(solver, state, every, list)
-        summary.total_steps += final.step_index
+        _, states = _trajectory(summary, solver, state, every, list)
         return states, _cfl_peak(solver, mode)
 
     reference, reference_cfl = states_of(base, "euler")

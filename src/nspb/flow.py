@@ -56,7 +56,7 @@ from .grid import (
     ChannelGrid,
     GridError,
     cheb_diff_matrices,
-    cheb_forward,
+    cheb_forward_matrix,
     cheb_synthesis_matrix,
     fourier_matrices,
     real_matmul,
@@ -321,7 +321,7 @@ class ChannelFlowSolver:
         self._synth = cheb_synthesis_matrix(ny)
         self._fourier = fourier_matrices(grid.nx, J, grid.lx)
         # node values to the Chebyshev coefficients a dealiased product keeps
-        self._fwd = cheb_forward(np.eye(ny))[: grid.dealias_cheb + 1]
+        self._fwd = cheb_forward_matrix(ny, grid.dealias_cheb + 1)
         # dt over the node spacings of the directional CFL number
         self._dt_dx = dt / grid.dx
         self._dt_dy = (dt / grid.dy_local)[:, None]

@@ -168,10 +168,12 @@ def fokker_planck_solve(
     t_end: float,
     u_slip=0.0,
     dt: float | None = None,
-    f0: np.ndarray | None = None,
+    *,
+    f0: np.ndarray,
 ) -> FPResult:
-    """Explicit finite-volume integration to t_end.
+    """Explicit finite-volume integration of the cell density ``f0`` to t_end.
 
+    ``f0`` is required: its mass is the mass the solve conserves.
     ``dt`` defaults to half the positivity bound, bitwise ``stable_dt`` at
     its default safety; any dt up to ``stable_dt`` at ``POSITIVITY_SAFETY``
     is accepted.  The steps are then evened out to t_end.
@@ -192,14 +194,11 @@ def fokker_planck_solve(
             f"dt={dt} must be positive and within the drift-diffusion stability bound {dt_max:.3e}"
         )
     n_t, n_n = fpgrid.n_t, fpgrid.n_n
-    if f0 is None:
-        f = np.full((n_t, n_n), 1.0 / (4.0 * fpgrid.extent_t * fpgrid.extent_n))
-    else:
-        f = np.array(f0, dtype=float, order="C")
-        if f.shape != (n_t, n_n):
-            raise FPError(f"f0 shape {f.shape} != {(n_t, n_n)}")
-        if not (np.isfinite(f).all() and f.min() >= 0):
-            raise FPError(f"f0 must be finite and nonnegative; it spans [{f.min()}, {f.max()}]")
+    f = np.array(f0, dtype=float, order="C")
+    if f.shape != (n_t, n_n):
+        raise FPError(f"f0 shape {f.shape} != {(n_t, n_n)}")
+    if not (np.isfinite(f).all() and f.min() >= 0):
+        raise FPError(f"f0 must be finite and nonnegative; it spans [{f.min()}, {f.max()}]")
     mass0 = density_mass(fpgrid, f)
 
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12))) if t_end > 0 else 0

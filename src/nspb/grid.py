@@ -108,6 +108,18 @@ def cheb_synthesis_matrix(ny: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def cheb_forward_matrix(ny: int, rows: int) -> np.ndarray:
+    """Read-only (rows, ny): node values to their first ``rows`` Chebyshev coefficients.
+
+    The leading rows of ``cheb_forward(np.eye(ny))``, copied out C-contiguous
+    so that no view keeps the whole (ny, ny) transform alive.
+    """
+    F = cheb_forward(np.eye(ny))[:rows].copy()
+    F.flags.writeable = False
+    return F
+
+
+@lru_cache(maxsize=None)
 def fourier_matrices(nx: int, J: int, lx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only real (S, Sx, A): the x-transforms of Fourier modes 0..J on nx nodes.
 

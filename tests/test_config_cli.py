@@ -240,6 +240,17 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.cfg")
 
 
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    # a Latin-1 byte in a comment is a config error, not a failed physics check
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\nkind = single_run\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot read config" in err and str(cfg) in err
+    assert "utf-8" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_with_output_and_seed():
     plan = parse_config("").with_output("/tmp/somewhere", seed=42)
     assert plan.output_dir == Path("/tmp/somewhere")
@@ -354,6 +365,15 @@ def test_cli_rejected_checkpoint_exits_2(tmp_path, capsys):
     assert code == 2
     assert "checkpoint error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()  # a rejected restart writes nothing
+
+
+def test_cli_restart_from_a_missing_checkpoint_exits_2(tmp_path, capsys):
+    missing = tmp_path / "gone.ckpt"
+    cfg = write_cfg(tmp_path, TINY)
+    assert main(["restart", str(missing), "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint error:" in err and str(missing) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_restart_from_a_non_ascii_header_exits_2(tmp_path, capsys):

@@ -465,7 +465,7 @@ def test_compute_record_reads_only_modes_up_to_the_cut(monkeypatch):
     for mod, name in (
         (nspb.grid, "cheb_forward"),
         (nspb.grid, "cheb_inverse"),
-        (nspb.flow, "cheb_forward"),
+        (nspb.flow, "cheb_forward_matrix"),
     ):
         monkeypatch.setattr(mod, name, refuse)
 

@@ -14,7 +14,7 @@ from nspb import experiments
 from nspb.checkpoint import read_checkpoint, write_checkpoint
 from nspb.config import parse_config
 from nspb.diagnostics import _COLUMNS, compute_record, momentum_audit
-from nspb.experiments import _recorder, _trajectory, execute, shear_decay_state
+from nspb.experiments import RunSummary, _trajectory, execute, shear_decay_state
 from nspb.flow import ChannelFlowSolver, SolverConfig, steady_channel_state
 from nspb.grid import ChannelGrid
 from nspb.micro import SpringPotential, equilibrium_ensemble
@@ -512,6 +512,62 @@ def test_restarted_forced_steady_run_stays_x_constant_and_writes_the_same_bytes(
     assert final.read_bytes() == full.read_bytes()
 
 
+# ---- per-run bookkeeping ----
+
+SMALL_FLOW = "re = 50\nwi = 1\ntau = 20\nnx = 16\nny = 17\ndt = 2e-3\n"
+FLOW_KINDS = {
+    "single_run": (
+        "alpha = 1\nt_end = 0.02\nforcing_amplitude = 0.02\ncheckpoint_every = 4\n"
+        "record_every = 3\n"
+    ),
+    "sweep_re": "alpha = 1\nt_end = 0.02\nrecord_every = 2\nsweep_values = 50,100\n",
+    "sweep_alpha": "t_end = 0.02\nrecord_every = 5\nsweep_values = 10,100\n",
+    "energy_audit": "alpha = 1\nt_end = 0.008\n",
+    "inviscid_limit": "alpha = 1\nt_end = 0.06\nsweep_values = 50,100\n",
+}
+
+
+@pytest.fixture
+def counted_steps(monkeypatch):
+    """The number of ChannelFlowSolver.step calls so far, as a one-entry list."""
+    calls = [0]
+    step = ChannelFlowSolver.step
+
+    def counting(self, state):
+        calls[0] += 1
+        return step(self, state)
+
+    monkeypatch.setattr(ChannelFlowSolver, "step", counting)
+    monkeypatch.setattr(experiments, "FORCED_PHASE_SPAN", 0.01)
+    return calls
+
+
+def assert_bookkeeping(summary, out, steps):
+    assert summary.runtime_failures == 0
+    assert summary.total_steps == steps > 0
+    assert "summary.json" in summary.outputs
+    for name in summary.outputs:
+        assert (out / name).is_file(), name
+
+
+@pytest.mark.parametrize("kind", sorted(FLOW_KINDS))
+def test_summary_counts_every_step_and_lists_only_written_files(tmp_path, counted_steps, kind):
+    text = f"kind = {kind}\n{SMALL_FLOW}{FLOW_KINDS[kind]}"
+    summary = execute(parse_config(text).with_output(tmp_path))
+    assert_bookkeeping(summary, tmp_path, counted_steps[0])
+
+
+def test_restart_counts_only_the_resumed_steps(tmp_path, counted_steps):
+    text = f"kind = single_run\n{SMALL_FLOW}{FLOW_KINDS['single_run']}"
+    execute(parse_config(text).with_output(tmp_path / "first"))
+    assert counted_steps[0] == 10
+    counted_steps[0] = 0
+    ckpt = tmp_path / "first" / "checkpoints" / "step00000004.ckpt"
+    summary = execute(parse_config(text).with_output(tmp_path / "again"), checkpoint=ckpt)
+    assert summary.kind == "restart" and counted_steps[0] == 6
+    assert_bookkeeping(summary, tmp_path / "again", counted_steps[0])
+
+
 # ---- sampled trajectories in blocks ----
 
 
@@ -544,9 +600,8 @@ def test_trajectory_samples_in_blocks_in_order(monkeypatch, n_steps, every, with
         blocks.append(len(states))
         return [(s, i) for i, s in enumerate(states)]
 
-    final, samples = _trajectory(
-        solver, start, every, take, stepped.append if with_on_step else None
-    )
+    on_step = stepped.append if with_on_step else None
+    final, samples = _trajectory(RunSummary("test", {}), solver, start, every, take, on_step)
     assert [s.step_index for s, _ in samples] == _expected_steps(n_steps, every)
     assert samples[0][0] is start and samples[-1][0] is final
     if with_on_step:
@@ -568,8 +623,8 @@ def test_trajectory_records_equal_per_state_records():
     cfg = SolverConfig(dt=2e-3, t_end=0.07, forcing_amplitude=0.01)
     solver = ChannelFlowSolver(grid, params, cfg)
     start = shear_decay_state(grid, params)
-    final, states = _trajectory(solver, start, 2, list)
-    _, recs = _trajectory(solver, start, 2, _recorder(solver))
+    final, states = _trajectory(RunSummary("test", {}), solver, start, 2, list)
+    _, recs = _trajectory(RunSummary("test", {}), solver, start, 2)
     assert len(states) == len(recs) == 19 > experiments.record_block(grid)
     alone = [compute_record(state, params, 0.01) for state in states]
     assert [r.t for r in recs] == [r.t for r in alone]

@@ -716,7 +716,7 @@ def test_steps_make_no_dct_call(grid, params, monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", refuse)  # the DCT's transform
     monkeypatch.setattr(nspb.grid, "cheb_forward", refuse)
     monkeypatch.setattr(nspb.grid, "cheb_inverse", refuse)
-    monkeypatch.setattr(nspb.flow, "cheb_forward", refuse)
+    monkeypatch.setattr(nspb.flow, "cheb_forward_matrix", refuse)
     for sol, ref in zip(solvers, want):
         got = sol.step(st)
         for name in ("omega", "mean", "g"):

@@ -175,7 +175,9 @@ def test_mass_conserved_under_shear(fpgrid, pot, phys):
 def test_oversized_dt_rejected(fpgrid, pot, phys):
     dt_ok = stable_dt(fpgrid, pot, phys)
     with pytest.raises(FPError):
-        fokker_planck_solve(fpgrid, pot, phys, t_end=0.1, dt=10.0 * dt_ok)
+        fokker_planck_solve(
+            fpgrid, pot, phys, t_end=0.1, dt=10.0 * dt_ok, f0=gibbs_density(fpgrid, pot)
+        )
 
 
 def test_bad_initial_density_rejected(fpgrid, pot, phys):
@@ -200,13 +202,13 @@ def test_bad_t_end_rejected(fpgrid, pot, phys, t_end):
     # a NaN or negative horizon used to return f0 at t = 0, and inf died
     # with a bare OverflowError
     with pytest.raises(FPError, match=re.escape(f"t_end={t_end}")):
-        fokker_planck_solve(fpgrid, pot, phys, t_end=t_end)
+        fokker_planck_solve(fpgrid, pot, phys, t_end=t_end, f0=gibbs_density(fpgrid, pot))
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan])
 def test_bad_dt_rejected(fpgrid, pot, phys, dt):
     with pytest.raises(FPError, match=re.escape(f"dt={dt}")):
-        fokker_planck_solve(fpgrid, pot, phys, t_end=0.1, dt=dt)
+        fokker_planck_solve(fpgrid, pot, phys, t_end=0.1, dt=dt, f0=gibbs_density(fpgrid, pot))
 
 
 def test_normal_moment_relaxation_matches_closed_form(fpgrid, pot, phys):
@@ -306,17 +308,14 @@ def test_callable_slip_checked_at_every_step_time(fpgrid, pot, phys):
         )
 
 
-def _reference_solve(fpgrid, potential, phys, t_end, u_slip=0.0, f0=None):
+def _reference_solve(fpgrid, potential, phys, t_end, u_slip, f0):
     """The flux-form loop the kernel replaced, at the solver's default step:
     edge fluxes into (n_t + 1, n_n) and (n_t, n_n + 1) arrays whose wall
     rows stay zero, then their divergence into a new density."""
     slip = u_slip if callable(u_slip) else (lambda t, _c=float(u_slip): _c)
     u_bound = max(abs(slip(s)) for s in np.linspace(0.0, max(t_end, 1e-12), 64))
     dt = stable_dt(fpgrid, potential, phys, u_max=u_bound)
-    if f0 is None:
-        f = np.full((fpgrid.n_t, fpgrid.n_n), 1.0 / (4.0 * fpgrid.extent_t * fpgrid.extent_n))
-    else:
-        f = np.array(f0, dtype=float)
+    f = np.array(f0, dtype=float)
     U = potential.energy(fpgrid.center_points())
     _, yc = fpgrid.centers()
     D = phys.kB_T / phys.zeta
@@ -356,7 +355,8 @@ def _reference_solve(fpgrid, potential, phys, t_end, u_slip=0.0, f0=None):
 def test_kernel_matches_flux_form_reference(fpgrid, pot, phys, u_slip, start, ends):
     """Solves chained through ``ends`` match the reference loop chained the same
     way, in the density and its Kramers moments at every end."""
-    res = ref = None if start == "uniform" else gibbs_density(fpgrid, pot)
+    uniform = np.full((fpgrid.n_t, fpgrid.n_n), 1.0 / (fpgrid.n_t * fpgrid.n_n * fpgrid.cell_area))
+    res = ref = uniform if start == "uniform" else gibbs_density(fpgrid, pot)
     t0 = 0.0
     for t1 in ends:
         slip = (lambda t, t0=t0: u_slip(t0 + t)) if callable(u_slip) else u_slip

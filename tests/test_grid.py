@@ -12,6 +12,7 @@ from nspb.grid import (
     GridError,
     cheb_diff_matrices,
     cheb_forward,
+    cheb_forward_matrix,
     cheb_inverse,
     cheb_synthesis_matrix,
     fourier_matrices,
@@ -142,6 +143,20 @@ def test_synthesis_matrix_gives_node_values_and_their_derivative():
     config = SolverConfig(dt=1e-3, t_end=1.0)
     sol = ChannelFlowSolver(ChannelGrid(nx=16, ny=ny), SimParams(Re=10.0), config)
     assert sol._synth is S
+
+
+def test_solvers_at_one_ny_share_one_read_only_forward_matrix():
+    # the dealiased forward transform is built once per ny and owns its rows:
+    # no solver keeps the full (ny, ny) transform alive behind a slice
+    ny = 17
+    config = SolverConfig(dt=1e-3, t_end=1.0)
+    a = ChannelFlowSolver(ChannelGrid(nx=16, ny=ny), SimParams(Re=10.0), config)
+    b = ChannelFlowSolver(ChannelGrid(nx=24, ny=ny), SimParams(Re=50.0, alpha=3.0), config)
+    F = a._fwd
+    assert b._fwd is F and F is cheb_forward_matrix(ny, a.grid.dealias_cheb + 1)
+    assert not F.flags.writeable and F.flags.c_contiguous and F.flags.owndata
+    assert F.shape == (a.grid.dealias_cheb + 1, ny)
+    assert np.array_equal(F, cheb_forward(np.eye(ny))[: len(F)])
 
 
 @pytest.mark.parametrize("nx", [8, 32, 64])
