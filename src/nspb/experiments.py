@@ -552,11 +552,19 @@ class _MicroScenario:
 
     def __init__(self, name: str, slip, ens, phys: PhysicalParams):
         self.name, self.slip, self.ens = name, slip, ens
+        # the walk's out: the members and this buffer trade places every walk
+        self.spare = np.empty_like(ens.members)
         self.ode = closure_equilibrium(phys)
         self.mem = memory_closure_equilibrium(phys)
         self.rows = []
         self.worst_nn = self.worst_tn = self.worst_mem = 0.0
         self.final_ratio = None
+
+    def walk(self, h: float, pot: SpringPotential, phys: PhysicalParams, slips) -> None:
+        """Walk the ensemble over ``slips`` into the spare buffer, which the old members become."""
+        old = self.ens.members
+        self.ens = hookean_exact_walk(self.ens, h, pot, phys, slips, self.spare)
+        self.spare = old
 
     def compare(self, t: float, mom) -> None:
         """Fold the ensemble moments at time t against both closures into the worst ratios."""
@@ -584,21 +592,39 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
         f"scenario, horizon {MC_T_END:g} ({MC_T_END / lam:.2f} relaxation times)"
     )
     eq_sigma = phys.kB_T * phys.N_P / phys.rho
+    fpg = FPGrid.for_potential(pot, cutoff=20.0, h=0.15)
+    f0 = np.full((fpg.n_t, fpg.n_n), phys.N_P / (fpg.n_t * fpg.n_n * fpg.cell_area))
+    # the verdict reads only the end of the relaxation, and Gibbs is the exact
+    # fixed point of the exponential-fitted step at any dt, so step at the
+    # solver's positivity bound, the largest dt it accepts
+    dt_bound = stable_dt(fpg, pot, phys, safety=POSITIVITY_SAFETY)
 
-    scenarios = [
-        _MicroScenario(
-            name, _mc_slip(name), equilibrium_ensemble(MC_MEMBERS, pot, seed=plan.seed + idx), phys
+    def relax():
+        return fokker_planck_solve(
+            fpg, pot, phys, t_end=FP_RELAX_MULTIPLE * lam, dt=dt_bound, f0=f0
         )
-        for idx, name in enumerate(("constant", "sinusoidal"))
-    ]
-    here, other = scenarios
-    # The scenarios draw from disjoint Philox streams (seed, step), so their
-    # walks over each comparison interval run at the same time: the second on
-    # a worker thread, the first here (numpy drops the GIL in the draws and
-    # the ufunc loops).  All else stays on this thread.  Leaving the block
-    # waits for the worker, so a raise here leaves no walk running.  The
-    # pool's module loads on first use, so importing nspb does not load it.
+
+    # The Fokker-Planck relaxation reads nothing the walks compute, so the one
+    # worker thread takes it first.  The scenarios draw from disjoint Philox
+    # streams (seed, step), so their walks over each comparison interval run
+    # at the same time: the sinusoidal one is offered to the worker and the
+    # constant one walks here; if the worker has not started the offered walk
+    # (it is still relaxing), it is cancelled and walked here too.  numpy
+    # drops the GIL in the draws and the ufunc loops, and all else stays on
+    # this thread.  Leaving the block waits for the worker, so a raise here
+    # leaves nothing running, and no file is written before the relaxation's
+    # result is read.  The pool's module loads on first use, so importing
+    # nspb does not load it.
     with futures.ThreadPoolExecutor(max_workers=1) as pool:
+        relaxed = pool.submit(relax)
+        scenarios = [
+            _MicroScenario(
+                name, _mc_slip(name), equilibrium_ensemble(MC_MEMBERS, pot, seed=plan.seed + idx),
+                phys,
+            )
+            for idx, name in enumerate(("constant", "sinusoidal"))
+        ]
+        here, other = scenarios
         # one walk per comparison interval; a horizon that is not a whole
         # number of intervals ends in a shorter tail.  The c-th comparison is
         # written at c * MC_COMPARE_SPACING, exact on the comparison grid,
@@ -607,9 +633,12 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
             steps = range(start, min(start + every, n_steps))
             # each slip is held over its step for every system
             slips = [[float(sc.slip(k * h)) for k in steps] for sc in scenarios]
-            walked = pool.submit(hookean_exact_walk, other.ens, h, pot, phys, slips[1])
-            here.ens = hookean_exact_walk(here.ens, h, pot, phys, slips[0])
-            other.ens = walked.result()
+            walked = pool.submit(other.walk, h, pot, phys, slips[1])
+            here.walk(h, pot, phys, slips[0])
+            if walked.cancel():
+                other.walk(h, pot, phys, slips[1])
+            else:
+                walked.result()
             for sc, held in zip(scenarios, slips):
                 for u in held:
                     sc.ode = closure_ode_step(sc.ode, u, phys, h)
@@ -618,6 +647,16 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
                 break
             for sc in scenarios:
                 sc.compare(c * MC_COMPARE_SPACING, kramers_stress(sc.ens, pot, phys))
+        for sc in scenarios:
+            sc.spare = None
+
+        # the equilibrium anchor and the fixed-seed walks, while the worker relaxes
+        mom = kramers_stress(equilibrium_ensemble(MC_MEMBERS, pot, seed=plan.seed + 2), pot, phys)
+        ens_a = equilibrium_ensemble(1000, pot, seed=plan.seed)
+        ens_b = equilibrium_ensemble(1000, pot, seed=plan.seed)
+        ens_a = hookean_exact_walk(ens_a, h, pot, phys, [1.0] * 50)
+        ens_b = hookean_exact_walk(ens_b, h, pot, phys, [1.0] * 50)
+        res = relaxed.result()
 
     header = "t,sigma_tn_mc,se_tn,sigma_tn_ode,sigma_nn_mc,se_nn,sigma_nn_ode"
     for sc in scenarios:
@@ -668,8 +707,6 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
             )
 
     # equilibrium anchors: ensemble normal stress and Fokker-Planck vs Gibbs
-    ens = equilibrium_ensemble(MC_MEMBERS, pot, seed=plan.seed + 2)
-    mom = kramers_stress(ens, pot, phys)
     dev = abs(mom.sigma_nn - eq_sigma) / (3.0 * mom.se_nn)
     summary.add_check(
         "equilibrium_normal_stress_anchor",
@@ -677,14 +714,7 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
         dev,
         "sampled sigma_nn within 3 SE of kB_T*N_P/rho",
     )
-    fpg = FPGrid.for_potential(pot, cutoff=20.0, h=0.15)
     gibbs = gibbs_density(fpg, pot, mass=phys.N_P)
-    f0 = np.full((fpg.n_t, fpg.n_n), phys.N_P / (fpg.n_t * fpg.n_n * fpg.cell_area))
-    # the verdict reads only the end of the relaxation, and Gibbs is the exact
-    # fixed point of the exponential-fitted step at any dt, so step at the
-    # solver's positivity bound, the largest dt it accepts
-    dt_bound = stable_dt(fpg, pot, phys, safety=POSITIVITY_SAFETY)
-    res = fokker_planck_solve(fpg, pot, phys, t_end=FP_RELAX_MULTIPLE * lam, dt=dt_bound, f0=f0)
     summary.notes.append(
         f"Fokker-Planck relaxation from uniform over {FP_RELAX_MULTIPLE:g} relaxation times "
         f"at the positivity bound (stable_dt at safety {POSITIVITY_SAFETY:g}): "
@@ -707,10 +737,6 @@ def _drive_micro_verify(plan: ExperimentPlan, outdir: Path, summary: RunSummary)
     )
 
     # fixed seed reproduces the ensemble bitwise, including its CSV bytes
-    ens_a = equilibrium_ensemble(1000, pot, seed=plan.seed)
-    ens_b = equilibrium_ensemble(1000, pot, seed=plan.seed)
-    ens_a = hookean_exact_walk(ens_a, h, pot, phys, [1.0] * 50)
-    ens_b = hookean_exact_walk(ens_b, h, pot, phys, [1.0] * 50)
     pa, pb = outdir / "ensemble_a.csv", outdir / "ensemble_b.csv"
     ensemble_to_csv(ens_a, pa)
     ensemble_to_csv(ens_b, pb)

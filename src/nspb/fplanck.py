@@ -161,6 +161,13 @@ def _outflow_rates(fpgrid, potential, phys, u_slip):
     return rate
 
 
+def _finite_slip(slip, t):
+    u = slip(t)
+    if not math.isfinite(u):
+        raise FPError(f"slip at t={float(t):.6g} must be finite, got {float(u)!r}")
+    return u
+
+
 def fokker_planck_solve(
     fpgrid: FPGrid,
     potential: SpringPotential,
@@ -179,13 +186,16 @@ def fokker_planck_solve(
     is accepted.  The steps are then evened out to t_end.
     ``u_slip`` may be a constant or a callable of time.  A callable's dt
     comes from 64 samples of it; FPError is raised if the slip at a step
-    time makes that dt unstable.  The result holds the density at t_end,
-    and a later start is a further solve from ``f0=result.density``.
+    time makes that dt unstable.  A slip that is not finite at a sample or
+    a step time is an FPError naming that time, raised before any step.
+    The result holds the density at t_end, and a later start is a further
+    solve from ``f0=result.density``.
     """
     if not 0.0 <= t_end < math.inf:
         raise FPError(f"t_end={t_end} must be finite and nonnegative")
     slip = u_slip if callable(u_slip) else (lambda t, _c=float(u_slip): _c)
-    u_bound = max(abs(slip(s)) for s in np.linspace(0.0, max(t_end, 1e-12), 64))
+    # max() skips a NaN, so each slip the bound or a step reads is checked
+    u_bound = max(abs(_finite_slip(slip, s)) for s in np.linspace(0.0, max(t_end, 1e-12), 64))
     dt_max = stable_dt(fpgrid, potential, phys, u_max=u_bound, safety=POSITIVITY_SAFETY)
     if dt is None:
         dt = 0.5 * dt_max  # bitwise stable_dt at its default safety 0.45
@@ -208,7 +218,7 @@ def fokker_planck_solve(
     # every step applies, at the loop's own times
     step_slip, t = [], 0.0
     for _ in range(n_steps if callable(u_slip) else 0):
-        step_slip.append((t, slip(t)))
+        step_slip.append((t, _finite_slip(slip, t)))
         t += dt
     if step_slip:
         t_peak, u_peak = max(step_slip, key=lambda p: abs(p[1]))

@@ -168,6 +168,7 @@ def hookean_exact_walk(
     potential: SpringPotential,
     phys: PhysicalParams,
     slips: Sequence[float],
+    out: np.ndarray | None = None,
 ) -> PolymerEnsemble:
     """``len(slips)`` exact-in-law steps of the reflected Hookean dumbbell.
 
@@ -187,11 +188,13 @@ def hookean_exact_walk(
     stream as ``sde_step`` (seed, step_count), so the Euler-Maruyama step is
     its first-order reference.
 
-    The members are copied once and each step walks them in row blocks of
-    ``_WALK_BLOCK``, drawing the block's normals into one buffer as the next
-    part of the step's stream, so no step allocates.  The arithmetic is the
-    one-step formula's, operation for operation, so the result does not
-    depend on the blocking; the input is not modified.  A non-finite slip is
+    The members are copied once, into ``out`` if given (a float array of
+    their shape that shares no memory with them, which the result then
+    holds), and each step walks them in row blocks of ``_WALK_BLOCK``,
+    drawing the block's normals into one buffer as the next part of the
+    step's stream, so no step allocates.  The arithmetic is the one-step
+    formula's, operation for operation, so the result does not depend on the
+    blocking or on ``out``; the input is not modified.  A non-finite slip is
     a ``ValueError`` naming its step as the ensemble counts it
     (``ens.step_count + j``), raised before any step is taken.
     """
@@ -201,11 +204,22 @@ def hookean_exact_walk(
     for j, u in enumerate(slips, start=ens.step_count):
         if not math.isfinite(u):
             raise ValueError(f"slip of step {j} must be finite, got {u!r}")
+    if out is None:
+        m = ens.members.copy()
+    elif out.shape != ens.members.shape or out.dtype != ens.members.dtype:
+        raise ValueError(
+            f"out must be a {ens.members.dtype} array of shape {ens.members.shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    elif np.may_share_memory(out, ens.members):
+        raise ValueError("out must not share memory with the members it walks")
+    else:
+        m = out
+        np.copyto(m, ens.members)
     D = phys.kB_T / phys.zeta
     two_lam = potential.R**2 / (2.0 * potential.H * D)  # 2 lambda, the OU time
     E, w0, w1 = exp_weights(dt, two_lam)
     s = math.sqrt(two_lam * D * (1.0 - E * E))
-    m = ens.members.copy()
     n = m.shape[0]
     z = np.empty((min(n, _WALK_BLOCK), 2))
     shear = np.empty(z.shape[0])

@@ -4,6 +4,7 @@ configurations are exercised in test_acceptance.py."""
 
 import json
 import math
+import sys
 import threading
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from nspb.config import parse_config
 from nspb.diagnostics import _COLUMNS, compute_record, momentum_audit
 from nspb.experiments import RunSummary, _trajectory, execute, shear_decay_state
 from nspb.flow import ChannelFlowSolver, SolverConfig, steady_channel_state
+from nspb.fplanck import FPError
 from nspb.grid import ChannelGrid
 from nspb.micro import SpringPotential, equilibrium_ensemble
 from nspb.params import SimParams
@@ -333,25 +335,127 @@ def _threads_of(monkeypatch, names):
     return seen
 
 
+def _scenario_walks():
+    """The lockstep loop's walks: two per comparison interval, tail included."""
+    _, n_steps, every = experiments._micro_schedule()
+    return 2 * math.ceil(n_steps / every)
+
+
+def _hold_the_relaxation(monkeypatch):
+    """Hold the relaxation until the lockstep loop's last walk has ended, so
+    each walk offered to the worker is cancelled and walked here instead.
+    Returns the list the walks are recorded in."""
+    scenario_walks = _scenario_walks()
+    release, walks = threading.Event(), []
+    real_walk, real_solve = experiments.hookean_exact_walk, experiments.fokker_planck_solve
+
+    def walk(*args):
+        result = real_walk(*args)
+        walks.append(args)
+        if len(walks) == scenario_walks:
+            release.set()
+        return result
+
+    def solve(*args, **kwargs):
+        assert release.wait(timeout=30)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "hookean_exact_walk", walk)
+    monkeypatch.setattr(experiments, "fokker_planck_solve", solve)
+    return walks
+
+
 def test_micro_verify_walks_one_scenario_on_one_worker_thread(tmp_path, monkeypatch):
+    # while the one worker relaxes, every walk runs on the main thread
     _tiny_micro(monkeypatch)
     main_only = (
         "kramers_stress",
         "closure_ode_step",
         "memory_closure_step",
         "equilibrium_ensemble",
-        "fokker_planck_solve",
+        "hookean_exact_walk",
     )
-    seen = _threads_of(monkeypatch, main_only + ("hookean_exact_walk",))
+    seen = _threads_of(monkeypatch, main_only + ("fokker_planck_solve",))
+    walks = _hold_the_relaxation(monkeypatch)
     before = threading.active_count()
     execute(parse_config("kind = micro_verify\n").with_output(tmp_path))
     main = threading.main_thread()
     for name in main_only:
         assert seen[name] == {main}, name
-    walkers = seen["hookean_exact_walk"] - {main}
-    assert len(walkers) == 1
-    assert not any(t.is_alive() for t in walkers)
+    assert len(walks) == _scenario_walks() + 2  # and the two fixed-seed walks
+    [relaxer] = seen["fokker_planck_solve"]
+    assert relaxer is not main and not relaxer.is_alive()
     assert threading.active_count() == before
+
+
+def _offer_walks_to_an_idle_worker(monkeypatch):
+    """An instant relaxation, and each interval's walk here waits until the
+    worker has started the walk offered to it, so none is cancelled."""
+    monkeypatch.setattr(experiments, "FP_RELAX_MULTIPLE", 0.0)
+    intervals = _scenario_walks() // 2
+    started, here = threading.Semaphore(0), []
+    real_walk = experiments.hookean_exact_walk
+
+    def walk(*args):
+        if threading.current_thread() is threading.main_thread():
+            here.append(args)
+            if len(here) <= intervals:
+                assert started.acquire(timeout=30)
+        else:
+            started.release()
+        return real_walk(*args)
+
+    monkeypatch.setattr(experiments, "hookean_exact_walk", walk)
+
+
+def test_micro_verify_walks_the_sinusoidal_scenario_on_an_idle_worker(tmp_path, monkeypatch):
+    _tiny_micro(monkeypatch)
+    walked_on = []
+    real_walk = experiments.hookean_exact_walk
+
+    def walk(ens, *args):
+        walked_on.append((ens.seed, threading.current_thread()))
+        return real_walk(ens, *args)
+
+    monkeypatch.setattr(experiments, "hookean_exact_walk", walk)
+    _offer_walks_to_an_idle_worker(monkeypatch)
+    plan = parse_config("kind = micro_verify\n").with_output(tmp_path)
+    before = threading.active_count()
+    execute(plan)
+    main = threading.main_thread()
+    # the sinusoidal scenario is seeded plan.seed + 1; the constant one and
+    # the fixed-seed walks plan.seed
+    sinusoidal = [t for seed, t in walked_on if seed == plan.seed + 1]
+    assert len(sinusoidal) == _scenario_walks() // 2
+    [worker] = set(sinusoidal)
+    assert worker is not main and not worker.is_alive()
+    assert {t for seed, t in walked_on if seed != plan.seed + 1} == {main}
+    assert threading.active_count() == before
+
+
+def test_micro_verify_writes_the_same_bytes_whichever_thread_walks(tmp_path, monkeypatch):
+    # each Philox stream is keyed by (seed, step), so the tables must not
+    # depend on the schedule: every walk here, the sinusoidal ones on the
+    # worker, or the free schedule under a short switch interval
+    _tiny_micro(monkeypatch)
+    plan = parse_config("kind = micro_verify\n")
+
+    def tables(name, schedule):
+        with monkeypatch.context() as m:
+            schedule(m)
+            execute(plan.with_output(tmp_path / name))
+        return {p.name: p.read_bytes() for p in (tmp_path / name).glob("*.csv")}
+
+    held = tables("held", _hold_the_relaxation)
+    idle = tables("idle", _offer_walks_to_an_idle_worker)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        free = tables("free", lambda m: None)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(held) == 3
+    assert held == idle == free
 
 
 def test_micro_verify_raises_a_walk_failure_off_the_main_thread(tmp_path, monkeypatch):
@@ -384,6 +488,7 @@ def test_micro_verify_raises_a_walk_failure_off_the_main_thread(tmp_path, monkey
             raise
 
     monkeypatch.setattr(experiments, "hookean_exact_walk", walk)
+    _offer_walks_to_an_idle_worker(monkeypatch)
     before = threading.active_count()
     with pytest.raises(ValueError, match="slip of step 3 must be finite, got nan"):
         execute(parse_config("kind = micro_verify\n").with_output(tmp_path))
@@ -392,6 +497,23 @@ def test_micro_verify_raises_a_walk_failure_off_the_main_thread(tmp_path, monkey
     # both scenarios write their tables after the last walk
     assert not (tmp_path / "micro_moments_constant.csv").exists()
     assert not (tmp_path / "micro_moments_sinusoidal.csv").exists()
+
+
+def test_micro_verify_raises_a_relaxation_failure_before_writing(tmp_path, monkeypatch):
+    _tiny_micro(monkeypatch)
+    relaxed_on = []
+
+    def solve(*args, **kwargs):
+        relaxed_on.append(threading.current_thread())
+        raise FPError("the relaxation failed")
+
+    monkeypatch.setattr(experiments, "fokker_planck_solve", solve)
+    before = threading.active_count()
+    with pytest.raises(FPError, match="the relaxation failed"):
+        execute(parse_config("kind = micro_verify\n").with_output(tmp_path))
+    assert len(relaxed_on) == 1 and relaxed_on[0] is not threading.main_thread()
+    assert threading.active_count() == before
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_micro_verify_steps_at_a_spacing_below_mc_dt(tmp_path, monkeypatch):

@@ -308,6 +308,42 @@ def test_callable_slip_checked_at_every_step_time(fpgrid, pot, phys):
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constant_non_finite_slip_rejected_naming_it(pot, phys, bad):
+    coarse = FPGrid.for_potential(pot, cutoff=20.0, h=0.3)
+    with pytest.raises(FPError, match=re.escape(f"slip at t=0 must be finite, got {bad!r}")):
+        fokker_planck_solve(coarse, pot, phys, t_end=0.5, u_slip=bad, f0=gibbs_density(coarse, pot))
+
+
+def test_callable_slip_not_finite_on_a_window_rejected_naming_its_time(pot, phys):
+    """max() skips a NaN, so a slip that is NaN only on (0.2, 0.3) passed the
+    sampled bound and the step check and left NaN cells in the density."""
+    coarse = FPGrid.for_potential(pot, cutoff=20.0, h=0.3)
+    with pytest.raises(FPError, match=r"slip at t=0\.2\d* must be finite, got nan"):
+        fokker_planck_solve(
+            coarse,
+            pot,
+            phys,
+            t_end=0.5,
+            u_slip=lambda t: math.nan if 0.2 < t < 0.3 else 1.0,
+            f0=gibbs_density(coarse, pot),
+        )
+
+
+def test_callable_slip_not_finite_at_a_step_time_only_rejected(pot, phys):
+    # finite on all 64 samples of the bound, NaN at the step times past 0.2
+    coarse = FPGrid.for_potential(pot, cutoff=20.0, h=0.3)
+    calls = []
+
+    def slip(t):
+        calls.append(t)
+        return math.nan if len(calls) > 64 and t > 0.2 else 1.0
+
+    with pytest.raises(FPError, match=r"slip at t=0\.2\d* must be finite, got nan"):
+        fokker_planck_solve(coarse, pot, phys, t_end=0.5, u_slip=slip, f0=gibbs_density(coarse, pot))
+    assert len(calls) > 64
+
+
 def _reference_solve(fpgrid, potential, phys, t_end, u_slip, f0):
     """The flux-form loop the kernel replaced, at the solver's default step:
     edge fluxes into (n_t + 1, n_n) and (n_t, n_n + 1) arrays whose wall

@@ -423,6 +423,59 @@ def test_walk_matches_a_chain_of_reference_steps_bitwise(n, slips, pot, phys):
     assert not np.shares_memory(walked.members, ens.members)
 
 
+@pytest.mark.parametrize("n", [1, 2 * micro._WALK_BLOCK + 17], ids=["1", "2block+17"])
+def test_walk_into_out_is_the_copying_walk_bitwise(n, pot, phys):
+    ens = equilibrium_ensemble(n, pot, seed=13)
+    ens = PolymerEnsemble(members=ens.members, seed=ens.seed, step_count=7, t=0.25)
+    before = ens.members.copy()
+    slips = _WALK_SLIPS["sinusoidal"]
+    out = np.full_like(ens.members, np.nan)
+    walked = hookean_exact_walk(ens, 5e-3, pot, phys, slips, out)
+    copied = hookean_exact_walk(ens, 5e-3, pot, phys, slips)
+    assert walked.members is out
+    assert np.array_equal(walked.members, copied.members)
+    assert (walked.t, walked.step_count, walked.seed) == (copied.t, copied.step_count, copied.seed)
+    assert np.array_equal(ens.members, before)
+    # two buffers trading places, as the micro_verify driver walks them
+    a, spare = PolymerEnsemble(members=before.copy(), seed=ens.seed, step_count=7, t=0.25), out
+    b = ens
+    for _ in range(3):
+        a, spare = hookean_exact_walk(a, 5e-3, pot, phys, slips, spare), a.members
+        b = hookean_exact_walk(b, 5e-3, pot, phys, slips)
+        assert np.array_equal(a.members, b.members)
+
+
+def test_walk_into_out_copies_no_members(pot, phys):
+    ens = equilibrium_ensemble(100_000, pot, seed=17)
+    out = np.empty_like(ens.members)
+    tracemalloc.start()
+    try:
+        hookean_exact_walk(ens, 5e-3, pot, phys, [0.5] * 4, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ens.members.nbytes / 2
+
+
+def test_walk_rejects_an_out_that_aliases_or_misfits(pot, phys):
+    ens = equilibrium_ensemble(10, pot, seed=1)
+    before = ens.members.copy()
+    buf = np.zeros((11, 2))
+    shifted = PolymerEnsemble(members=buf[:10], seed=1)
+    for walked, out, match in [
+        (ens, ens.members, "share memory"),
+        (ens, ens.members[::-1], "share memory"),
+        (shifted, buf[1:], "share memory"),
+        (ens, np.empty((9, 2)), "shape"),
+        (ens, np.empty(20), "shape"),
+        (ens, np.empty((10, 2), dtype=np.float32), "float64"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            hookean_exact_walk(walked, 5e-3, pot, phys, [0.5], out)
+    assert np.array_equal(ens.members, before)
+    assert not buf.any()
+
+
 def test_walk_of_no_steps_is_a_copy(pot, phys):
     ens = equilibrium_ensemble(100, pot, seed=13)
     walked = hookean_exact_walk(ens, 5e-3, pot, phys, [])
